@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import resolving
 from .errors import BadParameters, BudgetExceeded
 from .resolving import DEFAULT_BUDGET
@@ -41,19 +39,6 @@ class ExchangeReport:
     witness: ExchangeViolation | None = None
 
 
-def _minimal_masks(g, budget: int) -> tuple[list[int], np.ndarray, list[int]]:
-    """Sorted minimal-set masks, the minimal-status table and the id map."""
-    dist = g.distance_matrix()
-    n = g.vertex_count
-    status = resolving.resolving_status_by_mask(dist, budget)
-    minimal = resolving.minimal_status_by_mask(status, n)
-    ids = list(g.vertex_ids())
-    masks = [int(m) for m in np.flatnonzero(minimal)]
-    members = {m: tuple(i for i in range(n) if (m >> i) & 1) for m in masks}
-    masks.sort(key=lambda m: members[m])
-    return masks, minimal, ids
-
-
 def has_exchange_property(g, budget: int = DEFAULT_BUDGET,
                           allow_theorem: bool = False) -> ExchangeReport:
     """Definition-level exchange verdict for a graph with a distance matrix.
@@ -64,26 +49,25 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET,
     allow_theorem is set; otherwise BudgetExceeded propagates.
     """
     try:
-        masks, minimal, ids = _minimal_masks(g, budget)
+        sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
     except BudgetExceeded:
         if allow_theorem and getattr(g, "q", 0) >= 3:
             return ExchangeReport(holds=True, method="theorem-citation",
                                   minimal_set_sizes=())
         raise
-    member_map = {m: tuple(i for i in range(g.vertex_count) if (m >> i) & 1)
-                  for m in masks}
-    sizes = tuple(sorted(len(member_map[m]) for m in masks))
-    universe = sorted({i for m in masks for i in member_map[m]})
-    for mask2 in masks:
-        w2 = member_map[mask2]
+    ids = list(g.vertex_ids())
+    sizes = tuple(sorted(len(w) for w in sets))
+    universe = sorted({i for w in sets for i in w})
+    for w2 in sets:
+        mask2 = sum(1 << i for i in w2)
         for r in universe:
             if (mask2 >> r) & 1:
                 continue
             swapped_ok = any(minimal[(mask2 ^ (1 << s)) | (1 << r)] for s in w2)
             if not swapped_ok:
-                w1_mask = next(m for m in masks if (m >> r) & 1)
+                w1 = next(w for w in sets if r in w)
                 violation = ExchangeViolation(
-                    w1=tuple(ids[i] for i in member_map[w1_mask]),
+                    w1=tuple(ids[i] for i in w1),
                     r=ids[r],
                     w2=tuple(ids[i] for i in w2))
                 return ExchangeReport(holds=False, method="definition-check",
@@ -101,12 +85,11 @@ def minimal_sets_of_distinct_sizes(
     inconclusive.  Returns the lexicographically least set of the smallest
     size paired with the least set of the next size up.
     """
-    masks, _, ids = _minimal_masks(g, budget)
-    member_map = {m: tuple(ids[i] for i in range(g.vertex_count) if (m >> i) & 1)
-                  for m in masks}
+    sets, _ = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
+    ids = list(g.vertex_ids())
     by_size: dict[int, list[tuple[int, ...]]] = {}
-    for m in masks:
-        by_size.setdefault(len(member_map[m]), []).append(member_map[m])
+    for w in sets:
+        by_size.setdefault(len(w), []).append(tuple(ids[i] for i in w))
     if len(by_size) < 2:
         return None
     small, bigger = sorted(by_size)[:2]

@@ -96,12 +96,9 @@ class ComponentGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, ascending."""
-        sk = self._skeletons
-        for u in self.vertex_ids():
-            su = sk[u]
-            for v in range(u + 1, self.vertex_count + 1):
-                if su & sk[v]:
-                    yield (u, v)
+        for u, later in _later_neighbors(self):
+            for v in later.tolist():
+                yield (u, v)
 
     # -- dense views (desk scale only) --
 
@@ -152,27 +149,25 @@ def size_formula(q: int, n: int) -> int:
     return half
 
 
-def size_bruteforce(g: ComponentGraph) -> int:
-    """Count adjacent unordered pairs by a full double loop (oracle)."""
-    sk = g._skeletons
-    count = 0
+def _later_neighbors(g: ComponentGraph) -> Iterator[tuple[int, np.ndarray]]:
+    """For each vertex u ascending, the ids v > u adjacent to u.
+
+    One row-wise scan that tests every pair once; `edges`,
+    `size_bruteforce` and `is_complete` are built on it.
+    """
+    sk = g.skeleton_array()
     for u in g.vertex_ids():
-        su = sk[u]
-        for v in range(u + 1, g.vertex_count + 1):
-            if su & sk[v]:
-                count += 1
-    return count
+        yield u, u + 1 + np.flatnonzero(sk[u:] & sk[u - 1])
+
+
+def size_bruteforce(g: ComponentGraph) -> int:
+    """Count adjacent unordered pairs, testing every pair (oracle)."""
+    return sum(len(later) for _, later in _later_neighbors(g))
 
 
 def is_complete(g: ComponentGraph) -> bool:
     """True iff every pair of vertices is adjacent (checked, not assumed)."""
-    sk = g._skeletons
-    for u in g.vertex_ids():
-        su = sk[u]
-        for v in range(u + 1, g.vertex_count + 1):
-            if not (su & sk[v]):
-                return False
-    return True
+    return all(len(later) == g.vertex_count - u for u, later in _later_neighbors(g))
 
 
 def bfs_distances(g: ComponentGraph, source: int) -> list[int]:

@@ -56,24 +56,31 @@ def representation(g: ComponentGraph, v: int, w: Sequence[int]) -> tuple[int, ..
     return tuple(g.distance(v, x) for x in members)
 
 
-def _collision(g: ComponentGraph, members: tuple[int, ...]) -> tuple[int, int] | None:
-    """Lexicographically least pair of vertices with equal representations."""
-    table = sorted((tuple(g.distance(v, x) for x in members), v)
-                   for v in g.vertex_ids())
+def _single_set(g: ComponentGraph,
+                order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Representation block of a sorted set, and the resolving status of
+    each single removal (row i drops order[i]); None when the set itself
+    does not resolve.
+
+    The N x k block comes from `representation` and needs no N x N matrix;
+    the set is one batch of the engine and its removals one more.
+    """
+    rows = [representation(g, v, order) for v in g.vertex_ids()] if order else []
+    engine = _Engine(np.array(rows, dtype=np.int16).reshape(g.vertex_count, len(order)))
+    every = np.arange(len(order))
+    if not engine.status(every[None, :])[0]:
+        return engine.dist, None
+    return engine.dist, engine.status(_drop_each(every))
+
+
+def _least_equal_rows(block: np.ndarray) -> tuple[int, int] | None:
+    """Lexicographically least pair u < v of equal rows (0-based)."""
+    first: dict[bytes, int] = {}
     best: tuple[int, int] | None = None
-    i = 0
-    while i < len(table) - 1:
-        if table[i][0] == table[i + 1][0]:
-            j = i + 1
-            while j < len(table) and table[j][0] == table[i][0]:
-                j += 1
-            group = sorted(v for _, v in table[i:j])
-            pair = (group[0], group[1])
-            if best is None or pair < best:
-                best = pair
-            i = j
-        else:
-            i += 1
+    for v, row in enumerate(block):
+        u = first.setdefault(row.tobytes(), v)
+        if u != v and (best is None or (u, v) < best):
+            best = (u, v)
     return best
 
 
@@ -84,36 +91,16 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
         raise BadParameters("candidate set contains duplicate vertices")
     for x in members:
         g.check_vertex(x)
-    if not members:
-        resolving = g.vertex_count == 1
-        pair = None if resolving else (1, 2)
-        return ResolvingReport(W=members, is_resolving=resolving,
-                               is_minimal=resolving, colliding_pair=pair)
-    pair = _collision(g, members)
-    if pair is not None:
+    order = tuple(sorted(members))
+    block, still = _single_set(g, order)
+    if still is None:
+        u, v = _least_equal_rows(block)
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
-                               colliding_pair=pair)
-    redundant = None
-    for drop in sorted(members):
-        rest = tuple(x for x in members if x != drop)
-        if _resolves(g, rest):
-            redundant = drop
-            break
+                               colliding_pair=(u + 1, v + 1))
+    redundant = order[int(np.argmax(still))] if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
                            redundant_vertex=redundant)
-
-
-def _resolves(g: ComponentGraph, members: tuple[int, ...]) -> bool:
-    if not members:
-        return g.vertex_count == 1
-    seen = set()
-    for v in g.vertex_ids():
-        rep = tuple(g.distance(v, x) for x in members)
-        if rep in seen:
-            return False
-        seen.add(rep)
-    return True
 
 
 def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
@@ -122,11 +109,10 @@ def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
     Single removals suffice: supersets of resolving sets resolve, so a
     resolving proper subset implies a resolving (k-1)-subset.
     """
-    members = tuple(w)
-    if not _resolves(g, members):
+    _, still = _single_set(g, tuple(sorted(set(w))))
+    if still is None:
         raise NotResolving("the candidate set does not resolve the graph")
-    return all(not _resolves(g, tuple(x for x in members if x != drop))
-               for drop in members)
+    return not still.any()
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +164,26 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# batched subset engine over a distance matrix (0-based indices)
+# the subset engine over a distance matrix (0-based indices)
 # ---------------------------------------------------------------------------
 
-class _Budget:
-    def __init__(self, budget: int):
+class _Engine:
+    """The one subset engine: a kernel and a lexicographic k-subset scan.
+
+    Rows of `dist` are vertices and columns are candidate members; the
+    matrix is read at its stored dtype.  `status` is the only resolving
+    test and `_scan` the only walk over k-subsets.  The budget counts the
+    subsets the scan evaluates.
+    """
+
+    def __init__(self, dist: np.ndarray, budget: int = DEFAULT_BUDGET):
+        self.dist = dist
+        self.n_rows, self.n_cols = dist.shape
+        self.base = max(int(dist.max(initial=0)) + 1, 2)
+        # most base-`base` digits that still fit one int64 code
+        self.group = 1
+        while self.base ** (self.group + 1) < 2 ** 62:
+            self.group += 1
         self.budget = budget
         self.evaluated = 0
 
@@ -190,44 +191,59 @@ class _Budget:
     def left(self) -> int:
         return self.budget - self.evaluated
 
-    def charge(self, amount: int) -> None:
-        self.evaluated += amount
+    def status(self, cols: np.ndarray) -> np.ndarray:
+        """Boolean resolving status for a (B, k) batch of column sets."""
+        b, k = cols.shape
+        if k <= self.group:
+            codes = np.zeros((self.n_rows, b), dtype=np.int64)
+            for j in range(k):
+                codes *= self.base
+                codes += self.dist[:, cols[:, j]]
+            codes.sort(axis=0)
+            return ~np.any(codes[1:] == codes[:-1], axis=0)
+        # wide-set fallback: exact per-candidate duplicate detection
+        return np.array([len({row.tobytes() for row in self.dist[:, c]}) == self.n_rows
+                         for c in cols], dtype=bool)
+
+    def _scan(self, k: int, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(columns, status) batches of k-subsets in lexicographic order,
+        at most limit subsets, each one charged to the budget."""
+        it = combinations(range(self.n_cols), k)
+        while limit > 0:
+            chunk = list(islice(it, min(_BATCH, limit)))
+            if not chunk:
+                return
+            limit -= len(chunk)
+            self.evaluated += len(chunk)
+            cols = np.asarray(chunk, dtype=np.intp)
+            yield cols, self.status(cols)
+
+    def first_hit(self, k: int) -> tuple[int, ...] | None:
+        """Lexicographically least resolving k-subset within the budget left."""
+        for cols, hits in self._scan(k, self.left):
+            if hits.any():
+                return tuple(int(c) for c in cols[int(np.argmax(hits))])
+        return None
+
+    def all_hits(self, k: int) -> list[tuple[int, ...]]:
+        """Every resolving k-subset, lexicographic order."""
+        return [tuple(int(c) for c in row)
+                for cols, hits in self._scan(k, comb(self.n_cols, k)) for row in cols[hits]]
+
+    def mask_table(self) -> np.ndarray:
+        """Resolving status of every subset, indexed by bit mask of columns."""
+        status = np.zeros(1 << self.n_cols, dtype=bool)
+        for k in range(self.n_cols + 1):
+            for cols, hits in self._scan(k, comb(self.n_cols, k)):
+                status[(np.int64(1) << cols).sum(axis=1)] = hits
+        return status
 
 
-def _iter_comb_batches(n: int, k: int, limit: int) -> Iterator[np.ndarray]:
-    """Yield (B, k) index arrays in lexicographic order, at most limit rows."""
-    it = combinations(range(n), k)
-    remaining = limit
-    while remaining > 0:
-        chunk = list(islice(it, min(_BATCH, remaining)))
-        if not chunk:
-            return
-        remaining -= len(chunk)
-        yield np.asarray(chunk, dtype=np.intp)
-
-
-def _resolving_batch(dist64: np.ndarray, cols: np.ndarray, base: int) -> np.ndarray:
-    """Boolean resolving status for a batch of candidate column sets."""
-    n = dist64.shape[0]
-    b, k = cols.shape
-    base = max(base, 2)
-    group = 1
-    while base ** (group + 1) < 2 ** 62:
-        group += 1
-    if k <= group:
-        codes = np.zeros((n, b), dtype=np.int64)
-        for j in range(k):
-            codes *= base
-            codes += dist64[:, cols[:, j]]
-        codes.sort(axis=0)
-        return ~np.any(codes[1:] == codes[:-1], axis=0)
-    # wide-set fallback: exact per-candidate duplicate detection
-    dist16 = dist64.astype(np.int16)
-    out = np.empty(b, dtype=bool)
-    for i in range(b):
-        sub = dist16[:, cols[i]]
-        out[i] = len({row.tobytes() for row in sub}) == n
-    return out
+def _drop_each(cols: Sequence[int]) -> np.ndarray:
+    """(k, k-1) batch whose row i is cols without its i-th entry."""
+    k = len(cols)
+    full = np.broadcast_to(np.asarray(cols, dtype=np.intp), (k, k))
+    return full[~np.eye(k, dtype=bool)].reshape(k, max(k - 1, 0))
 
 
 def find_min_resolving_for_matrix(
@@ -244,27 +260,21 @@ def find_min_resolving_for_matrix(
     n = dist.shape[0]
     if n == 1:
         return 0, ()
-    dist64 = dist.astype(np.int64)
-    base = int(dist64.max()) + 1
-    tracker = _Budget(budget)
-    start_k = max(1, twins_mod.twin_lower_bound(twin_classes))
-    for k in range(start_k, n + 1):
-        complete = comb(n, k) <= tracker.left
-        for cols in _iter_comb_batches(n, k, tracker.left):
-            tracker.charge(len(cols))
-            hits = _resolving_batch(dist64, cols, base)
-            if hits.any():
-                first = int(np.argmax(hits))
-                return k, tuple(int(c) for c in cols[first])
+    engine = _Engine(dist, budget)
+    for k in range(max(1, twins_mod.twin_lower_bound(twin_classes)), n + 1):
+        complete = comb(n, k) <= engine.left
+        hit = engine.first_hit(k)
+        if hit is not None:
+            return k, hit
         if not complete:
             raise BudgetExceeded(
-                f"search stopped after {tracker.evaluated} subset evaluations",
-                evaluated=tracker.evaluated, budget=budget,
+                f"search stopped after {engine.evaluated} subset evaluations",
+                evaluated=engine.evaluated, budget=budget,
                 lower_bound=k, upper_bound=n)
-        if tracker.left == 0:
+        if engine.left == 0:
             raise BudgetExceeded(
                 f"budget spent after finishing level k={k}",
-                evaluated=tracker.evaluated, budget=budget,
+                evaluated=engine.evaluated, budget=budget,
                 lower_bound=k + 1, upper_bound=n)
     raise AssertionError("the full vertex set always resolves")
 
@@ -280,16 +290,7 @@ def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
         raise BudgetExceeded(
             f"full subset table needs 2^{n} evaluations, over the budget {budget}",
             evaluated=0, budget=budget)
-    dist64 = dist.astype(np.int64)
-    base = int(dist64.max()) + 1
-    status = np.zeros(1 << n, dtype=bool)
-    status[0] = n == 1
-    for k in range(1, n + 1):
-        for cols in _iter_comb_batches(n, k, comb(n, k)):
-            hits = _resolving_batch(dist64, cols, base)
-            masks = (np.int64(1) << cols).sum(axis=1)
-            status[masks] = hits
-    return status
+    return _Engine(dist, budget).mask_table()
 
 
 def minimal_status_by_mask(status: np.ndarray, n: int) -> np.ndarray:
@@ -300,6 +301,21 @@ def minimal_status_by_mask(status: np.ndarray, n: int) -> np.ndarray:
         with_bit = all_masks[((all_masks >> b) & 1) == 1]
         minimal[with_bit] &= ~status[with_bit ^ (1 << b)]
     return minimal
+
+
+def minimal_sets_by_table(
+    dist: np.ndarray, budget: int = DEFAULT_BUDGET
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every minimal resolving set of matrix columns, from the 2^N table.
+
+    Returns the sets (0-based, lexicographic order) and the minimal-status
+    table indexed by bit mask.
+    """
+    n = dist.shape[0]
+    minimal = minimal_status_by_mask(resolving_status_by_mask(dist, budget), n)
+    sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
+                  for m in map(int, np.flatnonzero(minimal)))
+    return sets, minimal
 
 
 def all_resolving_k_subsets(
@@ -314,14 +330,7 @@ def all_resolving_k_subsets(
         raise BudgetExceeded(
             f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
             evaluated=0, budget=budget)
-    dist64 = dist.astype(np.int64)
-    base = int(dist64.max()) + 1
-    found: list[tuple[int, ...]] = []
-    for cols in _iter_comb_batches(n, k, total):
-        hits = _resolving_batch(dist64, cols, base)
-        for row in cols[hits]:
-            found.append(tuple(int(c) for c in row))
-    return found
+    return _Engine(dist, budget).all_hits(k)
 
 
 # ---------------------------------------------------------------------------
@@ -365,39 +374,23 @@ def enumerate_minimal_resolving_sets(
         raise BadParameters("size cap must be non-negative")
     dist = g.distance_matrix()
     if n <= _MASK_TABLE_MAX_N and (1 << n) <= budget:
-        status = resolving_status_by_mask(dist, budget)
-        minimal = minimal_status_by_mask(status, n)
-        out = []
-        for mask in np.flatnonzero(minimal):
-            members = tuple(i + 1 for i in range(n) if (int(mask) >> i) & 1)
-            if len(members) <= cap:
-                out.append(members)
-        out.sort()
-        return out
-    tracker = _Budget(budget)
+        sets, _ = minimal_sets_by_table(dist, budget)
+        return [tuple(i + 1 for i in w) for w in sets if len(w) <= cap]
+    engine = _Engine(dist, budget)
     out = []
     for k in range(0, cap + 1):
         level = comb(n, k)
-        if level > tracker.left:
+        if level > engine.left:
             raise BudgetExceeded(
                 f"level k={k} needs {level} evaluations, budget exhausted",
-                evaluated=tracker.evaluated, budget=budget)
-        subsets = all_resolving_k_subsets(dist, k, level)
-        tracker.charge(level)
-        for cols in subsets:
-            members = tuple(c + 1 for c in cols)
-            removals = [tuple(x for x in members if x != drop) for drop in members]
-            if len(removals) > tracker.left:
+                evaluated=engine.evaluated, budget=budget)
+        for cols in engine.all_hits(k):
+            if k > engine.left:
                 raise BudgetExceeded(
                     "minimality checks exhausted the budget",
-                    evaluated=tracker.evaluated, budget=budget)
-            tracker.charge(len(removals))
-            if all(not _resolves(g, rest) for rest in removals):
-                out.append(members)
+                    evaluated=engine.evaluated, budget=budget)
+            engine.evaluated += k
+            if not engine.status(_drop_each(cols)).any():
+                out.append(tuple(c + 1 for c in cols))
     out.sort()
     return out
-
-
-def twin_lower_bound(g: ComponentGraph) -> int:
-    """Sum of (class size - 1) over the twin classes."""
-    return twins_mod.twin_lower_bound(twins_mod.partition_by_neighborhood(g).classes)

@@ -4,6 +4,7 @@ import pytest
 
 import resolvdim
 from resolvdim.graph import ComponentGraph
+from resolvdim.resolving import representation
 
 # The directory that holds the imported package: `src` in a checkout.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(resolvdim.__file__)))
@@ -21,6 +22,17 @@ def child_env(base=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return env
+
+
+def resolves_by_definition(g, w):
+    """W resolves g iff the N representation tuples are pairwise distinct.
+
+    Straight from the definition, one `representation` per vertex; shares
+    no code with the subset engine.  The empty set resolves only N = 1.
+    """
+    if not w:
+        return g.vertex_count == 1
+    return len({representation(g, v, w) for v in g.vertex_ids()}) == g.vertex_count
 
 
 @pytest.fixture(scope="session")

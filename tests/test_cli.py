@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import child_env
 from resolvdim.cli import main
 
 CLI = [sys.executable, "-m", "resolvdim"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, cwd=None):
@@ -148,6 +150,31 @@ def test_intersect_realize_roundtrip(tmp_path):
     assert lines[1:] == ["1 3", "2 3"]
 
 
+def test_intersect_realize_non_integer_id_is_usage_error(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("1 x\n")
+    assert main(["intersect", "--realize", str(edges), "--vertices", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_negative_budget_is_usage_error(capsys):
+    assert main(["dim", "--q", "2", "--n", "2", "--budget", "-5"]) == 2
+    assert capsys.readouterr().err.startswith("error: budget must be >= 0")
+
+
+def test_negative_budget_env_var_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RESOLVDIM_BUDGET", "-5")
+    assert main(["dim", "--q", "2", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: budget must be >= 0")
+
+
+def test_workers_below_one_is_usage_error(capsys):
+    assert main(["verify", "--q", "2", "--n", "1", "--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --workers must be >= 1")
+    assert captured.out == ""
+
+
 def test_intersect_needs_a_mode():
     assert run_cli(["intersect"]).returncode == 2
 
@@ -194,6 +221,18 @@ def test_verify_deterministic_across_workers(tmp_path):
     r2 = run_cli(args + ["--workers", "3", "--out", str(tmp_path / "b.json")])
     assert r1.returncode == r2.returncode
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_verify_report_matches_golden_bytes(tmp_path):
+    # Captured from an earlier release; the skip reasons carry the
+    # evaluated-subset counts, so the budget accounting is pinned too.
+    out = tmp_path / "report.json"
+    code = main(["verify", "--q-range", "2..4", "--n-range", "1..3",
+                 "--budget", "20000", "--seed", "1", "--format", "json",
+                 "--out", str(out)])
+    assert code == 1  # the q=2, n=2 twin exception
+    golden = DATA / "verify_q2-4_n1-3_budget20000_seed1.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_verify_timings_flag(tmp_path):

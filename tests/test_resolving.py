@@ -3,10 +3,12 @@ from itertools import combinations
 
 import pytest
 
+from conftest import resolves_by_definition
 from resolvdim import resolving
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving)
 from resolvdim.graph import ComponentGraph, bfs_distances
+from resolvdim.intersection import PlainGraph
 
 
 def test_representation_examples(g23):
@@ -94,9 +96,11 @@ def test_search_q2_n4(g24):
     assert k == 4
     assert witness == (1, 2, 4, 8)
     # independent confirmation that no smaller set resolves
+    assert resolves_by_definition(g24, witness)
     for size in (1, 2, 3):
         for subset in combinations(g24.vertex_ids(), size):
             assert not resolving.is_resolving(g24, subset).is_resolving
+            assert not resolves_by_definition(g24, subset)
 
 
 def test_search_is_deterministic(g32):
@@ -119,7 +123,8 @@ def test_canonical_basis_examples():
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
-                                 (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (7, 1)])
+                                 (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2),
+                                 (7, 1)])
 def test_canonical_basis_resolves_minimally(q, n):
     g = ComponentGraph(q, n)
     basis = resolving.canonical_metric_basis(q, n)
@@ -172,3 +177,18 @@ def test_mask_table_consistency(g23):
     for mask in range(1 << 7):
         members = tuple(i + 1 for i in range(7) if (mask >> i) & 1)
         assert status[mask] == resolving.is_resolving(g23, members).is_resolving
+        assert status[mask] == resolves_by_definition(g23, members)
+
+
+def test_wide_path_matches_definition():
+    # A path on 15 vertices plus 5 isolated ones: the unreachable distance
+    # 21 makes the code base 22, so sets of 14 or more columns no longer fit
+    # one int64 code and take the per-candidate fallback.
+    pg = PlainGraph(20, [(i, i + 1) for i in range(14)])
+    dist = pg.distance_matrix()
+    for k in (5, 17):
+        expected = [cols for cols in combinations(range(20), k)
+                    if len({tuple(dist[v, list(cols)]) for v in range(20)}) == 20]
+        found = resolving.all_resolving_k_subsets(dist, k)
+        assert found == expected
+        assert 0 < len(found) < len(list(combinations(range(20), k)))
