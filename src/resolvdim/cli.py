@@ -6,8 +6,8 @@ verification failure, 2 usage error (including instances over the vertex
 cap and parse errors), 3 budget exceeded.
 
 Reports are deterministic: identical configurations (including --seed)
-produce byte-identical output regardless of --workers, because cells are
-rendered in sorted order, randomized trials derive their generator from
+produce byte-identical output, because `verify` checks its cells one after
+another in sorted order, randomized trials derive their generator from
 (seed, q, n), and timings are only included when --timings is given.
 """
 
@@ -20,8 +20,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import product
 
 from . import exchange as exchange_mod
@@ -41,23 +39,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass
-class RunConfig:
-    qs: list[int]
-    ns: list[int]
-    budget: int
-    vertex_cap: int
-    seed: int
-    allow_theorem: bool
-    fmt: str = "text"
-    out: str | None = None
-    workers: int = 1
-    timings: bool = False
-
-    def cell_list(self) -> list[tuple[int, int]]:
-        return [(q, n) for q in sorted(self.qs) for n in sorted(self.ns)]
 
 
 def render_json(obj) -> str:
@@ -245,8 +226,7 @@ def cmd_intersect(args) -> int:
         _emit(f"dim={k}\n", args.out)
         return EXIT_PASS
     if args.family is not None:
-        with open(args.family) as fh:
-            fam = intersection_mod.parse_family(fh.read())
+        fam = intersection_mod.parse_family(_read_text(args.family))
         pg = intersection_mod.intersection_graph(fam)
         lines = [f"members={len(fam)} order={pg.vertex_count} size={len(pg.edges)}"]
         lines += [f"{u + 1} {v + 1}" for u, v in sorted(pg.edges)]
@@ -255,8 +235,7 @@ def cmd_intersect(args) -> int:
     if args.realize is not None:
         if args.vertices is None:
             raise BadParameters("--realize needs --vertices N")
-        with open(args.realize) as fh:
-            edges = _parse_edge_file(fh.read(), args.vertices)
+        edges = _parse_edge_file(_read_text(args.realize), args.vertices)
         pg = intersection_mod.PlainGraph(args.vertices, edges)
         fam = intersection_mod.as_intersection_family(pg)
         _emit(intersection_mod.family_to_text(fam), args.out)
@@ -264,6 +243,15 @@ def cmd_intersect(args) -> int:
     raise BadParameters(
         "intersect needs one of --powerset, --family, --correspondence, "
         "--realize, --dim-powerset")
+
+
+def _read_text(path: str) -> str:
+    """A UTF-8 input file; bytes that do not decode are a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadParameters(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _parse_edge_file(text: str, vertices: int) -> list[tuple[int, int]]:
@@ -290,17 +278,90 @@ def _parse_edge_file(text: str, vertices: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+#
+# A check runs on one cell's graph and yields (section, body, verdict): the
+# section's text label, its JSON body and its verdict, True or False, or
+# None when the body gives none (skipped, not-applicable, no-twins).
+# `_verify_cell` is the one loop over the checks: it times each one, turns
+# BudgetExceeded and InstanceTooLarge into a skipped section, and derives
+# both the cell's pass and the text tokens from the same verdicts.
 
-def _expected_exchange(q: int, n: int) -> bool:
-    return q >= 3 or n <= 2
+def _counts(g, args, record):
+    """Order, size and completeness against the counting formulas."""
+    q, n = g.q, g.n
+    order = graph_mod.order_formula(q, n)
+    enumerated = sum(1 for coeffs in product(range(q), repeat=n) if any(coeffs))
+    ok = order == enumerated
+    yield "order", {"formula": order, "enumerated": enumerated, "match": ok}, ok
+    brute = graph_mod.size_bruteforce(g)
+    size = graph_mod.size_formula(q, n)
+    ok = size == brute
+    yield "size", {"formula": size, "bruteforce": brute, "match": ok}, ok
+    complete = graph_mod.is_complete(g)
+    ok = complete == (n == 1)
+    yield "complete", {"value": complete, "expected": n == 1, "match": ok}, ok
 
 
-def _twin_swap_trials(g, cfg: RunConfig, trials: int = 20) -> dict:
+def _twins(g, args, record):
+    coincide = twins_mod.partitions_coincide(g)
+    yield "twins", {"status": "checked", "coincide": coincide}, coincide
+
+
+def _dim(g, args, record):
+    """Metric dimension, closed form against search."""
+    formula = resolving_mod.metric_dimension_formula(g.q, g.n)
+    search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
+    ok = formula == search
+    yield "dim", {"status": "checked", "formula": formula, "search": search,
+                  "witness": _labels(g, witness), "match": ok}, ok
+
+
+def _corollary(g, args, record):
+    """Minimum resolving sets against linear independence."""
+    q, n = g.q, g.n
+    if q >= 3 and record["dim"]["status"] == "skipped":
+        yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
+    elif q >= 3:
+        subsets = resolving_mod.all_resolving_k_subsets(
+            g.distance_matrix(), record["dim"]["search"], args.budget)
+        f = field_mod.field_new(q)
+        spans = all(field_mod.has_full_rank(
+                        f, n, [vectorspace.decode(c + 1, q, n) for c in cols])
+                    for cols in subsets)
+        yield "corollary", {"status": "verified", "minimum_sets": len(subsets),
+                            "all_contain_v_basis": spans}, spans
+    elif n == 3:
+        ids = [vectorspace.parse_vertex(t, q, n) for t in ("e1", "e1+e3", "e3")]
+        rep = resolving_mod.is_resolving(g, ids)
+        f = field_mod.field_new(q)
+        dependent = not field_mod.has_full_rank(
+            f, n, [vectorspace.decode(v, q, n) for v in ids])
+        minimum = len(ids) == resolving_mod.metric_dimension_formula(q, n)
+        ok = rep.is_resolving and minimum and dependent
+        yield "corollary", {"status": "counterexample-verified",
+                            "witness": _labels(g, ids), "ok": ok}, ok
+    else:
+        yield "corollary", {"status": "not-applicable"}, None
+
+
+def _exchange(g, args, record):
+    report = exchange_mod.has_exchange_property(
+        g, budget=args.budget, allow_theorem=args.allow_theorem)
+    expected = g.q >= 3 or g.n <= 2  # the property fails exactly at q=2, n>=3
+    ok = report.holds == expected
+    yield "exchange", {"status": "checked", "holds": report.holds,
+                       "method": report.method,
+                       "sizes": list(report.minimal_set_sizes),
+                       "expected": expected, "match": ok}, ok
+
+
+def _swaps(g, args, record, trials: int = 20):
+    """Random twin swaps in resolving supersets of the canonical basis."""
     part = twins_mod.partition_by_neighborhood(g)
-    multi = [c for c in part.classes if len(c) >= 2]
-    if not multi:
-        return {"status": "no-twins"}
-    rng = random.Random(f"{cfg.seed}:{g.q}:{g.n}")
+    if all(len(c) < 2 for c in part.classes):
+        yield "swaps", {"status": "no-twins"}, None
+        return
+    rng = random.Random(f"{args.seed}:{g.q}:{g.n}")
     base = resolving_mod.canonical_metric_basis(g.q, g.n)
     all_ids = list(g.vertex_ids())
     passed = 0
@@ -315,214 +376,76 @@ def _twin_swap_trials(g, cfg: RunConfig, trials: int = 20) -> dict:
         cls = rng.choice(swappable)
         u = rng.choice([x for x in cls if x in w])
         v = rng.choice([x for x in cls if x not in w])
-        if not resolving_mod.is_resolving(g, sorted(w)).is_resolving:
-            return {"status": "checked", "trials": trials, "all_resolving": False}
-        swapped = twins_mod.twin_swap(g, w, u, v)
-        if not resolving_mod.is_resolving(g, swapped).is_resolving:
-            return {"status": "checked", "trials": trials, "all_resolving": False}
+        if not (resolving_mod.is_resolving(g, sorted(w)).is_resolving and
+                resolving_mod.is_resolving(g, twins_mod.twin_swap(g, w, u, v)).is_resolving):
+            yield "swaps", {"status": "checked", "trials": trials,
+                            "all_resolving": False}, False
+            return
         passed += 1
-    return {"status": "checked", "trials": passed, "all_resolving": True}
+    yield "swaps", {"status": "checked", "trials": passed, "all_resolving": True}, True
 
 
-def _verify_cell(cfg: RunConfig, q: int, n: int) -> dict:
-    t0 = time.perf_counter()
-    record: dict = {"q": q, "n": n}
+# (--timings window, check); a skipped check's section is named after its window
+_CHECKS = (("counts", _counts), ("twins", _twins), ("dim", _dim),
+           ("corollary", _corollary), ("exchange", _exchange), ("swaps", _swaps))
+# record key of a section whose text label differs from it
+_RECORD_KEY = {"swaps": "twin_swap_trials"}
+_NO_VERDICT_TOKEN = {"skipped": "skipped", "not-applicable": "n/a", "no-twins": "no-twins"}
+
+
+def _verify_cell(args, q: int, n: int) -> tuple[dict, str]:
+    """One cell's record and its line of the text report."""
+    start = time.perf_counter()
+    try:
+        g = graph_mod.ComponentGraph(q, n, vertex_cap=args.vertex_cap)
+    except InstanceTooLarge as exc:
+        return ({"q": q, "n": n, "status": "skipped", "reason": str(exc), "pass": True},
+                f"q={q} n={n} cell=SKIPPED ({exc})")
+    record: dict = {"q": q, "n": n, "vertices": g.vertex_count}
     timings: dict[str, float] = {}
-    okays: list[bool] = []
-
-    try:
-        g = graph_mod.ComponentGraph(q, n, vertex_cap=cfg.vertex_cap)
-    except InstanceTooLarge as exc:
-        record["status"] = "skipped"
-        record["reason"] = str(exc)
-        record["pass"] = True
-        return record
-    record["vertices"] = g.vertex_count
-
-    # order and size against the counting formulas
-    enumerated = sum(1 for coeffs in product(range(q), repeat=n) if any(coeffs))
-    order_ok = graph_mod.order_formula(q, n) == enumerated
-    record["order"] = {"formula": graph_mod.order_formula(q, n),
-                       "enumerated": enumerated, "match": order_ok}
-    okays.append(order_ok)
-
-    brute = graph_mod.size_bruteforce(g)
-    formula = graph_mod.size_formula(q, n)
-    record["size"] = {"formula": formula, "bruteforce": brute,
-                      "match": formula == brute}
-    okays.append(formula == brute)
-
-    complete = graph_mod.is_complete(g)
-    record["complete"] = {"value": complete, "expected": n == 1,
-                          "match": complete == (n == 1)}
-    okays.append(complete == (n == 1))
-    timings["counts"] = time.perf_counter() - t0
-
-    # twin partitions
-    t1 = time.perf_counter()
-    try:
-        coincide = twins_mod.partitions_coincide(g)
-        record["twins"] = {"status": "checked", "coincide": coincide}
-        okays.append(coincide)
-    except InstanceTooLarge as exc:
-        record["twins"] = {"status": "skipped", "reason": str(exc)}
-    timings["twins"] = time.perf_counter() - t1
-
-    # metric dimension, formula against search
-    t2 = time.perf_counter()
-    dim_value: int | None = None
-    try:
-        formula_dim = resolving_mod.metric_dimension_formula(q, n)
-        search_dim, witness = resolving_mod.metric_dimension_search(g, budget=cfg.budget)
-        dim_value = search_dim
-        record["dim"] = {"status": "checked", "formula": formula_dim,
-                         "search": search_dim,
-                         "witness": _labels(g, witness),
-                         "match": formula_dim == search_dim}
-        okays.append(formula_dim == search_dim)
-    except (BudgetExceeded, InstanceTooLarge) as exc:
-        record["dim"] = {"status": "skipped", "reason": str(exc)}
-    timings["dim"] = time.perf_counter() - t2
-
-    # minimum resolving sets against linear independence
-    t3 = time.perf_counter()
-    if q >= 3:
-        if dim_value is None:
-            record["corollary"] = {"status": "skipped", "reason": "dim search skipped"}
-        else:
-            try:
-                subsets = resolving_mod.all_resolving_k_subsets(
-                    g.distance_matrix(), dim_value, cfg.budget)
-                f = field_mod.field_new(q)
-                all_span = all(
-                    field_mod.has_full_rank(
-                        f, n, [vectorspace.decode(c + 1, q, n) for c in cols])
-                    for cols in subsets)
-                record["corollary"] = {"status": "verified",
-                                       "minimum_sets": len(subsets),
-                                       "all_contain_v_basis": all_span}
-                okays.append(all_span)
-            except BudgetExceeded as exc:
-                record["corollary"] = {"status": "skipped", "reason": str(exc)}
-    elif q == 2 and n == 3:
-        ids = [vectorspace.parse_vertex(t, q, n) for t in ("e1", "e1+e3", "e3")]
-        rep = resolving_mod.is_resolving(g, ids)
-        f = field_mod.field_new(q)
-        dependent = not field_mod.has_full_rank(
-            f, n, [vectorspace.decode(v, q, n) for v in ids])
-        minimum = len(ids) == resolving_mod.metric_dimension_formula(q, n)
-        ok = rep.is_resolving and minimum and dependent
-        record["corollary"] = {"status": "counterexample-verified",
-                               "witness": _labels(g, ids), "ok": ok}
-        okays.append(ok)
-    else:
-        record["corollary"] = {"status": "not-applicable"}
-    timings["corollary"] = time.perf_counter() - t3
-
-    # exchange property
-    t4 = time.perf_counter()
-    try:
-        report = exchange_mod.has_exchange_property(
-            g, budget=cfg.budget, allow_theorem=cfg.allow_theorem)
-        expected = _expected_exchange(q, n)
-        record["exchange"] = {"status": "checked", "holds": report.holds,
-                              "method": report.method,
-                              "sizes": list(report.minimal_set_sizes),
-                              "expected": expected,
-                              "match": report.holds == expected}
-        okays.append(report.holds == expected)
-    except (BudgetExceeded, InstanceTooLarge) as exc:
-        record["exchange"] = {"status": "skipped", "reason": str(exc)}
-    timings["exchange"] = time.perf_counter() - t4
-
-    # randomized twin-swap trials
-    t5 = time.perf_counter()
-    try:
-        swaps = _twin_swap_trials(g, cfg)
-        record["twin_swap_trials"] = swaps
-        if swaps.get("status") == "checked":
-            okays.append(bool(swaps["all_resolving"]))
-    except InstanceTooLarge as exc:
-        record["twin_swap_trials"] = {"status": "skipped", "reason": str(exc)}
-    timings["swaps"] = time.perf_counter() - t5
-
-    record["pass"] = all(okays)
-    if cfg.timings:
+    verdicts: list[bool | None] = []
+    tokens = [f"q={q}", f"n={n}"]
+    for window, check in _CHECKS:
+        try:
+            sections = list(check(g, args, record))
+        except (BudgetExceeded, InstanceTooLarge) as exc:
+            sections = [(window, {"status": "skipped", "reason": str(exc)}, None)]
+        for label, body, verdict in sections:
+            record[_RECORD_KEY.get(label, label)] = body
+            verdicts.append(verdict)
+            if verdict is None:
+                tokens.append(f"{label}={_NO_VERDICT_TOKEN[body['status']]}")
+            else:
+                tokens.append(f"{label}={'ok' if verdict else 'FAIL'}")
+        now = time.perf_counter()
+        timings[window], start = now - start, now
+    record["pass"] = False not in verdicts
+    tokens.append(f"cell={'PASS' if record['pass'] else 'FAIL'}")
+    if args.timings:
         record["timings"] = {k: round(v, 6) for k, v in timings.items()}
-    return record
-
-
-def _status_token(section: dict, ok_key: str = "match") -> str:
-    status = section.get("status")
-    if status == "skipped":
-        return "skipped"
-    if status == "not-applicable":
-        return "n/a"
-    if status == "no-twins":
-        return "no-twins"
-    if status == "counterexample-verified":
-        return "ok" if section.get("ok") else "FAIL"
-    if status == "verified":
-        return "ok" if section.get("all_contain_v_basis") else "FAIL"
-    if status == "checked":
-        if "coincide" in section:
-            return "ok" if section["coincide"] else "FAIL"
-        if "all_resolving" in section:
-            return "ok" if section["all_resolving"] else "FAIL"
-        return "ok" if section.get(ok_key) else "FAIL"
-    return "ok" if section.get(ok_key) else "FAIL"
-
-
-def _render_verify_text(report: dict) -> str:
-    lines = [f"schema_version={report['schema_version']}"]
-    for rec in report["records"]:
-        if rec.get("status") == "skipped":
-            lines.append(f"q={rec['q']} n={rec['n']} cell=SKIPPED ({rec['reason']})")
-            continue
-        parts = [f"q={rec['q']}", f"n={rec['n']}",
-                 f"order={_status_token(rec['order'])}",
-                 f"size={_status_token(rec['size'])}",
-                 f"complete={_status_token(rec['complete'])}",
-                 f"twins={_status_token(rec['twins'])}",
-                 f"dim={_status_token(rec['dim'])}",
-                 f"corollary={_status_token(rec['corollary'])}",
-                 f"exchange={_status_token(rec['exchange'])}",
-                 f"swaps={_status_token(rec['twin_swap_trials'])}",
-                 f"cell={'PASS' if rec['pass'] else 'FAIL'}"]
-        lines.append(" ".join(parts))
-    lines.append(f"OVERALL: {'PASS' if report['overall_pass'] else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    return record, " ".join(tokens)
 
 
 def cmd_verify(args) -> int:
     if args.workers < 1:
         raise BadParameters(f"--workers must be >= 1, got {args.workers}")
-    cfg = RunConfig(qs=_resolve_qs(args), ns=_resolve_ns(args),
-                    budget=args.budget, vertex_cap=args.vertex_cap,
-                    seed=args.seed, allow_theorem=args.allow_theorem,
-                    fmt=args.format, out=args.out, workers=args.workers,
-                    timings=args.timings)
-    cells = cfg.cell_list()
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(lambda c: _verify_cell(cfg, *c), cells))
+    qs, ns = sorted(_resolve_qs(args)), sorted(_resolve_ns(args))
+    cells = [_verify_cell(args, q, n) for q in qs for n in ns]
+    overall = all(record["pass"] for record, _ in cells)
+    if args.format == "json":
+        text = render_json({
+            "schema_version": SCHEMA_VERSION,
+            "config": {"qs": qs, "ns": ns, "budget": args.budget,
+                       "vertex_cap": args.vertex_cap, "seed": args.seed,
+                       "allow_theorem": args.allow_theorem},
+            "records": [record for record, _ in cells],
+            "overall_pass": overall,
+        })
     else:
-        records = [_verify_cell(cfg, q, n) for q, n in cells]
-    overall = all(r["pass"] for r in records)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": {
-            "qs": sorted(cfg.qs), "ns": sorted(cfg.ns), "budget": cfg.budget,
-            "vertex_cap": cfg.vertex_cap, "seed": cfg.seed,
-            "allow_theorem": cfg.allow_theorem,
-        },
-        "records": records,
-        "overall_pass": overall,
-    }
-    if cfg.fmt == "json":
-        _emit(render_json(report), cfg.out)
-    else:
-        _emit(_render_verify_text(report), cfg.out)
+        text = "\n".join([f"schema_version={SCHEMA_VERSION}",
+                          *(line for _, line in cells),
+                          f"OVERALL: {'PASS' if overall else 'FAIL'}"]) + "\n"
+    _emit(text, args.out)
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -598,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--q-range", default=None, metavar="A..B")
     sp.add_argument("--n-range", default=None, metavar="A..B")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; cells run one after another")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte determinism)")
     _add_common(sp)
@@ -628,6 +552,8 @@ def main(argv: list[str] | None = None) -> int:
             args.budget = _default_budget()
         if args.budget < 0:
             raise BadParameters(f"budget must be >= 0, got {args.budget}")
+        if args.vertex_cap < 1:
+            raise BadParameters(f"--vertex-cap must be >= 1, got {args.vertex_cap}")
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:
         bounds = ""

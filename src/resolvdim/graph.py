@@ -14,7 +14,7 @@ skeletons, else 2) is backed by the breadth-first-search oracle
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,6 +105,19 @@ class ComponentGraph:
     def skeleton_array(self) -> np.ndarray:
         return np.asarray(self._skeletons[1:], dtype=np.int64)
 
+    def distance_block(self, w: Sequence[int]) -> np.ndarray:
+        """int16 N x k block: row v-1, column j holds the distance from v to w[j].
+
+        Built from the skeleton table, so it needs no N x N matrix.
+        """
+        for x in w:
+            self.check_vertex(x)
+        cols = np.asarray(w, dtype=np.intp) - 1
+        sk = self.skeleton_array()
+        block = np.where((sk[:, None] & sk[cols]) != 0, np.int16(1), np.int16(2))
+        block[cols, np.arange(len(cols))] = 0
+        return block
+
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1)."""
         if self._adj is None:
@@ -145,7 +158,8 @@ def size_formula(q: int, n: int) -> int:
         raise BadParameters(f"need q >= 2 and n >= 1, got q={q}, n={n}")
     numerator = q ** (2 * n) - q ** n + 1 - (2 * q - 1) ** n
     half, rem = divmod(numerator, 2)
-    assert rem == 0, "edge-count numerator must be even"
+    if rem:
+        raise AssertionError("edge-count numerator must be even")
     return half
 
 

@@ -171,7 +171,8 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
     ground = [edge_token[e] for e in sorted(pg.edges)] + \
              [f"p{v}" for v in pg.vertex_ids()]
     fam = SetFamily(members, ground=ground)
-    assert intersection_graph(fam) == pg, "realization failed to round-trip"
+    if intersection_graph(fam) != pg:
+        raise AssertionError("realization failed to round-trip")
     return fam
 
 

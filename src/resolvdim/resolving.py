@@ -62,11 +62,10 @@ def _single_set(g: ComponentGraph,
     each single removal (row i drops order[i]); None when the set itself
     does not resolve.
 
-    The N x k block comes from `representation` and needs no N x N matrix;
-    the set is one batch of the engine and its removals one more.
+    The N x k block needs no N x N matrix; the set is one batch of the
+    engine and its removals one more.
     """
-    rows = [representation(g, v, order) for v in g.vertex_ids()] if order else []
-    engine = _Engine(np.array(rows, dtype=np.int16).reshape(g.vertex_count, len(order)))
+    engine = _Engine(g.distance_block(order))
     every = np.arange(len(order))
     if not engine.status(every[None, :])[0]:
         return engine.dist, None
@@ -89,8 +88,6 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     members = tuple(w)
     if len(set(members)) != len(members):
         raise BadParameters("candidate set contains duplicate vertices")
-    for x in members:
-        g.check_vertex(x)
     order = tuple(sorted(members))
     block, still = _single_set(g, order)
     if still is None:

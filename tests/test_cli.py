@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import child_env
 from resolvdim.cli import main
 
@@ -157,6 +159,22 @@ def test_intersect_realize_non_integer_id_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
+@pytest.mark.parametrize("mode", [["--family"], ["--realize", "--vertices", "2"]])
+def test_intersect_file_not_utf8_is_usage_error(tmp_path, capsys, mode):
+    path = tmp_path / "input"
+    path.write_bytes(b"1 2\n\xff\n")
+    assert main(["intersect", mode[0], str(path), *mode[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 4)\n"
+
+
+def test_vertex_cap_below_one_is_usage_error(capsys):
+    # a cap below 1 would skip every cell and read as a pass
+    assert main(["verify", "--q", "2", "--n", "1", "--vertex-cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --vertex-cap must be >= 1, got -5\n"
+    assert captured.out == ""
+
+
 def test_negative_budget_is_usage_error(capsys):
     assert main(["dim", "--q", "2", "--n", "2", "--budget", "-5"]) == 2
     assert capsys.readouterr().err.startswith("error: budget must be >= 0")
@@ -233,6 +251,21 @@ def test_verify_report_matches_golden_bytes(tmp_path):
     assert code == 1  # the q=2, n=2 twin exception
     golden = DATA / "verify_q2-4_n1-3_budget20000_seed1.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--q-range", "2..4", "--n-range", "1..3", "--budget", "20000"],
+     "verify_q2-4_n1-3_budget20000_seed1.txt"),
+    (["--q-range", "2..3", "--n-range", "1..2", "--vertex-cap", "5"],
+     "verify_q2-3_n1-2_cap5_seed1.txt"),
+])
+def test_verify_text_report_matches_golden_bytes(tmp_path, argv, golden):
+    # Between them: ok, FAIL, n/a, no-twins, skipped, cell=SKIPPED and
+    # OVERALL: FAIL, captured from an earlier release.
+    out = tmp_path / "report.txt"
+    code = main(["verify", *argv, "--seed", "1", "--format", "text", "--out", str(out)])
+    assert code == 1  # the q=2, n=2 twin exception
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_verify_timings_flag(tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from resolvdim import graph as gr
@@ -136,3 +137,17 @@ def test_edge_list_sorted_as_strings():
     lines = gr.to_edge_list(g).strip().split("\n")
     assert lines == sorted(lines)
     assert lines.index("1 11") < lines.index("1 3")
+
+
+@pytest.mark.parametrize("q, n, w", [(2, 1, []), (2, 3, [5, 1]), (3, 2, [8, 1, 4]),
+                                     (2, 13, [1, 8191, 4096])])
+def test_distance_block_matches_distance(q, n, w):
+    g = ComponentGraph(q, n, vertex_cap=10_000)
+    block = g.distance_block(w)
+    assert block.dtype == np.int16
+    assert block.tolist() == [[g.distance(v, x) for x in w] for v in g.vertex_ids()]
+
+
+def test_distance_block_range_check(g22):
+    with pytest.raises(OutOfRange):
+        g22.distance_block([1, 4])
