@@ -121,8 +121,12 @@ def cmd_graph(args) -> int:
     with open(edges_path, "w", newline="\n") as fh:
         fh.write(graph_mod.to_edge_list(g))
     size = graph_mod.size_bruteforce(g)
-    sys.stdout.write(f"order={g.vertex_count} size={size}\n")
-    sys.stdout.write(f"wrote {dot_path}\nwrote {edges_path}\n")
+    if args.format == "json":
+        sys.stdout.write(render_json({"order": g.vertex_count, "size": size,
+                                      "wrote": [dot_path, edges_path]}))
+    else:
+        sys.stdout.write(f"order={g.vertex_count} size={size}\n")
+        sys.stdout.write(f"wrote {dot_path}\nwrote {edges_path}\n")
     return EXIT_PASS
 
 
@@ -147,11 +151,14 @@ def cmd_dim(args) -> int:
 def cmd_twins(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     part = twins_mod.partition_by_neighborhood(g)
-    lines = []
-    for cls, mask in zip(part.classes, part.skeletons):
-        members = ",".join(_labels(g, cls))
-        lines.append(f"mask={mask:0{args.n}b} size={len(cls)} members=[{members}]")
-    _emit("\n".join(lines) + "\n", args.out)
+    classes = [(f"{mask:0{args.n}b}", _labels(g, cls))
+               for cls, mask in zip(part.classes, part.skeletons)]
+    if args.format == "json":
+        _emit(render_json([{"mask": mask, "size": len(members), "members": members}
+                           for mask, members in classes]), args.out)
+    else:
+        _emit("".join(f"mask={mask} size={len(members)} members=[{','.join(members)}]\n"
+                      for mask, members in classes), args.out)
     return EXIT_PASS
 
 
@@ -212,6 +219,8 @@ def cmd_exchange(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    if args.format == "json":
+        raise BadParameters("intersect has text output only; drop --format json")
     if args.powerset is not None:
         fam = intersection_mod.powerset_family(args.powerset)
         _emit(intersection_mod.family_to_text(fam), args.out)
@@ -322,13 +331,16 @@ def _corollary(g, args, record):
     if q >= 3 and record["dim"]["status"] == "skipped":
         yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
     elif q >= 3:
-        subsets = resolving_mod.all_resolving_k_subsets(
-            g.distance_matrix(), record["dim"]["search"], args.budget)
+        dist = g.distance_matrix()
+        classes = twins_mod.twin_classes_from_adjacency(dist == 1)
         f = field_mod.field_new(q)
-        spans = all(field_mod.has_full_rank(
-                        f, n, [vectorspace.decode(c + 1, q, n) for c in cols])
-                    for cols in subsets)
-        yield "corollary", {"status": "verified", "minimum_sets": len(subsets),
+        vectors = [vectorspace.decode(v, q, n) for v in g.vertex_ids()]
+        count, spans = 0, True
+        for cols in resolving_mod.minimum_resolving_sets_for_matrix(
+                dist, classes, record["dim"]["search"], args.budget):
+            count += 1
+            spans = spans and field_mod.has_full_rank(f, n, [vectors[c] for c in cols])
+        yield "corollary", {"status": "verified", "minimum_sets": count,
                             "all_contain_v_basis": spans}, spans
     elif n == 3:
         ids = [vectorspace.parse_vertex(t, q, n) for t in ("e1", "e1+e3", "e3")]
@@ -376,8 +388,8 @@ def _swaps(g, args, record, trials: int = 20):
         cls = rng.choice(swappable)
         u = rng.choice([x for x in cls if x in w])
         v = rng.choice([x for x in cls if x not in w])
-        if not (resolving_mod.is_resolving(g, sorted(w)).is_resolving and
-                resolving_mod.is_resolving(g, twins_mod.twin_swap(g, w, u, v)).is_resolving):
+        if not (resolving_mod.resolves(g, w) and
+                resolving_mod.resolves(g, twins_mod.twin_swap(g, w, u, v))):
             yield "swaps", {"status": "checked", "trials": trials,
                             "all_resolving": False}, False
             return
@@ -429,6 +441,8 @@ def _verify_cell(args, q: int, n: int) -> tuple[dict, str]:
 def cmd_verify(args) -> int:
     if args.workers < 1:
         raise BadParameters(f"--workers must be >= 1, got {args.workers}")
+    if args.timings and args.format != "json":
+        raise BadParameters("--timings is reported in JSON only; add --format json")
     qs, ns = sorted(_resolve_qs(args)), sorted(_resolve_ns(args))
     cells = [_verify_cell(args, q, n) for q in qs for n in ns]
     overall = all(record["pass"] for record, _ in cells)
@@ -524,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1,
                     help="accepted for compatibility; cells run one after another")
     sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (breaks byte determinism)")
+                    help="include wall-clock timings (JSON only; breaks byte "
+                         "determinism)")
     _add_common(sp)
 
     return p

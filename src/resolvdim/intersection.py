@@ -24,6 +24,8 @@ from .errors import BadParameters, EmptyMember, OutOfRange
 from .graph import ComponentGraph
 from .resolving import DEFAULT_BUDGET
 
+_BLOCK = 256
+
 
 class SetFamily:
     """An indexed family of non-empty sets over an ordered ground set."""
@@ -140,19 +142,37 @@ def powerset_family(n: int) -> SetFamily:
     return SetFamily(members, ground=range(1, n + 1))
 
 
+def incidence_matrix(fam: SetFamily) -> np.ndarray:
+    """Boolean member-by-token matrix, tokens in ground-set order."""
+    column = {t: j for j, t in enumerate(fam.ground)}
+    inc = np.zeros((len(fam), len(fam.ground)), dtype=bool)
+    for i, m in enumerate(fam.members):
+        inc[i, [column[t] for t in m]] = True
+    return inc
+
+
 def powerset_matches_component_graph(n: int) -> bool:
     """Edge-for-edge check of the support identification at q=2.
 
     Vertex id m of the component graph corresponds to family member m
-    (1-based), since both are indexed by the same support mask.
+    (1-based), since both are indexed by the same support mask.  The
+    family side comes from the members' tokens alone: two members meet
+    when their incidence rows share a token, (M M^T) > 0 off the diagonal.
+    It is compared with the graph's adjacency (distance 1) one block of
+    columns at a time, so no N x N matrix is built.
     """
     g = ComponentGraph(2, n)
-    pg = intersection_graph(powerset_family(n))
-    if g.vertex_count != pg.vertex_count:
+    # float32 takes the BLAS product; counts up to 2^24 are exact
+    inc = incidence_matrix(powerset_family(n)).astype(np.float32)
+    if len(inc) != g.vertex_count:
         return False
-    component_edges = {(u, v) for u, v in g.edges()}
-    family_edges = {(u + 1, v + 1) for u, v in pg.edges}
-    return component_edges == family_edges
+    for lo in range(0, len(inc), _BLOCK):
+        cols = np.arange(lo, min(lo + _BLOCK, len(inc)))
+        meets = (inc @ inc[cols].T) > 0
+        meets[cols, np.arange(len(cols))] = False
+        if not np.array_equal(meets, g.distance_block(cols + 1) == 1):
+            return False
+    return True
 
 
 def as_intersection_family(pg: PlainGraph) -> SetFamily:

@@ -4,20 +4,29 @@ The representation of a vertex with respect to an ordered set W is the
 tuple of its distances to the members of W; W resolves the graph when all
 representations are distinct.  The metric dimension comes from two
 independent routes: a closed-form case formula, and an exhaustive
-increasing-size subset search over the distance matrix.  The search
-starts at the twin lower bound (every resolving set must contain all but
-one member of each twin class) and enumerates k-subsets in lexicographic
-order, so the returned witness is the lexicographically least minimum
-resolving set and is identical across batch sizes and worker counts.
+increasing-size search over the distance matrix.
 
-Budgets are counted in candidate subsets evaluated, never wall time.
+The search starts at the larger of two lower bounds: the twin bound
+(every resolving set contains all but one member of each twin class;
+Hernando, Mora, Pelayo, Seara and Wood, 2010) and the landmark bound (k
+landmarks with distances in 1..D separate at most D^k + k vertices;
+Khuller, Raghavachari and Rosenfeld, 1996).  At each size it walks the
+k-subsets in lexicographic order depth first and drops a prefix when one
+of those two rules shows that no completion can resolve, so the returned
+witness is the lexicographically least minimum resolving set.  When the
+dimension equals the twin bound, the minimum resolving sets are the
+twin-swap orbit of the core and are enumerated as such.
+
+Budgets are counted in candidate subsets evaluated, never wall time: one
+unit per prefix subset whose representation partition the walk
+evaluates, one per subset a plain scan or an orbit checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +40,8 @@ DEFAULT_BUDGET = 1_000_000
 
 _BATCH = 8192
 _MASK_TABLE_MAX_N = 20
+# most int64 codes one batch of the kernel may hold (8 MB)
+_BATCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,16 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
                            redundant_vertex=redundant)
 
 
+def resolves(g: ComponentGraph, w: Iterable[int]) -> bool:
+    """True iff w resolves g: its N x k block as one batch of one, with
+    no minimality check."""
+    order = sorted(w)
+    if len(set(order)) != len(order):
+        raise BadParameters("candidate set contains duplicate vertices")
+    engine = _Engine(g.distance_block(order))
+    return bool(engine.status(np.arange(len(order))[None, :])[0])
+
+
 def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
     """True iff w resolves and no single removal still resolves.
 
@@ -165,12 +186,16 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """The one subset engine: a kernel and a lexicographic k-subset scan.
+    """The one subset engine: a kernel, a plain scan, a pruned walk and the
+    twin-swap orbit.
 
     Rows of `dist` are vertices and columns are candidate members; the
     matrix is read at its stored dtype.  `status` is the only resolving
-    test and `_scan` the only walk over k-subsets.  The budget counts the
-    subsets the scan evaluates.
+    test.  `_scan` walks every k-subset in lexicographic order; `walk`
+    visits the same subsets in the same order but skips the prefixes the
+    twin and refinement rules rule out; `orbit` lists the sets that omit
+    one member of each twin class.  The budget counts the subsets each of
+    them evaluates.
     """
 
     def __init__(self, dist: np.ndarray, budget: int = DEFAULT_BUDGET):
@@ -215,13 +240,6 @@ class _Engine:
             cols = np.asarray(chunk, dtype=np.intp)
             yield cols, self.status(cols)
 
-    def first_hit(self, k: int) -> tuple[int, ...] | None:
-        """Lexicographically least resolving k-subset within the budget left."""
-        for cols, hits in self._scan(k, self.left):
-            if hits.any():
-                return tuple(int(c) for c in cols[int(np.argmax(hits))])
-        return None
-
     def all_hits(self, k: int) -> list[tuple[int, ...]]:
         """Every resolving k-subset, lexicographic order."""
         return [tuple(int(c) for c in row)
@@ -234,6 +252,171 @@ class _Engine:
             for cols, hits in self._scan(k, comb(self.n_cols, k)):
                 status[(np.int64(1) << cols).sum(axis=1)] = hits
         return status
+
+    def landmark_bound(self) -> int:
+        """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
+
+        The off-diagonal entries of a distance matrix lie in 1..D, so k
+        landmarks give the other vertices at most D^k representations and
+        themselves k more.  On a connected graph D is the number of
+        distinct nonzero distances.
+        """
+        d, k = self.base - 1, 1
+        while d ** k + k < self.n_rows:
+            k += 1
+        return k
+
+    def walk(self, k: int,
+             twin_classes: Sequence[Sequence[int]]) -> tuple[tuple[int, ...] | None, bool]:
+        """Lexicographically least resolving k-subset of a square matrix,
+        and whether the walk finished within the budget.
+
+        A depth-first walk over sorted prefixes, smallest next column
+        first.  Every child of the current prefix is a node: one budget
+        unit, and its representation partition is evaluated.  A node is
+        dropped when
+        (a) some cell of its partition has s > D^r + r vertices, r the
+            picks left (no r columns can split it; `landmark_bound`), or
+        (b) a twin class has two members the prefix has passed over, or
+            the classes still need more than r members in total (every
+            resolving set holds all but one member of each class).
+        Rule (b) is applied before a child is formed, so the children
+        are the columns it allows.  Children with no pick left are full
+        k-subsets; the kernel `status` decides them, in batches, and the
+        budget is charged up to the witness, as if one at a time.
+        """
+        n = self.n_cols
+        # cls[v]: v's class, named by its least column; next_same[v]: the
+        # next column of that class (n if none).  A walk that passes over
+        # both v and next_same[v] breaks rule (b).
+        cls = np.arange(n, dtype=np.intp)
+        next_same = np.full(n, n, dtype=np.intp)
+        for members in twin_classes:
+            m = sorted(members)
+            cls[m] = m[0]
+            next_same[m[:-1]] = m[1:]
+        sizes = np.bincount(cls, minlength=n)
+        first_pair = np.append(np.minimum.accumulate(next_same[::-1])[::-1], n)
+        # largest cell a partition may keep with r picks left
+        limit, power = [], 1
+        for r in range(k + 1):
+            limit.append(min(power + r, self.n_rows))
+            power = min(power * (self.base - 1), self.n_rows)
+        chosen = np.zeros(n, dtype=np.intp)
+        passed = np.zeros(n, dtype=bool)
+        need = int(np.maximum(sizes - 1, 0).sum())
+        if self.n_rows > limit[k] or need > k:
+            return None, True
+        path: list[int] = []
+        undo: list[tuple[int, bool]] = []
+
+        def children() -> np.ndarray:
+            lo = path[-1] + 1 if path else 0
+            picks_after = k - len(path) - 1
+            hi = min(n - picks_after, first_pair[lo] + 1)
+            lost = np.flatnonzero(passed[cls[lo:hi]])
+            if lost.size:  # a class that lost a member must keep the rest
+                hi = lo + int(lost[0]) + 1
+            cands = np.arange(lo, hi)
+            if need > picks_after:  # every pick left must fill a class
+                c = cls[cands]
+                cands = cands[chosen[c] < sizes[c] - 1]
+            return cands
+
+        def pick(c: int) -> None:
+            lo = path[-1] + 1 if path else 0
+            passed[cls[lo:c]] = True
+            cc = cls[c]
+            fills = bool(chosen[cc] < sizes[cc] - 1)
+            chosen[cc] += 1
+            nonlocal need
+            need -= fills
+            undo.append((lo, fills))
+            path.append(c)
+
+        def unpick() -> None:
+            c = path.pop()
+            lo, fills = undo.pop()
+            passed[cls[lo:c]] = False
+            chosen[cls[c]] -= 1
+            nonlocal need
+            need += fills
+
+        leaf_batch = max(1, min(_BATCH, _BATCH_CELLS // max(self.n_rows, 1)))
+        frames = [[np.zeros(self.n_rows, dtype=np.int64), children(), 0]]
+        while frames:
+            frame = frames[-1]
+            labels, cands, pos = frame
+            picks_after = k - len(path) - 1
+            if picks_after == 0:
+                for at in range(0, len(cands), leaf_batch):
+                    chunk = cands[at:at + min(leaf_batch, self.left)]
+                    if chunk.size == 0:
+                        return None, False
+                    cols = np.empty((len(chunk), k), dtype=np.intp)
+                    cols[:, :-1] = path
+                    cols[:, -1] = chunk
+                    hits = self.status(cols)
+                    if hits.any():
+                        first = int(np.argmax(hits))
+                        self.evaluated += first + 1
+                        return tuple(path) + (int(chunk[first]),), True
+                    self.evaluated += len(chunk)
+                    if len(chunk) < len(cands[at:at + leaf_batch]):
+                        return None, False
+                pos = len(cands)
+            if pos == len(cands):
+                frames.pop()
+                if path:
+                    unpick()
+                continue
+            frame[2] = pos + 1
+            if self.left <= 0:
+                return None, False
+            self.evaluated += 1
+            c = int(cands[pos])
+            key = labels * self.base + self.dist[:, c]
+            counts = np.bincount(key)
+            if counts.max() > limit[picks_after]:
+                continue
+            pick(c)
+            frames.append([(np.cumsum(counts > 0) - 1)[key], children(), 0])
+        return None, True
+
+    def orbit(self, twin_classes: Sequence[Sequence[int]]
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(columns, status) batches of the twin-swap orbit of the core.
+
+        The orbit is every set that omits exactly one member of each of
+        the classes, which partition the columns: prod |c| sets, listed in
+        lexicographic order, each one charged to the budget.  Raises
+        BudgetExceeded before listing when they do not fit the budget left.
+        """
+        classes = [sorted(c) for c in twin_classes]
+        total = prod(len(c) for c in classes)
+        if total > self.left:
+            raise BudgetExceeded(
+                f"twin-swap orbit has {total} sets, over the budget {self.budget}",
+                evaluated=self.evaluated, budget=self.budget)
+        members = [np.asarray(c, dtype=np.intp) for c in classes]
+        # one omitted column per class, every combination (mixed radix)
+        index = np.arange(total)
+        omitted = np.empty((total, len(classes)), dtype=np.intp)
+        for j, m in enumerate(members):
+            index, digit = np.divmod(index, len(m))
+            omitted[:, j] = m[digit]
+        omitted.sort(axis=1)
+        # W1 < W2 lexicographically iff the least column omitted by only one
+        # of them is omitted by W2, iff W1's sorted omissions are the larger
+        order = np.lexsort(omitted.T[::-1])[::-1]
+        k = self.n_cols - len(classes)
+        for lo in range(0, total, _BATCH):
+            rows = omitted[order[lo:lo + _BATCH]]
+            keep = np.ones((len(rows), self.n_cols), dtype=bool)
+            keep[np.arange(len(rows))[:, None], rows] = False
+            cols = np.nonzero(keep)[1].reshape(len(rows), k)
+            self.evaluated += len(rows)
+            yield cols, self.status(cols)
 
 
 def _drop_each(cols: Sequence[int]) -> np.ndarray:
@@ -251,16 +434,17 @@ def find_min_resolving_for_matrix(
     """Smallest k with a resolving k-subset of matrix columns, plus the
     lexicographically least witness (0-based indices).
 
-    Enumeration starts at the twin lower bound and walks k upward; the
-    budget counts candidate subsets evaluated.
+    `twin_classes` partition the vertices into twin classes.  The walk
+    starts at the larger of the twin and landmark bounds and moves k
+    upward; the budget counts the nodes it evaluates.
     """
     n = dist.shape[0]
     if n == 1:
         return 0, ()
     engine = _Engine(dist, budget)
-    for k in range(max(1, twins_mod.twin_lower_bound(twin_classes)), n + 1):
-        complete = comb(n, k) <= engine.left
-        hit = engine.first_hit(k)
+    start = max(1, twins_mod.twin_lower_bound(twin_classes), engine.landmark_bound())
+    for k in range(start, n + 1):
+        hit, complete = engine.walk(k, twin_classes)
         if hit is not None:
             return k, hit
         if not complete:
@@ -274,6 +458,34 @@ def find_min_resolving_for_matrix(
                 evaluated=engine.evaluated, budget=budget,
                 lower_bound=k + 1, upper_bound=n)
     raise AssertionError("the full vertex set always resolves")
+
+
+def minimum_resolving_sets_for_matrix(
+    dist: np.ndarray,
+    twin_classes: Sequence[Sequence[int]],
+    k: int,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[tuple[int, ...]]:
+    """Every resolving k-subset of matrix columns, lexicographic order
+    (0-based), where k is the metric dimension.
+
+    When k equals the twin bound the sets come from the twin-swap orbit
+    of the core (every class minus its largest column), one budget unit
+    per orbit member; otherwise from `all_resolving_k_subsets`.  At that
+    size the orbit holds every candidate: a resolving set holds all but
+    one member of each twin class, so a resolving set of size
+    sum(|c| - 1) omits exactly one member of each class.  Swapping a
+    member for its twin is an automorphism, so the orbit's sets resolve
+    together or not at all; each is still checked by the kernel, and
+    only those that resolve are yielded.
+    """
+    if k == 0 or k != twins_mod.twin_lower_bound(twin_classes):
+        yield from all_resolving_k_subsets(dist, k, budget)
+        return
+    engine = _Engine(dist, budget)
+    for cols, hits in engine.orbit(twin_classes):
+        for row in cols[hits]:
+            yield tuple(int(c) for c in row)
 
 
 def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -351,7 +563,8 @@ def enumerate_minimum_resolving_sets(
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, lexicographic order (ids)."""
     k, _ = metric_dimension_search(g, budget)
-    subsets = all_resolving_k_subsets(g.distance_matrix(), k, budget)
+    classes = [[v - 1 for v in c] for c in twins_mod.partition_by_neighborhood(g).classes]
+    subsets = minimum_resolving_sets_for_matrix(g.distance_matrix(), classes, k, budget)
     return [tuple(c + 1 for c in cols) for cols in subsets]
 
 

@@ -1,10 +1,12 @@
 import os
+from math import comb
 
+import numpy as np
 import pytest
 
 import resolvdim
 from resolvdim.graph import ComponentGraph
-from resolvdim.resolving import representation
+from resolvdim.resolving import _Engine, representation
 
 # The directory that holds the imported package: `src` in a checkout.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(resolvdim.__file__)))
@@ -33,6 +35,16 @@ def resolves_by_definition(g, w):
     if not w:
         return g.vertex_count == 1
     return len({representation(g, v, w) for v in g.vertex_ids()}) == g.vertex_count
+
+
+def plain_first_hit(dist, k):
+    """Lexicographically least resolving k-subset of the matrix columns, or
+    None: the plain scan over every k-subset, with no pruning."""
+    total = comb(dist.shape[1], k)
+    for cols, hits in _Engine(dist, total)._scan(k, total):
+        if hits.any():
+            return tuple(int(c) for c in cols[int(np.argmax(hits))])
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -55,7 +55,8 @@ def test_dim_text_and_json(tmp_path):
 
 
 def test_dim_budget_exceeded_exit_code():
-    result = run_cli(["dim", "--q", "3", "--n", "3", "--budget", "50"])
+    # the pruned walk decides (3,3) in 19 node evaluations
+    result = run_cli(["dim", "--q", "3", "--n", "3", "--budget", "10"])
     assert result.returncode == 3
     assert "budget exceeded" in result.stderr
 
@@ -66,9 +67,27 @@ def test_budget_env_var_default(tmp_path):
     result = subprocess.run(
         CLI + ["dim", "--q", "3", "--n", "3"],
         capture_output=True, text=True,
-        env=child_env({"PATH": "/usr/bin:/bin", "RESOLVDIM_BUDGET": "50"}))
+        env=child_env({"PATH": "/usr/bin:/bin", "RESOLVDIM_BUDGET": "10"}))
     assert result.returncode == 3
     assert "budget exceeded" in result.stderr
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (5, 3), (3, 4), (2, 10)])
+def test_dim_decided_within_vertex_count_budget(q, n, capsys):
+    # the pruned walk needs k nodes at q >= 3 and 2^(n-1) at q = 2
+    budget = q ** n - 1
+    assert main(["dim", "--q", str(q), "--n", str(n), "--budget", str(budget)]) == 0
+    assert capsys.readouterr().out.endswith(" match=true\n")
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (4, 4), (5, 4), (3, 5), (7, 3)])
+def test_dim_default_budget_decides_larger_cells(q, n, capsys, monkeypatch):
+    monkeypatch.delenv("RESOLVDIM_BUDGET", raising=False)
+    assert main(["dim", "--q", str(q), "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(" match=true\n")
+    if q == 2:
+        assert f" witness={','.join(f'e{i}' for i in range(1, n + 1))} " in out
 
 
 def test_twins_lines():
@@ -77,6 +96,29 @@ def test_twins_lines():
         "mask=01 size=2 members=[e1,2e1]\n"
         "mask=10 size=2 members=[e2,2e2]\n"
         "mask=11 size=4 members=[e1+e2,2e1+e2,e1+2e2,2e1+2e2]\n")
+
+
+def test_twins_json(capsys):
+    assert main(["twins", "--q", "3", "--n", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"mask": "01", "size": 2, "members": ["e1", "2e1"]},
+        {"mask": "10", "size": 2, "members": ["e2", "2e2"]},
+        {"mask": "11", "size": 4, "members": ["e1+e2", "2e1+e2", "e1+2e2", "2e1+2e2"]}]
+
+
+def test_graph_json(tmp_path, capsys):
+    prefix = str(tmp_path / "g")
+    assert main(["graph", "--q", "2", "--n", "2", "--out", prefix, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "order": 3, "size": 2, "wrote": [prefix + ".gv", prefix + ".edges"]}
+    assert (tmp_path / "g.edges").read_text() == "1 3\n2 3\n"
+
+
+def test_intersect_format_json_is_usage_error(capsys):
+    assert main(["intersect", "--powerset", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: intersect has text output only")
+    assert captured.out == ""
 
 
 def test_check_resolving_minimal():
@@ -274,6 +316,14 @@ def test_verify_timings_flag(tmp_path):
              "--timings", "--out", str(out)])
     report = json.loads(out.read_text())
     assert "timings" in report["records"][0]
+
+
+def test_verify_timings_text_is_usage_error(capsys):
+    # the text report has no place for timings; they used to vanish silently
+    assert main(["verify", "--q", "2", "--n", "1", "--timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --timings is reported in JSON only; add --format json\n"
+    assert captured.out == ""
 
 
 def test_main_in_process_returns_exit_codes(capsys):

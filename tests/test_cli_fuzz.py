@@ -2,9 +2,12 @@
 
 Whatever the arguments and file bytes, the CLI returns one of the contract's
 exit codes (0 pass, 1 verification failure, 2 usage error, 3 budget
-exceeded) and raises nothing.  Instances are kept small (q <= 5, n <= 3,
-budgets <= 300) so the examples stay cheap.
+exceeded) and raises nothing; when it exits 0 with `--format json` and no
+`--out`, stdout is one JSON document.  Instances are kept small (q <= 5,
+n <= 3, budgets <= 300) so the examples stay cheap.
 """
+
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,10 +76,15 @@ def invocations(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocations(), FILE_BYTES, st.booleans())
-def test_cli_exit_code_contract(tmp_path, monkeypatch, argv, data, to_file):
+def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, data, to_file):
     monkeypatch.chdir(tmp_path)  # `graph` without --out writes to the cwd
     (tmp_path / "input").write_bytes(data)
     argv = [str(tmp_path / "input") if a == "{file}" else a for a in argv]
     if to_file:
         argv += ["--out", str(tmp_path / "out")]
-    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
+    code = main(argv)
+    assert code in (0, 1, 2, 3)
+    wants_json = any(a == "--format" and b == "json" for a, b in zip(argv, argv[1:]))
+    if code == 0 and wants_json and "--out" not in argv:
+        json.loads(capsys.readouterr().out)

@@ -42,6 +42,33 @@ def test_powerset_correspondence(n):
     assert intersection.powerset_matches_component_graph(n)
 
 
+def _mutant_powerset(change):
+    real = intersection.powerset_family
+
+    def family(n):
+        fam = real(n)
+        members = [set(m) for m in fam.members]
+        change(members)
+        return SetFamily(members, ground=fam.ground)
+    return family
+
+
+@pytest.mark.parametrize("change", [
+    lambda members: members[-1].discard(1),    # {1,2,3} loses token 1
+    lambda members: members[0].add(2),         # {1} gains token 2
+    lambda members: members.reverse(),         # members out of mask order
+])
+def test_correspondence_rejects_mutant_family(monkeypatch, change):
+    monkeypatch.setattr(intersection, "powerset_family", _mutant_powerset(change))
+    assert not intersection.powerset_matches_component_graph(3)
+
+
+def test_incidence_matrix():
+    fam = SetFamily([{"a"}, {"b", "c"}], ground=["c", "b", "a"])
+    assert intersection.incidence_matrix(fam).tolist() == [[False, False, True],
+                                                           [True, True, False]]
+
+
 def test_realize_single_edge():
     pg = PlainGraph(2, [(0, 1)])
     fam = intersection.as_intersection_family(pg)

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from math import comb, prod
 
 import pytest
 
-from conftest import resolves_by_definition
-from resolvdim import resolving
+from conftest import plain_first_hit, resolves_by_definition
+from resolvdim import intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -110,7 +111,7 @@ def test_search_is_deterministic(g32):
 
 def test_search_budget_exceeded(g33):
     with pytest.raises(BudgetExceeded) as err:
-        resolving.metric_dimension_search(g33, budget=100)
+        resolving.metric_dimension_search(g33, budget=10)
     assert err.value.lower_bound == 19
     assert err.value.upper_bound == 26
 
@@ -192,3 +193,98 @@ def test_wide_path_matches_definition():
         found = resolving.all_resolving_k_subsets(dist, k)
         assert found == expected
         assert 0 < len(found) < len(list(combinations(range(20), k)))
+
+
+# ---------------------------------------------------------------------------
+# the pruned walk and the twin-swap orbit against the plain scan
+# ---------------------------------------------------------------------------
+
+def _twin_classes0(g):
+    return [[v - 1 for v in c] for c in twins.partition_by_neighborhood(g).classes]
+
+
+def _assert_walk_matches_plain_scan(dist, classes):
+    k, witness = resolving.find_min_resolving_for_matrix(dist, classes)
+    assert witness == plain_first_hit(dist, k)
+    # the level below, where scanning it is cheap; above that the twin
+    # bound pins it (criterion 2 checks the value against the formula)
+    if k > 0 and comb(dist.shape[0], k - 1) <= 20_000:
+        assert plain_first_hit(dist, k - 1) is None
+    return k
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1),
+                                 (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
+def test_walk_matches_plain_scan(q, n):
+    g = ComponentGraph(q, n)
+    k = _assert_walk_matches_plain_scan(g.distance_matrix(), _twin_classes0(g))
+    assert k == resolving.metric_dimension_formula(q, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_walk_matches_plain_scan_on_powerset_graph(n):
+    pg = intersection.intersection_graph(intersection.powerset_family(n))
+    classes = twins.twin_classes_from_adjacency(pg.adjacency_matrix())
+    k = _assert_walk_matches_plain_scan(pg.distance_matrix(), classes)
+    assert k == intersection.powerset_intersection_dimension(n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_matches_plain_scan_on_random_graphs(seed):
+    # small graphs with backtracking, twin classes of both kinds, and
+    # disconnected pairs at the unreachable distance
+    rng = random.Random(f"walk:{seed}")
+    n = rng.randint(2, 10)
+    p = rng.choice([0.2, 0.4, 0.6, 0.8])
+    pg = PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p])
+    classes = twins.twin_classes_from_adjacency(pg.adjacency_matrix())
+    _assert_walk_matches_plain_scan(pg.distance_matrix(), classes)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (3, 4)])
+def test_walk_starts_at_the_dimension(q, n):
+    # the twin bound is attained: the walk goes straight down one branch
+    g = ComponentGraph(q, n)
+    engine = resolving._Engine(g.distance_matrix())
+    k = resolving.metric_dimension_formula(q, n)
+    witness, complete = engine.walk(k, _twin_classes0(g))
+    assert complete
+    assert tuple(c + 1 for c in witness) == resolving.canonical_metric_basis(q, n)
+    # one node per pick, the witness the first leaf tried
+    assert engine.evaluated == k
+
+
+def test_landmark_bound():
+    # N <= 2^k + k: 7 vertices need 3 landmarks, 4095 need 12
+    assert resolving._Engine(ComponentGraph(2, 3).distance_matrix()).landmark_bound() == 3
+    assert resolving._Engine(ComponentGraph(2, 12).distance_matrix()).landmark_bound() == 12
+    # a complete graph has the single distance 1: K_4 needs 3
+    assert resolving._Engine(ComponentGraph(5, 1).distance_matrix()).landmark_bound() == 3
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
+def test_orbit_matches_plain_scan(q, n):
+    g = ComponentGraph(q, n)
+    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    k = resolving.metric_dimension_formula(q, n)
+    orbit = list(resolving.minimum_resolving_sets_for_matrix(dist, classes, k))
+    assert orbit == resolving.all_resolving_k_subsets(dist, k)
+    assert len(orbit) == prod(len(c) for c in classes)
+
+
+def test_orbit_over_budget_raises_before_listing(g33):
+    classes = _twin_classes0(g33)
+    sets = resolving.minimum_resolving_sets_for_matrix(
+        g33.distance_matrix(), classes, 19, budget=4095)
+    with pytest.raises(BudgetExceeded, match="orbit has 4096 sets") as err:
+        next(sets)
+    assert err.value.evaluated == 0
+
+
+def test_resolves_matches_is_resolving(g23):
+    for size in (1, 2, 3, 4):
+        for w in combinations(g23.vertex_ids(), size):
+            assert resolving.resolves(g23, w) == resolving.is_resolving(g23, w).is_resolving
+    with pytest.raises(BadParameters):
+        resolving.resolves(g23, (1, 1))
