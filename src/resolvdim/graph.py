@@ -14,7 +14,7 @@ skeletons, else 2) is backed by the breadth-first-search oracle
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .vectorspace import DEFAULT_VERTEX_CAP
 
 # Hard guard for O(N^2) dense structures (distance/adjacency matrices).
 MATRIX_CAP = 4096
+
+# Rows per block where a dense product is built a block at a time.
+ROW_BLOCK = 256
 
 
 class ComponentGraph:
@@ -119,7 +122,11 @@ class ComponentGraph:
         return block
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1)."""
+        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1).
+
+        Filled ROW_BLOCK rows at a time, so the int64 mask product never
+        exceeds ROW_BLOCK x N.
+        """
         if self._adj is None:
             n = self.vertex_count
             if n > MATRIX_CAP:
@@ -127,7 +134,10 @@ class ComponentGraph:
                     f"dense adjacency needs N <= {MATRIX_CAP}, got {n}"
                 )
             masks = self.skeleton_array()
-            adj = (masks[:, None] & masks[None, :]) != 0
+            adj = np.empty((n, n), dtype=bool)
+            for lo in range(0, n, ROW_BLOCK):
+                rows = masks[lo:lo + ROW_BLOCK, None] & masks
+                np.not_equal(rows, 0, out=adj[lo:lo + ROW_BLOCK])
             np.fill_diagonal(adj, False)
             self._adj = adj
         return self._adj
@@ -163,14 +173,17 @@ def size_formula(q: int, n: int) -> int:
     return half
 
 
-def _later_neighbors(g: ComponentGraph) -> Iterator[tuple[int, np.ndarray]]:
-    """For each vertex u ascending, the ids v > u adjacent to u.
+def _later_neighbors(g: ComponentGraph,
+                     sources: Iterable[int] | None = None
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+    """For each source u (every vertex ascending by default), the ids
+    v > u adjacent to u, ascending.
 
     One row-wise scan that tests every pair once; `edges`,
-    `size_bruteforce` and `is_complete` are built on it.
+    `size_bruteforce`, `is_complete` and both exports are built on it.
     """
     sk = g.skeleton_array()
-    for u in g.vertex_ids():
+    for u in g.vertex_ids() if sources is None else sources:
         yield u, u + 1 + np.flatnonzero(sk[u:] & sk[u - 1])
 
 
@@ -206,20 +219,45 @@ def bfs_distances(g: ComponentGraph, source: int) -> list[int]:
     return dist
 
 
+def _id_text(g: ComponentGraph) -> np.ndarray:
+    """Object array whose entry v is str(v), for v in 0..N."""
+    return np.array([str(v) for v in range(g.vertex_count + 1)], dtype=object)
+
+
 def to_dot(g: ComponentGraph) -> str:
-    """Graphviz DOT export with vertex labels in the text form."""
-    lines = ["graph gv {"]
-    for u in g.vertex_ids():
-        lines.append(f'  {u} [label="{g.label(u)}"];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz DOT export with vertex labels in the text form.
+
+    Vertex lines by id, then edge lines `u -- v` by u and then v.  Each
+    row of later neighbours is written with one join over the id table.
+    """
+    ids = _id_text(g)
+    chunks = ["graph gv {"]
+    chunks += [f'\n  {u} [label="{g.label(u)}"];' for u in g.vertex_ids()]
+    for u, later in _later_neighbors(g):
+        if len(later):
+            head = f"\n  {u} -- "
+            chunks.append(head + f";{head}".join(ids[later].tolist()) + ";")
+    chunks.append("\n}\n")
+    return "".join(chunks)
 
 
 def to_edge_list(g: ComponentGraph) -> str:
     """Edge-list export: one `<id> <id>` line per edge, ids ascending in
-    the line, lines sorted lexicographically as strings."""
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    lines.sort()
-    return "\n".join(lines) + ("\n" if lines else "")
+    the line, lines sorted lexicographically as strings.
+
+    A space sorts before every digit, so the order of the line "u v" is
+    the order of the pair (str(u), str(v)).  The rows are therefore
+    visited with u in string order and each row's neighbours put in
+    string order by rank, and the lines need no sort of their own.
+    """
+    n = g.vertex_count
+    ids = _id_text(g)
+    sources = sorted(range(1, n + 1), key=str)
+    rank = np.empty(n + 1, dtype=np.intp)
+    rank[sources] = np.arange(n)
+    chunks = []
+    for u, later in _later_neighbors(g, sources):
+        if len(later):
+            later = later[np.argsort(rank[later])]
+            chunks.append(f"{u} " + f"\n{u} ".join(ids[later].tolist()) + "\n")
+    return "".join(chunks)

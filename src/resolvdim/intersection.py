@@ -21,10 +21,8 @@ import numpy as np
 
 from . import resolving, twins
 from .errors import BadParameters, EmptyMember, OutOfRange
-from .graph import ComponentGraph
+from .graph import ROW_BLOCK, ComponentGraph
 from .resolving import DEFAULT_BUDGET
-
-_BLOCK = 256
 
 
 class SetFamily:
@@ -125,11 +123,18 @@ class PlainGraph:
 
 
 def intersection_graph(fam: SetFamily) -> PlainGraph:
-    """Graph on member indices with edges between intersecting members."""
-    k = len(fam.members)
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
-             if fam.members[i] & fam.members[j]]
-    return PlainGraph(k, edges)
+    """Graph on member indices with edges between intersecting members.
+
+    Members i < j meet when their incidence rows share a token, so the
+    edges are the upper triangle of (M M^T) > 0 for the member-by-token
+    incidence matrix M.  The product holds K x K counts and M is held
+    in float32, 4 K T bytes for K members over T tokens.
+    """
+    # float32 takes the BLAS product; a sum of ones is positive whenever
+    # one term is, so `> 0` is exact at any count
+    inc = incidence_matrix(fam).astype(np.float32)
+    rows, cols = np.nonzero(np.triu((inc @ inc.T) > 0, 1))
+    return PlainGraph(len(fam), zip(rows.tolist(), cols.tolist()))
 
 
 def powerset_family(n: int) -> SetFamily:
@@ -166,8 +171,8 @@ def powerset_matches_component_graph(n: int) -> bool:
     inc = incidence_matrix(powerset_family(n)).astype(np.float32)
     if len(inc) != g.vertex_count:
         return False
-    for lo in range(0, len(inc), _BLOCK):
-        cols = np.arange(lo, min(lo + _BLOCK, len(inc)))
+    for lo in range(0, len(inc), ROW_BLOCK):
+        cols = np.arange(lo, min(lo + ROW_BLOCK, len(inc)))
         meets = (inc @ inc[cols].T) > 0
         meets[cols, np.arange(len(cols))] = False
         if not np.array_equal(meets, g.distance_block(cols + 1) == 1):
@@ -184,8 +189,8 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
     """
     edge_token = {e: f"e{e[0]}-{e[1]}" for e in sorted(pg.edges)}
     members = []
-    for v in pg.vertex_ids():
-        tokens = {edge_token[e] for e in pg.edges if v in e}
+    for v, nbrs in enumerate(pg.neighbors()):
+        tokens = {edge_token[(min(v, w), max(v, w))] for w in nbrs}
         tokens.add(f"p{v}")
         members.append(tokens)
     ground = [edge_token[e] for e in sorted(pg.edges)] + \

@@ -6,6 +6,7 @@ import pytest
 
 import resolvdim
 from resolvdim.graph import ComponentGraph
+from resolvdim.intersection import PlainGraph
 from resolvdim.resolving import _Engine, representation
 
 # The directory that holds the imported package: `src` in a checkout.
@@ -45,6 +46,30 @@ def plain_first_hit(dist, k):
         if hits.any():
             return tuple(int(c) for c in cols[int(np.argmax(hits))])
     return None
+
+
+def export_by_lines(g):
+    """(DOT text, edge-list text) built one line per edge from `g.edges()`,
+    the edge list sorted as strings: the reference for the row-wise
+    exports in `resolvdim.graph`."""
+    lines = ["graph gv {"]
+    for u in g.vertex_ids():
+        lines.append(f'  {u} [label="{g.label(u)}"];')
+    for u, v in g.edges():
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    dot = "\n".join(lines) + "\n"
+    lines = sorted(f"{u} {v}" for u, v in g.edges())
+    return dot, "\n".join(lines) + ("\n" if lines else "")
+
+
+def intersection_graph_by_pairs(fam):
+    """Intersection graph from a set intersection per member pair: the
+    reference for the incidence-product `intersection_graph`."""
+    k = len(fam.members)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if fam.members[i] & fam.members[j]]
+    return PlainGraph(k, edges)
 
 
 @pytest.fixture(scope="session")

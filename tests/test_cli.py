@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -112,6 +113,27 @@ def test_graph_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "order": 3, "size": 2, "wrote": [prefix + ".gv", prefix + ".edges"]}
     assert (tmp_path / "g.edges").read_text() == "1 3\n2 3\n"
+
+
+# sha256 of the .gv and .edges files `graph` writes, captured from the
+# line-per-edge exports that preceded the row-wise ones
+GRAPH_EXPORT_SHA256 = {
+    (2, 11): ("6166d545762872c1c4b9af3d19a950e7ccb5fc49644ef45b1f8bd90f9c1f8058",
+              "c6bb91858f96cd2fbcc10e07d0975ff080a73b1b89c8a1876c330737ec07270a"),
+    (4, 5): ("f9d3dd41d54d04020b0306f69b1c4c7e9eb9f48f569cd46d3f6305ca641911a9",
+             "ee9a1ff37bb1366c08bdac1ccef62aa7fa7dc4d68f57f2cb5b2755cbf444a99c"),
+    (3, 4): ("0d5e4fef8529ec8c3027e4185a506e875747e1d02550c314d2c61de8eba81cb1",
+             "2e87731982b94ebe15049b4e063a69da7d0aa44c6c982d278ba8ccfd65041960"),
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(GRAPH_EXPORT_SHA256))
+def test_graph_export_bytes(tmp_path, q, n):
+    prefix = str(tmp_path / "g")
+    assert main(["graph", "--q", str(q), "--n", str(n), "--out", prefix]) == 0
+    digests = tuple(hashlib.sha256(Path(prefix + ext).read_bytes()).hexdigest()
+                    for ext in (".gv", ".edges"))
+    assert digests == GRAPH_EXPORT_SHA256[(q, n)]
 
 
 def test_intersect_format_json_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import export_by_lines
 from resolvdim import graph as gr
 from resolvdim.errors import BadParameters, InstanceTooLarge, OutOfRange
 from resolvdim.graph import ComponentGraph
@@ -137,6 +138,25 @@ def test_edge_list_sorted_as_strings():
     lines = gr.to_edge_list(g).strip().split("\n")
     assert lines == sorted(lines)
     assert lines.index("1 11") < lines.index("1 3")
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 4), (3, 3), (4, 3), (7, 2),
+                                  (2, 10)])
+def test_exports_match_line_by_line_reference(q, n):
+    # ids of 1 to 4 digits, so string and numeric order part ways
+    g = ComponentGraph(q, n)
+    assert (gr.to_dot(g), gr.to_edge_list(g)) == export_by_lines(g)
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (3, 3), (7, 2)])
+def test_adjacency_matrix_matches_broadcast(q, n):
+    g = ComponentGraph(q, n)
+    masks = g.skeleton_array()
+    broadcast = (masks[:, None] & masks[None, :]) != 0
+    np.fill_diagonal(broadcast, False)
+    adj = g.adjacency_matrix()
+    assert adj.dtype == bool
+    assert np.array_equal(adj, broadcast)
 
 
 @pytest.mark.parametrize("q, n, w", [(2, 1, []), (2, 3, [5, 1]), (3, 2, [8, 1, 4]),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import intersection_graph_by_pairs
 from resolvdim import exchange, intersection
 from resolvdim.errors import BadParameters, EmptyMember
 from resolvdim.graph import ComponentGraph
@@ -14,6 +15,31 @@ def test_intersection_graph_examples():
     assert intersection.intersection_graph(SetFamily([{1}])).edges == frozenset()
     k3 = intersection.intersection_graph(SetFamily([{1}, {1}, {1}]))
     assert k3.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+
+
+def _seeded_family(kind):
+    rng = random.Random(f"intersection-graph:{kind}")
+    tokens = [f"t{i}" for i in range(60)]
+    rng.shuffle(tokens)
+    if kind == "no members":
+        return SetFamily([])
+    if kind == "one member":
+        return SetFamily([set(rng.sample(tokens, 3))])
+    if kind == "all disjoint":
+        return SetFamily([{tokens[2 * i], tokens[2 * i + 1]} for i in range(30)])
+    if kind == "one shared token":
+        return SetFamily([{"shared", tokens[i]} for i in range(40)])
+    if kind == "integer tokens":
+        return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
+                          for _ in range(80)])
+    return SetFamily([set(rng.sample(tokens, rng.randint(1, 4))) for _ in range(120)])
+
+
+@pytest.mark.parametrize("kind", ["no members", "one member", "all disjoint",
+                                  "one shared token", "integer tokens", "strings"])
+def test_intersection_graph_matches_pair_loop(kind):
+    fam = _seeded_family(kind)
+    assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
 
 
 def test_empty_member_rejected():
@@ -100,6 +126,9 @@ def test_realize_random_graphs_roundtrip():
         pg = PlainGraph(n, edges)
         fam = intersection.as_intersection_family(pg)
         assert intersection.intersection_graph(fam).edges == pg.edges
+        assert list(fam.members) == [
+            {f"e{a}-{b}" for a, b in pg.edges if v in (a, b)} | {f"p{v}"}
+            for v in range(n)]
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 3), (4, 4)])
