@@ -332,7 +332,7 @@ def _corollary(g, args, record):
         yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
     elif q >= 3:
         dist = g.distance_matrix()
-        classes = twins_mod.twin_classes_from_adjacency(dist == 1)
+        classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
         f = field_mod.field_new(q)
         vectors = [vectorspace.decode(v, q, n) for v in g.vertex_ids()]
         count, spans = 0, True

@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import resolving, twins
-from .errors import BadParameters, EmptyMember, OutOfRange
-from .graph import ROW_BLOCK, ComponentGraph
+from . import resolving
+from .errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
+from .graph import MATRIX_CAP, ROW_BLOCK, ComponentGraph
 from .resolving import DEFAULT_BUDGET
 
 
@@ -128,8 +128,13 @@ def intersection_graph(fam: SetFamily) -> PlainGraph:
     Members i < j meet when their incidence rows share a token, so the
     edges are the upper triangle of (M M^T) > 0 for the member-by-token
     incidence matrix M.  The product holds K x K counts and M is held
-    in float32, 4 K T bytes for K members over T tokens.
+    in float32, 4 K T bytes for K members over T tokens.  Families of
+    more than MATRIX_CAP members are refused before anything is built,
+    as for every other dense N x N view.
     """
+    if len(fam) > MATRIX_CAP:
+        raise InstanceTooLarge(
+            f"intersection graph needs at most {MATRIX_CAP} members, got {len(fam)}")
     # float32 takes the BLAS product; a sum of ones is positive whenever
     # one term is, so `> 0` is exact at any count
     inc = incidence_matrix(fam).astype(np.float32)
@@ -211,10 +216,7 @@ def powerset_intersection_dimension(n: int, budget: int = DEFAULT_BUDGET) -> int
     if n < 2:
         raise BadParameters(f"need n >= 2, got n={n}")
     pg = intersection_graph(powerset_family(n))
-    classes = twins.twin_classes_from_adjacency(pg.adjacency_matrix())
-    k, _ = resolving.find_min_resolving_for_matrix(
-        pg.distance_matrix(), classes, budget)
-    return k
+    return resolving.metric_dimension_search(pg, budget)[0]
 
 
 def family_to_text(fam: SetFamily) -> str:

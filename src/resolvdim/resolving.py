@@ -436,10 +436,11 @@ def find_min_resolving_for_matrix(
 
     `twin_classes` partition the vertices into twin classes.  The walk
     starts at the larger of the twin and landmark bounds and moves k
-    upward; the budget counts the nodes it evaluates.
+    upward; the budget counts the nodes it evaluates.  The empty set
+    resolves a matrix of at most one vertex.
     """
     n = dist.shape[0]
-    if n == 1:
+    if n <= 1:
         return 0, ()
     engine = _Engine(dist, budget)
     start = max(1, twins_mod.twin_lower_bound(twin_classes), engine.landmark_bound())
@@ -533,7 +534,7 @@ def all_resolving_k_subsets(
     """Every resolving k-subset of matrix columns, lexicographic order."""
     n = dist.shape[0]
     if k == 0:
-        return [()] if n == 1 else []
+        return [()] if n <= 1 else []
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(
@@ -543,64 +544,44 @@ def all_resolving_k_subsets(
 
 
 # ---------------------------------------------------------------------------
-# component-graph front ends
+# front ends: component graphs and plain graphs alike
 # ---------------------------------------------------------------------------
+#
+# Each takes the distances from `g.distance_matrix()`, the twin classes
+# from `g.adjacency_matrix()` and maps matrix columns to `g.vertex_ids()`.
+
+def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
+    ids = g.vertex_ids()
+    return tuple(ids[c] for c in cols)
+
 
 def metric_dimension_search(
-    g: ComponentGraph, budget: int = DEFAULT_BUDGET
+    g, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive-search metric dimension with its least witness (ids)."""
-    if g.vertex_count == 1:
-        return 0, ()
-    classes = twins_mod.partition_by_neighborhood(g).classes
-    classes0 = [[v - 1 for v in c] for c in classes]
-    k, cols = find_min_resolving_for_matrix(g.distance_matrix(), classes0, budget)
-    return k, tuple(c + 1 for c in cols)
+    classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
+    k, cols = find_min_resolving_for_matrix(g.distance_matrix(), classes, budget)
+    return k, _ids(g, cols)
 
 
 def enumerate_minimum_resolving_sets(
-    g: ComponentGraph, budget: int = DEFAULT_BUDGET
+    g, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, lexicographic order (ids)."""
-    k, _ = metric_dimension_search(g, budget)
-    classes = [[v - 1 for v in c] for c in twins_mod.partition_by_neighborhood(g).classes]
-    subsets = minimum_resolving_sets_for_matrix(g.distance_matrix(), classes, k, budget)
-    return [tuple(c + 1 for c in cols) for cols in subsets]
+    dist = g.distance_matrix()
+    classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
+    k, _ = find_min_resolving_for_matrix(dist, classes, budget)
+    return [_ids(g, cols)
+            for cols in minimum_resolving_sets_for_matrix(dist, classes, k, budget)]
 
 
 def enumerate_minimal_resolving_sets(
-    g: ComponentGraph,
-    size_cap: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    g, size_cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All minimal resolving sets of size <= size_cap, lexicographic order.
-
-    Uses the full 2^N subset table when it fits the budget, otherwise an
-    increasing-k scan with explicit single-removal minimality checks.
-    """
-    n = g.vertex_count
-    cap = n if size_cap is None else min(size_cap, n)
-    if cap < 0:
+    """All minimal resolving sets of size <= size_cap, lexicographic order
+    (ids), from the full 2^N subset table; BudgetExceeded when the table
+    does not fit the budget or the table guard."""
+    if size_cap is not None and size_cap < 0:
         raise BadParameters("size cap must be non-negative")
-    dist = g.distance_matrix()
-    if n <= _MASK_TABLE_MAX_N and (1 << n) <= budget:
-        sets, _ = minimal_sets_by_table(dist, budget)
-        return [tuple(i + 1 for i in w) for w in sets if len(w) <= cap]
-    engine = _Engine(dist, budget)
-    out = []
-    for k in range(0, cap + 1):
-        level = comb(n, k)
-        if level > engine.left:
-            raise BudgetExceeded(
-                f"level k={k} needs {level} evaluations, budget exhausted",
-                evaluated=engine.evaluated, budget=budget)
-        for cols in engine.all_hits(k):
-            if k > engine.left:
-                raise BudgetExceeded(
-                    "minimality checks exhausted the budget",
-                    evaluated=engine.evaluated, budget=budget)
-            engine.evaluated += k
-            if not engine.status(_drop_each(cols)).any():
-                out.append(tuple(c + 1 for c in cols))
-    out.sort()
-    return out
+    sets, _ = minimal_sets_by_table(g.distance_matrix(), budget)
+    return [_ids(g, w) for w in sets if size_cap is None or len(w) <= size_cap]

@@ -30,54 +30,41 @@ class TwinPartition:
     classes: tuple[tuple[int, ...], ...]
     skeletons: tuple[int, ...]
 
-    def class_of(self, v: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise NotMember(f"vertex {v} not covered by the partition")
-
     def class_sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
-    """0-based twin classes of an adjacency matrix.
+    """0-based twin classes of an adjacency matrix, ordered by least
+    member, members ascending.
 
-    Vertices are merged when their open-neighborhood rows match or their
-    closed-neighborhood rows match.
+    Each vertex is labelled with the least vertex that has the same open
+    row or the same closed row, and the classes are the groups of equal
+    labels.  No vertex has twins of both kinds: if N(u) = N(v) and
+    N[u] = N[w] with v, w != u, then w is in N(u) = N(v), so v is in
+    N[w] = N[u] and v is adjacent to u; but u is not in N(u) = N(v).  So
+    each class is one group of equal open rows or one group of equal
+    closed rows, and the least member of either group labels all of it.
+    The rows are compared packed, N/8 bytes each.
     """
     n = adj.shape[0]
-    uf = _UnionFind(n)
-    closed = adj.copy()
-    np.fill_diagonal(closed, True)
-    for rows in (adj, closed):
-        seen: dict[bytes, int] = {}
-        for i in range(n):
-            key = rows[i].tobytes()
-            if key in seen:
-                uf.union(seen[key], i)
-            else:
-                seen[key] = i
+    rows = np.packbits(adj, axis=1)
+    label = list(range(n))
+
+    def least_equal_row() -> None:
+        first: dict[bytes, int] = {}
+        for i, row in enumerate(rows):
+            label[i] = min(label[i], first.setdefault(row.tobytes(), i))
+
+    least_equal_row()
+    v = np.arange(n)  # set each vertex's own bit: the closed rows
+    rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
+    least_equal_row()
+    # a class's least member carries its own label and comes first
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    for i, least in enumerate(label):
+        groups.setdefault(least, []).append(i)
+    return list(groups.values())
 
 
 def partition_by_neighborhood(g: ComponentGraph) -> TwinPartition:

@@ -72,6 +72,47 @@ def intersection_graph_by_pairs(fam):
     return PlainGraph(k, edges)
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def twin_classes_by_union_find(adj):
+    """0-based twin classes of an adjacency matrix.
+
+    Vertices are merged when their open-neighborhood rows match or their
+    closed-neighborhood rows match: the reference for the packed-row
+    `twins.twin_classes_from_adjacency`, which needs no merging.
+    """
+    n = adj.shape[0]
+    uf = _UnionFind(n)
+    closed = adj.copy()
+    np.fill_diagonal(closed, True)
+    for rows in (adj, closed):
+        seen: dict[bytes, int] = {}
+        for i in range(n):
+            key = rows[i].tobytes()
+            if key in seen:
+                uf.union(seen[key], i)
+            else:
+                seen[key] = i
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
 @pytest.fixture(scope="session")
 def g22():
     return ComponentGraph(2, 2)

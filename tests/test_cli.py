@@ -204,6 +204,15 @@ def test_intersect_dim_powerset():
     assert result.stdout == "dim=3\n"
 
 
+@pytest.mark.parametrize("n,members", [(13, 8191), (16, 65535)])
+def test_intersect_dim_powerset_over_the_member_cap_is_usage_error(n, members):
+    result = run_cli(["intersect", "--dim-powerset", str(n)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"error: intersection graph needs at most 4096 "
+                             f"members, got {members}\n")
+
+
 def test_intersect_realize_roundtrip(tmp_path):
     run_cli(["graph", "--q", "2", "--n", "2", "--out", str(tmp_path / "g")])
     fam_path = tmp_path / "fam.txt"

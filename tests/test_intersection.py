@@ -4,8 +4,8 @@ import pytest
 
 from conftest import intersection_graph_by_pairs
 from resolvdim import exchange, intersection
-from resolvdim.errors import BadParameters, EmptyMember
-from resolvdim.graph import ComponentGraph
+from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge
+from resolvdim.graph import MATRIX_CAP, ComponentGraph
 from resolvdim.intersection import PlainGraph, SetFamily
 
 
@@ -40,6 +40,18 @@ def _seeded_family(kind):
 def test_intersection_graph_matches_pair_loop(kind):
     fam = _seeded_family(kind)
     assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
+
+
+def test_intersection_graph_refuses_families_over_the_cap(monkeypatch):
+    # the guard sits before the incidence matrix and its K x K product
+    def building(fam):
+        raise RuntimeError("built")
+
+    monkeypatch.setattr(intersection, "incidence_matrix", building)
+    with pytest.raises(InstanceTooLarge, match=f"at most {MATRIX_CAP} members, got 4097"):
+        intersection.intersection_graph(SetFamily([{i} for i in range(MATRIX_CAP + 1)]))
+    with pytest.raises(RuntimeError, match="built"):
+        intersection.intersection_graph(SetFamily([{i} for i in range(MATRIX_CAP)]))
 
 
 def test_empty_member_rejected():

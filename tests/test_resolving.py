@@ -148,11 +148,45 @@ def test_enumerate_minimal_all_verify(g23):
         assert resolving.is_minimal(g23, w)
 
 
-def test_enumerate_minimal_per_k_path_agrees(g23):
-    # force the combination path by shrinking the budget below 2^7
-    table = resolving.enumerate_minimal_resolving_sets(g23, size_cap=3)
-    per_k = resolving.enumerate_minimal_resolving_sets(g23, size_cap=3, budget=120)
-    assert table == per_k
+def test_enumerate_minimal_over_the_table_budget_raises(g23):
+    # the 2^N table is the only route: a budget below 2^7 is refused
+    with pytest.raises(BudgetExceeded, match=r"^full subset table needs 2\^7 "
+                                             r"evaluations, over the budget 120$"):
+        resolving.enumerate_minimal_resolving_sets(g23, size_cap=3, budget=120)
+
+
+def test_enumerate_minimal_rejects_negative_cap(g23):
+    with pytest.raises(BadParameters):
+        resolving.enumerate_minimal_resolving_sets(g23, size_cap=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_front_ends_agree_on_powerset_graph(n):
+    # the powerset intersection graph is the (2,n) component graph with
+    # every id lowered by one
+    pg = intersection.intersection_graph(intersection.powerset_family(n))
+    g = ComponentGraph(2, n)
+
+    def lowered(sets):
+        return [tuple(v - 1 for v in w) for w in sets]
+
+    k, witness = resolving.metric_dimension_search(g)
+    assert resolving.metric_dimension_search(pg) == (k, lowered([witness])[0])
+    assert resolving.enumerate_minimum_resolving_sets(pg) == \
+        lowered(resolving.enumerate_minimum_resolving_sets(g))
+    assert resolving.enumerate_minimal_resolving_sets(pg) == \
+        lowered(resolving.enumerate_minimal_resolving_sets(g))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_front_ends_on_graphs_with_at_most_one_vertex(n):
+    # the empty set resolves both: dimension 0, witness ()
+    pg = PlainGraph(n, [])
+    assert resolving.metric_dimension_search(pg) == (0, ())
+    assert resolving.find_min_resolving_for_matrix(pg.distance_matrix(), []) == (0, ())
+    assert resolving.all_resolving_k_subsets(pg.distance_matrix(), 0) == [()]
+    assert resolving.enumerate_minimum_resolving_sets(pg) == [()]
+    assert resolving.enumerate_minimal_resolving_sets(pg) == [()]
 
 
 def test_minimum_sets(g32):

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import resolvdim
 
@@ -15,3 +18,41 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolves(path):
+    """True iff the dotted path (module, attribute...) names an object in
+    resolvdim."""
+    obj = importlib.import_module(f"resolvdim.{path[0]}")
+    for part in path[1:]:
+        obj = getattr(obj, part, None)
+    return obj is not None
+
+
+def test_benchmark_names_exist():
+    # a renamed function shows in the benchmark only as a missing wrapper
+    # in a traced run or a crashed microbenchmark; catch it here instead
+    if not PERFBENCH.is_dir():
+        pytest.skip("no perfbench directory in this checkout")
+    names = []
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    wrapped = next(node.value for node in ast.walk(tracer) if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    for entry in wrapped.elts:
+        module, cls, attr = entry.elts[:3]
+        names.append((module.id,) + ((cls.value,) if cls.value else ()) + (attr.value,))
+    micro = ast.parse((PERFBENCH / "micro.py").read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(micro)
+               if isinstance(node, ast.ImportFrom) and node.module == "resolvdim"
+               for alias in node.names}
+    names += [(modules[node.value.id], node.attr) for node in ast.walk(micro)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    names += [(node.module.split(".")[1], alias.name) for node in ast.walk(micro)
+              if isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("resolvdim.") for alias in node.names]
+    assert len(names) > len(wrapped.elts)
+    assert [".".join(p) for p in names if not _resolves(p)] == []

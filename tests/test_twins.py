@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from conftest import twin_classes_by_union_find
 from resolvdim import resolving, twins
 from resolvdim.errors import AlreadyMember, NotMember, NotTwins
 from resolvdim.field import SUPPORTED_ORDERS
@@ -132,3 +134,42 @@ def test_resolving_sets_cover_twin_classes(q, n):
         members = set(w)
         for cls in part.classes:
             assert len([x for x in cls if x not in members]) <= 1
+
+
+@pytest.mark.parametrize("q,n", desk_instances(400) + [(2, 12), (3, 7), (7, 4)])
+def test_twin_classes_match_union_find_on_component_graphs(q, n):
+    adj = ComponentGraph(q, n).adjacency_matrix()
+    assert twins.twin_classes_from_adjacency(adj) == twin_classes_by_union_find(adj)
+
+
+def _random_adjacency(rng, n, kind):
+    if kind == "empty":
+        return np.zeros((n, n), dtype=bool)
+    if kind == "complete":
+        return ~np.eye(n, dtype=bool)
+    p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+    upper = np.triu(np.array([[rng.random() < p for _ in range(n)]
+                              for _ in range(n)], dtype=bool), 1)
+    adj = upper | upper.T
+    if kind == "isolated" and n:
+        lonely = rng.sample(range(n), rng.randint(1, n))
+        adj[lonely, :] = adj[:, lonely] = False
+    return adj
+
+
+def test_twin_classes_match_union_find_on_random_graphs():
+    # both kinds of twins, isolated vertices (open twins of each other),
+    # empty and complete graphs (one class each), and 0 or 1 vertices
+    kinds = ["empty", "complete", "isolated", "random", "random"]
+    for seed in range(300):
+        rng = random.Random(f"twins:{seed}")
+        adj = _random_adjacency(rng, rng.randint(0, 13), kinds[seed % len(kinds)])
+        assert twins.twin_classes_from_adjacency(adj) == \
+            twin_classes_by_union_find(adj), f"seed {seed}"
+
+
+def test_twin_classes_leave_the_adjacency_unchanged(g32):
+    adj = g32.adjacency_matrix()
+    before = adj.copy()
+    twins.twin_classes_from_adjacency(adj)
+    assert np.array_equal(adj, before)
