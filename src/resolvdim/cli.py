@@ -197,8 +197,7 @@ def cmd_check(args) -> int:
 
 def cmd_exchange(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
-    report = exchange_mod.has_exchange_property(
-        g, budget=args.budget, allow_theorem=args.allow_theorem)
+    report = exchange_mod.has_exchange_property(g, budget=args.budget)
     witness = None
     if report.witness is not None:
         witness = {
@@ -237,8 +236,9 @@ def cmd_intersect(args) -> int:
     if args.family is not None:
         fam = intersection_mod.parse_family(_read_text(args.family))
         pg = intersection_mod.intersection_graph(fam)
-        lines = [f"members={len(fam)} order={pg.vertex_count} size={len(pg.edges)}"]
-        lines += [f"{u + 1} {v + 1}" for u, v in sorted(pg.edges)]
+        edges = pg.edges()
+        lines = [f"members={len(fam)} order={pg.vertex_count} size={len(edges)}"]
+        lines += [f"{u + 1} {v + 1}" for u, v in edges]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_PASS
     if args.realize is not None:
@@ -357,8 +357,7 @@ def _corollary(g, args, record):
 
 
 def _exchange(g, args, record):
-    report = exchange_mod.has_exchange_property(
-        g, budget=args.budget, allow_theorem=args.allow_theorem)
+    report = exchange_mod.has_exchange_property(g, budget=args.budget)
     expected = g.q >= 3 or g.n <= 2  # the property fails exactly at q=2, n>=3
     ok = report.holds == expected
     yield "exchange", {"status": "checked", "holds": report.holds,
@@ -451,7 +450,9 @@ def cmd_verify(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "config": {"qs": qs, "ns": ns, "budget": args.budget,
                        "vertex_cap": args.vertex_cap, "seed": args.seed,
-                       "allow_theorem": args.allow_theorem},
+                       # kept for schema_version 1 readers; the escape
+                       # hatch it recorded is gone, so it is always false
+                       "allow_theorem": False},
             "records": [record for record, _ in cells],
             "overall_pass": overall,
         })
@@ -481,8 +482,6 @@ def _add_common(sp) -> None:
                          f"or {resolving_mod.DEFAULT_BUDGET})")
     sp.add_argument("--vertex-cap", type=int, default=vectorspace.DEFAULT_VERTEX_CAP)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--allow-theorem", action="store_true",
-                    help="permit theorem citation when exchange is over budget")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import resolving
-from .errors import BadParameters, BudgetExceeded
+from .errors import BadParameters
 from .resolving import DEFAULT_BUDGET
 
 
@@ -34,27 +34,19 @@ class ExchangeViolation:
 @dataclass(frozen=True)
 class ExchangeReport:
     holds: bool
-    method: str  # "definition-check" or "theorem-citation"
+    method: str  # "definition-check"
     minimal_set_sizes: tuple[int, ...]
     witness: ExchangeViolation | None = None
 
 
-def has_exchange_property(g, budget: int = DEFAULT_BUDGET,
-                          allow_theorem: bool = False) -> ExchangeReport:
+def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
     """Definition-level exchange verdict for a graph with a distance matrix.
 
     Works on component graphs and plain graphs alike.  When the full
-    subset table does not fit the budget, a theorem citation (holds) is
-    returned only for component graphs with q >= 3 and only when
-    allow_theorem is set; otherwise BudgetExceeded propagates.
+    subset table does not fit the budget, BudgetExceeded propagates: a
+    verdict is only ever reported for a quantifier that was checked.
     """
-    try:
-        sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
-    except BudgetExceeded:
-        if allow_theorem and getattr(g, "q", 0) >= 3:
-            return ExchangeReport(holds=True, method="theorem-citation",
-                                  minimal_set_sizes=())
-        raise
+    sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
     ids = list(g.vertex_ids())
     sizes = tuple(sorted(len(w) for w in sets))
     universe = sorted({i for w in sets for i in w})

@@ -55,34 +55,49 @@ class SetFamily:
 
 
 class PlainGraph:
-    """A simple undirected graph on vertices 0..vertex_count-1."""
+    """A simple undirected graph on vertices 0..vertex_count-1, held as its
+    symmetric boolean adjacency matrix; every other view is read from it."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
             raise BadParameters("vertex count must be non-negative")
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise BadParameters(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise OutOfRange(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
-            canon.add((min(u, v), max(u, v)))
-        self.vertex_count = vertex_count
-        self.edges = frozenset(canon)
-        self._neighbors: list[set[int]] | None = None
+        if vertex_count > MATRIX_CAP:  # refused before the N x N matrix is built
+            raise InstanceTooLarge(
+                f"plain graph needs at most {MATRIX_CAP} vertices, got {vertex_count}")
+        try:
+            pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        except ValueError:  # pairs of unequal lengths
+            raise BadParameters("edges must be pairs of integers") from None
+        if pairs.shape == (0,):  # no edges at all
+            pairs = np.empty((0, 2), dtype=np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise BadParameters("edges must be pairs of integers")
+        u, v = pairs.T
+        bad = (u == v) | (pairs < 0).any(axis=1) | (pairs >= vertex_count).any(axis=1)
+        if bad.any():
+            a, b = pairs[np.argmax(bad)].tolist()
+            if a == b:
+                raise BadParameters(f"self-loop at vertex {a}")
+            raise OutOfRange(f"edge ({a},{b}) outside 0..{vertex_count - 1}")
+        self._adj = np.zeros((vertex_count, vertex_count), dtype=bool)
+        self._adj[u, v] = self._adj[v, u] = True
         self._dist: np.ndarray | None = None
 
-    def neighbors(self) -> list[set[int]]:
-        if self._neighbors is None:
-            nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-            for u, v in self.edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            self._neighbors = nbrs
-        return self._neighbors
+    @property
+    def vertex_count(self) -> int:
+        return len(self._adj)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+    def adjacency_matrix(self) -> np.ndarray:
+        return self._adj
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as (u, v) pairs with u < v, ascending."""
+        rows, cols = np.nonzero(np.triu(self._adj, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def neighbors(self) -> list[list[int]]:
+        """Each vertex's neighbours, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self._adj]
 
     def vertex_ids(self) -> range:
         return range(self.vertex_count)
@@ -106,20 +121,11 @@ class PlainGraph:
             self._dist = dist
         return self._dist
 
-    def adjacency_matrix(self) -> np.ndarray:
-        n = self.vertex_count
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = True
-        return adj
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PlainGraph)
-                and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+        return isinstance(other, PlainGraph) and np.array_equal(self._adj, other._adj)
 
     def __repr__(self) -> str:
-        return f"PlainGraph({self.vertex_count} vertices, {len(self.edges)} edges)"
+        return f"PlainGraph({self.vertex_count} vertices, {len(self.edges())} edges)"
 
 
 def intersection_graph(fam: SetFamily) -> PlainGraph:
@@ -138,8 +144,7 @@ def intersection_graph(fam: SetFamily) -> PlainGraph:
     # float32 takes the BLAS product; a sum of ones is positive whenever
     # one term is, so `> 0` is exact at any count
     inc = incidence_matrix(fam).astype(np.float32)
-    rows, cols = np.nonzero(np.triu((inc @ inc.T) > 0, 1))
-    return PlainGraph(len(fam), zip(rows.tolist(), cols.tolist()))
+    return PlainGraph(len(fam), np.argwhere(np.triu((inc @ inc.T) > 0, 1)))
 
 
 def powerset_family(n: int) -> SetFamily:
@@ -192,14 +197,13 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
     so two members intersect exactly when the vertices are adjacent.  The
     construction is verified internally before returning.
     """
-    edge_token = {e: f"e{e[0]}-{e[1]}" for e in sorted(pg.edges)}
-    members = []
-    for v, nbrs in enumerate(pg.neighbors()):
-        tokens = {edge_token[(min(v, w), max(v, w))] for w in nbrs}
-        tokens.add(f"p{v}")
-        members.append(tokens)
-    ground = [edge_token[e] for e in sorted(pg.edges)] + \
-             [f"p{v}" for v in pg.vertex_ids()]
+    edges = pg.edges()
+    tokens = [f"e{u}-{v}" for u, v in edges]
+    members = [{f"p{v}"} for v in pg.vertex_ids()]
+    for token, (u, v) in zip(tokens, edges):
+        members[u].add(token)
+        members[v].add(token)
+    ground = tokens + [f"p{v}" for v in pg.vertex_ids()]
     fam = SetFamily(members, ground=ground)
     if intersection_graph(fam) != pg:
         raise AssertionError("realization failed to round-trip")
@@ -208,7 +212,7 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
 
 def component_graph_as_plain(g: ComponentGraph) -> PlainGraph:
     """Re-index a component graph to a 0-based plain graph."""
-    return PlainGraph(g.vertex_count, [(u - 1, v - 1) for u, v in g.edges()])
+    return PlainGraph(g.vertex_count, np.argwhere(np.triu(g.adjacency_matrix(), 1)))
 
 
 def powerset_intersection_dimension(n: int, budget: int = DEFAULT_BUDGET) -> int:

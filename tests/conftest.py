@@ -1,4 +1,5 @@
 import os
+import signal
 from math import comb
 
 import numpy as np
@@ -8,6 +9,33 @@ import resolvdim
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
 from resolvdim.resolving import _Engine, representation
+
+# Seconds any one test may run; the slowest takes a few.
+TEST_ALARM_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _alarm():
+    """Fail a test that runs past TEST_ALARM_S instead of hanging the suite.
+
+    Uses SIGALRM, so it does nothing where that signal does not exist.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"test still running after {TEST_ALARM_S} s; a loop that "
+                    f"never ends?")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_ALARM_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # The directory that holds the imported package: `src` in a checkout.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(resolvdim.__file__)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,16 @@ def test_exchange_json_payload():
     assert holds["holds"] is True and holds["witness"] is None
 
 
+@pytest.mark.parametrize("command", [["exchange", "--q", "3", "--n", "3"],
+                                     ["verify", "--q", "3", "--n", "3"]])
+def test_allow_theorem_flag_is_gone(command, capsys):
+    # an over-budget exchange is skipped or exits 3; it is never cited
+    assert main([*command, "--budget", "1000", "--allow-theorem"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --allow-theorem" in captured.err
+    assert captured.out == ""
+
+
 def test_intersect_powerset_and_family(tmp_path):
     fam_path = tmp_path / "fam.txt"
     result = run_cli(["intersect", "--powerset", "2", "--out", str(fam_path)])
@@ -223,6 +234,46 @@ def test_intersect_realize_roundtrip(tmp_path):
     lines = result.stdout.strip().split("\n")
     assert lines[0] == "members=3 order=3 size=2"
     assert lines[1:] == ["1 3", "2 3"]
+
+
+def test_intersect_realize_self_loop_is_usage_error(tmp_path, capsys):
+    edges = tmp_path / "loop.edges"
+    edges.write_text("1 2\n1 1\n")
+    assert main(["intersect", "--realize", str(edges), "--vertices", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: self-loop at vertex 0\n"
+    assert captured.out == ""
+
+
+# sha256 of the stdout of `intersect --family` and `--realize` on the seeded
+# inputs below, captured from the edge-set plain graphs that preceded the
+# adjacency-matrix ones
+INTERSECT_OUTPUT_SHA256 = {
+    "--family": "821b438d13f9ac1173bf71dc4ac2ff6291483321f426f051cfaad832cc2f2edc",
+    "--realize": "6ea6633b7063a2d268f97dc8d6722da4a3303da3769b4c0c38e5ccd077b5fa4f",
+}
+
+
+def _intersect_input(mode, tmp_path):
+    """A seeded 1500-member family of 1-4 of 96 tokens, or a seeded
+    G(400, 0.1) edge file with 1-based ids."""
+    rng = random.Random(f"intersect-bytes:{mode}")
+    path = tmp_path / "input"
+    if mode == "--family":
+        tokens = [f"t{i}" for i in range(96)]
+        members = [rng.sample(tokens, rng.randint(1, 4)) for _ in range(1500)]
+        path.write_text("".join(",".join(m) + "\n" for m in members))
+        return [str(path)]
+    path.write_text("".join(f"{u + 1} {v + 1}\n" for u in range(400)
+                            for v in range(u + 1, 400) if rng.random() < 0.1))
+    return [str(path), "--vertices", "400"]
+
+
+@pytest.mark.parametrize("mode", sorted(INTERSECT_OUTPUT_SHA256))
+def test_intersect_output_bytes(tmp_path, capsys, mode):
+    assert main(["intersect", mode, *_intersect_input(mode, tmp_path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == INTERSECT_OUTPUT_SHA256[mode]
 
 
 def test_intersect_realize_non_integer_id_is_usage_error(tmp_path, capsys):

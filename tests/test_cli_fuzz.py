@@ -63,8 +63,6 @@ def invocations(draw):
     argv += _options(draw, [("--vertex-cap", st.integers(-1, 130).map(str)),
                             ("--seed", SMALL),
                             ("--format", st.sampled_from(["text", "json"]))])
-    if draw(st.booleans()):
-        argv.append("--allow-theorem")
     junk = draw(st.sampled_from(["none", "none", "insert", "replace"]))
     if junk == "insert":
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))

@@ -48,14 +48,6 @@ def test_budget_exceeded_without_theorem_flag(g33):
         exchange.has_exchange_property(g33, budget=1000)
 
 
-def test_theorem_citation_needs_flag_and_q3(g33, g24):
-    report = exchange.has_exchange_property(g33, budget=1000, allow_theorem=True)
-    assert report.holds and report.method == "theorem-citation"
-    # q=2 never gets a citation verdict
-    with pytest.raises(BudgetExceeded):
-        exchange.has_exchange_property(g24, budget=100, allow_theorem=True)
-
-
 def test_distinct_sizes_shortcut(g22, g23, g32):
     pair = exchange.minimal_sets_of_distinct_sizes(g23)
     assert pair == ((1, 2, 3), (1, 3, 6, 7))

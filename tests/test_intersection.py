@@ -4,17 +4,17 @@ import pytest
 
 from conftest import intersection_graph_by_pairs
 from resolvdim import exchange, intersection
-from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge
+from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
 from resolvdim.graph import MATRIX_CAP, ComponentGraph
 from resolvdim.intersection import PlainGraph, SetFamily
 
 
 def test_intersection_graph_examples():
     pg = intersection.intersection_graph(SetFamily([{1}, {2}, {1, 2}]))
-    assert pg.edges == frozenset({(0, 2), (1, 2)})
-    assert intersection.intersection_graph(SetFamily([{1}])).edges == frozenset()
+    assert pg.edges() == [(0, 2), (1, 2)]
+    assert intersection.intersection_graph(SetFamily([{1}])).edges() == []
     k3 = intersection.intersection_graph(SetFamily([{1}, {1}, {1}]))
-    assert k3.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert k3.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def _seeded_family(kind):
@@ -124,9 +124,10 @@ def test_realize_empty_graph():
 
 def test_realize_component_graph_roundtrip(g23):
     pg = intersection.component_graph_as_plain(g23)
-    assert len(pg.edges) == 15
+    assert len(pg.edges()) == 15
+    assert pg.edges() == [(u - 1, v - 1) for u, v in g23.edges()]
     fam = intersection.as_intersection_family(pg)
-    assert intersection.intersection_graph(fam).edges == pg.edges
+    assert intersection.intersection_graph(fam).edges() == pg.edges()
 
 
 def test_realize_random_graphs_roundtrip():
@@ -137,9 +138,9 @@ def test_realize_random_graphs_roundtrip():
                  if rng.random() < 0.4]
         pg = PlainGraph(n, edges)
         fam = intersection.as_intersection_family(pg)
-        assert intersection.intersection_graph(fam).edges == pg.edges
+        assert intersection.intersection_graph(fam).edges() == edges
         assert list(fam.members) == [
-            {f"e{a}-{b}" for a, b in pg.edges if v in (a, b)} | {f"p{v}"}
+            {f"e{a}-{b}" for a, b in edges if v in (a, b)} | {f"p{v}"}
             for v in range(n)]
 
 
@@ -182,3 +183,55 @@ def test_plain_graph_distance_matrix():
     assert dist[0, 2] == 2
     assert dist[0, 3] == 5  # sentinel: vertex_count + 1 marks unreachable
     assert dist[3, 3] == 0
+
+
+def test_plain_graph_rejects_a_negative_vertex_count():
+    with pytest.raises(BadParameters, match="vertex count must be non-negative"):
+        PlainGraph(-1, [])
+
+
+def test_plain_graph_rejects_the_first_bad_edge_in_input_order():
+    with pytest.raises(BadParameters, match="^self-loop at vertex 1$"):
+        PlainGraph(3, [(0, 2), (1, 1), (0, 5)])
+    with pytest.raises(OutOfRange, match=r"^edge \(0,5\) outside 0..2$"):
+        PlainGraph(3, [(0, 2), (0, 5), (1, 1)])
+    with pytest.raises(OutOfRange, match=r"^edge \(-1,0\) outside 0..2$"):
+        PlainGraph(3, [(-1, 0)])
+    # the self-loop test comes before the range test
+    with pytest.raises(BadParameters, match="^self-loop at vertex 7$"):
+        PlainGraph(3, [(7, 7)])
+
+
+@pytest.mark.parametrize("pair", [(1, 2, 3), (0,), ("a", 1), (0.5, 1), ()])
+def test_plain_graph_rejects_pairs_that_are_not_two_integers(pair):
+    with pytest.raises(BadParameters, match="edges must be pairs of integers"):
+        PlainGraph(4, [pair])
+    with pytest.raises(BadParameters, match="edges must be pairs of integers"):
+        PlainGraph(4, [(0, 1), pair])
+
+
+def test_plain_graph_refuses_more_than_the_matrix_cap():
+    def unread():
+        raise RuntimeError("edges read")
+        yield
+
+    # refused before the edges are read or the N x N matrix is allocated
+    with pytest.raises(InstanceTooLarge, match=f"at most {MATRIX_CAP} vertices, got 40000"):
+        PlainGraph(40000, unread())
+    with pytest.raises(InstanceTooLarge, match=f"got {MATRIX_CAP + 1}$"):
+        PlainGraph(MATRIX_CAP + 1, [])
+    assert PlainGraph(MATRIX_CAP, [(0, MATRIX_CAP - 1)]).distance_matrix()[0, 1] == MATRIX_CAP + 1
+
+
+def test_plain_graph_views_read_the_matrix():
+    pg = PlainGraph(4, iter([(2, 1), (0, 1), (1, 2)]))
+    assert pg.vertex_count == 4
+    assert pg.edges() == [(0, 1), (1, 2)]
+    assert pg.neighbors() == [[1], [0, 2], [1], []]
+    assert pg.adjacency_matrix().tolist() == [[False, True, False, False],
+                                              [True, False, True, False],
+                                              [False, True, False, False],
+                                              [False, False, False, False]]
+    assert pg == PlainGraph(4, [(0, 1), (1, 2)])
+    assert pg != PlainGraph(5, [(0, 1), (1, 2)])
+    assert repr(pg) == "PlainGraph(4 vertices, 2 edges)"

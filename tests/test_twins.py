@@ -108,7 +108,10 @@ def test_twin_swap_randomized_trials(q, n, trials):
     base = resolving.canonical_metric_basis(q, n)
     ids = list(g.vertex_ids())
     done = 0
-    while done < trials:
+    # bounded: with no swappable class the test fails instead of hanging
+    for _ in range(50 * trials):
+        if done == trials:
+            break
         w = set(base)
         for _ in range(rng.randrange(0, 3)):
             w.add(rng.choice(ids))
@@ -123,6 +126,7 @@ def test_twin_swap_randomized_trials(q, n, trials):
         swapped = twins.twin_swap(g, w, u, v)
         assert resolving.is_resolving(g, swapped).is_resolving
         done += 1
+    assert done == trials, f"{done} of {50 * trials} draws had a swappable class"
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (4, 2)])
