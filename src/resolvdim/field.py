@@ -213,11 +213,6 @@ def rank(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def linearly_independent(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff no nontrivial linear combination of the vectors is zero."""
-    return rank(f, vectors) == len(vectors)
-
-
 def has_full_rank(f: FieldSpec, n: int, vectors: Sequence[Sequence[int]]) -> bool:
     """True iff the vectors span GF(q)^n, i.e. some n-subset is independent."""
     return rank(f, vectors) == n

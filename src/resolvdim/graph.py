@@ -81,16 +81,6 @@ class ComponentGraph:
             return 1
         return 2
 
-    def open_neighborhood(self, u: int) -> set[int]:
-        self.check_vertex(u)
-        su = self._skeletons[u]
-        return {v for v in self.vertex_ids() if v != u and (self._skeletons[v] & su)}
-
-    def closed_neighborhood(self, u: int) -> set[int]:
-        nbhd = self.open_neighborhood(u)
-        nbhd.add(u)
-        return nbhd
-
     def vertex_ids(self) -> range:
         return range(1, self.vertex_count + 1)
 

@@ -210,11 +210,6 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
     return fam
 
 
-def component_graph_as_plain(g: ComponentGraph) -> PlainGraph:
-    """Re-index a component graph to a 0-based plain graph."""
-    return PlainGraph(g.vertex_count, np.argwhere(np.triu(g.adjacency_matrix(), 1)))
-
-
 def powerset_intersection_dimension(n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Metric dimension of the powerset intersection graph, by search."""
     if n < 2:

@@ -33,15 +33,15 @@ import numpy as np
 
 from . import twins as twins_mod
 from . import vectorspace
-from .errors import BadParameters, BudgetExceeded, EmptySet, NotResolving
+from .errors import BadParameters, BudgetExceeded, NotResolving
 from .graph import ComponentGraph
 
 DEFAULT_BUDGET = 1_000_000
 
 _BATCH = 8192
 _MASK_TABLE_MAX_N = 20
-# most int64 codes one batch of the kernel may hold (8 MB)
-_BATCH_CELLS = 1 << 20
+# most int64 keys one chunk of the kernel may hold (512 kB)
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,50 +59,47 @@ class ResolvingReport:
 # single-set checks
 # ---------------------------------------------------------------------------
 
-def representation(g: ComponentGraph, v: int, w: Sequence[int]) -> tuple[int, ...]:
-    """Distance tuple of v to the ordered set w."""
-    members = tuple(w)
-    if not members:
-        raise EmptySet("representation needs a non-empty ordered set")
-    return tuple(g.distance(v, x) for x in members)
+def _sorted_members(w: Iterable[int]) -> tuple[int, ...]:
+    """The members of a candidate set in ascending order; duplicates are
+    refused."""
+    order = tuple(sorted(w))
+    if len(set(order)) != len(order):
+        raise BadParameters("candidate set contains duplicate vertices")
+    return order
 
 
-def _single_set(g: ComponentGraph,
-                order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Representation block of a sorted set, and the resolving status of
-    each single removal (row i drops order[i]); None when the set itself
-    does not resolve.
-
-    The N x k block needs no N x N matrix; the set is one batch of the
-    engine and its removals one more.
-    """
+def _single_set(g: ComponentGraph, order: tuple[int, ...]
+                ) -> tuple[tuple[int, int] | None, np.ndarray | None]:
+    """Least colliding pair (0-based) of a sorted set, from its kernel
+    keys; when there is none, the resolving status of each single removal
+    (row i drops order[i]).  Needs the N x k block, no N x N matrix."""
     engine = _Engine(g.distance_block(order))
     every = np.arange(len(order))
-    if not engine.status(every[None, :])[0]:
-        return engine.dist, None
-    return engine.dist, engine.status(_drop_each(every))
+    pair = _least_equal_rows(engine.keys(every[None, :])[:, 0])
+    if pair is not None:
+        return pair, None
+    return None, engine.status(_drop_each(every))
 
 
-def _least_equal_rows(block: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically least pair u < v of equal rows (0-based)."""
-    first: dict[bytes, int] = {}
-    best: tuple[int, int] | None = None
-    for v, row in enumerate(block):
-        u = first.setdefault(row.tobytes(), v)
-        if u != v and (best is None or (u, v) < best):
-            best = (u, v)
-    return best
+def _least_equal_rows(keys: np.ndarray) -> tuple[int, int] | None:
+    """Lexicographically least pair u < v of rows with equal keys (0-based)
+    or None: after a stable sort, the adjacent equal entry with the least
+    first row."""
+    order = np.argsort(keys, kind="stable")
+    same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if not same.size:
+        return None
+    i = same[np.argmin(order[same])]
+    return int(order[i]), int(order[i + 1])
 
 
 def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     """Full report: resolving status, least collision, minimality."""
     members = tuple(w)
-    if len(set(members)) != len(members):
-        raise BadParameters("candidate set contains duplicate vertices")
-    order = tuple(sorted(members))
-    block, still = _single_set(g, order)
+    order = _sorted_members(members)
+    pair, still = _single_set(g, order)
     if still is None:
-        u, v = _least_equal_rows(block)
+        u, v = pair
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
                                colliding_pair=(u + 1, v + 1))
     redundant = order[int(np.argmax(still))] if still.any() else None
@@ -114,9 +111,7 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
 def resolves(g: ComponentGraph, w: Iterable[int]) -> bool:
     """True iff w resolves g: its N x k block as one batch of one, with
     no minimality check."""
-    order = sorted(w)
-    if len(set(order)) != len(order):
-        raise BadParameters("candidate set contains duplicate vertices")
+    order = _sorted_members(w)
     engine = _Engine(g.distance_block(order))
     return bool(engine.status(np.arange(len(order))[None, :])[0])
 
@@ -127,7 +122,7 @@ def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
     Single removals suffice: supersets of resolving sets resolve, so a
     resolving proper subset implies a resolving (k-1)-subset.
     """
-    _, still = _single_set(g, tuple(sorted(set(w))))
+    _, still = _single_set(g, _sorted_members(w))
     if still is None:
         raise NotResolving("the candidate set does not resolve the graph")
     return not still.any()
@@ -190,8 +185,10 @@ class _Engine:
     twin-swap orbit.
 
     Rows of `dist` are vertices and columns are candidate members; the
-    matrix is read at its stored dtype.  `status` is the only resolving
-    test.  `_scan` walks every k-subset in lexicographic order; `walk`
+    matrix is read at its stored dtype.  `keys` is the one kernel: exact
+    per-vertex labels of any number of columns, read by `status` (the
+    only resolving test) and by the colliding pair of a single set.
+    `_scan` walks every k-subset in lexicographic order; `walk`
     visits the same subsets in the same order but skips the prefixes the
     twin and refinement rules rule out; `orbit` lists the sets that omit
     one member of each twin class.  The budget counts the subsets each of
@@ -202,10 +199,6 @@ class _Engine:
         self.dist = dist
         self.n_rows, self.n_cols = dist.shape
         self.base = max(int(dist.max(initial=0)) + 1, 2)
-        # most base-`base` digits that still fit one int64 code
-        self.group = 1
-        while self.base ** (self.group + 1) < 2 ** 62:
-            self.group += 1
         self.budget = budget
         self.evaluated = 0
 
@@ -213,19 +206,58 @@ class _Engine:
     def left(self) -> int:
         return self.budget - self.evaluated
 
+    def keys(self, cols: np.ndarray) -> np.ndarray:
+        """(N, B) int64 keys of a (B, k) batch of column sets: two rows hold
+        equal keys in column b exactly when they agree on every column of
+        set b.
+
+        A group of columns appends one base-`base` digit each to every
+        row's label, as many as fit an int64; if columns remain, each
+        candidate's labels are dense-ranked, keeping equality and every
+        label below N, and the next group starts.  A group takes at least
+        one column while N * base < 2^62, true of int16 distances for any N
+        below 2^47.  Columns are gathered in runs of at most _BATCH_CELLS
+        entries and a run's digits appended with one integer product; a
+        one-column run, as in every full chunk of `status`, is added
+        directly, where the product is several times slower.
+        """
+        n, (b, k) = self.n_rows, cols.shape
+        labels = np.zeros((n, b), dtype=np.int64)
+        batch = np.arange(b)
+        run = max(1, _BATCH_CELLS // max(n * b, 1))
+        lo, bound = 0, 1  # every label lies below bound
+        while lo < k:
+            if bound * self.base >= 1 << 62:
+                order = labels.argsort(axis=0)
+                ranked = labels[order, batch]
+                new = ranked[1:] != ranked[:-1]
+                ranked[0] = 0
+                np.cumsum(new, axis=0, out=ranked[1:])
+                labels[order, batch] = ranked
+                bound = n
+            hi = lo
+            while hi < min(k, lo + run) and bound * self.base < 1 << 62:
+                hi += 1
+                bound *= self.base
+            digits = self.dist[:, cols[:, lo:hi]]
+            labels *= self.base ** (hi - lo)
+            if hi - lo == 1:
+                labels += digits[:, :, 0]
+            else:
+                labels += digits @ self.base ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+            lo = hi
+        return labels
+
     def status(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean resolving status for a (B, k) batch of column sets."""
-        b, k = cols.shape
-        if k <= self.group:
-            codes = np.zeros((self.n_rows, b), dtype=np.int64)
-            for j in range(k):
-                codes *= self.base
-                codes += self.dist[:, cols[:, j]]
-            codes.sort(axis=0)
-            return ~np.any(codes[1:] == codes[:-1], axis=0)
-        # wide-set fallback: exact per-candidate duplicate detection
-        return np.array([len({row.tobytes() for row in self.dist[:, c]}) == self.n_rows
-                         for c in cols], dtype=bool)
+        """Boolean resolving status for a (B, k) batch of column sets, from
+        their keys, at most _BATCH_CELLS keys at a time."""
+        out = np.empty(len(cols), dtype=bool)
+        step = max(1, _BATCH_CELLS // max(self.n_rows, 1))
+        for lo in range(0, len(cols), step):
+            keys = self.keys(cols[lo:lo + step])
+            keys.sort(axis=0)
+            out[lo:lo + step] = ~np.any(keys[1:] == keys[:-1], axis=0)
+        return out
 
     def _scan(self, k: int, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(columns, status) batches of k-subsets in lexicographic order,

@@ -30,9 +30,6 @@ class TwinPartition:
     classes: tuple[tuple[int, ...], ...]
     skeletons: tuple[int, ...]
 
-    def class_sizes(self) -> list[int]:
-        return [len(c) for c in self.classes]
-
 
 def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
     """0-based twin classes of an adjacency matrix, ordered by least
@@ -94,14 +91,12 @@ def partitions_coincide(g: ComponentGraph) -> bool:
 
 
 def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
-    if u == v:
-        return True
-    nu, nv = g.open_neighborhood(u), g.open_neighborhood(v)
-    if nu == nv:
-        return True
-    nu.add(u)
-    nv.add(v)
-    return nu == nv
+    """True iff u and v are twins, which in a graph of diameter at most 2
+    means at equal distance from every other vertex."""
+    block = g.distance_block((u, v))
+    others = np.ones(g.vertex_count, dtype=bool)
+    others[[u - 1, v - 1]] = False
+    return bool(np.array_equal(block[others, 0], block[others, 1]))
 
 
 def twin_swap(g: ComponentGraph, w: Iterable[int], u: int, v: int) -> tuple[int, ...]:

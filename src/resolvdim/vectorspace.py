@@ -14,10 +14,9 @@ Examples: `e1`, `2e1+e2`, `e1+e3`.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from . import field
-from .errors import InstanceTooLarge, OutOfRange, VertexParseError
+from .errors import OutOfRange, VertexParseError
 
 DEFAULT_VERTEX_CAP = 1 << 16
 
@@ -63,17 +62,6 @@ def skeleton(coeffs: Sequence[int]) -> int:
 
 def skeleton_of_id(vid: int, q: int, n: int) -> int:
     return skeleton(decode(vid, q, n))
-
-
-def enumerate_vertices(q: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Iterator[int]:
-    """Yield the ids 1..q^n-1 in increasing order."""
-    field.validate_order(q)
-    count = vertex_count(q, n)
-    if count > vertex_cap:
-        raise InstanceTooLarge(
-            f"q^n-1 = {count} exceeds the vertex cap {vertex_cap}"
-        )
-    return iter(range(1, count + 1))
 
 
 def vertex_text(vid: int, q: int, n: int) -> str:

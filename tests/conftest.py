@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import resolvdim
+from resolvdim.errors import EmptySet
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
-from resolvdim.resolving import _Engine, representation
+from resolvdim.resolving import _Engine
 
 # Seconds any one test may run; the slowest takes a few.
 TEST_ALARM_S = 120
@@ -55,6 +56,14 @@ def child_env(base=None):
     return env
 
 
+def representation(g, v, w):
+    """Distance tuple of v to the ordered set w."""
+    members = tuple(w)
+    if not members:
+        raise EmptySet("representation needs a non-empty ordered set")
+    return tuple(g.distance(v, x) for x in members)
+
+
 def resolves_by_definition(g, w):
     """W resolves g iff the N representation tuples are pairwise distinct.
 
@@ -64,6 +73,46 @@ def resolves_by_definition(g, w):
     if not w:
         return g.vertex_count == 1
     return len({representation(g, v, w) for v in g.vertex_ids()}) == g.vertex_count
+
+
+def int64_digits(base):
+    """Most base-`base` digits whose packed code stays below 2^62 (at
+    least one): the width of the single packed pass."""
+    group = 1
+    while base ** (group + 1) < 2 ** 62:
+        group += 1
+    return group
+
+
+def status_by_rows(dist, cols):
+    """Boolean resolving status for a (B, k) batch of column sets: one
+    packed int64 pass when k fits `int64_digits`, else a set of row bytes
+    per candidate.  The two detectors the column-group kernel
+    `_Engine.keys` replaced, kept as its reference."""
+    n_rows = dist.shape[0]
+    base = max(int(dist.max(initial=0)) + 1, 2)
+    b, k = cols.shape
+    if k <= int64_digits(base):
+        codes = np.zeros((n_rows, b), dtype=np.int64)
+        for j in range(k):
+            codes *= base
+            codes += dist[:, cols[:, j]]
+        codes.sort(axis=0)
+        return ~np.any(codes[1:] == codes[:-1], axis=0)
+    return np.array([len({row.tobytes() for row in dist[:, c]}) == n_rows
+                     for c in cols], dtype=bool)
+
+
+def least_equal_rows_by_dict(block):
+    """Lexicographically least pair u < v of equal rows (0-based), from a
+    dict of row bytes: the reference for the kernel's colliding pair."""
+    first = {}
+    best = None
+    for v, row in enumerate(block):
+        u = first.setdefault(row.tobytes(), v)
+        if u != v and (best is None or (u, v) < best):
+            best = (u, v)
+    return best
 
 
 def plain_first_hit(dist, k):

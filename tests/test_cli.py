@@ -165,6 +165,12 @@ def test_check_not_resolving_reports_collision():
     assert "collision=(e2,e3)" in result.stdout
 
 
+def test_check_duplicate_members_is_usage_error():
+    result = run_cli(["check", "--q", "2", "--n", "3", "-W", "e1,e1,e2"])
+    assert result.returncode == 2
+    assert "candidate set contains duplicate vertices" in result.stderr
+
+
 def test_check_parse_error_position():
     result = run_cli(["check", "--q", "2", "--n", "3", "-W", "e1,2e9"])
     assert result.returncode == 2

@@ -68,14 +68,6 @@ def test_completeness_iff_dimension_one():
     assert not gr.is_complete(ComponentGraph(2, 2))
 
 
-def test_neighborhoods(g22):
-    assert g22.open_neighborhood(1) == {3}
-    assert g22.closed_neighborhood(3) == {1, 2, 3}
-    for u in g22.vertex_ids():
-        assert u in g22.closed_neighborhood(u)
-        assert u not in g22.open_neighborhood(u)
-
-
 def test_vertex_cap():
     with pytest.raises(InstanceTooLarge):
         ComponentGraph(2, 20)

