@@ -196,6 +196,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_exchange(args) -> int:
+    if args.format == "text":
+        raise BadParameters("exchange has JSON output only; drop --format text")
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     report = exchange_mod.has_exchange_property(g, budget=args.budget)
     witness = None
@@ -472,6 +474,7 @@ def _add_qn(sp, required: bool = True) -> None:
     sp.add_argument("--q", type=int, required=required,
                     help="field order (a supported prime power)")
     sp.add_argument("--n", type=int, required=required, help="space dimension")
+    sp.add_argument("--vertex-cap", type=int, default=vectorspace.DEFAULT_VERTEX_CAP)
 
 
 def _add_common(sp) -> None:
@@ -480,8 +483,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--budget", type=int, default=None,
                     help=f"max subset evaluations (default ${BUDGET_ENV_VAR} "
                          f"or {resolving_mod.DEFAULT_BUDGET})")
-    sp.add_argument("--vertex-cap", type=int, default=vectorspace.DEFAULT_VERTEX_CAP)
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exchange", help="exchange-property verdict (JSON)")
     _add_qn(sp)
     _add_common(sp)
+    sp.set_defaults(format="json")
 
     sp = sub.add_parser("intersect", help="set families and intersection graphs")
     group = sp.add_mutually_exclusive_group()
@@ -530,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="run the verification suite over a grid")
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
+    _add_qn(sp, required=False)
     sp.add_argument("--q-range", default=None, metavar="A..B")
     sp.add_argument("--n-range", default=None, metavar="A..B")
     sp.add_argument("--workers", type=int, default=1,
@@ -539,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (JSON only; breaks byte "
                          "determinism)")
+    sp.add_argument("--seed", type=int, default=0, help="seeds the twin-swap trials")
     _add_common(sp)
 
     return p
@@ -566,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
             args.budget = _default_budget()
         if args.budget < 0:
             raise BadParameters(f"budget must be >= 0, got {args.budget}")
-        if args.vertex_cap < 1:
+        if getattr(args, "vertex_cap", 1) < 1:
             raise BadParameters(f"--vertex-cap must be >= 1, got {args.vertex_cap}")
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:

@@ -3,8 +3,8 @@
 Vertices are the nonzero vectors, identified by their base-q ids; two
 vertices are adjacent when their coefficient expansions share a position
 with nonzero coefficient, i.e. when their skeleton masks intersect.  The
-graph is kept implicit: adjacency and distance are computed from the
-precomputed skeleton table, never from a materialized edge list.
+graph is kept implicit: adjacency and distance are computed from one
+read-only int64 skeleton array, never from a materialized edge list.
 
 The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
@@ -48,12 +48,13 @@ class ComponentGraph:
         self.q = q
         self.n = n
         self.vertex_count = count
-        skeletons = [0] * (count + 1)
-        full = (1 << n) - 1
-        for vid in range(1, count + 1):
-            skeletons[vid] = vectorspace.skeleton_of_id(vid, q, n)
-        self._skeletons = skeletons
-        self._full_mask = full
+        # bit i of entry v-1 is set where base-q digit i of vertex v is nonzero
+        rest = np.arange(1, count + 1, dtype=np.int64)
+        self._skeletons = np.zeros(count, dtype=np.int64)
+        for i in range(n):
+            rest, digit = np.divmod(rest, q)
+            self._skeletons[digit != 0] |= 1 << i
+        self._skeletons.flags.writeable = False
         self._dist: np.ndarray | None = None
         self._adj: np.ndarray | None = None
 
@@ -65,19 +66,19 @@ class ComponentGraph:
 
     def skeleton(self, u: int) -> int:
         self.check_vertex(u)
-        return self._skeletons[u]
+        return int(self._skeletons[u - 1])
 
     def adjacent(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return u != v and (self._skeletons[u] & self._skeletons[v]) != 0
+        return u != v and bool(self._skeletons[u - 1] & self._skeletons[v - 1])
 
     def distance(self, u: int, v: int) -> int:
         self.check_vertex(u)
         self.check_vertex(v)
         if u == v:
             return 0
-        if self._skeletons[u] & self._skeletons[v]:
+        if self._skeletons[u - 1] & self._skeletons[v - 1]:
             return 1
         return 2
 
@@ -96,40 +97,43 @@ class ComponentGraph:
     # -- dense views (desk scale only) --
 
     def skeleton_array(self) -> np.ndarray:
-        return np.asarray(self._skeletons[1:], dtype=np.int64)
+        """Read-only int64 skeletons indexed 0..N-1 (vertex id minus 1)."""
+        return self._skeletons
+
+    def _meets(self, cols: np.ndarray) -> np.ndarray:
+        """bool N x k block: entry (v-1, j) is true where the skeletons of
+        vertices v and cols[j]+1 meet.  Filled ROW_BLOCK rows at a time, so
+        no int64 temporary exceeds ROW_BLOCK x k."""
+        sk = self._skeletons
+        right = sk[cols]
+        block = np.empty((len(sk), len(right)), dtype=bool)
+        for lo in range(0, len(sk), ROW_BLOCK):
+            np.not_equal(sk[lo:lo + ROW_BLOCK, None] & right, 0,
+                         out=block[lo:lo + ROW_BLOCK])
+        return block
 
     def distance_block(self, w: Sequence[int]) -> np.ndarray:
         """int16 N x k block: row v-1, column j holds the distance from v to w[j].
 
-        Built from the skeleton table, so it needs no N x N matrix.
+        Built from the skeletons, so it needs no N x N matrix.
         """
         for x in w:
             self.check_vertex(x)
         cols = np.asarray(w, dtype=np.intp) - 1
-        sk = self.skeleton_array()
-        block = np.where((sk[:, None] & sk[cols]) != 0, np.int16(1), np.int16(2))
+        block = np.where(self._meets(cols), np.int16(1), np.int16(2))
         block[cols, np.arange(len(cols))] = 0
         return block
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1).
-
-        Filled ROW_BLOCK rows at a time, so the int64 mask product never
-        exceeds ROW_BLOCK x N.
-        """
+        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1)."""
         if self._adj is None:
             n = self.vertex_count
             if n > MATRIX_CAP:
                 raise InstanceTooLarge(
                     f"dense adjacency needs N <= {MATRIX_CAP}, got {n}"
                 )
-            masks = self.skeleton_array()
-            adj = np.empty((n, n), dtype=bool)
-            for lo in range(0, n, ROW_BLOCK):
-                rows = masks[lo:lo + ROW_BLOCK, None] & masks
-                np.not_equal(rows, 0, out=adj[lo:lo + ROW_BLOCK])
-            np.fill_diagonal(adj, False)
-            self._adj = adj
+            self._adj = self._meets(np.arange(n))
+            np.fill_diagonal(self._adj, False)
         return self._adj
 
     def distance_matrix(self) -> np.ndarray:
@@ -197,7 +201,7 @@ def bfs_distances(g: ComponentGraph, source: int) -> list[int]:
     dist = [-1] * (g.vertex_count + 1)
     dist[source] = 0
     queue = deque([source])
-    sk = g._skeletons
+    sk = [0] + g.skeleton_array().tolist()
     while queue:
         u = queue.popleft()
         su = sk[u]

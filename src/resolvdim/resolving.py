@@ -38,7 +38,6 @@ from .graph import ComponentGraph
 
 DEFAULT_BUDGET = 1_000_000
 
-_BATCH = 8192
 _MASK_TABLE_MAX_N = 20
 # most int64 keys one chunk of the kernel may hold (512 kB)
 _BATCH_CELLS = 1 << 16
@@ -191,8 +190,8 @@ class _Engine:
     `_scan` walks every k-subset in lexicographic order; `walk`
     visits the same subsets in the same order but skips the prefixes the
     twin and refinement rules rule out; `orbit` lists the sets that omit
-    one member of each twin class.  The budget counts the subsets each of
-    them evaluates.
+    one member of each twin class.  Each takes `batch` sets at a time and
+    charges the budget for the subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray, budget: int = DEFAULT_BUDGET):
@@ -201,6 +200,7 @@ class _Engine:
         self.base = max(int(dist.max(initial=0)) + 1, 2)
         self.budget = budget
         self.evaluated = 0
+        self.batch = max(1, _BATCH_CELLS // max(self.n_rows, 1))
 
     @property
     def left(self) -> int:
@@ -250,13 +250,12 @@ class _Engine:
 
     def status(self, cols: np.ndarray) -> np.ndarray:
         """Boolean resolving status for a (B, k) batch of column sets, from
-        their keys, at most _BATCH_CELLS keys at a time."""
+        their keys, `batch` sets at a time."""
         out = np.empty(len(cols), dtype=bool)
-        step = max(1, _BATCH_CELLS // max(self.n_rows, 1))
-        for lo in range(0, len(cols), step):
-            keys = self.keys(cols[lo:lo + step])
+        for lo in range(0, len(cols), self.batch):
+            keys = self.keys(cols[lo:lo + self.batch])
             keys.sort(axis=0)
-            out[lo:lo + step] = ~np.any(keys[1:] == keys[:-1], axis=0)
+            out[lo:lo + self.batch] = ~np.any(keys[1:] == keys[:-1], axis=0)
         return out
 
     def _scan(self, k: int, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -264,7 +263,7 @@ class _Engine:
         at most limit subsets, each one charged to the budget."""
         it = combinations(range(self.n_cols), k)
         while limit > 0:
-            chunk = list(islice(it, min(_BATCH, limit)))
+            chunk = list(islice(it, min(self.batch, limit)))
             if not chunk:
                 return
             limit -= len(chunk)
@@ -374,15 +373,14 @@ class _Engine:
             nonlocal need
             need += fills
 
-        leaf_batch = max(1, min(_BATCH, _BATCH_CELLS // max(self.n_rows, 1)))
         frames = [[np.zeros(self.n_rows, dtype=np.int64), children(), 0]]
         while frames:
             frame = frames[-1]
             labels, cands, pos = frame
             picks_after = k - len(path) - 1
             if picks_after == 0:
-                for at in range(0, len(cands), leaf_batch):
-                    chunk = cands[at:at + min(leaf_batch, self.left)]
+                for at in range(0, len(cands), self.batch):
+                    chunk = cands[at:at + min(self.batch, self.left)]
                     if chunk.size == 0:
                         return None, False
                     cols = np.empty((len(chunk), k), dtype=np.intp)
@@ -394,7 +392,7 @@ class _Engine:
                         self.evaluated += first + 1
                         return tuple(path) + (int(chunk[first]),), True
                     self.evaluated += len(chunk)
-                    if len(chunk) < len(cands[at:at + leaf_batch]):
+                    if len(chunk) < len(cands[at:at + self.batch]):
                         return None, False
                 pos = len(cands)
             if pos == len(cands):
@@ -442,8 +440,8 @@ class _Engine:
         # of them is omitted by W2, iff W1's sorted omissions are the larger
         order = np.lexsort(omitted.T[::-1])[::-1]
         k = self.n_cols - len(classes)
-        for lo in range(0, total, _BATCH):
-            rows = omitted[order[lo:lo + _BATCH]]
+        for lo in range(0, total, self.batch):
+            rows = omitted[order[lo:lo + self.batch]]
             keep = np.ones((len(rows), self.n_cols), dtype=bool)
             keep[np.arange(len(rows))[:, None], rows] = False
             cols = np.nonzero(keep)[1].reshape(len(rows), k)

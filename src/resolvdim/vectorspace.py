@@ -60,10 +60,6 @@ def skeleton(coeffs: Sequence[int]) -> int:
     return mask
 
 
-def skeleton_of_id(vid: int, q: int, n: int) -> int:
-    return skeleton(decode(vid, q, n))
-
-
 def vertex_text(vid: int, q: int, n: int) -> str:
     """Render a vertex id in the `<coeff?>e<index>` text form."""
     coeffs = decode(vid, q, n)

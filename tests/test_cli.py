@@ -144,6 +144,43 @@ def test_intersect_format_json_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_exchange_format_text_is_usage_error(capsys):
+    assert main(["exchange", "--q", "2", "--n", "2", "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: exchange has JSON output only; drop --format text\n"
+    assert captured.out == ""
+    assert main(["exchange", "--q", "2", "--n", "2"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["exchange", "--q", "2", "--n", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["holds"] is True
+
+
+# flags that no mode of the command reads are not declared on it
+@pytest.mark.parametrize("argv", [
+    *([command, "--q", "2", "--n", "2", "--seed", "1"]
+      for command in ("graph", "dim", "twins", "exchange")),
+    ["check", "--q", "2", "--n", "2", "-W", "e1", "--seed", "1"],
+    ["intersect", "--powerset", "2", "--seed", "1"],
+    ["intersect", "--correspondence", "3", "--vertex-cap", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--q", "2", "--n", "2"], ["dim", "--q", "2", "--n", "2"],
+    ["twins", "--q", "2", "--n", "2"], ["check", "--q", "2", "--n", "2", "-W", "e1"],
+    ["exchange", "--q", "2", "--n", "2"]], ids=lambda argv: argv[0])
+def test_vertex_cap_is_checked_on_every_graph_command(argv, capsys):
+    assert main([*argv, "--vertex-cap", "0"]) == 2
+    assert capsys.readouterr().err == "error: --vertex-cap must be >= 1, got 0\n"
+
+
 def test_check_resolving_minimal():
     result = run_cli(["check", "--q", "2", "--n", "3", "-W", "e1,e2,e3"])
     assert result.returncode == 0

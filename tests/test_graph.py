@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import export_by_lines
 from resolvdim import graph as gr
+from resolvdim import vectorspace as vs
 from resolvdim.errors import BadParameters, InstanceTooLarge, OutOfRange
 from resolvdim.graph import ComponentGraph
+from resolvdim.resolving import canonical_metric_basis
 
 # all supported (q, n) pairs with at most `limit` vertices
 def desk_instances(limit):
@@ -140,6 +144,20 @@ def test_exports_match_line_by_line_reference(q, n):
     assert (gr.to_dot(g), gr.to_edge_list(g)) == export_by_lines(g)
 
 
+@pytest.mark.parametrize("q, n", [*((2, n) for n in range(1, 7)),
+                                  *((3, n) for n in range(1, 5)),
+                                  (4, 3), (5, 2), (16, 2), (27, 2)])
+def test_skeleton_array_matches_decoded_vectors(q, n):
+    # the reference that the broadcast and distance-block tests build on
+    g = ComponentGraph(q, n)
+    sk = g.skeleton_array()
+    assert sk.dtype == np.int64
+    assert sk.tolist() == [vs.skeleton(vs.decode(v, q, n)) for v in g.vertex_ids()]
+    assert g.skeleton_array() is sk
+    with pytest.raises(ValueError):
+        sk[0] = 0
+
+
 @pytest.mark.parametrize("q, n", [(2, 12), (3, 3), (7, 2)])
 def test_adjacency_matrix_matches_broadcast(q, n):
     g = ComponentGraph(q, n)
@@ -158,6 +176,20 @@ def test_distance_block_matches_distance(q, n, w):
     block = g.distance_block(w)
     assert block.dtype == np.int16
     assert block.tolist() == [[g.distance(v, x) for x in w] for v in g.vertex_ids()]
+
+
+def test_distance_block_peak_memory_is_the_block_and_its_mask():
+    # the (8,4) canonical basis: N = 4095, k = 4080, a 33 MB int16 block
+    g = ComponentGraph(8, 4)
+    w = canonical_metric_basis(8, 4)
+    tracemalloc.start()
+    try:
+        block = g.distance_block(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (4095, 4080)
+    assert peak <= 2 * block.nbytes
 
 
 def test_distance_block_range_check(g22):

@@ -56,3 +56,20 @@ def test_benchmark_names_exist():
               and (node.module or "").startswith("resolvdim.") for alias in node.names]
     assert len(names) > len(wrapped.elts)
     assert [".".join(p) for p in names if not _resolves(p)] == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_functions_read_no_private_attributes():
+    # a class's private state (say, the skeleton format of ComponentGraph)
+    # is read by its own methods only; module-level functions use the
+    # public queries
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and _private(node.attr)]
+    assert SOURCES and found == []

@@ -38,7 +38,7 @@ def test_roundtrip_full_range(q, n):
 def test_skeleton_class_sizes(q, n):
     counts = {}
     for vid in range(1, q ** n):
-        mask = vs.skeleton_of_id(vid, q, n)
+        mask = vs.skeleton(vs.decode(vid, q, n))
         counts[mask] = counts.get(mask, 0) + 1
     assert set(counts) == set(range(1, 1 << n))
     for mask, size in counts.items():
