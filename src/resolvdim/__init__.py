@@ -15,7 +15,6 @@ from .errors import (AlreadyMember, BadParameters, BudgetExceeded,
                      VertexParseError)
 from .exchange import (ExchangeReport, ExchangeViolation,
                        coordinate_avoiding_set, has_exchange_property,
-                       minimal_sets_of_distinct_sizes,
                        oversized_minimal_resolving_set)
 from .field import SUPPORTED_ORDERS, FieldSpec, field_new, has_full_rank, rank
 from .graph import (ComponentGraph, bfs_distances, is_complete, order_formula,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -33,7 +32,6 @@ from .errors import (BadParameters, BudgetExceeded, InstanceTooLarge,
                      ResolvdimError)
 
 SCHEMA_VERSION = 1
-BUDGET_ENV_VAR = "RESOLVDIM_BUDGET"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -91,16 +89,6 @@ def _resolve_ns(args) -> list[int]:
             raise BadParameters("n range must start at 1 or above")
         return list(range(lo, hi + 1))
     raise BadParameters("missing --n or --n-range")
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return resolving_mod.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameters(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _labels(g: graph_mod.ComponentGraph, ids) -> list[str]:
@@ -480,9 +468,8 @@ def _add_qn(sp, required: bool = True) -> None:
 def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--budget", type=int, default=None,
-                    help=f"max subset evaluations (default ${BUDGET_ENV_VAR} "
-                         f"or {resolving_mod.DEFAULT_BUDGET})")
+    sp.add_argument("--budget", type=int, default=resolving_mod.DEFAULT_BUDGET,
+                    help=f"max subset evaluations (default {resolving_mod.DEFAULT_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,8 +551,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "budget", None) is None:
-            args.budget = _default_budget()
         if args.budget < 0:
             raise BadParameters(f"budget must be >= 0, got {args.budget}")
         if getattr(args, "vertex_cap", 1) < 1:

@@ -4,13 +4,14 @@ The property: for any minimal resolving sets W1, W2 and any r in W1 there
 is some s in W2 such that (W2 minus s) plus r is again a minimal resolving
 set.  The definition-level check enumerates every minimal resolving set
 via a full subset table and tests the quantifier over all ordered pairs;
-when it fails, a concrete violating triple (W1, r, W2) is returned and
-re-validated before being reported.
+when it fails, it returns the first violation found as the witness,
+without re-checking it: W2 in lexicographic order, then r ascending, and
+W1 the least minimal set holding r.  The report also lists the size of
+every minimal set.
 
 Two helper constructions give explicit oversized minimal sets at q=2: the
 set of vertices avoiding one fixed coordinate, and for n=3 a hand-picked
-four-element minimal set.  Either witnesses two minimal sizes, which is a
-sufficient (not necessary) condition for the property to fail.
+four-element minimal set.
 """
 
 from __future__ import annotations
@@ -66,26 +67,6 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
                                       minimal_set_sizes=sizes, witness=violation)
     return ExchangeReport(holds=True, method="definition-check",
                           minimal_set_sizes=sizes)
-
-
-def minimal_sets_of_distinct_sizes(
-    g, budget: int = DEFAULT_BUDGET
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two minimal resolving sets of different sizes, if any exist.
-
-    Finding a pair proves the exchange property fails; finding none is
-    inconclusive.  Returns the lexicographically least set of the smallest
-    size paired with the least set of the next size up.
-    """
-    sets, _ = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
-    ids = list(g.vertex_ids())
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for w in sets:
-        by_size.setdefault(len(w), []).append(tuple(ids[i] for i in w))
-    if len(by_size) < 2:
-        return None
-    small, bigger = sorted(by_size)[:2]
-    return (min(by_size[small]), min(by_size[bigger]))
 
 
 def coordinate_avoiding_set(q: int, n: int) -> tuple[int, ...]:

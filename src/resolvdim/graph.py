@@ -40,7 +40,7 @@ class ComponentGraph:
         field.validate_order(q)
         if n < 1:
             raise BadParameters(f"dimension n={n} must be >= 1")
-        count = vectorspace.vertex_count(q, n)
+        count = order_formula(q, n)
         if count > vertex_cap:
             raise InstanceTooLarge(
                 f"q^n-1 = {count} exceeds the vertex cap {vertex_cap}"

@@ -67,19 +67,6 @@ def _sorted_members(w: Iterable[int]) -> tuple[int, ...]:
     return order
 
 
-def _single_set(g: ComponentGraph, order: tuple[int, ...]
-                ) -> tuple[tuple[int, int] | None, np.ndarray | None]:
-    """Least colliding pair (0-based) of a sorted set, from its kernel
-    keys; when there is none, the resolving status of each single removal
-    (row i drops order[i]).  Needs the N x k block, no N x N matrix."""
-    engine = _Engine(g.distance_block(order))
-    every = np.arange(len(order))
-    pair = _least_equal_rows(engine.keys(every[None, :])[:, 0])
-    if pair is not None:
-        return pair, None
-    return None, engine.status(_drop_each(every))
-
-
 def _least_equal_rows(keys: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically least pair u < v of rows with equal keys (0-based)
     or None: after a stable sort, the adjacent equal entry with the least
@@ -93,14 +80,24 @@ def _least_equal_rows(keys: np.ndarray) -> tuple[int, int] | None:
 
 
 def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
-    """Full report: resolving status, least collision, minimality."""
+    """Full report: resolving status, least collision, minimality.
+
+    The least colliding pair comes from the kernel keys of the sorted set;
+    when there is none, minimality from the status of each single removal.
+    Single removals suffice: supersets of resolving sets resolve, so a
+    resolving proper subset implies a resolving (k-1)-subset.  Needs the
+    N x k block, no N x N matrix.
+    """
     members = tuple(w)
     order = _sorted_members(members)
-    pair, still = _single_set(g, order)
-    if still is None:
+    engine = _Engine(g.distance_block(order))
+    every = np.arange(len(order))
+    pair = _least_equal_rows(engine.keys(every[None, :])[:, 0])
+    if pair is not None:
         u, v = pair
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
                                colliding_pair=(u + 1, v + 1))
+    still = engine.status(_drop_each(every))
     redundant = order[int(np.argmax(still))] if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
@@ -116,15 +113,12 @@ def resolves(g: ComponentGraph, w: Iterable[int]) -> bool:
 
 
 def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
-    """True iff w resolves and no single removal still resolves.
-
-    Single removals suffice: supersets of resolving sets resolve, so a
-    resolving proper subset implies a resolving (k-1)-subset.
-    """
-    _, still = _single_set(g, _sorted_members(w))
-    if still is None:
+    """True iff w is a minimal resolving set, read from `is_resolving`;
+    NotResolving when w does not resolve."""
+    report = is_resolving(g, w)
+    if not report.is_resolving:
         raise NotResolving("the candidate set does not resolve the graph")
-    return not still.any()
+    return report.is_minimal
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +174,13 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """The one subset engine: a kernel, a plain scan, a pruned walk and the
-    twin-swap orbit.
+    """The one subset engine: a kernel and three walks.
 
     Rows of `dist` are vertices and columns are candidate members; the
     matrix is read at its stored dtype.  `keys` is the one kernel: exact
     per-vertex labels of any number of columns, read by `status` (the
     only resolving test) and by the colliding pair of a single set.
-    `_scan` walks every k-subset in lexicographic order; `walk`
+    The walks: `scan` lists every k-subset in lexicographic order; `walk`
     visits the same subsets in the same order but skips the prefixes the
     twin and refinement rules rule out; `orbit` lists the sets that omit
     one member of each twin class.  Each takes `batch` sets at a time and
@@ -258,31 +251,15 @@ class _Engine:
             out[lo:lo + self.batch] = ~np.any(keys[1:] == keys[:-1], axis=0)
         return out
 
-    def _scan(self, k: int, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(columns, status) batches of k-subsets in lexicographic order,
-        at most limit subsets, each one charged to the budget."""
+    def scan(self, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(columns, status) batches of every k-subset in lexicographic
+        order, each one charged to the budget.  Callers refuse a scan that
+        does not fit the budget before they start it."""
         it = combinations(range(self.n_cols), k)
-        while limit > 0:
-            chunk = list(islice(it, min(self.batch, limit)))
-            if not chunk:
-                return
-            limit -= len(chunk)
+        while chunk := list(islice(it, self.batch)):
             self.evaluated += len(chunk)
             cols = np.asarray(chunk, dtype=np.intp)
             yield cols, self.status(cols)
-
-    def all_hits(self, k: int) -> list[tuple[int, ...]]:
-        """Every resolving k-subset, lexicographic order."""
-        return [tuple(int(c) for c in row)
-                for cols, hits in self._scan(k, comb(self.n_cols, k)) for row in cols[hits]]
-
-    def mask_table(self) -> np.ndarray:
-        """Resolving status of every subset, indexed by bit mask of columns."""
-        status = np.zeros(1 << self.n_cols, dtype=bool)
-        for k in range(self.n_cols + 1):
-            for cols, hits in self._scan(k, comb(self.n_cols, k)):
-                status[(np.int64(1) << cols).sum(axis=1)] = hits
-        return status
 
     def landmark_bound(self) -> int:
         """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
@@ -530,11 +507,18 @@ def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
         raise BudgetExceeded(
             f"full subset table needs 2^{n} evaluations, over the budget {budget}",
             evaluated=0, budget=budget)
-    return _Engine(dist, budget).mask_table()
+    engine = _Engine(dist, budget)
+    status = np.zeros(1 << n, dtype=bool)
+    for k in range(n + 1):
+        for cols, hits in engine.scan(k):
+            status[(np.int64(1) << cols).sum(axis=1)] = hits
+    return status
 
 
-def minimal_status_by_mask(status: np.ndarray, n: int) -> np.ndarray:
-    """Minimal-resolving status for every subset mask, from the full table."""
+def minimal_status_by_mask(status: np.ndarray) -> np.ndarray:
+    """Minimal-resolving status for every subset mask, from the full table
+    of 2^n entries."""
+    n = status.size.bit_length() - 1
     minimal = status.copy()
     all_masks = np.arange(1 << n, dtype=np.int64)
     for b in range(n):
@@ -552,7 +536,7 @@ def minimal_sets_by_table(
     table indexed by bit mask.
     """
     n = dist.shape[0]
-    minimal = minimal_status_by_mask(resolving_status_by_mask(dist, budget), n)
+    minimal = minimal_status_by_mask(resolving_status_by_mask(dist, budget))
     sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
                   for m in map(int, np.flatnonzero(minimal)))
     return sets, minimal
@@ -570,7 +554,8 @@ def all_resolving_k_subsets(
         raise BudgetExceeded(
             f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
             evaluated=0, budget=budget)
-    return _Engine(dist, budget).all_hits(k)
+    return [tuple(int(c) for c in row)
+            for cols, hits in _Engine(dist, budget).scan(k) for row in cols[hits]]
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +591,10 @@ def enumerate_minimum_resolving_sets(
 
 
 def enumerate_minimal_resolving_sets(
-    g, size_cap: int | None = None, budget: int = DEFAULT_BUDGET
+    g, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All minimal resolving sets of size <= size_cap, lexicographic order
-    (ids), from the full 2^N subset table; BudgetExceeded when the table
-    does not fit the budget or the table guard."""
-    if size_cap is not None and size_cap < 0:
-        raise BadParameters("size cap must be non-negative")
+    """All minimal resolving sets, lexicographic order (ids), from the full
+    2^N subset table; BudgetExceeded when the table does not fit the
+    budget or the table guard."""
     sets, _ = minimal_sets_by_table(g.distance_matrix(), budget)
-    return [_ids(g, w) for w in sets if size_cap is None or len(w) <= size_cap]
+    return [_ids(g, w) for w in sets]

@@ -23,10 +23,6 @@ DEFAULT_VERTEX_CAP = 1 << 16
 _TERM_RE = re.compile(r"(\d*)e(\d+)")
 
 
-def vertex_count(q: int, n: int) -> int:
-    return q ** n - 1
-
-
 def encode(coeffs: Sequence[int], q: int) -> int:
     """Little-endian base-q id of a coefficient tuple."""
     vid = 0

@@ -119,7 +119,7 @@ def plain_first_hit(dist, k):
     """Lexicographically least resolving k-subset of the matrix columns, or
     None: the plain scan over every k-subset, with no pruning."""
     total = comb(dist.shape[1], k)
-    for cols, hits in _Engine(dist, total)._scan(k, total):
+    for cols, hits in _Engine(dist, total).scan(k):
         if hits.any():
             return tuple(int(c) for c in cols[int(np.argmax(hits))])
     return None

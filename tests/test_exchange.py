@@ -48,18 +48,22 @@ def test_budget_exceeded_without_theorem_flag(g33):
         exchange.has_exchange_property(g33, budget=1000)
 
 
-def test_distinct_sizes_shortcut(g22, g23, g32):
-    pair = exchange.minimal_sets_of_distinct_sizes(g23)
-    assert pair == ((1, 2, 3), (1, 3, 6, 7))
-    assert (len(pair[0]), len(pair[1])) == (3, 4)
-    assert exchange.minimal_sets_of_distinct_sizes(g22) is None
-    assert exchange.minimal_sets_of_distinct_sizes(g32) is None
+def test_distinct_sizes_shortcut(g22, g23, g24, g32):
+    # two minimal sizes, read from the one table of the exchange check
+    assert set(exchange.has_exchange_property(g23).minimal_set_sizes) == {3, 4}
+    assert len(set(exchange.has_exchange_property(g24).minimal_set_sizes)) >= 2
+    assert len(set(exchange.has_exchange_property(g22).minimal_set_sizes)) == 1
+    assert len(set(exchange.has_exchange_property(g32).minimal_set_sizes)) == 1
+    minimal = resolving.enumerate_minimal_resolving_sets(g23)
+    assert min(w for w in minimal if len(w) == 3) == (1, 2, 3)
+    assert min(w for w in minimal if len(w) == 4) == (1, 3, 6, 7)
 
 
-def test_shortcut_pair_implies_failure(g23, g24):
-    for g in (g23, g24):
-        if exchange.minimal_sets_of_distinct_sizes(g) is not None:
-            assert not exchange.has_exchange_property(g).holds
+def test_shortcut_pair_implies_failure(g22, g23, g24, g32):
+    for g in (g22, g23, g24, g32):
+        report = exchange.has_exchange_property(g)
+        if len(set(report.minimal_set_sizes)) >= 2:
+            assert not report.holds
 
 
 def test_coordinate_avoiding_set_values(g23):

@@ -66,13 +66,18 @@ def test_every_single_set_check_rejects_duplicates(g23, check):
         check(g23, (1, 1, 2, 4))
 
 
-def test_is_minimal_examples(g23):
+def test_is_minimal_examples(g23, g24):
     assert resolving.is_minimal(g23, (1, 3, 6, 7))
     assert resolving.is_minimal(g23, (1, 4, 5))
     assert not resolving.is_minimal(g23, tuple(range(1, 8)))
     rep = resolving.is_resolving(g23, tuple(range(1, 8)))
     assert rep.is_resolving and not rep.is_minimal
     assert rep.redundant_vertex == 1
+    # the canonical basis plus e1+e4 resolves; only the last removal, of
+    # e1+e4 itself, still resolves
+    w = resolving.canonical_metric_basis(2, 4) + (9,)
+    assert not resolving.is_minimal(g24, w)
+    assert resolving.is_resolving(g24, w).redundant_vertex == 9
 
 
 def test_is_minimal_requires_resolving(g23):
@@ -145,11 +150,10 @@ def test_canonical_basis_resolves_minimally(q, n):
 
 def test_enumerate_minimal_examples(g22, g23):
     assert resolving.enumerate_minimal_resolving_sets(g22) == [(1,), (2,)]
-    capped = resolving.enumerate_minimal_resolving_sets(g23, size_cap=4)
-    sizes = {len(w) for w in capped}
-    assert sizes == {3, 4}
-    assert resolving.enumerate_minimal_resolving_sets(g23, size_cap=2) == []
-    assert capped == sorted(capped)
+    minimal = resolving.enumerate_minimal_resolving_sets(g23)
+    assert {len(w) for w in minimal} == {3, 4}
+    assert [w for w in minimal if len(w) <= 2] == []
+    assert minimal == sorted(minimal)
 
 
 def test_enumerate_minimal_all_verify(g23):
@@ -161,12 +165,7 @@ def test_enumerate_minimal_over_the_table_budget_raises(g23):
     # the 2^N table is the only route: a budget below 2^7 is refused
     with pytest.raises(BudgetExceeded, match=r"^full subset table needs 2\^7 "
                                              r"evaluations, over the budget 120$"):
-        resolving.enumerate_minimal_resolving_sets(g23, size_cap=3, budget=120)
-
-
-def test_enumerate_minimal_rejects_negative_cap(g23):
-    with pytest.raises(BadParameters):
-        resolving.enumerate_minimal_resolving_sets(g23, size_cap=-1)
+        resolving.enumerate_minimal_resolving_sets(g23, budget=120)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -216,12 +215,16 @@ def test_monotonicity_random_supersets(g32):
 
 
 def test_mask_table_consistency(g23):
-    # the vectorized full-subset table agrees with the direct checker
+    # the vectorized full-subset table and its minimal table agree with the
+    # direct checker
     status = resolving.resolving_status_by_mask(g23.distance_matrix())
+    minimal = resolving.minimal_status_by_mask(status)
     for mask in range(1 << 7):
         members = tuple(i + 1 for i in range(7) if (mask >> i) & 1)
-        assert status[mask] == resolving.is_resolving(g23, members).is_resolving
+        report = resolving.is_resolving(g23, members)
+        assert status[mask] == report.is_resolving
         assert status[mask] == resolves_by_definition(g23, members)
+        assert minimal[mask] == report.is_minimal
 
 
 def test_wide_path_matches_definition():

@@ -20,6 +20,21 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads():
+    # the CLI's results follow from its arguments alone: no module reads
+    # os.environ or os.getenv, under any import name
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in _ENVIRONMENT for alias in node.names)]
+    assert SOURCES and found == []
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
