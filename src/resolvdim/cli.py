@@ -318,7 +318,9 @@ def _dim(g, args, record):
 def _corollary(g, args, record):
     """Minimum resolving sets against linear independence."""
     q, n = g.q, g.n
-    if q >= 3 and record["dim"]["status"] == "skipped":
+    if q == 2 and n != 3:
+        yield "corollary", {"status": "not-applicable"}, None
+    elif record["dim"]["status"] == "skipped":
         yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
     elif q >= 3:
         dist = g.distance_matrix()
@@ -338,12 +340,10 @@ def _corollary(g, args, record):
         f = field_mod.field_new(q)
         dependent = not field_mod.has_full_rank(
             f, n, [vectorspace.decode(v, q, n) for v in ids])
-        minimum = len(ids) == resolving_mod.metric_dimension_formula(q, n)
+        minimum = len(ids) == record["dim"]["search"]
         ok = rep.is_resolving and minimum and dependent
         yield "corollary", {"status": "counterexample-verified",
                             "witness": _labels(g, ids), "ok": ok}, ok
-    else:
-        yield "corollary", {"status": "not-applicable"}, None
 
 
 def _exchange(g, args, record):

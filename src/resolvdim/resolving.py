@@ -12,10 +12,13 @@ Hernando, Mora, Pelayo, Seara and Wood, 2010) and the landmark bound (k
 landmarks with distances in 1..D separate at most D^k + k vertices;
 Khuller, Raghavachari and Rosenfeld, 1996).  At each size it walks the
 k-subsets in lexicographic order depth first and drops a prefix when one
-of those two rules shows that no completion can resolve, so the returned
-witness is the lexicographically least minimum resolving set.  When the
-dimension equals the twin bound, the minimum resolving sets are the
-twin-swap orbit of the core and are enumerated as such.
+of those two rules shows that no completion can resolve; a full k-subset
+is decided by the same rule, so the returned witness is the
+lexicographically least minimum resolving set.  The walk never calls the
+column-group kernel, which serves the plain scan, the twin-swap orbit,
+the 2^N table and the single-set checks.  When the dimension equals the
+twin bound, the minimum resolving sets are the twin-swap orbit of the
+core and are enumerated as such.
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -179,12 +182,14 @@ class _Engine:
     Rows of `dist` are vertices and columns are candidate members; the
     matrix is read at its stored dtype.  `keys` is the one kernel: exact
     per-vertex labels of any number of columns, read by `status` (the
-    only resolving test) and by the colliding pair of a single set.
-    The walks: `scan` lists every k-subset in lexicographic order; `walk`
-    visits the same subsets in the same order but skips the prefixes the
-    twin and refinement rules rule out; `orbit` lists the sets that omit
-    one member of each twin class.  Each takes `batch` sets at a time and
-    charges the budget for the subsets it evaluates.
+    batched resolving test) and by the colliding pair of a single set.
+    The walks: `scan` lists every k-subset in lexicographic order and
+    `orbit` the sets that omit one member of each twin class, each
+    `batch` sets at a time through `status`; `walk` visits the scan's
+    subsets in the same order but skips the prefixes the twin and
+    refinement rules rule out, and decides every node, full k-subsets
+    included, by one refinement step of its parent's partition, without
+    the kernel.  Each charges the budget for the subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray, budget: int = DEFAULT_BUDGET):
@@ -289,9 +294,12 @@ class _Engine:
             the classes still need more than r members in total (every
             resolving set holds all but one member of each class).
         Rule (b) is applied before a child is formed, so the children
-        are the columns it allows.  Children with no pick left are full
-        k-subsets; the kernel `status` decides them, in batches, and the
-        budget is charged up to the witness, as if one at a time.
+        are the columns it allows.  A child with no pick left is a full
+        k-subset and a node like any other: with r = 0 rule (a) keeps it
+        only when every cell is a single vertex, that is, when it
+        resolves, and the first such leaf is the witness.  Labels are
+        the dense ranks of a prefix's partition, stored as int32 (they
+        lie below N) and widened to int64 for the refinement key.
         """
         n = self.n_cols
         # cls[v]: v's class, named by its least column; next_same[v]: the
@@ -350,28 +358,10 @@ class _Engine:
             nonlocal need
             need += fills
 
-        frames = [[np.zeros(self.n_rows, dtype=np.int64), children(), 0]]
+        frames = [[np.zeros(self.n_rows, dtype=np.int32), children(), 0]]
         while frames:
             frame = frames[-1]
             labels, cands, pos = frame
-            picks_after = k - len(path) - 1
-            if picks_after == 0:
-                for at in range(0, len(cands), self.batch):
-                    chunk = cands[at:at + min(self.batch, self.left)]
-                    if chunk.size == 0:
-                        return None, False
-                    cols = np.empty((len(chunk), k), dtype=np.intp)
-                    cols[:, :-1] = path
-                    cols[:, -1] = chunk
-                    hits = self.status(cols)
-                    if hits.any():
-                        first = int(np.argmax(hits))
-                        self.evaluated += first + 1
-                        return tuple(path) + (int(chunk[first]),), True
-                    self.evaluated += len(chunk)
-                    if len(chunk) < len(cands[at:at + self.batch]):
-                        return None, False
-                pos = len(cands)
             if pos == len(cands):
                 frames.pop()
                 if path:
@@ -382,12 +372,15 @@ class _Engine:
                 return None, False
             self.evaluated += 1
             c = int(cands[pos])
-            key = labels * self.base + self.dist[:, c]
+            key = np.multiply(labels, self.base, dtype=np.int64) + self.dist[:, c]
             counts = np.bincount(key)
+            picks_after = k - len(path) - 1
             if counts.max() > limit[picks_after]:
                 continue
+            if picks_after == 0:  # limit[0] == 1: every vertex stands alone
+                return tuple(path) + (c,), True
             pick(c)
-            frames.append([(np.cumsum(counts > 0) - 1)[key], children(), 0])
+            frames.append([(np.cumsum(counts > 0, dtype=np.int32) - 1)[key], children(), 0])
         return None, True
 
     def orbit(self, twin_classes: Sequence[Sequence[int]]

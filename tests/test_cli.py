@@ -447,6 +447,24 @@ def test_verify_timings_text_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_verify_counterexample_is_skipped_with_the_dim_search(tmp_path):
+    # the q=2, n=3 counterexample's "minimum" is read from the search, so
+    # a skipped search cannot be stood in for by the formula it checks
+    out = tmp_path / "r.json"
+    assert main(["verify", "--q", "2", "--n", "3", "--budget", "1",
+                 "--format", "json", "--out", str(out)]) == 0
+    cell = json.loads(out.read_text())["records"][0]
+    assert cell["dim"]["status"] == "skipped"
+    assert cell["corollary"] == {"status": "skipped", "reason": "dim search skipped"}
+    main(["verify", "--q", "2", "--n", "3", "--budget", "1", "--out", str(out)])
+    assert " corollary=skipped " in out.read_text()
+    main(["verify", "--q", "2", "--n", "3", "--format", "json", "--out", str(out)])
+    cell = json.loads(out.read_text())["records"][0]
+    assert cell["dim"]["search"] == 3
+    assert cell["corollary"]["status"] == "counterexample-verified"
+    assert cell["corollary"]["ok"] is True
+
+
 def test_main_in_process_returns_exit_codes(capsys):
     assert main(["dim", "--q", "2", "--n", "2"]) == 0
     capsys.readouterr()

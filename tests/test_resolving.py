@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, islice
 from math import comb, prod
 
@@ -299,6 +300,67 @@ def test_walk_starts_at_the_dimension(q, n):
     assert tuple(c + 1 for c in witness) == resolving.canonical_metric_basis(q, n)
     # one node per pick, the witness the first leaf tried
     assert engine.evaluated == k
+
+
+def test_walk_decides_leaves_without_the_kernel(monkeypatch):
+    # the walk and the plain scan are independent routes: no leaf of the
+    # walk goes through the column-group kernel
+    graphs = [ComponentGraph(q, n) for q, n in [(2, 2), (2, 4), (2, 6), (3, 3), (7, 2)]]
+    inputs = [(g.distance_matrix(), _twin_classes0(g)) for g in graphs]
+    rng = random.Random("walk:kernel-free")
+    pg = PlainGraph(24, [(u, v) for u in range(24) for v in range(u + 1, 24)
+                         if rng.random() < 0.2])
+    inputs.append((pg.distance_matrix(),
+                   twins.twin_classes_from_adjacency(pg.adjacency_matrix())))
+    expected = [resolving.find_min_resolving_for_matrix(d, c) for d, c in inputs]
+
+    def kernel(*args):
+        raise AssertionError("the walk called the kernel")
+
+    monkeypatch.setattr(resolving._Engine, "keys", kernel)
+    monkeypatch.setattr(resolving._Engine, "status", kernel)
+    assert [resolving.find_min_resolving_for_matrix(d, c) for d, c in inputs] == expected
+
+
+@pytest.mark.parametrize("q,n,least", [(2, 4, 20), (2, 6, 32), (3, 3, 19), (7, 2, 45)])
+def test_walk_budget_counts_every_leaf(q, n, least):
+    # one unit per leaf, charged in order up to the witness: `least` is the
+    # smallest budget that decides (at (2,4), 15 leaves fail first)
+    g = ComponentGraph(q, n)
+    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    k, witness = resolving.find_min_resolving_for_matrix(dist, classes)
+    assert resolving.find_min_resolving_for_matrix(dist, classes, least) == (k, witness)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^search stopped after {least - 1} subset evaluations$") as err:
+        resolving.find_min_resolving_for_matrix(dist, classes, least - 1)
+    assert (err.value.lower_bound, err.value.upper_bound) == (k, len(dist))
+    assert err.value.evaluated == least - 1
+
+
+def test_walk_frames_hold_int32_ranks():
+    # (4,5): the walk is k = 992 frames deep over N = 1023 rows; int64
+    # frames alone would take k * N * 8 bytes
+    g = ComponentGraph(4, 5)
+    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    tracemalloc.start()
+    try:
+        k, _ = resolving.find_min_resolving_for_matrix(dist, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 992 and peak < k * len(dist) * 6
+
+
+def test_walk_key_is_int64_for_any_entry():
+    # the int32 frame ranks are widened before the refinement key is
+    # formed, so an entry past int32 is read exactly; column 1 resolves
+    big = 1 << 40
+    dist = np.array([[0, 1, 1, 2],
+                     [1, 0, 2, 3],
+                     [1, 2, 0, big],
+                     [2, 3, big, 0]], dtype=np.int64)
+    singletons = [[v] for v in range(4)]
+    assert resolving.find_min_resolving_for_matrix(dist, singletons) == (1, (1,))
 
 
 def test_landmark_bound():

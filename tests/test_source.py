@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,22 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_sources_parse_at_the_python_floor():
+    # syntax newer than `requires-python` (say, `except*` under 3.10) would
+    # fail only on the oldest interpreter the package claims
+    if not PYPROJECT.is_file():
+        pytest.skip("no pyproject.toml in this checkout")
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
+                      PYPROJECT.read_text(), re.MULTILINE)
+    assert floor is not None
+    version = (int(floor[1]), int(floor[2]))
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
