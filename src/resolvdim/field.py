@@ -5,7 +5,9 @@ An element is the integer 0..q-1; for GF(p^m) the integer is the base-p
 packing of the polynomial coefficients, so c0 + c1*x + c2*x^2 packs to
 c0 + c1*p + c2*p^2.  Addition, multiplication and inversion are served
 from q-by-q tables built once at construction, which keeps the hot loops
-branch-free for every supported size.
+branch-free for every supported size.  Rank reads those tables directly:
+each vector is reduced against a running echelon basis, and the scan stops
+as soon as the basis spans the whole space.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class FieldSpec:
         self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv: list[int | None] = [None] + [self._mul[a].index(1) for a in range(1, q)]
+        self._elements = frozenset(range(q))
 
     # -- construction-time digit arithmetic --
 
@@ -174,6 +177,44 @@ class FieldSpec:
             raise DivisionByZero(f"element 0 has no inverse in GF({self.q})")
         return self._inv[a]  # type: ignore[return-value]
 
+    def rank(self, vectors: Sequence[Sequence[int]]) -> int:
+        """Rank of a list of equal-length vectors over this field.
+
+        Every vector is validated first: DimensionMismatch for a length
+        that differs from the first vector's, OutOfRange for an entry
+        outside 0..q-1.  Then each vector in turn is reduced against a
+        running echelon basis, read straight from the tables; a nonzero
+        remainder is scaled to a leading 1 and joins the basis.  The scan
+        stops once the basis has one member per coordinate, since the rank
+        cannot be higher.
+        """
+        rows = [list(v) for v in vectors]
+        if not rows:
+            return 0
+        ncols = len(rows[0])
+        for v in rows:
+            if len(v) != ncols:
+                raise DimensionMismatch(f"vector lengths differ: {len(v)} vs {ncols}")
+        for v in rows:
+            if not self._elements.issuperset(v):
+                bad = next(x for x in v if x not in self._elements)
+                raise OutOfRange(f"{bad} is not an element of GF({self.q})")
+        add, mul, neg, inv = self._add, self._mul, self._neg, self._inv
+        basis: list[tuple[int, list[int]]] = []  # (pivot column, row with a 1 there)
+        for v in rows:
+            for col, b in basis:
+                c = v[col]
+                if c:
+                    m = mul[neg[c]]
+                    v = [add[x][m[y]] for x, y in zip(v, b)]
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is not None:
+                scale = mul[inv[v[pivot]]]  # type: ignore[index]  # v[pivot] != 0
+                basis.append((pivot, [scale[x] for x in v]))
+                if len(basis) == ncols:
+                    break
+        return len(basis)
+
     def elements(self) -> range:
         return range(self.q)
 
@@ -187,30 +228,8 @@ def field_new(q: int) -> FieldSpec:
 
 
 def rank(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of equal-length vectors over f, by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    for v in rows:
-        if len(v) != ncols:
-            raise DimensionMismatch(f"vector lengths differ: {len(v)} vs {ncols}")
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = f.inv(rows[r][col])
-        rows[r] = [f.mul(scale, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank of a list of equal-length vectors over f (see FieldSpec.rank)."""
+    return f.rank(vectors)
 
 
 def has_full_rank(f: FieldSpec, n: int, vectors: Sequence[Sequence[int]]) -> bool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import resolvdim
-from resolvdim.errors import EmptySet
+from resolvdim.errors import DimensionMismatch, EmptySet
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
 from resolvdim.resolving import _Engine
@@ -82,6 +82,35 @@ def int64_digits(base):
     while base ** (group + 1) < 2 ** 62:
         group += 1
     return group
+
+
+def rank_by_elimination(f, vectors):
+    """Rank of equal-length vectors over f by Gauss-Jordan elimination over
+    every row for every pivot, one public field operation per element: the
+    routine the running-basis `field.rank` replaced, kept as its reference."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    for v in rows:
+        if len(v) != ncols:
+            raise DimensionMismatch(f"vector lengths differ: {len(v)} vs {ncols}")
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = f.inv(rows[r][col])
+        rows[r] = [f.mul(scale, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def status_by_rows(dist, cols):

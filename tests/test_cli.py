@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+from resolvdim import field
 from resolvdim.cli import main
 
 CLI = [sys.executable, "-m", "resolvdim"]
@@ -195,6 +196,17 @@ def test_check_dependent_basis():
     result = run_cli(["check", "--q", "2", "--n", "3", "-W", "e1,e1+e3,e3"])
     assert result.returncode == 0
     assert "contains_v_basis=false" in result.stdout
+
+
+@pytest.mark.parametrize("q, members, spans", [
+    (4, "e1,2e1", "false"),
+    (9, "e1,5e1", "false"),
+    (4, "e1,2e1+e2,3e2", "true"),
+])
+def test_check_basis_verdict_at_prime_power_orders(q, members, spans, capsys):
+    # scalar multiples of e1 span a line; 2e1+e2 and 3e2 span GF(4)^2
+    assert main(["check", "--q", str(q), "--n", "2", "-W", members]) == 1
+    assert f"contains_v_basis={spans}\n" in capsys.readouterr().out
 
 
 def test_check_not_resolving_reports_collision():
@@ -463,6 +475,27 @@ def test_verify_counterexample_is_skipped_with_the_dim_search(tmp_path):
     assert cell["dim"]["search"] == 3
     assert cell["corollary"]["status"] == "counterexample-verified"
     assert cell["corollary"]["ok"] is True
+
+
+def test_verify_corollary_can_fail(monkeypatch, capsys):
+    # one undercounted rank among the 16 orbit sets at (3,2), the last one
+    # checked, must fail the corollary and the cell
+    real_rank, calls = field.rank, []
+
+    def undercount_last(f, vectors):
+        calls.append(vectors)
+        return real_rank(f, vectors) - (len(calls) == 16)
+
+    monkeypatch.setattr(field, "rank", undercount_last)
+    assert main(["verify", "--q", "3", "--n", "2", "--format", "json"]) == 1
+    cell = json.loads(capsys.readouterr().out)["records"][0]
+    assert cell["corollary"] == {"status": "verified", "minimum_sets": 16,
+                                 "all_contain_v_basis": False}
+    assert cell["pass"] is False
+    calls.clear()
+    assert main(["verify", "--q", "3", "--n", "2"]) == 1
+    assert " corollary=FAIL " in capsys.readouterr().out
+    assert len(calls) == 16
 
 
 def test_main_in_process_returns_exit_codes(capsys):

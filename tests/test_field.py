@@ -1,9 +1,12 @@
+import random
+import re
 from itertools import combinations, product
 
 import pytest
 
+from conftest import rank_by_elimination
 from resolvdim import field
-from resolvdim.errors import (DimensionMismatch, DivisionByZero,
+from resolvdim.errors import (DimensionMismatch, DivisionByZero, OutOfRange,
                               UnsupportedOrder)
 
 
@@ -124,6 +127,54 @@ def test_rank_agrees_with_enumeration(q, n):
         for subset in combinations(vectors, size):
             assert (field.rank(f, subset) == len(subset)) == \
                 _independent_by_enumeration(f, list(subset))
+
+
+def _vector_lists(f, n, rng, count=40):
+    """Seeded lists of 0..n+3 vectors of length n over f, mixing fresh
+    random vectors with zero vectors, repeats and combinations of earlier
+    members, so dependent lists turn up at every order."""
+    for _ in range(count):
+        vectors = []
+        for _ in range(rng.randint(0, n + 3)):
+            roll = rng.random()
+            if roll < 0.15:
+                v = (0,) * n
+            elif roll < 0.3 and vectors:
+                v = rng.choice(vectors)
+            elif roll < 0.55 and vectors:
+                u, w = rng.choice(vectors), rng.choice(vectors)
+                a, b = rng.randrange(f.q), rng.randrange(f.q)
+                v = tuple(f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(u, w))
+            else:
+                v = tuple(rng.randrange(f.q) for _ in range(n))
+            vectors.append(v)
+        yield vectors
+
+
+@pytest.mark.parametrize("q", field.SUPPORTED_ORDERS)
+def test_rank_agrees_with_elimination_on_every_order(q):
+    # odd characteristic catches a sign slip in the reduction step, and
+    # every q > 2 a pivot row left unscaled
+    f = field.field_new(q)
+    rng = random.Random(q)
+    for n in range(1, 5):
+        for vectors in _vector_lists(f, n, rng):
+            r = field.rank(f, vectors)
+            assert r == rank_by_elimination(f, vectors), (q, n, vectors)
+            if q ** len(vectors) <= 4096:
+                assert (r == len(vectors)) == \
+                    _independent_by_enumeration(f, vectors), (q, n, vectors)
+
+
+@pytest.mark.parametrize("vectors, error, message", [
+    ([(1, 0), (0, 1), (1, 0, 1)], DimensionMismatch, "vector lengths differ: 3 vs 2"),
+    ([(1, 0), (0, 1), (5, 0)], OutOfRange, "5 is not an element of GF(3)"),
+    ([(1, 0), (0, 1), (-1, 0)], OutOfRange, "-1 is not an element of GF(3)"),
+])
+def test_rank_validates_vectors_past_full_rank(vectors, error, message):
+    # the first two vectors already span GF(3)^2; the third is still checked
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        field.rank(field.field_new(3), vectors)
 
 
 def test_has_full_rank():
