@@ -5,17 +5,16 @@ intersect, verify}.  Exit codes are a stable contract: 0 all pass, 1
 verification failure, 2 usage error (including instances over the vertex
 cap and parse errors), 3 budget exceeded.
 
-Reports are deterministic: identical configurations (including --seed)
-produce byte-identical output, because `verify` checks its cells one after
-another in sorted order, randomized trials derive their generator from
-(seed, q, n), and timings are only included when --timings is given.
+Reports are deterministic: identical configurations produce byte-identical
+output, because `verify` checks its cells one after another in sorted
+order, draws nothing at random, and includes timings only when --timings
+is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
@@ -356,34 +355,34 @@ def _exchange(g, args, record):
                        "expected": expected, "match": ok}, ok
 
 
-def _swaps(g, args, record, trials: int = 20):
-    """Random twin swaps in resolving supersets of the canonical basis."""
-    part = twins_mod.partition_by_neighborhood(g)
-    if all(len(c) < 2 for c in part.classes):
+def _swaps(g, args, record):
+    """Twin swaps in resolving sets, checked exactly rather than sampled.
+
+    (a) Consecutive members of each twin class pass `are_twins`, which reads
+    skeleton distances, not the adjacency rows behind the classes.  Twinness
+    is an equivalence and each twin transposition an automorphism, so every
+    swap keeps every resolving set resolving (Hernando, Mora, Pelayo, Seara
+    and Wood, 2010).  (b) The canonical basis resolves, and so does the set
+    that swaps, in each class, its least member in the basis for the least
+    member outside.  A resolving set omits at most one member of a class,
+    so a class the basis does not cut fails.
+    """
+    classes = [c for c in twins_mod.partition_by_neighborhood(g).classes if len(c) > 1]
+    if not classes:
         yield "swaps", {"status": "no-twins"}, None
         return
-    rng = random.Random(f"{args.seed}:{g.q}:{g.n}")
-    base = resolving_mod.canonical_metric_basis(g.q, g.n)
-    all_ids = list(g.vertex_ids())
-    passed = 0
-    for _ in range(trials):
-        w = set(base)
-        for _ in range(rng.randrange(0, 3)):
-            w.add(rng.choice(all_ids))
-        swappable = [c for c in part.classes
-                     if any(x in w for x in c) and any(x not in w for x in c)]
-        if not swappable:
-            continue
-        cls = rng.choice(swappable)
-        u = rng.choice([x for x in cls if x in w])
-        v = rng.choice([x for x in cls if x not in w])
-        if not (resolving_mod.resolves(g, w) and
-                resolving_mod.resolves(g, twins_mod.twin_swap(g, w, u, v))):
-            yield "swaps", {"status": "checked", "trials": trials,
-                            "all_resolving": False}, False
-            return
-        passed += 1
-    yield "swaps", {"status": "checked", "trials": passed, "all_resolving": True}, True
+    pairs = [(u, v) for c in classes for u, v in zip(c, c[1:])]
+    twins_ok = all([twins_mod.are_twins(g, u, v) for u, v in pairs])  # no early stop
+    basis = resolving_mod.canonical_metric_basis(g.q, g.n)
+    members = set(basis)
+    split = [([x for x in c if x in members], [x for x in c if x not in members])
+             for c in classes]
+    cut = [(ins[0], out[0]) for ins, out in split if ins and out]
+    swapped = members.symmetric_difference(x for pair in cut for x in pair)
+    ok = (twins_ok and len(cut) == len(classes) and resolving_mod.resolves(g, basis)
+          and resolving_mod.resolves(g, swapped))
+    yield "swaps", {"status": "checked", "pairs_checked": len(pairs),
+                    "classes_swapped": len(cut), "all_resolving": ok}, ok
 
 
 # (--timings window, check); a skipped check's section is named after its window
@@ -439,10 +438,11 @@ def cmd_verify(args) -> int:
         text = render_json({
             "schema_version": SCHEMA_VERSION,
             "config": {"qs": qs, "ns": ns, "budget": args.budget,
-                       "vertex_cap": args.vertex_cap, "seed": args.seed,
-                       # kept for schema_version 1 readers; the escape
-                       # hatch it recorded is gone, so it is always false
-                       "allow_theorem": False},
+                       "vertex_cap": args.vertex_cap,
+                       # kept for schema_version 1 readers: --seed seeds
+                       # nothing, and the escape hatch allow_theorem
+                       # recorded is gone, so it is always false
+                       "seed": args.seed, "allow_theorem": False},
             "records": [record for record, _ in cells],
             "overall_pass": overall,
         })
@@ -527,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (JSON only; breaks byte "
                          "determinism)")
-    sp.add_argument("--seed", type=int, default=0, help="seeds the twin-swap trials")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="accepted for compatibility; seeds nothing")
     _add_common(sp)
 
     return p

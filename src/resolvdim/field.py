@@ -233,5 +233,8 @@ def rank(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
 
 
 def has_full_rank(f: FieldSpec, n: int, vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff the vectors span GF(q)^n, i.e. some n-subset is independent."""
+    """True iff the vectors span GF(q)^n, i.e. some n-subset is independent;
+    DimensionMismatch unless the first has length n (`rank` checks the rest)."""
+    if vectors and len(vectors[0]) != n:
+        raise DimensionMismatch(f"vector length {len(vectors[0])} differs from n={n}")
     return rank(f, vectors) == n

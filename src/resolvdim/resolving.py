@@ -28,14 +28,14 @@ evaluates, one per subset a plain scan or an orbit checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import field
 from . import twins as twins_mod
-from . import vectorspace
 from .errors import BadParameters, BudgetExceeded, NotResolving
 from .graph import ComponentGraph
 
@@ -150,26 +150,22 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
     """Constructive minimum resolving set.
 
     q=2: empty for n=1, {e1} for n=2, the unit vectors for n>=3.
-    q>=3: all but the largest-id member of every skeleton class.
+    q>=3: all but the largest-id member of every skeleton class.  Checks
+    q and n as `ComponentGraph` does.
     """
+    field.validate_order(q)
+    if n < 1:
+        raise BadParameters(f"dimension n={n} must be >= 1")
     if q == 2:
         if n == 1:
             return ()
         if n == 2:
             return (1,)
         return tuple(2 ** i for i in range(n))
-    out: list[int] = []
-    for mask in range(1, 1 << n):
-        support = [i for i in range(n) if (mask >> i) & 1]
-        members = []
-        for values in product(range(1, q), repeat=len(support)):
-            coeffs = [0] * n
-            for pos, val in zip(support, values):
-                coeffs[pos] = val
-            members.append(vectorspace.encode(coeffs, q))
-        members.sort()
-        out.extend(members[:-1])
-    return tuple(sorted(out))
+    # a class's largest id has every coefficient on its support at q-1
+    largest = {(q - 1) * sum(q ** i for i in range(n) if mask >> i & 1)
+               for mask in range(1, 1 << n)}
+    return tuple(v for v in range(1, q ** n) if v not in largest)
 
 
 # ---------------------------------------------------------------------------

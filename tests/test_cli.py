@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_env
-from resolvdim import field
+from resolvdim import cli, field, resolving, twins, vectorspace
 from resolvdim.cli import main
+from resolvdim.graph import ComponentGraph
 
 CLI = [sys.executable, "-m", "resolvdim"]
 DATA = Path(__file__).parent / "data"
@@ -496,6 +498,97 @@ def test_verify_corollary_can_fail(monkeypatch, capsys):
     assert main(["verify", "--q", "3", "--n", "2"]) == 1
     assert " corollary=FAIL " in capsys.readouterr().out
     assert len(calls) == 16
+
+
+def _merge_e1_with_e1_plus_e2(monkeypatch):
+    real = twins.partition_by_neighborhood
+
+    def merged(g):
+        ids = [vectorspace.parse_vertex(t, g.q, g.n) for t in ("e1", "e1+e2")]
+        parts = [c for c in real(g).classes if not set(ids) & set(c)]
+        joined = tuple(sorted(x for c in real(g).classes if set(ids) & set(c) for x in c))
+        classes = tuple(sorted(parts + [joined]))
+        return twins.TwinPartition(classes, tuple(g.skeleton(c[0]) for c in classes))
+
+    monkeypatch.setattr(twins, "partition_by_neighborhood", merged)
+
+
+def _reject_one_consecutive_pair(monkeypatch):
+    real = twins.are_twins  # (4, 5) is (e1+e2, 2e1+e2), consecutive in its class
+    monkeypatch.setattr(twins, "are_twins", lambda g, u, v: (u, v) != (4, 5) and real(g, u, v))
+
+
+def _basis_holds_a_whole_class(monkeypatch):
+    real = resolving.canonical_metric_basis  # adds 2e1, the omitted twin of e1
+    monkeypatch.setattr(resolving, "canonical_metric_basis",
+                        lambda q, n: tuple(sorted(real(q, n) + (2,))))
+
+
+def _resolves_ignores_the_last_column(monkeypatch):
+    real = resolving.resolves
+    monkeypatch.setattr(resolving, "resolves", lambda g, w: real(g, sorted(w)[:-1]))
+
+
+def _resolves_ignores_the_swapped_in_columns(monkeypatch):
+    real, basis = resolving.resolves, set(resolving.canonical_metric_basis(3, 2))
+    monkeypatch.setattr(resolving, "resolves",
+                        lambda g, w: real(g, [x for x in w if x in basis]))
+
+
+@pytest.mark.parametrize("mutate", [_merge_e1_with_e1_plus_e2, _reject_one_consecutive_pair,
+                                    _basis_holds_a_whole_class,
+                                    _resolves_ignores_the_last_column,
+                                    _resolves_ignores_the_swapped_in_columns],
+                         ids=lambda mutate: mutate.__name__.strip("_"))
+def test_verify_swaps_can_fail(mutate, monkeypatch, capsys):
+    # each part of the exact swap check must turn a wrong answer into a
+    # verdict, never a usage error or a traceback
+    mutate(monkeypatch)
+    assert main(["verify", "--q", "3", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(" swaps=FAIL cell=FAIL")
+    assert captured.err == ""
+    assert main(["verify", "--q", "3", "--n", "2", "--format", "json"]) == 1
+    cell = json.loads(capsys.readouterr().out)["records"][0]
+    assert cell["twin_swap_trials"]["all_resolving"] is False
+    assert cell["pass"] is False
+
+
+def test_verify_swaps_counts_every_twin_pair():
+    # N minus the number of skeleton classes pairs, one swap per class; at
+    # q = 2 the skeleton classes are single vertices, and only (2,2) has
+    # twins, the two unit vectors
+    for q in (2, 3, 4, 5):
+        for n in (1, 2, 3):
+            g = ComponentGraph(q, n)
+            [(_, body, _)] = cli._swaps(g, None, {})
+            sizes = np.unique(g.skeleton_array(), return_counts=True)[1]
+            if (q, n) == (2, 2):
+                assert body == {"status": "checked", "pairs_checked": 1,
+                                "classes_swapped": 1, "all_resolving": True}
+            elif q == 2:
+                assert body == {"status": "no-twins"}
+            else:
+                assert body == {"status": "checked",
+                                "pairs_checked": g.vertex_count - len(sizes),
+                                "classes_swapped": int((sizes > 1).sum()),
+                                "all_resolving": True}, (q, n)
+
+
+def test_verify_seed_changes_nothing_but_its_echo(tmp_path):
+    # --seed is accepted for compatibility; it only shows as config.seed
+    reports = {}
+    for seed in ("1", "7"):
+        for fmt in ("text", "json"):
+            out = tmp_path / f"{seed}.{fmt}"
+            assert main(["verify", "--q-range", "2..4", "--n-range", "1..3",
+                         "--budget", "20000", "--seed", seed, "--format", fmt,
+                         "--out", str(out)]) == 1
+            reports[seed, fmt] = out.read_bytes()
+    assert reports["1", "text"] == reports["7", "text"]
+    one, seven = (json.loads(reports[seed, "json"]) for seed in ("1", "7"))
+    assert (one["config"].pop("seed"), seven["config"].pop("seed")) == (1, 7)
+    assert one == seven
 
 
 def test_main_in_process_returns_exit_codes(capsys):

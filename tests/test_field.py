@@ -186,6 +186,15 @@ def test_has_full_rank():
     assert field.has_full_rank(f3, 2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
 
 
+def test_has_full_rank_rejects_vectors_of_another_length():
+    # two independent vectors of GF(3)^3 do not span GF(3)^2
+    f3 = field.field_new(3)
+    with pytest.raises(DimensionMismatch, match="vector length 3 differs from n=2"):
+        field.has_full_rank(f3, 2, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(DimensionMismatch):
+        field.has_full_rank(f3, 3, [(1, 0), (0, 1)])
+
+
 def test_rank_rejects_mixed_lengths():
     f = field.field_new(2)
     with pytest.raises(DimensionMismatch):

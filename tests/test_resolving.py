@@ -10,7 +10,7 @@ from conftest import (int64_digits, least_equal_rows_by_dict, plain_first_hit,
                       representation, resolves_by_definition, status_by_rows)
 from resolvdim import intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
-                              NotResolving)
+                              NotResolving, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
 from resolvdim.intersection import PlainGraph
 
@@ -136,6 +136,18 @@ def test_canonical_basis_examples():
     assert resolving.canonical_metric_basis(2, 3) == (1, 2, 4)
     assert resolving.canonical_metric_basis(2, 1) == ()
     assert resolving.canonical_metric_basis(3, 2) == (1, 3, 4, 5, 7)
+
+
+@pytest.mark.parametrize("q, n, error", [(6, 1, UnsupportedOrder),
+                                         (32, 1, UnsupportedOrder),
+                                         (2, 0, BadParameters),
+                                         (3, -1, BadParameters)])
+def test_canonical_basis_rejects_what_the_graph_rejects(q, n, error):
+    with pytest.raises(error) as from_graph:
+        ComponentGraph(q, n)
+    with pytest.raises(error) as from_basis:
+        resolving.canonical_metric_basis(q, n)
+    assert str(from_basis.value) == str(from_graph.value)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
