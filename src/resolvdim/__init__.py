@@ -28,8 +28,9 @@ from .resolving import (DEFAULT_BUDGET, ResolvingReport, canonical_metric_basis,
                         enumerate_minimum_resolving_sets, is_minimal,
                         is_resolving, metric_dimension_formula,
                         metric_dimension_search)
-from .twins import (TwinPartition, are_twins, partition_by_neighborhood,
-                    partition_by_skeleton, partitions_coincide, twin_swap)
+from .twins import (TwinPartition, are_twins, is_twin_class,
+                    partition_by_neighborhood, partition_by_skeleton,
+                    partitions_coincide, twin_swap)
 from .vectorspace import (DEFAULT_VERTEX_CAP, decode, encode, parse_vertex,
                           parse_vertex_list, skeleton, vertex_text)
 

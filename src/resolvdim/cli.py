@@ -20,6 +20,8 @@ import sys
 import time
 from itertools import product
 
+import numpy as np
+
 from . import exchange as exchange_mod
 from . import field as field_mod
 from . import graph as graph_mod
@@ -324,13 +326,16 @@ def _corollary(g, args, record):
     elif q >= 3:
         dist = g.distance_matrix()
         classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
-        f = field_mod.field_new(q)
-        vectors = [vectorspace.decode(v, q, n) for v in g.vertex_ids()]
-        count, spans = 0, True
-        for cols in resolving_mod.minimum_resolving_sets_for_matrix(
+        count, spans, masks = 0, True, None
+        for block in resolving_mod.minimum_resolving_sets_for_matrix(
                 dist, classes, record["dim"]["search"], args.budget):
-            count += 1
-            spans = spans and field_mod.has_full_rank(f, n, [vectors[c] for c in cols])
+            if masks is None:  # the budget has admitted the sets by now
+                masks = field_mod.field_new(q).hyperplane_masks(
+                    n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
+            count += len(block)
+            # a set spans V iff no hyperplane holds it: its masks OR to all ones
+            spans = spans and bool(
+                (np.bitwise_or.reduce(masks[block], axis=1) == ~np.uint64(0)).all())
         yield "corollary", {"status": "verified", "minimum_sets": count,
                             "all_contain_v_basis": spans}, spans
     elif n == 3:
@@ -358,9 +363,10 @@ def _exchange(g, args, record):
 def _swaps(g, args, record):
     """Twin swaps in resolving sets, checked exactly rather than sampled.
 
-    (a) Consecutive members of each twin class pass `are_twins`, which reads
-    skeleton distances, not the adjacency rows behind the classes.  Twinness
-    is an equivalence and each twin transposition an automorphism, so every
+    (a) Each twin class passes `is_twin_class`, which reads skeleton
+    distances, one block per class, not the adjacency rows behind the
+    classes; it holds exactly when every consecutive pair of members passes
+    `are_twins`.  Each twin transposition is an automorphism, so every
     swap keeps every resolving set resolving (Hernando, Mora, Pelayo, Seara
     and Wood, 2010).  (b) The canonical basis resolves, and so does the set
     that swaps, in each class, its least member in the basis for the least
@@ -371,8 +377,8 @@ def _swaps(g, args, record):
     if not classes:
         yield "swaps", {"status": "no-twins"}, None
         return
-    pairs = [(u, v) for c in classes for u, v in zip(c, c[1:])]
-    twins_ok = all([twins_mod.are_twins(g, u, v) for u, v in pairs])  # no early stop
+    pairs = sum(len(c) - 1 for c in classes)
+    twins_ok = all([twins_mod.is_twin_class(g, c) for c in classes])  # no early stop
     basis = resolving_mod.canonical_metric_basis(g.q, g.n)
     members = set(basis)
     split = [([x for x in c if x in members], [x for x in c if x not in members])
@@ -381,7 +387,7 @@ def _swaps(g, args, record):
     swapped = members.symmetric_difference(x for pair in cut for x in pair)
     ok = (twins_ok and len(cut) == len(classes) and resolving_mod.resolves(g, basis)
           and resolving_mod.resolves(g, swapped))
-    yield "swaps", {"status": "checked", "pairs_checked": len(pairs),
+    yield "swaps", {"status": "checked", "pairs_checked": pairs,
                     "classes_swapped": len(cut), "all_resolving": ok}, ok
 
 

@@ -7,13 +7,18 @@ c0 + c1*p + c2*p^2.  Addition, multiplication and inversion are served
 from q-by-q tables built once at construction, which keeps the hot loops
 branch-free for every supported size.  Rank reads those tables directly:
 each vector is reduced against a running echelon basis, and the scan stops
-as soon as the basis spans the whole space.
+as soon as the basis spans the whole space.  Hyperplane masks serve many
+span questions over one vector list at once: each vector gets one bit per
+hyperplane of GF(q)^n, set when the vector lies off it, so a sublist spans
+the space exactly when the OR of its members' masks has every bit set.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, DivisionByZero, OutOfRange, UnsupportedOrder
 
@@ -152,6 +157,12 @@ class FieldSpec:
         if not (0 <= a < self.q):
             raise OutOfRange(f"{a} is not an element of GF({self.q})")
 
+    def _check_entries(self, rows: Sequence[Sequence[int]]) -> None:
+        for v in rows:
+            if not self._elements.issuperset(v):
+                bad = next(x for x in v if x not in self._elements)
+                raise OutOfRange(f"{bad} is not an element of GF({self.q})")
+
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -195,10 +206,7 @@ class FieldSpec:
         for v in rows:
             if len(v) != ncols:
                 raise DimensionMismatch(f"vector lengths differ: {len(v)} vs {ncols}")
-        for v in rows:
-            if not self._elements.issuperset(v):
-                bad = next(x for x in v if x not in self._elements)
-                raise OutOfRange(f"{bad} is not an element of GF({self.q})")
+        self._check_entries(rows)
         add, mul, neg, inv = self._add, self._mul, self._neg, self._inv
         basis: list[tuple[int, list[int]]] = []  # (pivot column, row with a 1 there)
         for v in rows:
@@ -214,6 +222,44 @@ class FieldSpec:
                 if len(basis) == ncols:
                     break
         return len(basis)
+
+    def hyperplane_masks(self, n: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+        """Packed hyperplane incidence of N vectors of length n over this
+        field: an (N, ceil(H/64)) uint64 array.
+
+        The hyperplanes of GF(q)^n are the kernels of the H = (q^n-1)/(q-1)
+        normals whose first nonzero entry is 1, taken in ascending order of
+        their little-endian base-q ids.  Bit h of row j (bit h % 64 of word
+        h // 64) is set when vector j lies off hyperplane h, that is, when
+        its dot product with normal h, summed from the add and mul tables,
+        is nonzero; the bits past H are set too.  A list spans GF(q)^n
+        exactly when no hyperplane holds it, so exactly when the OR of its
+        rows is all ones.  DimensionMismatch unless every vector has length
+        n, OutOfRange for an entry outside 0..q-1.
+        """
+        rows = [tuple(v) for v in vectors]
+        for v in rows:
+            if len(v) != n:
+                raise DimensionMismatch(f"vector length {len(v)} differs from n={n}")
+        self._check_entries(rows)
+        q = self.q
+        ids = np.arange(q ** n, dtype=np.int64)
+        normals = np.empty((q ** n, n), dtype=np.intp)
+        for i in range(n):
+            ids, normals[:, i] = np.divmod(ids, q)
+        first = normals[np.arange(q ** n), np.argmax(normals != 0, axis=1)]
+        normals = normals[first == 1]
+        add = np.asarray(self._add, dtype=np.uint8)
+        mul = np.asarray(self._mul, dtype=np.uint8)
+        vec = np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
+        dot = np.zeros((len(rows), len(normals)), dtype=np.uint8)
+        for i in range(n):
+            dot = add[dot, mul[vec[:, i, None], normals[None, :, i]]]
+        words = -(-len(normals) // 64)
+        off = np.ones((len(rows), 64 * words), dtype=bool)
+        off[:, :len(normals)] = dot != 0
+        packed = np.packbits(off, axis=1, bitorder="little")
+        return packed.view("<u8").astype(np.uint64, copy=False)
 
     def elements(self) -> range:
         return range(self.q)

@@ -462,27 +462,28 @@ def minimum_resolving_sets_for_matrix(
     twin_classes: Sequence[Sequence[int]],
     k: int,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[np.ndarray]:
     """Every resolving k-subset of matrix columns, lexicographic order
-    (0-based), where k is the metric dimension.
+    (0-based), where k is the metric dimension, as (B, k) column arrays:
+    the sets of one kernel batch that resolve.
 
     When k equals the twin bound the sets come from the twin-swap orbit
     of the core (every class minus its largest column), one budget unit
-    per orbit member; otherwise from `all_resolving_k_subsets`.  At that
-    size the orbit holds every candidate: a resolving set holds all but
-    one member of each twin class, so a resolving set of size
-    sum(|c| - 1) omits exactly one member of each class.  Swapping a
-    member for its twin is an automorphism, so the orbit's sets resolve
-    together or not at all; each is still checked by the kernel, and
-    only those that resolve are yielded.
+    per orbit member; otherwise from the plain scan of
+    `all_resolving_k_subsets`.  At that size the orbit holds every
+    candidate: a resolving set holds all but one member of each twin
+    class, so a resolving set of size sum(|c| - 1) omits exactly one
+    member of each class.  Swapping a member for its twin is an
+    automorphism, so the orbit's sets resolve together or not at all;
+    each is still checked by the kernel, and only those that resolve are
+    yielded.  Either route refuses at the first batch, before listing,
+    when its sets do not fit the budget.
     """
     if k == 0 or k != twins_mod.twin_lower_bound(twin_classes):
-        yield from all_resolving_k_subsets(dist, k, budget)
+        yield from _resolving_k_subset_batches(dist, k, budget)
         return
-    engine = _Engine(dist, budget)
-    for cols, hits in engine.orbit(twin_classes):
-        for row in cols[hits]:
-            yield tuple(int(c) for c in row)
+    for cols, hits in _Engine(dist, budget).orbit(twin_classes):
+        yield cols[hits]
 
 
 def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -531,20 +532,32 @@ def minimal_sets_by_table(
     return sets, minimal
 
 
-def all_resolving_k_subsets(
-    dist: np.ndarray, k: int, budget: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """Every resolving k-subset of matrix columns, lexicographic order."""
+def _resolving_k_subset_batches(
+    dist: np.ndarray, k: int, budget: int
+) -> Iterator[np.ndarray]:
+    """The plain scan's resolving k-subsets, lexicographic order, as one
+    (B, k) column array per kernel batch; refused before listing when
+    C(N, k) exceeds the budget."""
     n = dist.shape[0]
     if k == 0:
-        return [()] if n <= 1 else []
+        if n <= 1:
+            yield np.empty((1, 0), dtype=np.intp)
+        return
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(
             f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
             evaluated=0, budget=budget)
-    return [tuple(int(c) for c in row)
-            for cols, hits in _Engine(dist, budget).scan(k) for row in cols[hits]]
+    for cols, hits in _Engine(dist, budget).scan(k):
+        yield cols[hits]
+
+
+def all_resolving_k_subsets(
+    dist: np.ndarray, k: int, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """Every resolving k-subset of matrix columns, lexicographic order."""
+    return [tuple(row) for block in _resolving_k_subset_batches(dist, k, budget)
+            for row in block.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +589,8 @@ def enumerate_minimum_resolving_sets(
     classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
     k, _ = find_min_resolving_for_matrix(dist, classes, budget)
     return [_ids(g, cols)
-            for cols in minimum_resolving_sets_for_matrix(dist, classes, k, budget)]
+            for block in minimum_resolving_sets_for_matrix(dist, classes, k, budget)
+            for cols in block.tolist()]
 
 
 def enumerate_minimal_resolving_sets(

@@ -99,6 +99,27 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
     return bool(np.array_equal(block[others, 0], block[others, 1]))
 
 
+def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
+    """True iff the members are pairwise twins, read from their one
+    N x k distance block: the columns agree on every row outside the
+    members, and the distances between distinct members are all equal.
+
+    That holds exactly when each consecutive pair passes `are_twins`.
+    Twinness is an equivalence, so twin consecutive pairs make every pair
+    twins, and then d(x, z) = d(y, z) for distinct members x, y, z: all
+    distances between distinct members are equal.  Conversely the two
+    conditions put any two members at equal distance from every other
+    vertex.
+    """
+    block = g.distance_block(members)
+    rows = np.asarray(members, dtype=np.intp) - 1
+    inside = block[rows][~np.eye(len(rows), dtype=bool)]
+    others = np.ones(g.vertex_count, dtype=bool)
+    others[rows] = False
+    outside = block[others]
+    return bool((outside == outside[:, :1]).all() and (inside == inside[:1]).all())
+
+
 def twin_swap(g: ComponentGraph, w: Iterable[int], u: int, v: int) -> tuple[int, ...]:
     """Replace member u of w by its twin v; returns the swapped set sorted.
 

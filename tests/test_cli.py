@@ -480,24 +480,41 @@ def test_verify_counterexample_is_skipped_with_the_dim_search(tmp_path):
 
 
 def test_verify_corollary_can_fail(monkeypatch, capsys):
-    # one undercounted rank among the 16 orbit sets at (3,2), the last one
-    # checked, must fail the corollary and the cell
-    real_rank, calls = field.rank, []
+    # the corollary reads spanning from hyperplane masks; leave only e1, e2
+    # and e1+e2, the least member of each twin class at (3,2), off
+    # hyperplane 0, so that of the 16 orbit sets exactly the one omitting
+    # all three, the lexicographically last, lies in it
+    real, calls = field.FieldSpec.hyperplane_masks, []
+    off_plane = {(1, 0), (0, 1), (1, 1)}
 
-    def undercount_last(f, vectors):
-        calls.append(vectors)
-        return real_rank(f, vectors) - (len(calls) == 16)
+    def last_set_in_a_hyperplane(self, n, vectors):
+        calls.append(len(vectors))
+        masks = real(self, n, vectors).copy()
+        for row, v in zip(masks, vectors):
+            row[0] = row[0] | np.uint64(1) if tuple(v) in off_plane else row[0] & ~np.uint64(1)
+        return masks
 
-    monkeypatch.setattr(field, "rank", undercount_last)
+    g = ComponentGraph(3, 2)
+    masks = last_set_in_a_hyperplane(field.field_new(3), 2,
+                                     [vectorspace.decode(v, 3, 2) for v in g.vertex_ids()])
+    classes = twins.twin_classes_from_adjacency(g.adjacency_matrix())
+    sets = [w for block in resolving.minimum_resolving_sets_for_matrix(
+        g.distance_matrix(), classes, 5) for w in block.tolist()]
+    assert [field.has_full_rank(field.field_new(3), 2, [vectorspace.decode(v + 1, 3, 2)
+                                                        for v in w]) for w in sets] == [True] * 16
+    assert [bool((np.bitwise_or.reduce(masks[w]) == ~np.uint64(0)).all())
+            for w in sets] == [True] * 15 + [False]
+
+    monkeypatch.setattr(field.FieldSpec, "hyperplane_masks", last_set_in_a_hyperplane)
+    calls.clear()
     assert main(["verify", "--q", "3", "--n", "2", "--format", "json"]) == 1
     cell = json.loads(capsys.readouterr().out)["records"][0]
     assert cell["corollary"] == {"status": "verified", "minimum_sets": 16,
                                  "all_contain_v_basis": False}
     assert cell["pass"] is False
-    calls.clear()
     assert main(["verify", "--q", "3", "--n", "2"]) == 1
     assert " corollary=FAIL " in capsys.readouterr().out
-    assert len(calls) == 16
+    assert calls == [8, 8]  # one mask table per cell, over its 8 vertices
 
 
 def _merge_e1_with_e1_plus_e2(monkeypatch):
@@ -514,8 +531,9 @@ def _merge_e1_with_e1_plus_e2(monkeypatch):
 
 
 def _reject_one_consecutive_pair(monkeypatch):
-    real = twins.are_twins  # (4, 5) is (e1+e2, 2e1+e2), consecutive in its class
-    monkeypatch.setattr(twins, "are_twins", lambda g, u, v: (u, v) != (4, 5) and real(g, u, v))
+    real = twins.is_twin_class  # (4, 5) is (e1+e2, 2e1+e2), consecutive in its class
+    monkeypatch.setattr(twins, "is_twin_class",
+                        lambda g, c: (4, 5) not in zip(c, c[1:]) and real(g, c))
 
 
 def _basis_holds_a_whole_class(monkeypatch):

@@ -1,11 +1,14 @@
 import random
 import re
 from itertools import combinations, product
+from math import prod
 
+import numpy as np
 import pytest
 
 from conftest import rank_by_elimination
-from resolvdim import field
+from resolvdim import field, resolving, twins, vectorspace
+from resolvdim.graph import ComponentGraph
 from resolvdim.errors import (DimensionMismatch, DivisionByZero, OutOfRange,
                               UnsupportedOrder)
 
@@ -214,3 +217,100 @@ def test_full_rank_agrees_with_subset_search(q, n):
                 _independent_by_enumeration(f, list(chosen))
                 for chosen in combinations(subset, n)) if size >= n else False
             assert by_rank == by_subsets, (q, n, subset)
+
+
+# ---------------------------------------------------------------------------
+# hyperplane masks against the rank
+# ---------------------------------------------------------------------------
+
+def _dot(f, u, v):
+    total = 0
+    for a, b in zip(u, v):
+        total = f.add(total, f.mul(a, b))
+    return total
+
+
+def _normals(f, n):
+    """Every vector of GF(q)^n whose first nonzero entry is 1, in ascending
+    order of little-endian base-q id, by enumeration."""
+    vectors = sorted(product(f.elements(), repeat=n),
+                     key=lambda v: sum(c * f.q ** i for i, c in enumerate(v)))
+    return [v for v in vectors if any(v) and next(c for c in v if c) == 1]
+
+
+def _spans_by_masks(masks, rows):
+    """The corollary's rule: the rows span iff their masks OR to all ones."""
+    return bool((np.bitwise_or.reduce(masks[rows], axis=0) == ~np.uint64(0)).all())
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (2, 7), (3, 2), (3, 4), (4, 2), (9, 2)])
+def test_hyperplane_masks_bits(q, n):
+    # bit h is set exactly when the vector is off hyperplane h, and every
+    # bit past H is set; (2,7) has H = 127, two words
+    f = field.field_new(q)
+    vectors = list(product(f.elements(), repeat=n))
+    normals = _normals(f, n)
+    masks = f.hyperplane_masks(n, vectors)
+    h = len(normals)
+    assert h == (q ** n - 1) // (q - 1)
+    assert masks.dtype == np.uint64 and masks.shape == (len(vectors), -(-h // 64))
+    for row, v in zip(masks, vectors):
+        bits = [int(row[i // 64]) >> (i % 64) & 1 for i in range(64 * len(row))]
+        assert bits == [int(_dot(f, u, v) != 0) for u in normals] + [1] * (len(bits) - h)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 2), (3, 3), (7, 2)])
+def test_mask_verdict_matches_rank_on_orbit_sets(q, n):
+    # every minimum resolving set of the cells the corollary checks
+    g = ComponentGraph(q, n)
+    f = field.field_new(q)
+    vectors = [vectorspace.decode(v, q, n) for v in g.vertex_ids()]
+    masks = f.hyperplane_masks(n, vectors)
+    classes = twins.twin_classes_from_adjacency(g.adjacency_matrix())
+    k = resolving.metric_dimension_formula(q, n)
+    sets = [w for block in resolving.minimum_resolving_sets_for_matrix(
+        g.distance_matrix(), classes, k) for w in block.tolist()]
+    assert len(sets) == prod(len(c) for c in classes)
+    for w in sets:
+        assert _spans_by_masks(masks, w) == \
+            field.has_full_rank(f, n, [vectors[c] for c in w]), (q, n, w)
+
+
+@pytest.mark.parametrize("q", field.SUPPORTED_ORDERS)
+def test_mask_verdict_matches_rank_on_random_sets(q):
+    # each hyperplane gets a seeded set inside it, which for most draws
+    # spans the hyperplane and lies in no other; seeded sets of n..n+2
+    # random vectors mostly span V.  A dropped hyperplane, or dot products
+    # taken as integers mod q, judges some set inside a hyperplane spanning
+    f = field.field_new(q)
+    rng = random.Random(f"hyperplanes:{q}")
+    for n in (1, 2, 3):
+        sets = []
+        for u in _normals(f, n):
+            pivot = u.index(1)
+            for _ in range(2):
+                inside = []
+                for _ in range(rng.randint(n - 1, n + 1)):
+                    x = [rng.randrange(q) for _ in range(n)]
+                    x[pivot] = 0
+                    x[pivot] = f.neg(_dot(f, u, x))
+                    inside.append(tuple(x))
+                sets.append(inside)
+        sets += [[tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(n, n + 2))]
+                 for _ in range(50)]
+        masks = f.hyperplane_masks(n, [v for w in sets for v in w])
+        start, verdicts = 0, []
+        for w in sets:
+            verdicts.append(_spans_by_masks(masks, list(range(start, start + len(w)))))
+            start += len(w)
+            assert verdicts[-1] == field.has_full_rank(f, n, w), (q, n, w)
+        assert True in verdicts and False in verdicts
+
+
+def test_hyperplane_masks_validate_vectors():
+    f3 = field.field_new(3)
+    with pytest.raises(DimensionMismatch, match="^vector length 3 differs from n=2$"):
+        f3.hyperplane_masks(2, [(1, 0), (1, 0, 1)])
+    with pytest.raises(OutOfRange, match=f"^{re.escape('5 is not an element of GF(3)')}$"):
+        f3.hyperplane_masks(2, [(1, 0), (5, 0)])
+    assert f3.hyperplane_masks(2, []).shape == (0, 1)

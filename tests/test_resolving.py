@@ -388,7 +388,9 @@ def test_orbit_matches_plain_scan(q, n):
     g = ComponentGraph(q, n)
     dist, classes = g.distance_matrix(), _twin_classes0(g)
     k = resolving.metric_dimension_formula(q, n)
-    orbit = list(resolving.minimum_resolving_sets_for_matrix(dist, classes, k))
+    blocks = list(resolving.minimum_resolving_sets_for_matrix(dist, classes, k))
+    assert all(block.ndim == 2 and block.shape[1] == k for block in blocks)
+    orbit = [tuple(row) for block in blocks for row in block.tolist()]
     assert orbit == resolving.all_resolving_k_subsets(dist, k)
     assert len(orbit) == prod(len(c) for c in classes)
 

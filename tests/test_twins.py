@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -99,6 +100,27 @@ def test_are_twins_matches_partition(q, n):
     for u in g.vertex_ids():
         for v in g.vertex_ids():
             assert twins.are_twins(g, u, v) == (cls[u] == cls[v])
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
+def test_is_twin_class_matches_consecutive_pairs(q, n):
+    # the one-block class test against `are_twins` on each consecutive
+    # pair: the true classes, every union of two classes and seeded random
+    # sets; at (2,2) the whole vertex set {e1, e2, e1+e2} leaves no row
+    # outside it, and only the distances between members reject it
+    g = ComponentGraph(q, n)
+    classes = twins.partition_by_neighborhood(g).classes
+    rng = random.Random(f"twinclass:{q}:{n}")
+    ids = list(g.vertex_ids())
+    candidates = list(classes) + [tuple(sorted(a + b)) for a, b in combinations(classes, 2)]
+    candidates += [tuple(sorted(rng.sample(ids, k))) for k in (2, 3, 4) if k <= len(ids)
+                   for _ in range(20)]
+    for c in candidates:
+        assert twins.is_twin_class(g, c) == \
+            all(twins.are_twins(g, u, v) for u, v in zip(c, c[1:])), c
+    assert all(twins.is_twin_class(g, c) for c in classes)
+    if (q, n) == (2, 2):
+        assert not twins.is_twin_class(g, (1, 2, 3))
 
 
 def test_no_twin_swap_available_at_q2_n3(g23):
