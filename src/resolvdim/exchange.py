@@ -43,9 +43,12 @@ class ExchangeReport:
 def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
     """Definition-level exchange verdict for a graph with a distance matrix.
 
-    Works on component graphs and plain graphs alike.  When the full
-    subset table does not fit the budget, BudgetExceeded propagates: a
-    verdict is only ever reported for a quantifier that was checked.
+    Works on component graphs and plain graphs alike.  The minimal sets
+    come from the 2^N subset table, each set's status decided by the
+    column-group kernel.  When the table does not fit the budget, or N is
+    over the 20-vertex table guard, BudgetExceeded propagates with the
+    reason: a verdict is only ever reported for a quantifier that was
+    checked.
     """
     sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
     ids = list(g.vertex_ids())

@@ -205,22 +205,17 @@ class _Engine:
         equal keys in column b exactly when they agree on every column of
         set b.
 
-        A group of columns appends one base-`base` digit each to every
-        row's label, as many as fit an int64; if columns remain, each
-        candidate's labels are dense-ranked, keeping equality and every
-        label below N, and the next group starts.  A group takes at least
-        one column while N * base < 2^62, true of int16 distances for any N
-        below 2^47.  Columns are gathered in runs of at most _BATCH_CELLS
-        entries and a run's digits appended with one integer product; a
-        one-column run, as in every full chunk of `status`, is added
-        directly, where the product is several times slower.
+        Each column appends one base-`base` digit to every row's label.
+        When the next digit would overflow an int64, each candidate's
+        labels are first dense-ranked, which keeps equality and brings
+        every label below N.  A digit always fits after a rank while
+        N * base < 2^62, true of int16 distances for any N below 2^47.
         """
         n, (b, k) = self.n_rows, cols.shape
         labels = np.zeros((n, b), dtype=np.int64)
         batch = np.arange(b)
-        run = max(1, _BATCH_CELLS // max(n * b, 1))
-        lo, bound = 0, 1  # every label lies below bound
-        while lo < k:
+        bound = 1  # every label lies below bound
+        for j in range(k):
             if bound * self.base >= 1 << 62:
                 order = labels.argsort(axis=0)
                 ranked = labels[order, batch]
@@ -229,17 +224,9 @@ class _Engine:
                 np.cumsum(new, axis=0, out=ranked[1:])
                 labels[order, batch] = ranked
                 bound = n
-            hi = lo
-            while hi < min(k, lo + run) and bound * self.base < 1 << 62:
-                hi += 1
-                bound *= self.base
-            digits = self.dist[:, cols[:, lo:hi]]
-            labels *= self.base ** (hi - lo)
-            if hi - lo == 1:
-                labels += digits[:, :, 0]
-            else:
-                labels += digits @ self.base ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-            lo = hi
+            labels *= self.base
+            labels += self.dist[:, cols[:, j]]
+            bound *= self.base
         return labels
 
     def status(self, cols: np.ndarray) -> np.ndarray:
@@ -489,13 +476,17 @@ def minimum_resolving_sets_for_matrix(
 def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Resolving status of every subset, indexed by bit mask of columns.
 
-    Needs 2^N evaluations; refuses when that exceeds the budget or N is
-    beyond the table guard.
+    Needs 2^N evaluations; refuses when that exceeds the budget, and
+    otherwise when N is beyond the table guard, each with its own message.
     """
     n = dist.shape[0]
-    if n > _MASK_TABLE_MAX_N or (1 << n) > budget:
+    if (1 << n) > budget:
         raise BudgetExceeded(
             f"full subset table needs 2^{n} evaluations, over the budget {budget}",
+            evaluated=0, budget=budget)
+    if n > _MASK_TABLE_MAX_N:
+        raise BudgetExceeded(
+            f"full subset table needs N <= {_MASK_TABLE_MAX_N}, got N = {n}",
             evaluated=0, budget=budget)
     engine = _Engine(dist, budget)
     status = np.zeros(1 << n, dtype=bool)
@@ -507,13 +498,15 @@ def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
 
 def minimal_status_by_mask(status: np.ndarray) -> np.ndarray:
     """Minimal-resolving status for every subset mask, from the full table
-    of 2^n entries."""
+    of 2^n entries.
+
+    For each bit b, viewing both tables as (-1, 2, 2^b) lines up every
+    mask holding b (middle index 1) with the same mask without it (0).
+    """
     n = status.size.bit_length() - 1
     minimal = status.copy()
-    all_masks = np.arange(1 << n, dtype=np.int64)
     for b in range(n):
-        with_bit = all_masks[((all_masks >> b) & 1) == 1]
-        minimal[with_bit] &= ~status[with_bit ^ (1 << b)]
+        minimal.reshape(-1, 2, 1 << b)[:, 1] &= ~status.reshape(-1, 2, 1 << b)[:, 0]
     return minimal
 
 
@@ -597,7 +590,7 @@ def enumerate_minimal_resolving_sets(
     g, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All minimal resolving sets, lexicographic order (ids), from the full
-    2^N subset table; BudgetExceeded when the table does not fit the
-    budget or the table guard."""
+    2^N subset table; BudgetExceeded, with its own message for each, when
+    2^N exceeds the budget or N the 20-vertex table guard."""
     sets, _ = minimal_sets_by_table(g.distance_matrix(), budget)
     return [_ids(g, w) for w in sets]

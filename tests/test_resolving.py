@@ -181,6 +181,16 @@ def test_enumerate_minimal_over_the_table_budget_raises(g23):
         resolving.enumerate_minimal_resolving_sets(g23, budget=120)
 
 
+def test_table_guard_has_its_own_message(g33):
+    # 2^26 fits a budget of 10^8, so the refusal comes from the guard and
+    # names it rather than the budget; a budget below 2^N keeps the budget
+    # text (`test_enumerate_minimal_over_the_table_budget_raises`)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^full subset table needs N <= 20, got N = 26$") as err:
+        resolving.enumerate_minimal_resolving_sets(g33, budget=10 ** 8)
+    assert (err.value.evaluated, err.value.budget) == (0, 10 ** 8)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_front_ends_agree_on_powerset_graph(n):
     # the powerset intersection graph is the (2,n) component graph with
@@ -227,7 +237,7 @@ def test_monotonicity_random_supersets(g32):
         assert resolving.is_resolving(g32, sorted(w)).is_resolving
 
 
-def test_mask_table_consistency(g23):
+def test_mask_table_consistency(g23, g24):
     # the vectorized full-subset table and its minimal table agree with the
     # direct checker
     status = resolving.resolving_status_by_mask(g23.distance_matrix())
@@ -238,6 +248,17 @@ def test_mask_table_consistency(g23):
         assert status[mask] == report.is_resolving
         assert status[mask] == resolves_by_definition(g23, members)
         assert minimal[mask] == report.is_minimal
+    # N = 15: the minimal table's views for bits 8 and up, on every minimal
+    # mask and a seeded sample of the others
+    minimal = resolving.minimal_status_by_mask(
+        resolving.resolving_status_by_mask(g24.distance_matrix()))
+    hits = np.flatnonzero(minimal).tolist()
+    rng = random.Random("mask-table:g24")
+    others = rng.sample(np.flatnonzero(~minimal).tolist(), 256)
+    assert hits and max(hits) >= 1 << 8
+    for mask in hits + others:
+        members = tuple(i + 1 for i in range(15) if (mask >> i) & 1)
+        assert minimal[mask] == resolving.is_resolving(g24, members).is_minimal
 
 
 def test_wide_path_matches_definition():
@@ -450,6 +471,21 @@ def test_kernel_matches_rows_on_the_first_two_group_sets():
         hits = engine.status(cols)
         assert 0 < hits.sum() < len(hits)
         assert np.array_equal(hits, status_by_rows(dist, cols))
+
+
+def test_kernel_ranks_before_an_overflowing_digit():
+    # base 2^40 + 1: after column 0 the labels' bound times the base passes
+    # 2^62, so the labels are dense-ranked before column 1 is appended.  A
+    # kernel that never re-ranks wraps modulo 2^64: 2^24 * (2^40 + 1) is
+    # 2^24, rows 0 and 1 collide and the status reads [False].
+    dist = np.array([[2 ** 24, 0, 2 ** 40],
+                     [0, 2 ** 24, 0],
+                     [1, 1, 0]], dtype=np.int64)
+    cols = np.array([[0, 1]])
+    engine = resolving._Engine(dist)
+    assert engine.base == 2 ** 40 + 1
+    assert engine.status(cols).tolist() == [True]
+    assert status_by_rows(dist, cols).tolist() == [True]
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
