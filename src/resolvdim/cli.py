@@ -106,9 +106,9 @@ def cmd_graph(args) -> int:
     dot_path = prefix + ".gv"
     edges_path = prefix + ".edges"
     with open(dot_path, "w", newline="\n") as fh:
-        fh.write(graph_mod.to_dot(g))
+        fh.writelines(graph_mod.dot_chunks(g))
     with open(edges_path, "w", newline="\n") as fh:
-        fh.write(graph_mod.to_edge_list(g))
+        fh.writelines(graph_mod.edge_list_chunks(g))
     size = graph_mod.size_bruteforce(g)
     if args.format == "json":
         sys.stdout.write(render_json({"order": g.vertex_count, "size": size,

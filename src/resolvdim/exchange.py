@@ -48,8 +48,10 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
     column-group kernel.  When the table does not fit the budget, or N is
     over the 20-vertex table guard, BudgetExceeded propagates with the
     reason: a verdict is only ever reported for a quantifier that was
-    checked.
+    checked.  Both refusals are read from the vertex count, before the
+    distance matrix is built.
     """
+    resolving.refuse_mask_table(g.vertex_count, budget)
     sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
     ids = list(g.vertex_ids())
     sizes = tuple(sorted(len(w) for w in sets))

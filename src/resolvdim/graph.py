@@ -9,6 +9,11 @@ read-only int64 skeleton array, never from a materialized edge list.
 The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
 `bfs_distances`, which the test suite compares against it pair by pair.
+Because of it, the routes that need no subset table read the skeletons
+directly: the twin classes from packed adjacency rows, the search walk
+from `SkeletonColumns`, the exports from one row generator each.  Only
+`adjacency_matrix` and `distance_matrix` hold an entry per vertex pair;
+`packed_adjacency` holds a bit per pair.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ class ComponentGraph:
             rest, digit = np.divmod(rest, q)
             self._skeletons[digit != 0] |= 1 << i
         self._skeletons.flags.writeable = False
+        # the same masks in the narrowest unsigned type that holds n bits
+        # (uint16 up to n = 16): the pair tests run about 3x faster than
+        # on int64 at q = 2, n = 12
+        self._masks = self._skeletons.astype(np.min_scalar_type((1 << n) - 1))
         self._dist: np.ndarray | None = None
         self._adj: np.ndarray | None = None
 
@@ -100,16 +109,20 @@ class ComponentGraph:
         """Read-only int64 skeletons indexed 0..N-1 (vertex id minus 1)."""
         return self._skeletons
 
-    def _meets(self, cols: np.ndarray) -> np.ndarray:
-        """bool N x k block: entry (v-1, j) is true where the skeletons of
-        vertices v and cols[j]+1 meet.  Filled ROW_BLOCK rows at a time, so
-        no int64 temporary exceeds ROW_BLOCK x k."""
-        sk = self._skeletons
+    def _meet_rows(self, cols: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, bool block) for each ROW_BLOCK rows: entry (i, j) is true
+        where the skeletons of vertices lo+i+1 and cols[j]+1 meet.  No
+        temporary exceeds ROW_BLOCK x k."""
+        sk = self._masks
         right = sk[cols]
-        block = np.empty((len(sk), len(right)), dtype=bool)
         for lo in range(0, len(sk), ROW_BLOCK):
-            np.not_equal(sk[lo:lo + ROW_BLOCK, None] & right, 0,
-                         out=block[lo:lo + ROW_BLOCK])
+            yield lo, (sk[lo:lo + ROW_BLOCK, None] & right) != 0
+
+    def _meets(self, cols: np.ndarray) -> np.ndarray:
+        """bool N x k block of `_meet_rows`."""
+        block = np.empty((self.vertex_count, len(cols)), dtype=bool)
+        for lo, rows in self._meet_rows(cols):
+            block[lo:lo + ROW_BLOCK] = rows
         return block
 
     def distance_block(self, w: Sequence[int]) -> np.ndarray:
@@ -124,15 +137,38 @@ class ComponentGraph:
         block[cols, np.arange(len(cols))] = 0
         return block
 
+    def _refuse_dense(self) -> None:
+        """The matrix cap, shared by every view that grows as N^2."""
+        if self.vertex_count > MATRIX_CAP:
+            raise InstanceTooLarge(
+                f"dense adjacency needs N <= {MATRIX_CAP}, got {self.vertex_count}"
+            )
+
+    def packed_adjacency(self) -> np.ndarray:
+        """uint8 N x ceil(N/8) open adjacency rows, each packed as by
+        `np.packbits(adjacency_matrix(), axis=1)`: N^2/8 bytes (2 MB at
+        N = 4095).  Packed ROW_BLOCK rows at a time from the skeletons,
+        so no N x N array is built.  A fresh array on every call.
+        """
+        self._refuse_dense()
+        n = self.vertex_count
+        rows = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        for lo, block in self._meet_rows(np.arange(n)):
+            own = np.arange(len(block))
+            block[own, lo + own] = False
+            rows[lo:lo + ROW_BLOCK] = np.packbits(block, axis=1)
+        return rows
+
+    def distance_columns(self) -> SkeletonColumns:
+        """The distance matrix as columns computed on demand (see
+        `SkeletonColumns`); no N x N array."""
+        return SkeletonColumns(self._masks, self.n)
+
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1)."""
         if self._adj is None:
-            n = self.vertex_count
-            if n > MATRIX_CAP:
-                raise InstanceTooLarge(
-                    f"dense adjacency needs N <= {MATRIX_CAP}, got {n}"
-                )
-            self._adj = self._meets(np.arange(n))
+            self._refuse_dense()
+            self._adj = self._meets(np.arange(self.vertex_count))
             np.fill_diagonal(self._adj, False)
         return self._adj
 
@@ -147,6 +183,32 @@ class ComponentGraph:
 
     def __repr__(self) -> str:
         return f"ComponentGraph(q={self.q}, n={self.n}, vertices={self.vertex_count})"
+
+
+class SkeletonColumns:
+    """Columns of a component graph's distance matrix, each computed from
+    the skeletons when asked: 0 at the column's own vertex, 1 where the
+    skeletons meet, else 2.  It stands in for the matrix in the search
+    walk, which reads one column per node, so the walk holds O(N) memory.
+
+    `largest` is the matrix's largest entry, which the walk's landmark
+    bound reads: 0 for the single vertex at N = 1; 1 at n = 1, where all
+    skeletons are {0} and the graph is complete; else 2, since e1 and e2
+    do not meet.
+    """
+
+    def __init__(self, skeletons: np.ndarray, n: int):
+        self._skeletons = skeletons
+        count = len(skeletons)
+        self.shape = (count, count)
+        self.largest = 0 if count == 1 else 1 if n == 1 else 2
+
+    def column(self, c: int) -> np.ndarray:
+        """int16 distances from every vertex to vertex c + 1 (0-based c)."""
+        sk = self._skeletons
+        col = np.where(sk & sk[c], np.int16(1), np.int16(2))
+        col[c] = 0
+        return col
 
 
 def order_formula(q: int, n: int) -> int:
@@ -218,26 +280,31 @@ def _id_text(g: ComponentGraph) -> np.ndarray:
     return np.array([str(v) for v in range(g.vertex_count + 1)], dtype=object)
 
 
-def to_dot(g: ComponentGraph) -> str:
-    """Graphviz DOT export with vertex labels in the text form.
+def dot_chunks(g: ComponentGraph) -> Iterator[str]:
+    """The DOT export as consecutive pieces, one per vertex line and one
+    per row of edge lines, so a writer never holds the whole file.
 
     Vertex lines by id, then edge lines `u -- v` by u and then v.  Each
     row of later neighbours is written with one join over the id table.
     """
     ids = _id_text(g)
-    chunks = ["graph gv {"]
-    chunks += [f'\n  {u} [label="{g.label(u)}"];' for u in g.vertex_ids()]
+    yield "graph gv {"
+    for u in g.vertex_ids():
+        yield f'\n  {u} [label="{g.label(u)}"];'
     for u, later in _later_neighbors(g):
         if len(later):
             head = f"\n  {u} -- "
-            chunks.append(head + f";{head}".join(ids[later].tolist()) + ";")
-    chunks.append("\n}\n")
-    return "".join(chunks)
+            yield head + f";{head}".join(ids[later].tolist()) + ";"
+    yield "\n}\n"
 
 
-def to_edge_list(g: ComponentGraph) -> str:
-    """Edge-list export: one `<id> <id>` line per edge, ids ascending in
-    the line, lines sorted lexicographically as strings.
+def to_dot(g: ComponentGraph) -> str:
+    """Graphviz DOT export with vertex labels in the text form."""
+    return "".join(dot_chunks(g))
+
+
+def edge_list_chunks(g: ComponentGraph) -> Iterator[str]:
+    """The edge-list export as consecutive pieces, one per row of lines.
 
     A space sorts before every digit, so the order of the line "u v" is
     the order of the pair (str(u), str(v)).  The rows are therefore
@@ -249,9 +316,13 @@ def to_edge_list(g: ComponentGraph) -> str:
     sources = sorted(range(1, n + 1), key=str)
     rank = np.empty(n + 1, dtype=np.intp)
     rank[sources] = np.arange(n)
-    chunks = []
     for u, later in _later_neighbors(g, sources):
         if len(later):
             later = later[np.argsort(rank[later])]
-            chunks.append(f"{u} " + f"\n{u} ".join(ids[later].tolist()) + "\n")
-    return "".join(chunks)
+            yield f"{u} " + f"\n{u} ".join(ids[later].tolist()) + "\n"
+
+
+def to_edge_list(g: ComponentGraph) -> str:
+    """Edge-list export: one `<id> <id>` line per edge, ids ascending in
+    the line, lines sorted lexicographically as strings."""
+    return "".join(edge_list_chunks(g))

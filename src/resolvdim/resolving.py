@@ -37,7 +37,7 @@ import numpy as np
 from . import field
 from . import twins as twins_mod
 from .errors import BadParameters, BudgetExceeded, NotResolving
-from .graph import ComponentGraph
+from .graph import ComponentGraph, SkeletonColumns
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -176,9 +176,13 @@ class _Engine:
     """The one subset engine: a kernel and three walks.
 
     Rows of `dist` are vertices and columns are candidate members; the
-    matrix is read at its stored dtype.  `keys` is the one kernel: exact
-    per-vertex labels of any number of columns, read by `status` (the
-    batched resolving test) and by the colliding pair of a single set.
+    matrix is read at its stored dtype.  `dist` may also be a column
+    source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`),
+    on which only `walk` and `landmark_bound` run: the walk reads one
+    column per node, the kernel whole blocks of the matrix.  `keys` is
+    the one kernel: exact per-vertex labels of any number of columns,
+    read by `status` (the batched resolving test) and by the colliding
+    pair of a single set.
     The walks: `scan` lists every k-subset in lexicographic order and
     `orbit` the sets that omit one member of each twin class, each
     `batch` sets at a time through `status`; `walk` visits the scan's
@@ -188,10 +192,16 @@ class _Engine:
     the kernel.  Each charges the budget for the subsets it evaluates.
     """
 
-    def __init__(self, dist: np.ndarray, budget: int = DEFAULT_BUDGET):
+    def __init__(self, dist: np.ndarray | SkeletonColumns,
+                 budget: int = DEFAULT_BUDGET):
         self.dist = dist
         self.n_rows, self.n_cols = dist.shape
-        self.base = max(int(dist.max(initial=0)) + 1, 2)
+        if isinstance(dist, np.ndarray):
+            self.column = lambda c: dist[:, c]
+            largest = int(dist.max(initial=0))
+        else:
+            self.column, largest = dist.column, dist.largest
+        self.base = max(largest + 1, 2)
         self.budget = budget
         self.evaluated = 0
         self.batch = max(1, _BATCH_CELLS // max(self.n_rows, 1))
@@ -355,7 +365,7 @@ class _Engine:
                 return None, False
             self.evaluated += 1
             c = int(cands[pos])
-            key = np.multiply(labels, self.base, dtype=np.int64) + self.dist[:, c]
+            key = np.multiply(labels, self.base, dtype=np.int64) + self.column(c)
             counts = np.bincount(key)
             picks_after = k - len(path) - 1
             if counts.max() > limit[picks_after]:
@@ -410,17 +420,18 @@ def _drop_each(cols: Sequence[int]) -> np.ndarray:
 
 
 def find_min_resolving_for_matrix(
-    dist: np.ndarray,
+    dist: np.ndarray | SkeletonColumns,
     twin_classes: Sequence[Sequence[int]],
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest k with a resolving k-subset of matrix columns, plus the
     lexicographically least witness (0-based indices).
 
-    `twin_classes` partition the vertices into twin classes.  The walk
-    starts at the larger of the twin and landmark bounds and moves k
-    upward; the budget counts the nodes it evaluates.  The empty set
-    resolves a matrix of at most one vertex.
+    `dist` is the distance matrix or a column source for it (see
+    `_Engine`).  `twin_classes` partition the vertices into twin
+    classes.  The walk starts at the larger of the twin and landmark
+    bounds and moves k upward; the budget counts the nodes it evaluates.
+    The empty set resolves a matrix of at most one vertex.
     """
     n = dist.shape[0]
     if n <= 1:
@@ -473,13 +484,11 @@ def minimum_resolving_sets_for_matrix(
         yield cols[hits]
 
 
-def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Resolving status of every subset, indexed by bit mask of columns.
-
-    Needs 2^N evaluations; refuses when that exceeds the budget, and
-    otherwise when N is beyond the table guard, each with its own message.
-    """
-    n = dist.shape[0]
+def refuse_mask_table(n: int, budget: int) -> None:
+    """BudgetExceeded unless the 2^n subset table fits: first when 2^n
+    evaluations exceed the budget, then when n is beyond the table guard,
+    each with its own message.  Read from the vertex count alone, so
+    callers refuse before they build a matrix."""
     if (1 << n) > budget:
         raise BudgetExceeded(
             f"full subset table needs 2^{n} evaluations, over the budget {budget}",
@@ -488,6 +497,15 @@ def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
         raise BudgetExceeded(
             f"full subset table needs N <= {_MASK_TABLE_MAX_N}, got N = {n}",
             evaluated=0, budget=budget)
+
+
+def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Resolving status of every subset, indexed by bit mask of columns.
+
+    Needs 2^N evaluations; refused as by `refuse_mask_table`.
+    """
+    n = dist.shape[0]
+    refuse_mask_table(n, budget)
     engine = _Engine(dist, budget)
     status = np.zeros(1 << n, dtype=bool)
     for k in range(n + 1):
@@ -557,20 +575,35 @@ def all_resolving_k_subsets(
 # front ends: component graphs and plain graphs alike
 # ---------------------------------------------------------------------------
 #
-# Each takes the distances from `g.distance_matrix()`, the twin classes
-# from `g.adjacency_matrix()` and maps matrix columns to `g.vertex_ids()`.
+# Each maps matrix columns to `g.vertex_ids()`.  A component graph gives
+# the walk its skeleton columns and packed rows; every other route, and
+# every route on a plain graph, reads `g.distance_matrix()` and
+# `g.adjacency_matrix()`.
 
 def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
     ids = g.vertex_ids()
     return tuple(ids[c] for c in cols)
 
 
+def _twin_classes(g) -> list[list[int]]:
+    """0-based twin classes: from packed rows built from the skeletons on
+    a component graph, from the adjacency matrix on a plain graph."""
+    if isinstance(g, ComponentGraph):
+        return twins_mod.twin_classes_from_packed_rows(g.packed_adjacency())
+    return twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
+
+
 def metric_dimension_search(
     g, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive-search metric dimension with its least witness (ids)."""
-    classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
-    k, cols = find_min_resolving_for_matrix(g.distance_matrix(), classes, budget)
+    """Exhaustive-search metric dimension with its least witness (ids).
+
+    On a component graph the walk reads `g.distance_columns()`, one
+    column per node, and holds no N x N array.
+    """
+    classes = _twin_classes(g)
+    dist = g.distance_columns() if isinstance(g, ComponentGraph) else g.distance_matrix()
+    k, cols = find_min_resolving_for_matrix(dist, classes, budget)
     return k, _ids(g, cols)
 
 
@@ -579,7 +612,7 @@ def enumerate_minimum_resolving_sets(
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, lexicographic order (ids)."""
     dist = g.distance_matrix()
-    classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
+    classes = _twin_classes(g)
     k, _ = find_min_resolving_for_matrix(dist, classes, budget)
     return [_ids(g, cols)
             for block in minimum_resolving_sets_for_matrix(dist, classes, k, budget)
@@ -592,5 +625,6 @@ def enumerate_minimal_resolving_sets(
     """All minimal resolving sets, lexicographic order (ids), from the full
     2^N subset table; BudgetExceeded, with its own message for each, when
     2^N exceeds the budget or N the 20-vertex table guard."""
+    refuse_mask_table(g.vertex_count, budget)
     sets, _ = minimal_sets_by_table(g.distance_matrix(), budget)
     return [_ids(g, w) for w in sets]

@@ -31,9 +31,11 @@ class TwinPartition:
     skeletons: tuple[int, ...]
 
 
-def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
-    """0-based twin classes of an adjacency matrix, ordered by least
-    member, members ascending.
+def twin_classes_from_packed_rows(rows: np.ndarray) -> list[list[int]]:
+    """0-based twin classes from packed open adjacency rows, one row per
+    vertex in the layout of `np.packbits(adj, axis=1)`; ordered by least
+    member, members ascending.  The rows are changed in place: they hold
+    the closed rows on return.
 
     Each vertex is labelled with the least vertex that has the same open
     row or the same closed row, and the classes are the groups of equal
@@ -44,8 +46,7 @@ def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
     closed rows, and the least member of either group labels all of it.
     The rows are compared packed, N/8 bytes each.
     """
-    n = adj.shape[0]
-    rows = np.packbits(adj, axis=1)
+    n = rows.shape[0]
     label = list(range(n))
 
     def least_equal_row() -> None:
@@ -64,23 +65,34 @@ def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
+def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
+    """0-based twin classes of a boolean adjacency matrix, as
+    `twin_classes_from_packed_rows`; the matrix is left unchanged."""
+    return twin_classes_from_packed_rows(np.packbits(adj, axis=1))
+
+
 def partition_by_neighborhood(g: ComponentGraph) -> TwinPartition:
-    """Classes of the twin relation N[u]=N[v] or N(u)=N(v)."""
-    classes0 = twin_classes_from_adjacency(g.adjacency_matrix())
+    """Classes of the twin relation N[u]=N[v] or N(u)=N(v), read from the
+    graph's packed adjacency rows (N^2/8 bytes), never from its skeleton
+    classes: `partitions_coincide` compares the two."""
+    sk = g.skeleton_array()
+    classes0 = twin_classes_from_packed_rows(g.packed_adjacency())
     classes = tuple(tuple(i + 1 for i in c) for c in classes0)
-    skeletons = tuple(g.skeleton(c[0]) for c in classes)
+    skeletons = tuple(int(sk[c[0]]) for c in classes0)
     return TwinPartition(classes=classes, skeletons=skeletons)
 
 
 def partition_by_skeleton(g: ComponentGraph) -> TwinPartition:
-    """Classes of the equal-skeleton relation, keyed by mask."""
+    """Classes of the equal-skeleton relation, keyed by mask.
+
+    The vertices arrive in ascending order, so each class is sorted and
+    the classes come in order of least member.
+    """
     by_mask: dict[int, list[int]] = {}
-    for v in g.vertex_ids():
-        by_mask.setdefault(g.skeleton(v), []).append(v)
-    classes = tuple(sorted((tuple(sorted(c)) for c in by_mask.values()),
-                           key=lambda c: c[0]))
-    skeletons = tuple(g.skeleton(c[0]) for c in classes)
-    return TwinPartition(classes=classes, skeletons=skeletons)
+    for v, mask in enumerate(g.skeleton_array().tolist(), start=1):
+        by_mask.setdefault(mask, []).append(v)
+    return TwinPartition(classes=tuple(map(tuple, by_mask.values())),
+                         skeletons=tuple(by_mask))
 
 
 def partitions_coincide(g: ComponentGraph) -> bool:

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -618,3 +619,61 @@ def test_main_in_process_returns_exit_codes(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli(["frobnicate"]).returncode == 2
+
+
+def _run_in(directory, argv, capsys, monkeypatch):
+    """Exit code, stdout, stderr and the files written, for one in-process
+    run with `directory` as the working directory."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(directory.iterdir())}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("argv", [
+    ["twins", "--q", "2", "--n", "12"],
+    ["verify", "--q", "2", "--n", "12", "--budget", "1000"],
+    ["dim", "--q", "3", "--n", "4", "--budget", "20000"],
+    ["graph", "--q", "2", "--n", "11", "--out", "g"],
+], ids=lambda argv: argv[0])
+def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monkeypatch):
+    # these routes read the skeletons alone: with both N x N views broken
+    # they still run and print the same bytes
+    before = _run_in(tmp_path / "plain", argv, capsys, monkeypatch)
+
+    def refuse(self):
+        raise AssertionError("an N x N view was built")
+
+    monkeypatch.setattr(ComponentGraph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    assert _run_in(tmp_path / "refused", argv, capsys, monkeypatch) == before
+    assert before[0] == 0
+
+
+def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an N x N view was built")
+
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    assert main(["exchange", "--q", "2", "--n", "12", "--budget", "1000"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
+                                       "2^4095 evaluations, over the budget 1000\n")
+    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "100000000"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
+                                       "N <= 20, got N = 26\n")
+
+
+def test_graph_export_peak_memory(tmp_path):
+    # the (2,11) files are 30 MB and 18 MB; they are written a row at a time
+    prefix = str(tmp_path / "g")
+    tracemalloc.start()
+    try:
+        assert main(["graph", "--q", "2", "--n", "11", "--out", prefix]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Path(prefix + ".gv").stat().st_size > 30_000_000
+    assert peak <= 12 * 2 ** 20

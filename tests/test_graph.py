@@ -195,3 +195,33 @@ def test_distance_block_peak_memory_is_the_block_and_its_mask():
 def test_distance_block_range_check(g22):
     with pytest.raises(OutOfRange):
         g22.distance_block([1, 4])
+
+
+@pytest.mark.parametrize("q, n", desk_instances(1023))
+def test_packed_adjacency_matches_packed_matrix(q, n):
+    g = ComponentGraph(q, n)
+    rows = g.packed_adjacency()
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, np.packbits(g.adjacency_matrix(), axis=1))
+    assert g.packed_adjacency() is not rows  # callers may change their copy
+
+
+def test_packed_adjacency_refuses_what_the_matrix_refuses():
+    g = ComponentGraph(2, 13)
+    for view in (g.packed_adjacency, g.adjacency_matrix):
+        with pytest.raises(InstanceTooLarge, match="dense adjacency needs N <= 4096, got 8191"):
+            view()
+
+
+@pytest.mark.parametrize("q, n", desk_instances(1023))
+def test_skeleton_columns_match_the_distance_matrix(q, n):
+    g = ComponentGraph(q, n)
+    dist = g.distance_matrix()
+    cols = g.distance_columns()
+    assert cols.shape == dist.shape
+    # the landmark bound reads it: 0 at N = 1, 1 at n = 1, else 2
+    assert cols.largest == int(dist.max())
+    for c in range(g.vertex_count):
+        col = cols.column(c)
+        assert col.dtype == np.int16
+        assert np.array_equal(col, dist[:, c]), c

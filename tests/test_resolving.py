@@ -507,3 +507,42 @@ def test_colliding_pair_matches_rows_on_wide_sets():
         w = [v for v in basis if v != x]
         u, v = least_equal_rows_by_dict(g.distance_block(w))
         assert resolving.is_resolving(g, w).colliding_pair == (u + 1, v + 1)
+
+
+def _desk_cells(limit):
+    from resolvdim.field import SUPPORTED_ORDERS
+    return [(q, n) for q in SUPPORTED_ORDERS for n in range(1, 12) if q ** n - 1 <= limit]
+
+
+def _walk_outcome(dist, classes, budget):
+    try:
+        return resolving.find_min_resolving_for_matrix(dist, classes, budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.evaluated, exc.lower_bound, exc.upper_bound
+
+
+@pytest.mark.parametrize("q,n", _desk_cells(1023))
+def test_column_walk_matches_matrix_walk(q, n):
+    # the default budget decides every cell with N <= 1023; a budget of 30
+    # stops most of them mid-walk, which pins the evaluated counts
+    g = ComponentGraph(q, n)
+    classes = _twin_classes0(g)
+    for budget in (30, resolving.DEFAULT_BUDGET):
+        outcome = _walk_outcome(g.distance_matrix(), classes, budget)
+        assert _walk_outcome(g.distance_columns(), classes, budget) == outcome
+    k, witness = outcome
+    assert resolving.metric_dimension_search(g) == (k, tuple(c + 1 for c in witness))
+    engine = resolving._Engine(g.distance_columns())
+    assert engine.landmark_bound() == resolving._Engine(g.distance_matrix()).landmark_bound()
+
+
+def test_column_walk_over_budget_matches_matrix_walk():
+    g = ComponentGraph(2, 12)
+    classes = _twin_classes0(g)
+    by_columns = _walk_outcome(g.distance_columns(), classes, 1000)
+    assert by_columns == _walk_outcome(g.distance_matrix(), classes, 1000)
+    assert by_columns[1:] == (1000, 12, 4095)
+    with pytest.raises(BudgetExceeded) as err:
+        resolving.metric_dimension_search(g, 1000)
+    assert (err.value.evaluated, err.value.lower_bound, err.value.upper_bound) == \
+        (1000, 12, 4095)

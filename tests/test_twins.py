@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -209,3 +210,36 @@ def test_twin_classes_leave_the_adjacency_unchanged(g32):
     before = adj.copy()
     twins.twin_classes_from_adjacency(adj)
     assert np.array_equal(adj, before)
+
+
+@pytest.mark.parametrize("q,n", desk_instances(1023))
+def test_packed_row_classes_match_adjacency_classes(q, n):
+    # the rows are built from the skeletons, the oracles read the matrix;
+    # union-find shares no code with the two row passes
+    g = ComponentGraph(q, n)
+    adj = g.adjacency_matrix()
+    packed = [[v - 1 for v in c] for c in twins.partition_by_neighborhood(g).classes]
+    assert packed == twins.twin_classes_from_adjacency(adj)
+    assert packed == twin_classes_by_union_find(adj)
+
+
+def test_neighborhood_partition_peak_memory():
+    # packed rows are N^2/8 = 2 MB at N = 4095, where the bool adjacency
+    # matrix would take 16 MB
+    g = ComponentGraph(2, 12)
+    tracemalloc.start()
+    try:
+        part = twins.partition_by_neighborhood(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(part.classes) == 4095
+    assert peak <= 12 * 2 ** 20
+
+
+def test_skeleton_partition_reads_the_skeleton_array(g42, monkeypatch):
+    expected = ((1, 2, 3), (4, 8, 12), (5, 6, 7, 9, 10, 11, 13, 14, 15))
+    monkeypatch.setattr(ComponentGraph, "skeleton", None)
+    part = twins.partition_by_skeleton(g42)
+    assert part.classes == expected
+    assert part.skeletons == (1, 2, 3)
