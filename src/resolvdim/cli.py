@@ -324,11 +324,9 @@ def _corollary(g, args, record):
     elif record["dim"]["status"] == "skipped":
         yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
     elif q >= 3:
-        dist = g.distance_matrix()
-        classes = twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
         count, spans, masks = 0, True, None
-        for block in resolving_mod.minimum_resolving_sets_for_matrix(
-                dist, classes, record["dim"]["search"], args.budget):
+        for block in resolving_mod.minimum_resolving_sets(
+                g, record["dim"]["search"], args.budget):
             if masks is None:  # the budget has admitted the sets by now
                 masks = field_mod.field_new(q).hyperplane_masks(
                     n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
@@ -365,8 +363,7 @@ def _swaps(g, args, record):
 
     (a) Each twin class passes `is_twin_class`, which reads skeleton
     distances, one block per class, not the adjacency rows behind the
-    classes; it holds exactly when every consecutive pair of members passes
-    `are_twins`.  Each twin transposition is an automorphism, so every
+    classes.  Each twin transposition is an automorphism, so every
     swap keeps every resolving set resolving (Hernando, Mora, Pelayo, Seara
     and Wood, 2010).  (b) The canonical basis resolves, and so does the set
     that swaps, in each class, its least member in the basis for the least

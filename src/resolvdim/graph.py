@@ -38,7 +38,8 @@ class ComponentGraph:
     """Implicit nonzero component graph on q^n - 1 vertices.
 
     Immutable after construction; all queries are pure and thread-safe.
-    The lazily built dense matrices are idempotent caches.
+    The lazily built distance matrix and twin classes are idempotent
+    caches.
     """
 
     def __init__(self, q: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
@@ -65,7 +66,7 @@ class ComponentGraph:
         # on int64 at q = 2, n = 12
         self._masks = self._skeletons.astype(np.min_scalar_type((1 << n) - 1))
         self._dist: np.ndarray | None = None
-        self._adj: np.ndarray | None = None
+        self._twins: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries --
 
@@ -118,22 +119,18 @@ class ComponentGraph:
         for lo in range(0, len(sk), ROW_BLOCK):
             yield lo, (sk[lo:lo + ROW_BLOCK, None] & right) != 0
 
-    def _meets(self, cols: np.ndarray) -> np.ndarray:
-        """bool N x k block of `_meet_rows`."""
-        block = np.empty((self.vertex_count, len(cols)), dtype=bool)
-        for lo, rows in self._meet_rows(cols):
-            block[lo:lo + ROW_BLOCK] = rows
-        return block
-
     def distance_block(self, w: Sequence[int]) -> np.ndarray:
         """int16 N x k block: row v-1, column j holds the distance from v to w[j].
 
-        Built from the skeletons, so it needs no N x N matrix.
+        Built from the skeletons a row block at a time, so it needs no
+        N x N matrix and no N x k temporary.
         """
         for x in w:
             self.check_vertex(x)
         cols = np.asarray(w, dtype=np.intp) - 1
-        block = np.where(self._meets(cols), np.int16(1), np.int16(2))
+        block = np.empty((self.vertex_count, len(cols)), dtype=np.int16)
+        for lo, meets in self._meet_rows(cols):
+            block[lo:lo + ROW_BLOCK] = np.where(meets, np.int16(1), np.int16(2))
         block[cols, np.arange(len(cols))] = 0
         return block
 
@@ -159,26 +156,29 @@ class ComponentGraph:
             rows[lo:lo + ROW_BLOCK] = np.packbits(block, axis=1)
         return rows
 
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """0-based twin classes, read by `twin_classes_from_packed_rows`
+        from `packed_adjacency`; built on the first call and kept."""
+        if self._twins is None:
+            self._twins = twin_classes_from_packed_rows(self.packed_adjacency())
+        return self._twins
+
     def distance_columns(self) -> SkeletonColumns:
         """The distance matrix as columns computed on demand (see
         `SkeletonColumns`); no N x N array."""
         return SkeletonColumns(self._masks, self.n)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1)."""
-        if self._adj is None:
-            self._refuse_dense()
-            self._adj = self._meets(np.arange(self.vertex_count))
-            np.fill_diagonal(self._adj, False)
-        return self._adj
+        """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1), read
+        off `distance_matrix`; a fresh array on every call."""
+        return self.distance_matrix() == 1
 
     def distance_matrix(self) -> np.ndarray:
-        """int16 distance matrix indexed 0..N-1 (vertex id minus 1)."""
+        """int16 distance matrix indexed 0..N-1 (vertex id minus 1): the
+        `distance_block` of every vertex, built on the first call and kept."""
         if self._dist is None:
-            adj = self.adjacency_matrix()
-            dist = np.where(adj, np.int16(1), np.int16(2))
-            np.fill_diagonal(dist, 0)
-            self._dist = dist
+            self._refuse_dense()
+            self._dist = self.distance_block(self.vertex_ids())
         return self._dist
 
     def __repr__(self) -> str:
@@ -209,6 +209,40 @@ class SkeletonColumns:
         col = np.where(sk & sk[c], np.int16(1), np.int16(2))
         col[c] = 0
         return col
+
+
+def twin_classes_from_packed_rows(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """0-based twin classes from packed open adjacency rows, one row per
+    vertex in the layout of `np.packbits(adj, axis=1)`; ordered by least
+    member, members ascending.  The rows are changed in place: they hold
+    the closed rows on return.
+
+    Each vertex is labelled with the least vertex that has the same open
+    row or the same closed row, and the classes are the groups of equal
+    labels.  No vertex has twins of both kinds: if N(u) = N(v) and
+    N[u] = N[w] with v, w != u, then w is in N(u) = N(v), so v is in
+    N[w] = N[u] and v is adjacent to u; but u is not in N(u) = N(v).  So
+    each class is one group of equal open rows or one group of equal
+    closed rows, and the least member of either group labels all of it.
+    The rows are compared packed, N/8 bytes each.
+    """
+    n = rows.shape[0]
+    label = list(range(n))
+
+    def least_equal_row() -> None:
+        first: dict[bytes, int] = {}
+        for i, row in enumerate(rows):
+            label[i] = min(label[i], first.setdefault(row.tobytes(), i))
+
+    least_equal_row()
+    v = np.arange(n)  # set each vertex's own bit: the closed rows
+    rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
+    least_equal_row()
+    # a class's least member carries its own label and comes first
+    groups: dict[int, list[int]] = {}
+    for i, least in enumerate(label):
+        groups.setdefault(least, []).append(i)
+    return tuple(map(tuple, groups.values()))
 
 
 def order_formula(q: int, n: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import resolving
 from .errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
-from .graph import MATRIX_CAP, ROW_BLOCK, ComponentGraph
+from .graph import MATRIX_CAP, ROW_BLOCK, ComponentGraph, twin_classes_from_packed_rows
 from .resolving import DEFAULT_BUDGET
 
 
@@ -89,6 +89,11 @@ class PlainGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         return self._adj
+
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Twin classes by `twin_classes_from_packed_rows` from the
+        adjacency matrix packed with `np.packbits`."""
+        return twin_classes_from_packed_rows(np.packbits(self._adj, axis=1))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, ascending."""

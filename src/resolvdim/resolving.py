@@ -382,15 +382,11 @@ class _Engine:
 
         The orbit is every set that omits exactly one member of each of
         the classes, which partition the columns: prod |c| sets, listed in
-        lexicographic order, each one charged to the budget.  Raises
-        BudgetExceeded before listing when they do not fit the budget left.
+        lexicographic order, each one charged to the budget.  Refused by
+        `_refuse_orbit` before listing when they do not fit the budget left.
         """
         classes = [sorted(c) for c in twin_classes]
-        total = prod(len(c) for c in classes)
-        if total > self.left:
-            raise BudgetExceeded(
-                f"twin-swap orbit has {total} sets, over the budget {self.budget}",
-                evaluated=self.evaluated, budget=self.budget)
+        total = _refuse_orbit(classes, self.budget, self.evaluated)
         members = [np.asarray(c, dtype=np.intp) for c in classes]
         # one omitted column per class, every combination (mixed radix)
         index = np.arange(total)
@@ -455,35 +451,6 @@ def find_min_resolving_for_matrix(
     raise AssertionError("the full vertex set always resolves")
 
 
-def minimum_resolving_sets_for_matrix(
-    dist: np.ndarray,
-    twin_classes: Sequence[Sequence[int]],
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[np.ndarray]:
-    """Every resolving k-subset of matrix columns, lexicographic order
-    (0-based), where k is the metric dimension, as (B, k) column arrays:
-    the sets of one kernel batch that resolve.
-
-    When k equals the twin bound the sets come from the twin-swap orbit
-    of the core (every class minus its largest column), one budget unit
-    per orbit member; otherwise from the plain scan of
-    `all_resolving_k_subsets`.  At that size the orbit holds every
-    candidate: a resolving set holds all but one member of each twin
-    class, so a resolving set of size sum(|c| - 1) omits exactly one
-    member of each class.  Swapping a member for its twin is an
-    automorphism, so the orbit's sets resolve together or not at all;
-    each is still checked by the kernel, and only those that resolve are
-    yielded.  Either route refuses at the first batch, before listing,
-    when its sets do not fit the budget.
-    """
-    if k == 0 or k != twins_mod.twin_lower_bound(twin_classes):
-        yield from _resolving_k_subset_batches(dist, k, budget)
-        return
-    for cols, hits in _Engine(dist, budget).orbit(twin_classes):
-        yield cols[hits]
-
-
 def refuse_mask_table(n: int, budget: int) -> None:
     """BudgetExceeded unless the 2^n subset table fits: first when 2^n
     evaluations exceed the budget, then when n is beyond the table guard,
@@ -543,22 +510,40 @@ def minimal_sets_by_table(
     return sets, minimal
 
 
+def _refuse_orbit(classes: Sequence[Sequence[int]], budget: int,
+                  evaluated: int = 0) -> int:
+    """The size prod |c| of the twin-swap orbit of `classes`; BudgetExceeded
+    when it exceeds what is left of the budget after `evaluated` units."""
+    total = prod(len(c) for c in classes)
+    if total > budget - evaluated:
+        raise BudgetExceeded(
+            f"twin-swap orbit has {total} sets, over the budget {budget}",
+            evaluated=evaluated, budget=budget)
+    return total
+
+
+def _refuse_scan(n: int, k: int, budget: int) -> None:
+    """BudgetExceeded when the plain scan's C(n, k) subsets, k >= 1, exceed
+    the budget."""
+    total = comb(n, k)
+    if k and total > budget:
+        raise BudgetExceeded(
+            f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
+            evaluated=0, budget=budget)
+
+
 def _resolving_k_subset_batches(
     dist: np.ndarray, k: int, budget: int
 ) -> Iterator[np.ndarray]:
     """The plain scan's resolving k-subsets, lexicographic order, as one
-    (B, k) column array per kernel batch; refused before listing when
-    C(N, k) exceeds the budget."""
+    (B, k) column array per kernel batch; refused by `_refuse_scan` before
+    listing."""
     n = dist.shape[0]
+    _refuse_scan(n, k, budget)
     if k == 0:
         if n <= 1:
             yield np.empty((1, 0), dtype=np.intp)
         return
-    total = comb(n, k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
-            evaluated=0, budget=budget)
     for cols, hits in _Engine(dist, budget).scan(k):
         yield cols[hits]
 
@@ -575,22 +560,14 @@ def all_resolving_k_subsets(
 # front ends: component graphs and plain graphs alike
 # ---------------------------------------------------------------------------
 #
-# Each maps matrix columns to `g.vertex_ids()`.  A component graph gives
-# the walk its skeleton columns and packed rows; every other route, and
-# every route on a plain graph, reads `g.distance_matrix()` and
-# `g.adjacency_matrix()`.
+# Each maps matrix columns to `g.vertex_ids()` and reads the twin classes
+# from `g.twin_classes()`.  A component graph gives the walk its skeleton
+# columns; every other route, and every route on a plain graph, reads
+# `g.distance_matrix()`.
 
 def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
     ids = g.vertex_ids()
     return tuple(ids[c] for c in cols)
-
-
-def _twin_classes(g) -> list[list[int]]:
-    """0-based twin classes: from packed rows built from the skeletons on
-    a component graph, from the adjacency matrix on a plain graph."""
-    if isinstance(g, ComponentGraph):
-        return twins_mod.twin_classes_from_packed_rows(g.packed_adjacency())
-    return twins_mod.twin_classes_from_adjacency(g.adjacency_matrix())
 
 
 def metric_dimension_search(
@@ -601,21 +578,47 @@ def metric_dimension_search(
     On a component graph the walk reads `g.distance_columns()`, one
     column per node, and holds no N x N array.
     """
-    classes = _twin_classes(g)
     dist = g.distance_columns() if isinstance(g, ComponentGraph) else g.distance_matrix()
-    k, cols = find_min_resolving_for_matrix(dist, classes, budget)
+    k, cols = find_min_resolving_for_matrix(dist, g.twin_classes(), budget)
     return k, _ids(g, cols)
+
+
+def minimum_resolving_sets(
+    g, k: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[np.ndarray]:
+    """Every resolving k-subset of g, lexicographic order (0-based
+    columns), where k is the metric dimension, as (B, k) column arrays:
+    the sets of one kernel batch that resolve.
+
+    When k equals the twin bound of `g.twin_classes()` the sets come from
+    the twin-swap orbit of the core (every class minus its largest
+    column), one budget unit per orbit member; otherwise from the plain
+    scan of `all_resolving_k_subsets`.  At that size the orbit holds
+    every candidate: a resolving set holds all but one member of each
+    twin class, so a resolving set of size sum(|c| - 1) omits exactly one
+    member of each class.  Swapping a member for its twin is an
+    automorphism, so the orbit's sets resolve together or not at all;
+    each is still checked by the kernel, and only those that resolve are
+    yielded.  Either route is refused from its count, prod |c| or
+    C(N, k), before `g.distance_matrix()` is read.
+    """
+    classes = g.twin_classes()
+    if k == 0 or k != twins_mod.twin_lower_bound(classes):
+        _refuse_scan(g.vertex_count, k, budget)
+        yield from _resolving_k_subset_batches(g.distance_matrix(), k, budget)
+        return
+    _refuse_orbit(classes, budget)
+    for cols, hits in _Engine(g.distance_matrix(), budget).orbit(classes):
+        yield cols[hits]
 
 
 def enumerate_minimum_resolving_sets(
     g, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All minimum resolving sets, lexicographic order (ids)."""
-    dist = g.distance_matrix()
-    classes = _twin_classes(g)
-    k, _ = find_min_resolving_for_matrix(dist, classes, budget)
-    return [_ids(g, cols)
-            for block in minimum_resolving_sets_for_matrix(dist, classes, k, budget)
+    """All minimum resolving sets, lexicographic order (ids): k from
+    `metric_dimension_search`, the sets from `minimum_resolving_sets`."""
+    k, _ = metric_dimension_search(g, budget)
+    return [_ids(g, cols) for block in minimum_resolving_sets(g, k, budget)
             for cols in block.tolist()]
 
 

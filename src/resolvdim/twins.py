@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlreadyMember, NotMember, NotTwins
-from .graph import ComponentGraph
+from .graph import ComponentGraph, twin_classes_from_packed_rows  # re-exported
 
 
 @dataclass(frozen=True)
@@ -31,52 +31,13 @@ class TwinPartition:
     skeletons: tuple[int, ...]
 
 
-def twin_classes_from_packed_rows(rows: np.ndarray) -> list[list[int]]:
-    """0-based twin classes from packed open adjacency rows, one row per
-    vertex in the layout of `np.packbits(adj, axis=1)`; ordered by least
-    member, members ascending.  The rows are changed in place: they hold
-    the closed rows on return.
-
-    Each vertex is labelled with the least vertex that has the same open
-    row or the same closed row, and the classes are the groups of equal
-    labels.  No vertex has twins of both kinds: if N(u) = N(v) and
-    N[u] = N[w] with v, w != u, then w is in N(u) = N(v), so v is in
-    N[w] = N[u] and v is adjacent to u; but u is not in N(u) = N(v).  So
-    each class is one group of equal open rows or one group of equal
-    closed rows, and the least member of either group labels all of it.
-    The rows are compared packed, N/8 bytes each.
-    """
-    n = rows.shape[0]
-    label = list(range(n))
-
-    def least_equal_row() -> None:
-        first: dict[bytes, int] = {}
-        for i, row in enumerate(rows):
-            label[i] = min(label[i], first.setdefault(row.tobytes(), i))
-
-    least_equal_row()
-    v = np.arange(n)  # set each vertex's own bit: the closed rows
-    rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
-    least_equal_row()
-    # a class's least member carries its own label and comes first
-    groups: dict[int, list[int]] = {}
-    for i, least in enumerate(label):
-        groups.setdefault(least, []).append(i)
-    return list(groups.values())
-
-
-def twin_classes_from_adjacency(adj: np.ndarray) -> list[list[int]]:
-    """0-based twin classes of a boolean adjacency matrix, as
-    `twin_classes_from_packed_rows`; the matrix is left unchanged."""
-    return twin_classes_from_packed_rows(np.packbits(adj, axis=1))
-
-
 def partition_by_neighborhood(g: ComponentGraph) -> TwinPartition:
-    """Classes of the twin relation N[u]=N[v] or N(u)=N(v), read from the
-    graph's packed adjacency rows (N^2/8 bytes), never from its skeleton
-    classes: `partitions_coincide` compares the two."""
+    """Classes of the twin relation N[u]=N[v] or N(u)=N(v), read from
+    `g.twin_classes()`, which comes from the packed adjacency rows and
+    never from the skeleton classes: `partitions_coincide` compares the
+    two."""
     sk = g.skeleton_array()
-    classes0 = twin_classes_from_packed_rows(g.packed_adjacency())
+    classes0 = g.twin_classes()
     classes = tuple(tuple(i + 1 for i in c) for c in classes0)
     skeletons = tuple(int(sk[c[0]]) for c in classes0)
     return TwinPartition(classes=classes, skeletons=skeletons)
@@ -103,12 +64,8 @@ def partitions_coincide(g: ComponentGraph) -> bool:
 
 
 def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
-    """True iff u and v are twins, which in a graph of diameter at most 2
-    means at equal distance from every other vertex."""
-    block = g.distance_block((u, v))
-    others = np.ones(g.vertex_count, dtype=bool)
-    others[[u - 1, v - 1]] = False
-    return bool(np.array_equal(block[others, 0], block[others, 1]))
+    """True iff u and v are twins: `is_twin_class` of the pair."""
+    return is_twin_class(g, (u, v))
 
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
@@ -116,9 +73,10 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     N x k distance block: the columns agree on every row outside the
     members, and the distances between distinct members are all equal.
 
-    That holds exactly when each consecutive pair passes `are_twins`.
-    Twinness is an equivalence, so twin consecutive pairs make every pair
-    twins, and then d(x, z) = d(y, z) for distinct members x, y, z: all
+    In a graph of diameter at most 2, u and v are twins exactly when
+    they are at equal distance from every other vertex.  If the members
+    are pairwise twins, every outside row is constant along the block's
+    columns, and d(x, z) = d(y, z) for distinct members x, y, z, so all
     distances between distinct members are equal.  Conversely the two
     conditions put any two members at equal distance from every other
     vertex.

@@ -199,7 +199,8 @@ def twin_classes_by_union_find(adj):
 
     Vertices are merged when their open-neighborhood rows match or their
     closed-neighborhood rows match: the reference for the packed-row
-    `twins.twin_classes_from_adjacency`, which needs no merging.
+    `twin_classes_from_packed_rows`, which needs no merging.  Returned in
+    its shape: a tuple of ascending tuples, ordered by least member.
     """
     n = adj.shape[0]
     uf = _UnionFind(n)
@@ -216,7 +217,7 @@ def twin_classes_by_union_find(adj):
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
 
 
 @pytest.fixture(scope="session")

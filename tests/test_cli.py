@@ -498,9 +498,7 @@ def test_verify_corollary_can_fail(monkeypatch, capsys):
     g = ComponentGraph(3, 2)
     masks = last_set_in_a_hyperplane(field.field_new(3), 2,
                                      [vectorspace.decode(v, 3, 2) for v in g.vertex_ids()])
-    classes = twins.twin_classes_from_adjacency(g.adjacency_matrix())
-    sets = [w for block in resolving.minimum_resolving_sets_for_matrix(
-        g.distance_matrix(), classes, 5) for w in block.tolist()]
+    sets = [w for block in resolving.minimum_resolving_sets(g, 5) for w in block.tolist()]
     assert [field.has_full_rank(field.field_new(3), 2, [vectorspace.decode(v + 1, 3, 2)
                                                         for v in w]) for w in sets] == [True] * 16
     assert [bool((np.bitwise_or.reduce(masks[w]) == ~np.uint64(0)).all())
@@ -638,6 +636,10 @@ def _run_in(directory, argv, capsys, monkeypatch):
     ["verify", "--q", "2", "--n", "12", "--budget", "1000"],
     ["dim", "--q", "3", "--n", "4", "--budget", "20000"],
     ["graph", "--q", "2", "--n", "11", "--out", "g"],
+    # the dim search fits the budget, the corollary's orbit of 3^32 sets
+    # and the exchange table do not: both are refused from their counts
+    pytest.param(["verify", "--q", "4", "--n", "4", "--budget", "1000000", "--format", "json"],
+                 id="verify-orbit-refused"),
 ], ids=lambda argv: argv[0])
 def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monkeypatch):
     # these routes read the skeletons alone: with both N x N views broken
@@ -651,6 +653,25 @@ def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monk
     monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
     assert _run_in(tmp_path / "refused", argv, capsys, monkeypatch) == before
     assert before[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q-range", "2..3", "--n-range", "1..3", "--budget", "20000"],
+    ["verify", "--q", "2", "--n", "12", "--budget", "1000"],
+], ids=["grid", "q2-n12"])
+def test_verify_builds_the_packed_rows_once_per_cell(argv, capsys, monkeypatch):
+    # the twins, dim, corollary and swaps checks all read the one twin
+    # partition of the cell's graph; `verify` builds a fresh graph per cell
+    real, built = ComponentGraph.packed_adjacency, []
+
+    def counted(self):
+        built.append((self.q, self.n))
+        return real(self)
+
+    monkeypatch.setattr(ComponentGraph, "packed_adjacency", counted)
+    main(argv + ["--format", "json"])
+    cells = [(r["q"], r["n"]) for r in json.loads(capsys.readouterr().out)["records"]]
+    assert built == cells
 
 
 def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rank_by_elimination
-from resolvdim import field, resolving, twins, vectorspace
+from resolvdim import field, resolving, vectorspace
 from resolvdim.graph import ComponentGraph
 from resolvdim.errors import (DimensionMismatch, DivisionByZero, OutOfRange,
                               UnsupportedOrder)
@@ -266,10 +266,9 @@ def test_mask_verdict_matches_rank_on_orbit_sets(q, n):
     f = field.field_new(q)
     vectors = [vectorspace.decode(v, q, n) for v in g.vertex_ids()]
     masks = f.hyperplane_masks(n, vectors)
-    classes = twins.twin_classes_from_adjacency(g.adjacency_matrix())
+    classes = g.twin_classes()
     k = resolving.metric_dimension_formula(q, n)
-    sets = [w for block in resolving.minimum_resolving_sets_for_matrix(
-        g.distance_matrix(), classes, k) for w in block.tolist()]
+    sets = [w for block in resolving.minimum_resolving_sets(g, k) for w in block.tolist()]
     assert len(sets) == prod(len(c) for c in classes)
     for w in sets:
         assert _spans_by_masks(masks, w) == \

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (int64_digits, least_equal_rows_by_dict, plain_first_hit,
                       representation, resolves_by_definition, status_by_rows)
-from resolvdim import intersection, resolving, twins
+from resolvdim import intersection, resolving
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -279,10 +279,6 @@ def test_wide_path_matches_definition():
 # the pruned walk and the twin-swap orbit against the plain scan
 # ---------------------------------------------------------------------------
 
-def _twin_classes0(g):
-    return [[v - 1 for v in c] for c in twins.partition_by_neighborhood(g).classes]
-
-
 def _assert_walk_matches_plain_scan(dist, classes):
     k, witness = resolving.find_min_resolving_for_matrix(dist, classes)
     assert witness == plain_first_hit(dist, k)
@@ -297,15 +293,14 @@ def _assert_walk_matches_plain_scan(dist, classes):
                                  (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
 def test_walk_matches_plain_scan(q, n):
     g = ComponentGraph(q, n)
-    k = _assert_walk_matches_plain_scan(g.distance_matrix(), _twin_classes0(g))
+    k = _assert_walk_matches_plain_scan(g.distance_matrix(), g.twin_classes())
     assert k == resolving.metric_dimension_formula(q, n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_walk_matches_plain_scan_on_powerset_graph(n):
     pg = intersection.intersection_graph(intersection.powerset_family(n))
-    classes = twins.twin_classes_from_adjacency(pg.adjacency_matrix())
-    k = _assert_walk_matches_plain_scan(pg.distance_matrix(), classes)
+    k = _assert_walk_matches_plain_scan(pg.distance_matrix(), pg.twin_classes())
     assert k == intersection.powerset_intersection_dimension(n)
 
 
@@ -318,8 +313,7 @@ def test_walk_matches_plain_scan_on_random_graphs(seed):
     p = rng.choice([0.2, 0.4, 0.6, 0.8])
     pg = PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < p])
-    classes = twins.twin_classes_from_adjacency(pg.adjacency_matrix())
-    _assert_walk_matches_plain_scan(pg.distance_matrix(), classes)
+    _assert_walk_matches_plain_scan(pg.distance_matrix(), pg.twin_classes())
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (3, 4)])
@@ -328,7 +322,7 @@ def test_walk_starts_at_the_dimension(q, n):
     g = ComponentGraph(q, n)
     engine = resolving._Engine(g.distance_matrix())
     k = resolving.metric_dimension_formula(q, n)
-    witness, complete = engine.walk(k, _twin_classes0(g))
+    witness, complete = engine.walk(k, g.twin_classes())
     assert complete
     assert tuple(c + 1 for c in witness) == resolving.canonical_metric_basis(q, n)
     # one node per pick, the witness the first leaf tried
@@ -339,12 +333,11 @@ def test_walk_decides_leaves_without_the_kernel(monkeypatch):
     # the walk and the plain scan are independent routes: no leaf of the
     # walk goes through the column-group kernel
     graphs = [ComponentGraph(q, n) for q, n in [(2, 2), (2, 4), (2, 6), (3, 3), (7, 2)]]
-    inputs = [(g.distance_matrix(), _twin_classes0(g)) for g in graphs]
+    inputs = [(g.distance_matrix(), g.twin_classes()) for g in graphs]
     rng = random.Random("walk:kernel-free")
     pg = PlainGraph(24, [(u, v) for u in range(24) for v in range(u + 1, 24)
                          if rng.random() < 0.2])
-    inputs.append((pg.distance_matrix(),
-                   twins.twin_classes_from_adjacency(pg.adjacency_matrix())))
+    inputs.append((pg.distance_matrix(), pg.twin_classes()))
     expected = [resolving.find_min_resolving_for_matrix(d, c) for d, c in inputs]
 
     def kernel(*args):
@@ -360,7 +353,7 @@ def test_walk_budget_counts_every_leaf(q, n, least):
     # one unit per leaf, charged in order up to the witness: `least` is the
     # smallest budget that decides (at (2,4), 15 leaves fail first)
     g = ComponentGraph(q, n)
-    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    dist, classes = g.distance_matrix(), g.twin_classes()
     k, witness = resolving.find_min_resolving_for_matrix(dist, classes)
     assert resolving.find_min_resolving_for_matrix(dist, classes, least) == (k, witness)
     with pytest.raises(BudgetExceeded,
@@ -374,7 +367,7 @@ def test_walk_frames_hold_int32_ranks():
     # (4,5): the walk is k = 992 frames deep over N = 1023 rows; int64
     # frames alone would take k * N * 8 bytes
     g = ComponentGraph(4, 5)
-    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    dist, classes = g.distance_matrix(), g.twin_classes()
     tracemalloc.start()
     try:
         k, _ = resolving.find_min_resolving_for_matrix(dist, classes)
@@ -407,22 +400,57 @@ def test_landmark_bound():
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
 def test_orbit_matches_plain_scan(q, n):
     g = ComponentGraph(q, n)
-    dist, classes = g.distance_matrix(), _twin_classes0(g)
+    dist, classes = g.distance_matrix(), g.twin_classes()
     k = resolving.metric_dimension_formula(q, n)
-    blocks = list(resolving.minimum_resolving_sets_for_matrix(dist, classes, k))
+    blocks = list(resolving.minimum_resolving_sets(g, k))
     assert all(block.ndim == 2 and block.shape[1] == k for block in blocks)
     orbit = [tuple(row) for block in blocks for row in block.tolist()]
     assert orbit == resolving.all_resolving_k_subsets(dist, k)
     assert len(orbit) == prod(len(c) for c in classes)
 
 
-def test_orbit_over_budget_raises_before_listing(g33):
-    classes = _twin_classes0(g33)
-    sets = resolving.minimum_resolving_sets_for_matrix(
-        g33.distance_matrix(), classes, 19, budget=4095)
+def test_orbit_over_budget_raises_before_listing(monkeypatch):
+    # refused from the class sizes, before the matrix is read
+    g = ComponentGraph(3, 3)
+
+    def refuse(self):
+        raise AssertionError("the matrix was read before the orbit was admitted")
+
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    sets = resolving.minimum_resolving_sets(g, 19, budget=4095)
     with pytest.raises(BudgetExceeded, match="orbit has 4096 sets") as err:
         next(sets)
     assert err.value.evaluated == 0
+
+
+def test_scan_over_budget_raises_before_the_matrix(monkeypatch):
+    # (2,4) has dimension 4 above its twin bound 0: the plain scan of
+    # C(15, 4) = 1365 sets is refused from its count
+    g = ComponentGraph(2, 4)
+
+    def refuse(self):
+        raise AssertionError("the matrix was read before the scan was admitted")
+
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^scanning C\(15,4\) = 1365 subsets exceeds the budget 1364$"):
+        next(resolving.minimum_resolving_sets(g, 4, budget=1364))
+
+
+def test_enumerate_minimum_refuses_the_orbit_before_the_matrix(monkeypatch):
+    # (3,3): the walk decides k = 19 in 19 nodes, within the budget of
+    # 4095, but the orbit has 4096 sets; no N x N view is built
+    g = ComponentGraph(3, 3)
+
+    def refuse(self):
+        raise AssertionError("an N x N view was built")
+
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    monkeypatch.setattr(ComponentGraph, "adjacency_matrix", refuse)
+    assert resolving.metric_dimension_search(g, 4095)[0] == 19
+    with pytest.raises(BudgetExceeded,
+                       match="^twin-swap orbit has 4096 sets, over the budget 4095$"):
+        resolving.enumerate_minimum_resolving_sets(g, 4095)
 
 
 def test_resolves_matches_is_resolving(g23):
@@ -443,7 +471,7 @@ def test_kernel_matches_rows_on_orbit_batches():
     dist = g.distance_matrix()
     engine = resolving._Engine(dist)
     assert int64_digits(engine.base) < 56
-    for cols, hits in islice(engine.orbit(_twin_classes0(g)), 3):
+    for cols, hits in islice(engine.orbit(g.twin_classes()), 3):
         assert np.array_equal(hits, status_by_rows(dist, cols))
 
 
@@ -526,7 +554,7 @@ def test_column_walk_matches_matrix_walk(q, n):
     # the default budget decides every cell with N <= 1023; a budget of 30
     # stops most of them mid-walk, which pins the evaluated counts
     g = ComponentGraph(q, n)
-    classes = _twin_classes0(g)
+    classes = g.twin_classes()
     for budget in (30, resolving.DEFAULT_BUDGET):
         outcome = _walk_outcome(g.distance_matrix(), classes, budget)
         assert _walk_outcome(g.distance_columns(), classes, budget) == outcome
@@ -538,7 +566,7 @@ def test_column_walk_matches_matrix_walk(q, n):
 
 def test_column_walk_over_budget_matches_matrix_walk():
     g = ComponentGraph(2, 12)
-    classes = _twin_classes0(g)
+    classes = g.twin_classes()
     by_columns = _walk_outcome(g.distance_columns(), classes, 1000)
     assert by_columns == _walk_outcome(g.distance_matrix(), classes, 1000)
     assert by_columns[1:] == (1000, 12, 4095)

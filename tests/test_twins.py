@@ -10,6 +10,7 @@ from resolvdim import resolving, twins
 from resolvdim.errors import AlreadyMember, NotMember, NotTwins
 from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import ComponentGraph
+from resolvdim.intersection import PlainGraph
 
 
 def desk_instances(limit):
@@ -175,8 +176,8 @@ def test_resolving_sets_cover_twin_classes(q, n):
 
 @pytest.mark.parametrize("q,n", desk_instances(400) + [(2, 12), (3, 7), (7, 4)])
 def test_twin_classes_match_union_find_on_component_graphs(q, n):
-    adj = ComponentGraph(q, n).adjacency_matrix()
-    assert twins.twin_classes_from_adjacency(adj) == twin_classes_by_union_find(adj)
+    g = ComponentGraph(q, n)
+    assert g.twin_classes() == twin_classes_by_union_find(g.adjacency_matrix())
 
 
 def _random_adjacency(rng, n, kind):
@@ -201,14 +202,17 @@ def test_twin_classes_match_union_find_on_random_graphs():
     for seed in range(300):
         rng = random.Random(f"twins:{seed}")
         adj = _random_adjacency(rng, rng.randint(0, 13), kinds[seed % len(kinds)])
-        assert twins.twin_classes_from_adjacency(adj) == \
-            twin_classes_by_union_find(adj), f"seed {seed}"
+        pg = PlainGraph(len(adj), np.argwhere(np.triu(adj, 1)))
+        assert pg.twin_classes() == twin_classes_by_union_find(adj), f"seed {seed}"
 
 
 def test_twin_classes_leave_the_adjacency_unchanged(g32):
-    adj = g32.adjacency_matrix()
+    # the packed-row pass sets each vertex's own bit in the rows it is
+    # given; a plain graph hands it a packed copy of its matrix
+    pg = PlainGraph(g32.vertex_count, [(u - 1, v - 1) for u, v in g32.edges()])
+    adj = pg.adjacency_matrix()
     before = adj.copy()
-    twins.twin_classes_from_adjacency(adj)
+    pg.twin_classes()
     assert np.array_equal(adj, before)
 
 
@@ -218,8 +222,8 @@ def test_packed_row_classes_match_adjacency_classes(q, n):
     # union-find shares no code with the two row passes
     g = ComponentGraph(q, n)
     adj = g.adjacency_matrix()
-    packed = [[v - 1 for v in c] for c in twins.partition_by_neighborhood(g).classes]
-    assert packed == twins.twin_classes_from_adjacency(adj)
+    packed = tuple(tuple(v - 1 for v in c) for c in twins.partition_by_neighborhood(g).classes)
+    assert packed == twins.twin_classes_from_packed_rows(np.packbits(adj, axis=1))
     assert packed == twin_classes_by_union_find(adj)
 
 
