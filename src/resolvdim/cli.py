@@ -572,6 +572,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError as exc:  # an input too large to hold, not a failed check
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"error: out of memory{': ' + detail if detail else ''}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 
 The property: for any minimal resolving sets W1, W2 and any r in W1 there
 is some s in W2 such that (W2 minus s) plus r is again a minimal resolving
-set.  The definition-level check enumerates every minimal resolving set
-via a full subset table and tests the quantifier over all ordered pairs;
-when it fails, it returns the first violation found as the witness,
-without re-checking it: W2 in lexicographic order, then r ascending, and
-W1 the least minimal set holding r.  The report also lists the size of
-every minimal set.
+set.  The definition-level check reads the family of minimal resolving
+sets from `resolving.enumerate_minimal_resolving_sets` and tests the
+quantifier over all ordered pairs, one family lookup per swap; when it
+fails, it returns the first violation found as the witness, without
+re-checking it: W2 in lexicographic order, then r ascending, and W1 the
+least minimal set holding r.  The report also lists the size of every
+minimal set.
 
 Two helper constructions give explicit oversized minimal sets at q=2: the
 set of vertices avoiding one fixed coordinate, and for n=3 a hand-picked
@@ -44,32 +45,26 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
     """Definition-level exchange verdict for a graph with a distance matrix.
 
     Works on component graphs and plain graphs alike.  The minimal sets
-    come from the 2^N subset table, each set's status decided by the
-    column-group kernel.  When the table does not fit the budget, or N is
-    over the 20-vertex table guard, BudgetExceeded propagates with the
-    reason: a verdict is only ever reported for a quantifier that was
-    checked.  Both refusals are read from the vertex count, before the
-    distance matrix is built.
+    come from `resolving.enumerate_minimal_resolving_sets`.  When its 2^N
+    table does not fit the budget, or N is over the 20-vertex table
+    guard, BudgetExceeded propagates with the reason: a verdict is only
+    ever reported for a quantifier that was checked.
     """
-    resolving.refuse_mask_table(g.vertex_count, budget)
-    sets, minimal = resolving.minimal_sets_by_table(g.distance_matrix(), budget)
-    ids = list(g.vertex_ids())
+    sets = resolving.enumerate_minimal_resolving_sets(g, budget)
+    family = set(map(frozenset, sets))
     sizes = tuple(sorted(len(w) for w in sets))
-    universe = sorted({i for w in sets for i in w})
+    universe = sorted({v for w in sets for v in w})
     for w2 in sets:
-        mask2 = sum(1 << i for i in w2)
+        members = frozenset(w2)
         for r in universe:
-            if (mask2 >> r) & 1:
+            if r in members:
                 continue
-            swapped_ok = any(minimal[(mask2 ^ (1 << s)) | (1 << r)] for s in w2)
-            if not swapped_ok:
+            with_r = members | {r}
+            if not any(with_r - {s} in family for s in w2):
                 w1 = next(w for w in sets if r in w)
-                violation = ExchangeViolation(
-                    w1=tuple(ids[i] for i in w1),
-                    r=ids[r],
-                    w2=tuple(ids[i] for i in w2))
                 return ExchangeReport(holds=False, method="definition-check",
-                                      minimal_set_sizes=sizes, witness=violation)
+                                      minimal_set_sizes=sizes,
+                                      witness=ExchangeViolation(w1=w1, r=r, w2=w2))
     return ExchangeReport(holds=True, method="definition-check",
                           minimal_set_sizes=sizes)
 

@@ -46,10 +46,14 @@ class ComponentGraph:
         field.validate_order(q)
         if n < 1:
             raise BadParameters(f"dimension n={n} must be >= 1")
-        count = order_formula(q, n)
-        if count > vertex_cap:
+        # q^n - 1 >= 2^n - 1 > vertex_cap once n passes the cap's bit
+        # length, so a huge n is refused without forming q^n
+        big = n > max(64, vertex_cap.bit_length())
+        count = None if big else order_formula(q, n)
+        if big or count > vertex_cap:
+            shown = f"{q}^{n}-1" if big or count >= 1 << 64 else count
             raise InstanceTooLarge(
-                f"q^n-1 = {count} exceeds the vertex cap {vertex_cap}"
+                f"q^n-1 = {shown} exceeds the vertex cap {vertex_cap}"
             )
         self.q = q
         self.n = n

@@ -382,11 +382,11 @@ class _Engine:
 
         The orbit is every set that omits exactly one member of each of
         the classes, which partition the columns: prod |c| sets, listed in
-        lexicographic order, each one charged to the budget.  Refused by
-        `_refuse_orbit` before listing when they do not fit the budget left.
+        lexicographic order, each one charged to the budget.  Callers
+        refuse an orbit that does not fit the budget before they start it.
         """
         classes = [sorted(c) for c in twin_classes]
-        total = _refuse_orbit(classes, self.budget, self.evaluated)
+        total = prod(len(c) for c in classes)
         members = [np.asarray(c, dtype=np.intp) for c in classes]
         # one omitted column per class, every combination (mixed radix)
         index = np.arange(total)
@@ -451,28 +451,13 @@ def find_min_resolving_for_matrix(
     raise AssertionError("the full vertex set always resolves")
 
 
-def refuse_mask_table(n: int, budget: int) -> None:
-    """BudgetExceeded unless the 2^n subset table fits: first when 2^n
-    evaluations exceed the budget, then when n is beyond the table guard,
-    each with its own message.  Read from the vertex count alone, so
-    callers refuse before they build a matrix."""
-    if (1 << n) > budget:
-        raise BudgetExceeded(
-            f"full subset table needs 2^{n} evaluations, over the budget {budget}",
-            evaluated=0, budget=budget)
-    if n > _MASK_TABLE_MAX_N:
-        raise BudgetExceeded(
-            f"full subset table needs N <= {_MASK_TABLE_MAX_N}, got N = {n}",
-            evaluated=0, budget=budget)
-
-
 def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Resolving status of every subset, indexed by bit mask of columns.
 
-    Needs 2^N evaluations; refused as by `refuse_mask_table`.
+    Needs 2^N evaluations; refused as by `_refuse_table`.
     """
     n = dist.shape[0]
-    refuse_mask_table(n, budget)
+    _refuse_table(n, budget)
     engine = _Engine(dist, budget)
     status = np.zeros(1 << n, dtype=bool)
     for k in range(n + 1):
@@ -495,31 +480,42 @@ def minimal_status_by_mask(status: np.ndarray) -> np.ndarray:
     return minimal
 
 
-def minimal_sets_by_table(
-    dist: np.ndarray, budget: int = DEFAULT_BUDGET
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Every minimal resolving set of matrix columns, from the 2^N table.
-
-    Returns the sets (0-based, lexicographic order) and the minimal-status
-    table indexed by bit mask.
-    """
-    n = dist.shape[0]
-    minimal = minimal_status_by_mask(resolving_status_by_mask(dist, budget))
-    sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
-                  for m in map(int, np.flatnonzero(minimal)))
-    return sets, minimal
+def all_resolving_k_subsets(
+    dist: np.ndarray, k: int, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """Every resolving k-subset of matrix columns, lexicographic order;
+    refused by `_refuse_scan` before the scan starts."""
+    _refuse_scan(dist.shape[0], k, budget)
+    return [tuple(row) for cols, hits in _Engine(dist, budget).scan(k)
+            for row in cols[hits].tolist()]
 
 
-def _refuse_orbit(classes: Sequence[Sequence[int]], budget: int,
-                  evaluated: int = 0) -> int:
-    """The size prod |c| of the twin-swap orbit of `classes`; BudgetExceeded
-    when it exceeds what is left of the budget after `evaluated` units."""
+# ---------------------------------------------------------------------------
+# refusals: read from counts alone, before any matrix is built
+# ---------------------------------------------------------------------------
+
+def _refuse_table(n: int, budget: int) -> None:
+    """BudgetExceeded unless the 2^n subset table fits: first when 2^n
+    evaluations exceed the budget, then when n is beyond the table guard,
+    each with its own message."""
+    if (1 << n) > budget:
+        raise BudgetExceeded(
+            f"full subset table needs 2^{n} evaluations, over the budget {budget}",
+            evaluated=0, budget=budget)
+    if n > _MASK_TABLE_MAX_N:
+        raise BudgetExceeded(
+            f"full subset table needs N <= {_MASK_TABLE_MAX_N}, got N = {n}",
+            evaluated=0, budget=budget)
+
+
+def _refuse_orbit(classes: Sequence[Sequence[int]], budget: int) -> None:
+    """BudgetExceeded when the twin-swap orbit of `classes`, prod |c| sets,
+    exceeds the budget."""
     total = prod(len(c) for c in classes)
-    if total > budget - evaluated:
+    if total > budget:
         raise BudgetExceeded(
             f"twin-swap orbit has {total} sets, over the budget {budget}",
-            evaluated=evaluated, budget=budget)
-    return total
+            evaluated=0, budget=budget)
 
 
 def _refuse_scan(n: int, k: int, budget: int) -> None:
@@ -530,30 +526,6 @@ def _refuse_scan(n: int, k: int, budget: int) -> None:
         raise BudgetExceeded(
             f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
             evaluated=0, budget=budget)
-
-
-def _resolving_k_subset_batches(
-    dist: np.ndarray, k: int, budget: int
-) -> Iterator[np.ndarray]:
-    """The plain scan's resolving k-subsets, lexicographic order, as one
-    (B, k) column array per kernel batch; refused by `_refuse_scan` before
-    listing."""
-    n = dist.shape[0]
-    _refuse_scan(n, k, budget)
-    if k == 0:
-        if n <= 1:
-            yield np.empty((1, 0), dtype=np.intp)
-        return
-    for cols, hits in _Engine(dist, budget).scan(k):
-        yield cols[hits]
-
-
-def all_resolving_k_subsets(
-    dist: np.ndarray, k: int, budget: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """Every resolving k-subset of matrix columns, lexicographic order."""
-    return [tuple(row) for block in _resolving_k_subset_batches(dist, k, budget)
-            for row in block.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +565,7 @@ def minimum_resolving_sets(
     When k equals the twin bound of `g.twin_classes()` the sets come from
     the twin-swap orbit of the core (every class minus its largest
     column), one budget unit per orbit member; otherwise from the plain
-    scan of `all_resolving_k_subsets`.  At that size the orbit holds
+    scan of every k-subset.  At that size the orbit holds
     every candidate: a resolving set holds all but one member of each
     twin class, so a resolving set of size sum(|c| - 1) omits exactly one
     member of each class.  Swapping a member for its twin is an
@@ -605,10 +577,11 @@ def minimum_resolving_sets(
     classes = g.twin_classes()
     if k == 0 or k != twins_mod.twin_lower_bound(classes):
         _refuse_scan(g.vertex_count, k, budget)
-        yield from _resolving_k_subset_batches(g.distance_matrix(), k, budget)
-        return
-    _refuse_orbit(classes, budget)
-    for cols, hits in _Engine(g.distance_matrix(), budget).orbit(classes):
+        batches = _Engine(g.distance_matrix(), budget).scan(k)
+    else:
+        _refuse_orbit(classes, budget)
+        batches = _Engine(g.distance_matrix(), budget).orbit(classes)
+    for cols, hits in batches:
         yield cols[hits]
 
 
@@ -627,7 +600,11 @@ def enumerate_minimal_resolving_sets(
 ) -> list[tuple[int, ...]]:
     """All minimal resolving sets, lexicographic order (ids), from the full
     2^N subset table; BudgetExceeded, with its own message for each, when
-    2^N exceeds the budget or N the 20-vertex table guard."""
-    refuse_mask_table(g.vertex_count, budget)
-    sets, _ = minimal_sets_by_table(g.distance_matrix(), budget)
+    2^N exceeds the budget or N the 20-vertex table guard, before
+    `g.distance_matrix()` is read."""
+    n = g.vertex_count
+    _refuse_table(n, budget)
+    minimal = minimal_status_by_mask(resolving_status_by_mask(g.distance_matrix(), budget))
+    sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
+                  for m in map(int, np.flatnonzero(minimal)))
     return [_ids(g, w) for w in sets]

@@ -1,5 +1,6 @@
 import os
 import signal
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -152,6 +153,38 @@ def plain_first_hit(dist, k):
         if hits.any():
             return tuple(int(c) for c in cols[int(np.argmax(hits))])
     return None
+
+
+def exchange_by_definition(g):
+    """(holds, sorted minimal set sizes, first violation (w1, r, w2) in ids
+    or None) of the exchange property, straight from the definition.
+
+    The status of every subset comes from its distance rows, one Python
+    set of representation tuples per subset; a resolving set is minimal
+    when no single removal resolves (supersets of resolving sets
+    resolve).  The quantifier runs in the documented witness order: W2
+    lexicographic, then r ascending, and W1 the least minimal set holding
+    r.  Shares no code with the subset engine or the 2^N mask table.
+    """
+    rows = g.distance_matrix().tolist()
+    ids = list(g.vertex_ids())
+    n = len(ids)
+    resolving = {w for k in range(n + 1) for w in combinations(range(n), k)
+                 if len({tuple(row[c] for c in w) for row in rows}) == n}
+    minimal = sorted(w for w in resolving
+                     if not any(w[:i] + w[i + 1:] in resolving for i in range(len(w))))
+    family = set(minimal)
+    sizes = tuple(sorted(len(w) for w in minimal))
+    held = sorted({r for w in minimal for r in w})
+    for w2 in minimal:
+        for r in held:
+            if r in w2:
+                continue
+            if not any(tuple(sorted(set(w2) - {s} | {r})) in family for s in w2):
+                w1 = min(w for w in minimal if r in w)
+                return False, sizes, (tuple(ids[c] for c in w1), ids[r],
+                                      tuple(ids[c] for c in w2))
+    return True, sizes, None
 
 
 def export_by_lines(g):

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -46,6 +47,56 @@ def test_graph_over_cap_is_usage_error(tmp_path):
     result = run_cli(["graph", "--q", "2", "--n", "20"], cwd=tmp_path)
     assert result.returncode == 2
     assert "vertex cap" in result.stderr
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["dim", "--q", "2", "--n", "20000"], "2^20000-1"),
+    (["dim", "--q", "27", "--n", "3000000"], "27^3000000-1"),
+    (["dim", "--q", "3", "--n", "64", "--vertex-cap", "5"], "3^64-1"),
+    # below 2^64 the order is printed in decimal, as it always was
+    (["dim", "--q", "2", "--n", "64", "--vertex-cap", "5"], "18446744073709551615"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_huge_order_is_refused_from_n(argv, shown, capsys):
+    # q^n is never formed once 2^n - 1 is past the cap: no 4300-digit
+    # ValueError from printing it, and no seconds spent computing it
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    cap = argv[argv.index("--vertex-cap") + 1] if "--vertex-cap" in argv else "65536"
+    assert capsys.readouterr() == ("", f"error: q^n-1 = {shown} exceeds the vertex cap {cap}\n")
+
+
+def test_verify_skips_a_huge_order(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--q", "2", "--n", "20000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "q=2 n=20000 cell=SKIPPED (q^n-1 = 2^20000-1 exceeds the vertex cap 65536)"
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # exit 1 would read as a failed verification; nothing is allocated
+    # here, the MemoryError is raised where the allocation would be
+    def no_list(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_resolve_ns", no_list)
+    assert main(["verify", "--q", "2", "--n-range", "1..100000000000"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+    real = np.arange
+
+    def no_skeletons(*args, **kwargs):
+        if args[-1] > 1 << 32:
+            raise MemoryError("Unable to allocate 8.00 TiB for an array\n"
+                              "with shape (1099511627775,) and data type int64")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", no_skeletons)
+    assert main(["dim", "--q", "2", "--n", "40", "--vertex-cap", "2000000000000"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 8.00 TiB "
+                                   "for an array with shape (1099511627775,) and data "
+                                   "type int64\n")
 
 
 def test_dim_text_and_json(tmp_path):

@@ -1,8 +1,45 @@
+import random
+
 import pytest
 
+from conftest import exchange_by_definition
 from resolvdim import exchange, resolving
 from resolvdim.errors import BadParameters, BudgetExceeded
 from resolvdim.graph import ComponentGraph
+from resolvdim.intersection import PlainGraph
+
+
+def _as_oracle(report):
+    witness = report.witness
+    return (report.holds, report.minimal_set_sizes,
+            None if witness is None else (witness.w1, witness.r, witness.w2))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+def test_matches_the_definition_on_component_graphs(q, n):
+    g = ComponentGraph(q, n)
+    assert _as_oracle(exchange.has_exchange_property(g)) == exchange_by_definition(g)
+
+
+def _random_graph(seed):
+    rng = random.Random(f"exchange:{seed}")
+    n = rng.randint(0, 10)
+    p = rng.choice([0.2, 0.4, 0.6, 0.8])
+    return PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matches_the_definition_on_random_graphs(seed):
+    # disconnected pairs, twins of both kinds and the empty graph included
+    g = _random_graph(seed)
+    assert _as_oracle(exchange.has_exchange_property(g)) == exchange_by_definition(g)
+
+
+def test_random_graphs_include_both_verdicts():
+    # the witness comparison above is exercised, not only `holds`
+    verdicts = {exchange_by_definition(_random_graph(seed))[0] for seed in range(20)}
+    assert verdicts == {True, False}
 
 
 def test_holds_q2_n2(g22):

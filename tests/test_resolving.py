@@ -215,9 +215,16 @@ def test_front_ends_on_graphs_with_at_most_one_vertex(n):
     pg = PlainGraph(n, [])
     assert resolving.metric_dimension_search(pg) == (0, ())
     assert resolving.find_min_resolving_for_matrix(pg.distance_matrix(), []) == (0, ())
-    assert resolving.all_resolving_k_subsets(pg.distance_matrix(), 0) == [()]
     assert resolving.enumerate_minimum_resolving_sets(pg) == [()]
     assert resolving.enumerate_minimal_resolving_sets(pg) == [()]
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (0, [], [()]), (1, [], [()]), (2, [], []), (2, [(0, 1)], [])])
+def test_empty_set_resolves_at_most_one_vertex(n, edges, expected):
+    # the plain scan at k = 0 lists the empty set, which resolves N <= 1 only
+    dist = PlainGraph(n, edges).distance_matrix()
+    assert resolving.all_resolving_k_subsets(dist, 0) == expected
 
 
 def test_minimum_sets(g32):
