@@ -18,7 +18,9 @@ import json
 import re
 import sys
 import time
-from itertools import product
+from contextlib import nullcontext
+from itertools import chain, product
+from typing import Iterable
 
 import numpy as np
 
@@ -44,12 +46,9 @@ def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    with open(out, "w", newline="\n") if out is not None else nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _parse_range(raw: str, what: str) -> tuple[int, int]:
@@ -103,12 +102,9 @@ def _labels(g: graph_mod.ComponentGraph, ids) -> list[str]:
 def cmd_graph(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     prefix = args.out if args.out else f"gamma_q{args.q}_n{args.n}"
-    dot_path = prefix + ".gv"
-    edges_path = prefix + ".edges"
-    with open(dot_path, "w", newline="\n") as fh:
-        fh.writelines(graph_mod.dot_chunks(g))
-    with open(edges_path, "w", newline="\n") as fh:
-        fh.writelines(graph_mod.edge_list_chunks(g))
+    dot_path, edges_path = prefix + ".gv", prefix + ".edges"
+    _emit(graph_mod.dot_chunks(g), dot_path)
+    _emit(graph_mod.edge_list_chunks(g), edges_path)
     size = graph_mod.size_bruteforce(g)
     if args.format == "json":
         sys.stdout.write(render_json({"order": g.vertex_count, "size": size,
@@ -125,15 +121,14 @@ def cmd_dim(args) -> int:
     search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
     match = formula == search
     if args.format == "json":
-        payload = {
+        text = render_json({
             "q": args.q, "n": args.n, "formula": formula, "search": search,
             "witness": _labels(g, witness), "match": match,
-        }
-        _emit(render_json(payload), args.out)
+        })
     else:
         text = (f"q={args.q} n={args.n} dim_formula={formula} dim_search={search} "
                 f"witness={','.join(_labels(g, witness))} match={str(match).lower()}\n")
-        _emit(text, args.out)
+    _emit(text, args.out)
     return EXIT_PASS if match else EXIT_FAIL
 
 
@@ -211,38 +206,37 @@ def cmd_exchange(args) -> int:
 def cmd_intersect(args) -> int:
     if args.format == "json":
         raise BadParameters("intersect has text output only; drop --format json")
+    ok = True
     if args.powerset is not None:
         fam = intersection_mod.powerset_family(args.powerset)
-        _emit(intersection_mod.family_to_text(fam), args.out)
-        return EXIT_PASS
-    if args.correspondence is not None:
+        text = intersection_mod.family_to_text(fam)
+    elif args.correspondence is not None:
         ok = intersection_mod.powerset_matches_component_graph(args.correspondence)
-        _emit(f"correspondence={str(ok).lower()}\n", args.out)
-        return EXIT_PASS if ok else EXIT_FAIL
-    if args.dim_powerset is not None:
-        k = intersection_mod.powerset_intersection_dimension(
-            args.dim_powerset, budget=args.budget)
-        _emit(f"dim={k}\n", args.out)
-        return EXIT_PASS
-    if args.family is not None:
+        text = f"correspondence={str(ok).lower()}\n"
+    elif args.dim_powerset is not None:
+        text = "dim={}\n".format(intersection_mod.powerset_intersection_dimension(
+            args.dim_powerset, budget=args.budget))
+    elif args.family is not None:
         fam = intersection_mod.parse_family(_read_text(args.family))
         pg = intersection_mod.intersection_graph(fam)
-        edges = pg.edges()
-        lines = [f"members={len(fam)} order={pg.vertex_count} size={len(edges)}"]
-        lines += [f"{u + 1} {v + 1}" for u, v in edges]
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_PASS
-    if args.realize is not None:
+        size = np.count_nonzero(pg.adjacency_matrix()) // 2
+        ids = np.array([str(v) for v in range(pg.vertex_count + 1)], dtype=object)
+        # one join over the id table per row of edge lines, ids 1-based
+        text = chain([f"members={len(fam)} order={pg.vertex_count} size={size}\n"],
+                     (f"{u + 1} " + f"\n{u + 1} ".join(ids[later + 1].tolist()) + "\n"
+                      for u, later in pg.later_neighbors() if len(later)))
+    elif args.realize is not None:
         if args.vertices is None:
             raise BadParameters("--realize needs --vertices N")
         edges = _parse_edge_file(_read_text(args.realize), args.vertices)
-        pg = intersection_mod.PlainGraph(args.vertices, edges)
-        fam = intersection_mod.as_intersection_family(pg)
-        _emit(intersection_mod.family_to_text(fam), args.out)
-        return EXIT_PASS
-    raise BadParameters(
-        "intersect needs one of --powerset, --family, --correspondence, "
-        "--realize, --dim-powerset")
+        fam = intersection_mod.as_intersection_family(
+            intersection_mod.PlainGraph(args.vertices, edges))
+        text = intersection_mod.family_to_text(fam)
+    else:
+        raise BadParameters("intersect needs one of --powerset, --family, "
+                            "--correspondence, --realize, --dim-powerset")
+    _emit(text, args.out)
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _read_text(path: str) -> str:
@@ -482,19 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "component graph of GF(q)^n, with exact verification.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("graph", help="export DOT and edge-list files")
-    _add_qn(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("dim", help="metric dimension, formula vs search")
-    _add_qn(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("twins", help="twin classes, one line per class")
-    _add_qn(sp)
-    _add_common(sp)
+    for name, handler, text in (
+            ("graph", cmd_graph, "export DOT and edge-list files"),
+            ("dim", cmd_dim, "metric dimension, formula vs search"),
+            ("twins", cmd_twins, "twin classes, one line per class")):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
+        _add_qn(sp)
+        _add_common(sp)
 
     sp = sub.add_parser("check", help="resolving/minimal status of a vertex set")
+    sp.set_defaults(handler=cmd_check)
     _add_qn(sp)
     sp.add_argument("-W", "--set", required=True,
                     help="comma-separated vertices, e.g. e1,e1+e3,e3")
@@ -503,9 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exchange", help="exchange-property verdict (JSON)")
     _add_qn(sp)
     _add_common(sp)
-    sp.set_defaults(format="json")
+    sp.set_defaults(handler=cmd_exchange, format="json")
 
     sp = sub.add_parser("intersect", help="set families and intersection graphs")
+    sp.set_defaults(handler=cmd_intersect)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--powerset", type=int, metavar="N",
                        help="emit the nonempty-subsets family of {1..N}")
@@ -522,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="run the verification suite over a grid")
+    sp.set_defaults(handler=cmd_verify)
     _add_qn(sp, required=False)
     sp.add_argument("--q-range", default=None, metavar="A..B")
     sp.add_argument("--n-range", default=None, metavar="A..B")
@@ -537,17 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_HANDLERS = {
-    "graph": cmd_graph,
-    "dim": cmd_dim,
-    "twins": cmd_twins,
-    "check": cmd_check,
-    "exchange": cmd_exchange,
-    "intersect": cmd_intersect,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -559,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
             raise BadParameters(f"budget must be >= 0, got {args.budget}")
         if getattr(args, "vertex_cap", 1) < 1:
             raise BadParameters(f"--vertex-cap must be >= 1, got {args.vertex_cap}")
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BudgetExceeded as exc:
         bounds = ""
         if exc.lower_bound is not None or exc.upper_bound is not None:

@@ -15,7 +15,8 @@ tokens plus one private token, so adjacency is exactly set intersection.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,14 +57,19 @@ class SetFamily:
 
 class PlainGraph:
     """A simple undirected graph on vertices 0..vertex_count-1, held as its
-    symmetric boolean adjacency matrix; every other view is read from it."""
+    symmetric boolean adjacency matrix; every other view is read from it.
+    `edges` is (u, v) pairs, each checked, or that bool matrix, held as is."""
 
-    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if vertex_count < 0:
             raise BadParameters("vertex count must be non-negative")
         if vertex_count > MATRIX_CAP:  # refused before the N x N matrix is built
             raise InstanceTooLarge(
                 f"plain graph needs at most {MATRIX_CAP} vertices, got {vertex_count}")
+        self._dist: np.ndarray | None = None
+        if getattr(edges, "dtype", None) == bool and edges.shape == (vertex_count,) * 2:
+            self._adj = edges
+            return
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         except ValueError:  # pairs of unequal lengths
@@ -81,7 +87,6 @@ class PlainGraph:
             raise OutOfRange(f"edge ({a},{b}) outside 0..{vertex_count - 1}")
         self._adj = np.zeros((vertex_count, vertex_count), dtype=bool)
         self._adj[u, v] = self._adj[v, u] = True
-        self._dist: np.ndarray | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -95,10 +100,14 @@ class PlainGraph:
         adjacency matrix packed with `np.packbits`."""
         return twin_classes_from_packed_rows(np.packbits(self._adj, axis=1))
 
+    def later_neighbors(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(u, its neighbours v > u ascending) from the upper part of each row u."""
+        for u, row in enumerate(self._adj):
+            yield u, u + 1 + np.flatnonzero(row[u + 1:])
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, ascending."""
-        rows, cols = np.nonzero(np.triu(self._adj, 1))
-        return list(zip(rows.tolist(), cols.tolist()))
+        return [(u, v) for u, later in self.later_neighbors() for v in later.tolist()]
 
     def neighbors(self) -> list[list[int]]:
         """Each vertex's neighbours, ascending."""
@@ -130,35 +139,46 @@ class PlainGraph:
         return isinstance(other, PlainGraph) and np.array_equal(self._adj, other._adj)
 
     def __repr__(self) -> str:
-        return f"PlainGraph({self.vertex_count} vertices, {len(self.edges())} edges)"
+        edges = np.count_nonzero(self._adj) // 2
+        return f"PlainGraph({self.vertex_count} vertices, {edges} edges)"
+
+
+# Most index pairs one fancy-index assignment in `intersection_graph` sets.
+PAIR_CHUNK = 1 << 16
+
+
+def _holder_chunks(fam: SetFamily) -> Iterator[np.ndarray]:
+    """Every token's holders (the members that hold it), from one pass over the
+    members, as (b, h) arrays of b tokens with h holders: b h^2 <= PAIR_CHUNK or b = 1."""
+    holders: dict = {}
+    for i, m in enumerate(fam.members):
+        for t in m:
+            holders.setdefault(t, []).append(i)
+    for count, same in groupby(sorted(holders.values(), key=len), key=len):
+        group, step = list(same), max(1, PAIR_CHUNK // count ** 2)
+        for lo in range(0, len(group), step):
+            yield np.array(group[lo:lo + step], dtype=np.intp)
 
 
 def intersection_graph(fam: SetFamily) -> PlainGraph:
-    """Graph on member indices with edges between intersecting members.
-
-    Members i < j meet when their incidence rows share a token, so the
-    edges are the upper triangle of (M M^T) > 0 for the member-by-token
-    incidence matrix M.  The product holds K x K counts and M is held
-    in float32, 4 K T bytes for K members over T tokens.  Families of
-    more than MATRIX_CAP members are refused before anything is built,
-    as for every other dense N x N view.
-    """
+    """Graph on member indices with edges between intersecting members: each
+    `_holder_chunks` chunk sets its holder pairs in a K x K bool matrix, K^2
+    bytes at any token count; more than MATRIX_CAP members are refused first."""
     if len(fam) > MATRIX_CAP:
         raise InstanceTooLarge(
             f"intersection graph needs at most {MATRIX_CAP} members, got {len(fam)}")
-    # float32 takes the BLAS product; a sum of ones is positive whenever
-    # one term is, so `> 0` is exact at any count
-    inc = incidence_matrix(fam).astype(np.float32)
-    return PlainGraph(len(fam), np.argwhere(np.triu((inc @ inc.T) > 0, 1)))
+    adj = np.zeros((len(fam), len(fam)), dtype=bool)
+    for rows in _holder_chunks(fam):
+        adj[rows[:, :, None], rows[:, None, :]] = True
+    np.fill_diagonal(adj, False)
+    return PlainGraph(len(fam), adj)
 
 
 def powerset_family(n: int) -> SetFamily:
     """All nonempty subsets of {1..n}, in ascending mask order."""
     if not (1 <= n <= 16):
         raise BadParameters(f"need 1 <= n <= 16, got n={n}")
-    members = []
-    for mask in range(1, 1 << n):
-        members.append({i + 1 for i in range(n) if (mask >> i) & 1})
+    members = ({i + 1 for i in range(n) if (mask >> i) & 1} for mask in range(1, 1 << n))
     return SetFamily(members, ground=range(1, n + 1))
 
 
@@ -225,10 +245,7 @@ def powerset_intersection_dimension(n: int, budget: int = DEFAULT_BUDGET) -> int
 
 def family_to_text(fam: SetFamily) -> str:
     """One member per line, tokens comma-separated, deterministic order."""
-    lines = []
-    for m in fam.members:
-        lines.append(",".join(str(t) for t in sorted(m, key=str)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(",".join(sorted(map(str, m))) + "\n" for m in fam.members)
 
 
 def parse_family(text: str) -> SetFamily:

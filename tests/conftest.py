@@ -204,7 +204,7 @@ def export_by_lines(g):
 
 def intersection_graph_by_pairs(fam):
     """Intersection graph from a set intersection per member pair: the
-    reference for the incidence-product `intersection_graph`."""
+    reference for the token-holder `intersection_graph`."""
     k = len(fam.members)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)
              if fam.members[i] & fam.members[j]]

@@ -749,3 +749,19 @@ def test_graph_export_peak_memory(tmp_path):
         tracemalloc.stop()
     assert Path(prefix + ".gv").stat().st_size > 30_000_000
     assert peak <= 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode", sorted(INTERSECT_OUTPUT_SHA256))
+def test_intersect_peak_memory(tmp_path, mode):
+    # the graph is one K x K bool matrix (K^2 bytes) set from the tokens'
+    # holders, and the --family lines go out a member row at a time
+    out = tmp_path / "out"
+    argv = ["intersect", mode, *_intersect_input(mode, tmp_path), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERSECT_OUTPUT_SHA256[mode]
+    assert peak <= 8 * 2 ** 20

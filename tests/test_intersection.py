@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import intersection_graph_by_pairs
@@ -32,24 +34,113 @@ def _seeded_family(kind):
     if kind == "integer tokens":
         return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
                           for _ in range(80)])
+    if kind == "tokens over 256 holders":
+        # 300^2 and 200^2 holder pairs pass PAIR_CHUNK: one token per chunk
+        return SetFamily([{"hub"} | ({"rim"} if i % 3 else set())
+                          | set(rng.sample(tokens, rng.randint(0, 2))) for i in range(300)])
+    if kind == "equal holder counts":
+        # 130 tokens of 40 holders: chunks of 40, 40, 40 and 10 tokens
+        members = [{f"own{i}"} for i in range(300)]
+        for j in range(130):
+            for i in rng.sample(range(300), 40):
+                members[i].add(f"s{j}")
+        return SetFamily(members)
+    if kind == "duplicate members":
+        base = [set(rng.sample(tokens, rng.randint(1, 3))) for _ in range(40)]
+        members = [m for m in base for _ in range(rng.randint(1, 3))]
+        rng.shuffle(members)
+        return SetFamily(members)
+    if kind == "one-holder tokens":
+        # a token of its own for every member; a third also share one of 10
+        return SetFamily([{f"own{i}"} | ({f"s{rng.randrange(10)}"} if rng.random() < 0.33
+                                         else set()) for i in range(90)])
+    if kind == "edge tokens":
+        # a realization of G(30, 0.2): every edge token has exactly two holders
+        members = [{f"p{v}"} for v in range(30)]
+        for u in range(30):
+            for v in range(u + 1, 30):
+                if rng.random() < 0.2:
+                    members[u].add(f"e{u}-{v}")
+                    members[v].add(f"e{u}-{v}")
+        return SetFamily(members)
     return SetFamily([set(rng.sample(tokens, rng.randint(1, 4))) for _ in range(120)])
 
 
-@pytest.mark.parametrize("kind", ["no members", "one member", "all disjoint",
-                                  "one shared token", "integer tokens", "strings"])
+FAMILY_KINDS = ["no members", "one member", "all disjoint", "one shared token",
+                "integer tokens", "strings", "tokens over 256 holders",
+                "equal holder counts", "duplicate members", "one-holder tokens",
+                "edge tokens"]
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_intersection_graph_matches_pair_loop(kind):
     fam = _seeded_family(kind)
     assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
 
 
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_holder_chunks_list_every_token_once_within_the_pair_cap(kind):
+    fam = _seeded_family(kind)
+    chunks = list(intersection._holder_chunks(fam))
+    for rows in chunks:
+        assert len(rows) == 1 or rows.size * rows.shape[1] <= intersection.PAIR_CHUNK
+    got = sorted(holders for rows in chunks for holders in map(tuple, rows.tolist()))
+    want = sorted(tuple(i for i, m in enumerate(fam.members) if t in m)
+                  for t in set().union(*fam.members))
+    assert got == want
+
+
+def test_holder_chunk_shapes():
+    shapes = [rows.shape for rows in intersection._holder_chunks(
+        _seeded_family("tokens over 256 holders"))]
+    assert (1, 300) in shapes and (1, 200) in shapes
+    shapes = [rows.shape for rows in intersection._holder_chunks(
+        _seeded_family("equal holder counts"))]
+    assert [s for s in shapes if s[1] == 40] == [(40, 40)] * 3 + [(10, 40)]
+    assert (300, 1) in shapes
+
+
+_REAL_HOLDER_CHUNKS = intersection._holder_chunks
+# (name, family kind it must fail on, patch), each patch a fault in
+# `intersection_graph` that the pair check must catch
+_MUTANTS = [
+    ("diagonal not cleared", "strings",
+     lambda mp: mp.setattr(np, "fill_diagonal", lambda a, val: None)),
+    ("last partial chunk of a group dropped", "equal holder counts",
+     lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
+         rows for rows in _REAL_HOLDER_CHUNKS(fam)
+         if len(rows) == max(1, intersection.PAIR_CHUNK // rows.shape[1] ** 2)))),
+    ("two-holder groups skipped", "edge tokens",
+     lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
+         rows for rows in _REAL_HOLDER_CHUNKS(fam) if rows.shape[1] != 2))),
+]
+
+
+@pytest.mark.parametrize("name, kind, patch", _MUTANTS, ids=[m[0] for m in _MUTANTS])
+def test_intersection_graph_mutants_fail_the_pair_check(monkeypatch, name, kind, patch):
+    fam = _seeded_family(kind)
+    assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
+    patch(monkeypatch)
+    assert intersection.intersection_graph(fam) != intersection_graph_by_pairs(fam)
+
+
 def test_intersection_graph_refuses_families_over_the_cap(monkeypatch):
-    # the guard sits before the incidence matrix and its K x K product
+    # the guard sits before the holder pass and the K x K matrix
     def building(fam):
         raise RuntimeError("built")
 
-    monkeypatch.setattr(intersection, "incidence_matrix", building)
+    over = SetFamily([{i} for i in range(MATRIX_CAP + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge, match=f"at most {MATRIX_CAP} members, got 4097"):
+            intersection.intersection_graph(over)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the 4097 x 4097 matrix alone would be 16 MB
+    monkeypatch.setattr(intersection, "_holder_chunks", building)
     with pytest.raises(InstanceTooLarge, match=f"at most {MATRIX_CAP} members, got 4097"):
-        intersection.intersection_graph(SetFamily([{i} for i in range(MATRIX_CAP + 1)]))
+        intersection.intersection_graph(over)
     with pytest.raises(RuntimeError, match="built"):
         intersection.intersection_graph(SetFamily([{i} for i in range(MATRIX_CAP)]))
 
@@ -235,3 +326,39 @@ def test_plain_graph_views_read_the_matrix():
     assert pg == PlainGraph(4, [(0, 1), (1, 2)])
     assert pg != PlainGraph(5, [(0, 1), (1, 2)])
     assert repr(pg) == "PlainGraph(4 vertices, 2 edges)"
+    assert [(u, later.tolist()) for u, later in pg.later_neighbors()] == [
+        (0, [1]), (1, [2]), (2, []), (3, [])]
+
+
+def test_plain_graph_repr_counts_without_listing_edges(monkeypatch):
+    def listing(self):
+        raise RuntimeError("edges listed")
+
+    pg = PlainGraph(5, [(0, 4), (1, 2), (2, 4)])
+    monkeypatch.setattr(PlainGraph, "edges", listing)
+    assert repr(pg) == "PlainGraph(5 vertices, 3 edges)"
+
+
+def test_plain_graph_holds_a_bool_matrix_as_is():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 2] = adj[2, 0] = True
+    pg = PlainGraph(3, adj)
+    assert pg.adjacency_matrix() is adj
+    assert pg == PlainGraph(3, [(0, 2)])
+    assert pg.edges() == [(0, 2)]
+    # a bool array of any other shape is read as edges, and refused as before
+    with pytest.raises(BadParameters, match="edges must be pairs of integers"):
+        PlainGraph(4, adj)
+    with pytest.raises(BadParameters, match="edges must be pairs of integers"):
+        PlainGraph(2, np.ones((2, 3), dtype=bool))
+
+
+def test_plain_graph_edges_come_row_by_row_in_ascending_order():
+    rng = random.Random("edges-order")
+    for _ in range(20):
+        n = rng.randrange(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        pg = PlainGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        assert pg.edges() == sorted(pairs)
+        assert repr(pg) == f"PlainGraph({n} vertices, {len(pairs)} edges)"
