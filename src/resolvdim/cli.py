@@ -41,6 +41,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# most hyperplane masks the corollary's spanning test gathers at once (64 kB)
+_SPAN_MASKS = 1 << 13
+
 
 def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -325,9 +328,15 @@ def _corollary(g, args, record):
                 masks = field_mod.field_new(q).hyperplane_masks(
                     n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
             count += len(block)
-            # a set spans V iff no hyperplane holds it: its masks OR to all ones
-            spans = spans and bool(
-                (np.bitwise_or.reduce(masks[block], axis=1) == ~np.uint64(0)).all())
+            # a set spans V iff no hyperplane holds it: its masks OR to all
+            # ones; a few columns of the block at a time, so no gather holds
+            # more than _SPAN_MASKS masks
+            union = np.zeros((len(block), masks.shape[1]), dtype=np.uint64)
+            step = max(1, _SPAN_MASKS // union.size)
+            for lo in range(0, block.shape[1], step):
+                union |= np.bitwise_or.reduce(masks[block[:, lo:lo + step]], axis=1)
+            spans = spans and bool((union == ~np.uint64(0)).all())
+            del block, union  # not held while the next block is built
         yield "corollary", {"status": "verified", "minimum_sets": count,
                             "all_contain_v_basis": spans}, spans
     elif n == 3:

@@ -35,7 +35,13 @@ class SetFamily:
             if not m:
                 raise EmptyMember(f"member {i} is empty")
         if ground is None:
-            ground = sorted(set().union(*mem)) if mem else []
+            tokens = set().union(*mem)
+            try:
+                ground = sorted(tokens)
+            except TypeError:
+                kinds = ", ".join(sorted({type(t).__name__ for t in tokens}))
+                raise BadParameters(f"tokens of types {kinds} have no common order; "
+                                    f"pass the ground set") from None
         ground_set = set(ground)
         for i, m in enumerate(mem):
             if not m <= ground_set:

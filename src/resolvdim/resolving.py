@@ -15,10 +15,11 @@ k-subsets in lexicographic order depth first and drops a prefix when one
 of those two rules shows that no completion can resolve; a full k-subset
 is decided by the same rule, so the returned witness is the
 lexicographically least minimum resolving set.  The walk never calls the
-column-group kernel, which serves the plain scan, the twin-swap orbit,
-the 2^N table and the single-set checks.  When the dimension equals the
-twin bound, the minimum resolving sets are the twin-swap orbit of the
-core and are enumerated as such.
+column-group kernel, which serves the plain scan, the 2^N table and the
+single-set checks.  When the dimension equals the twin bound, the
+minimum resolving sets are the twin-swap orbit of the core and are
+enumerated as such, by a walk of their omitted columns that refines
+shared prefixes once (`_OrbitWalk`).
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -28,9 +29,9 @@ evaluates, one per subset a plain scan or an orbit checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,13 +184,16 @@ class _Engine:
     the one kernel: exact per-vertex labels of any number of columns,
     read by `status` (the batched resolving test) and by the colliding
     pair of a single set.
-    The walks: `scan` lists every k-subset in lexicographic order and
-    `orbit` the sets that omit one member of each twin class, each
-    `batch` sets at a time through `status`; `walk` visits the scan's
-    subsets in the same order but skips the prefixes the twin and
-    refinement rules rule out, and decides every node, full k-subsets
-    included, by one refinement step of its parent's partition, without
-    the kernel.  Each charges the budget for the subsets it evaluates.
+    The walks: `scan` lists every k-subset in lexicographic order,
+    `batch` sets at a time through `status`; `orbit` lists the sets that
+    omit one member of each twin class, in the same order and batches
+    of at most `batch`, from a walk over their omitted columns
+    (`_OrbitWalk`) that refines each shared prefix once and never calls
+    the kernel; `walk` visits the scan's subsets in the same order but
+    skips the prefixes the twin and refinement rules rule out, and
+    decides every node, full k-subsets included, by one refinement step
+    of its parent's partition, without the kernel.  Each charges the
+    budget for the subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray | SkeletonColumns,
@@ -223,16 +227,10 @@ class _Engine:
         """
         n, (b, k) = self.n_rows, cols.shape
         labels = np.zeros((n, b), dtype=np.int64)
-        batch = np.arange(b)
         bound = 1  # every label lies below bound
         for j in range(k):
             if bound * self.base >= 1 << 62:
-                order = labels.argsort(axis=0)
-                ranked = labels[order, batch]
-                new = ranked[1:] != ranked[:-1]
-                ranked[0] = 0
-                np.cumsum(new, axis=0, out=ranked[1:])
-                labels[order, batch] = ranked
+                _dense_rank(labels)
                 bound = n
             labels *= self.base
             labels += self.dist[:, cols[:, j]]
@@ -254,9 +252,12 @@ class _Engine:
         order, each one charged to the budget.  Callers refuse a scan that
         does not fit the budget before they start it."""
         it = combinations(range(self.n_cols), k)
-        while chunk := list(islice(it, self.batch)):
-            self.evaluated += len(chunk)
-            cols = np.asarray(chunk, dtype=np.intp)
+        total = comb(self.n_cols, k)
+        for lo in range(0, total, self.batch):
+            b = min(self.batch, total - lo)
+            cols = np.fromiter(chain.from_iterable(islice(it, b)), dtype=np.intp,
+                               count=b * k).reshape(b, k)
+            self.evaluated += b
             yield cols, self.status(cols)
 
     def landmark_bound(self) -> int:
@@ -382,30 +383,221 @@ class _Engine:
 
         The orbit is every set that omits exactly one member of each of
         the classes, which partition the columns: prod |c| sets, listed in
-        lexicographic order, each one charged to the budget.  Callers
-        refuse an orbit that does not fit the budget before they start it.
+        lexicographic order, each one charged to the budget.  The walk
+        behind it is `_OrbitWalk`.  Callers refuse an orbit that does not
+        fit the budget before they start it.
         """
+        yield from _OrbitWalk(self, twin_classes).batches()
+
+
+def _dense_rank(labels: np.ndarray) -> None:
+    """Replace each column of a 2-D label array, in place, by its dense
+    ranks: equal labels stay equal and every label falls below the
+    number of rows."""
+    order = labels.argsort(axis=0)
+    batch = np.arange(labels.shape[1])
+    ranked = labels[order, batch]
+    new = ranked[1:] != ranked[:-1]
+    ranked[0] = 0
+    np.cumsum(new, axis=0, out=ranked[1:])
+    labels[order, batch] = ranked
+
+
+def _meet(parents: np.ndarray, width: int, rows: np.ndarray) -> np.ndarray:
+    """Labels of the meet of two partitions, row by row: `parents` (its
+    own copy, reused) and `rows`, whose labels lie below `width`."""
+    parents *= width
+    parents += rows
+    return parents
+
+
+def _distinct_rows(labels: np.ndarray) -> np.ndarray:
+    """True for each row of a 2-D label array whose labels are pairwise
+    distinct; sorts the rows in place."""
+    labels.sort(axis=1)
+    return ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
+
+
+class _Nodes(NamedTuple):
+    """Consecutive nodes of one depth of the orbit walk: each node's row
+    labels (below `bound`), its omitted columns so far (ascending) and
+    which classes it has still to fix."""
+
+    labels: np.ndarray  # (P, rows) int32
+    path: np.ndarray    # (P, depth) intp
+    left: np.ndarray    # (P, classes) bool
+    bound: int
+
+    @property
+    def last(self) -> np.ndarray:
+        """Each node's largest omitted column, -1 at the root."""
+        return self.path[:, -1] if self.path.shape[1] else np.full(len(self.path), -1)
+
+
+class _OrbitWalk:
+    """The twin-swap orbit as a walk over its omitted columns.
+
+    A set of the orbit is named by the columns it omits, one per class;
+    a class of one member is omitted by every set and takes no part.
+    W1 precedes W2 lexicographically exactly when the least column
+    omitted by only one of them is omitted by W2, so the sets in order
+    are their ascending omission tuples in decreasing order.  The walk is
+    the tree of those tuples: a node at depth d has fixed the d least
+    omitted columns, and its children fix the next one, largest first.
+    A child x exceeds its parent's last omission, lies in a class not
+    yet fixed, and leaves every other unfixed class a member above x.
+    The leaves, at depth m (the classes of two or more members), are
+    the orbit in lexicographic order, so the batches stream out in order
+    with no whole-orbit array.
+
+    A node's labels partition the rows by the columns its fixed classes
+    keep.  Fixing x keeps its class minus x, whose own partition of the
+    rows depends on x alone: `kept_table` computes it once per column,
+    so a child's labels are its parent's met with one table row
+    (`_meet`), a digit appended as `_Engine.keys` appends one.  Labels
+    are int32 and are dense-ranked only before a digit would overflow
+    them, which leaves room for a digit while N * N < 2^31, true of any
+    N below 46,341.  A leaf's set resolves when its labels are distinct
+    (`_distinct_rows`).  Each node costs one meet of N labels, whatever
+    the size of its class.
+
+    The tree is cut into runs of consecutive nodes of one depth with at
+    most `batch` leaves below them; a run goes down to its leaves as a
+    whole and is one batch of the output, so no level holds more than
+    `_BATCH_CELLS` labels.  A node with more leaves below it is split
+    into runs of its children.
+    """
+
+    def __init__(self, engine: _Engine, twin_classes: Sequence[Sequence[int]]):
         classes = [sorted(c) for c in twin_classes]
-        total = prod(len(c) for c in classes)
-        members = [np.asarray(c, dtype=np.intp) for c in classes]
-        # one omitted column per class, every combination (mixed radix)
-        index = np.arange(total)
-        omitted = np.empty((total, len(classes)), dtype=np.intp)
-        for j, m in enumerate(members):
-            index, digit = np.divmod(index, len(m))
-            omitted[:, j] = m[digit]
-        omitted.sort(axis=1)
-        # W1 < W2 lexicographically iff the least column omitted by only one
-        # of them is omitted by W2, iff W1's sorted omissions are the larger
-        order = np.lexsort(omitted.T[::-1])[::-1]
-        k = self.n_cols - len(classes)
-        for lo in range(0, total, self.batch):
-            rows = omitted[order[lo:lo + self.batch]]
-            keep = np.ones((len(rows), self.n_cols), dtype=bool)
-            keep[np.arange(len(rows))[:, None], rows] = False
-            cols = np.nonzero(keep)[1].reshape(len(rows), k)
-            self.evaluated += len(rows)
-            yield cols, self.status(cols)
+        free = [c for c in classes if len(c) > 1]
+        self.engine = engine
+        self.n, self.m = n, m = engine.n_cols, len(free)
+        self.fixed = np.array([c[0] for c in classes if len(c) == 1], dtype=np.intp)
+        # owner[x]: x's class among `free`, m for a singleton
+        self.owner = np.full(n, m, dtype=np.intp)
+        for i, c in enumerate(free):
+            self.owner[c] = i
+        self.largest = np.array([c[-1] for c in free], dtype=np.intp)
+        # above[i, x + 1]: members of class i greater than x, for x >= -1
+        self.above = np.array([len(c) - np.searchsorted(c, np.arange(n + 1)) for c in free],
+                              dtype=np.int64).reshape(m, n + 1)
+        self.table = self.kept_table(free)
+        self.width = int(self.table.max(initial=0)) + 1
+
+    def kept_table(self, free: Sequence[Sequence[int]]) -> np.ndarray:
+        """(n, rows) table whose row x, for x in a class of `free`, is the
+        partition of the rows by the class's other columns, as dense
+        labels.  Row x meets the partition by the members before x with
+        that by the members after it, so a class costs 3|c| one-column
+        steps, not |c|(|c| - 1)."""
+        e = self.engine
+        rows = e.n_rows
+        table = np.zeros((self.n, rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
+
+        def ranked(key: np.ndarray) -> np.ndarray:
+            _dense_rank(key[:, None])
+            return key
+
+        for c in free:
+            before = np.zeros(rows, dtype=np.int64)
+            for x in c:
+                table[x] = before
+                before = ranked(before * e.base + e.column(x))
+            after = np.zeros(rows, dtype=np.int64)
+            for x in reversed(c):
+                table[x] = ranked(table[x] * np.int64(rows) + after)
+                after = ranked(after * e.base + e.column(x))
+        return table
+
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(columns, status) batches of the orbit, lexicographic order."""
+        root = _Nodes(np.zeros((1, self.engine.n_rows), dtype=np.int32),
+                      np.empty((1, 0), dtype=np.intp), np.ones((1, self.m), dtype=bool), 1)
+        yield from self._runs(root)
+
+    def _runs(self, node: _Nodes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Batches below one node: the node itself when its leaves fit a
+        batch, else runs of its children, a child with too many leaves
+        split in turn."""
+        batch = self.engine.batch
+        if self._leaves(node.last, node.left)[0] <= batch:
+            yield self._descend(node)
+            return
+        parent, xs = self._children(node)
+        counts = self._leaves(xs, self._fix(node.left, parent, xs))
+        reach = np.cumsum(counts)  # leaves below the children up to each one
+        lo = 0
+        while lo < len(xs):
+            hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] - counts[lo] + batch,
+                                                 side="right")))
+            yield from self._runs(self._extend(node, parent[lo:hi], xs[lo:hi]))
+            lo = hi
+
+    def _leaves(self, last: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """Leaves below each node: every class it has still to fix omits
+        one of its members above the node's last omission."""
+        count = np.ones(len(last), dtype=np.int64)
+        for i in range(self.m):
+            count *= np.where(left[:, i], self.above[i, last + 1], 1)
+        return count
+
+    def _fix(self, left: np.ndarray, parent: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """The classes each child has still to fix: its parent's, less x's."""
+        left = left[parent]
+        left[np.arange(len(xs)), self.owner[xs]] = False
+        return left
+
+    def _children(self, node: _Nodes) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, x) of every child of the nodes, in order.
+
+        x lies in an unfixed class, above the parent's last omission and
+        below the largest member of every other unfixed class: below the
+        least of those largest members, or, in the class that holds it,
+        below the next least."""
+        n, p = self.n, len(node.path)
+        top = np.where(node.left, self.largest, n)
+        rows = np.arange(p)
+        lowest = top.argmin(axis=1)
+        first = top[rows, lowest]
+        top[rows, lowest] = n
+        second = top.min(axis=1)
+        col = np.arange(n)
+        open_ = col < first[:, None]
+        open_ |= (self.owner == lowest[:, None]) & (col < second[:, None])
+        unfixed = np.zeros((p, self.m + 1), dtype=bool)
+        unfixed[:, :self.m] = node.left
+        open_ &= unfixed[:, self.owner]
+        open_ &= col > node.last[:, None]
+        parent, back = np.divmod(np.flatnonzero(open_[:, ::-1]), n)
+        return parent, n - 1 - back
+
+    def _extend(self, node: _Nodes, parent: np.ndarray, xs: np.ndarray) -> _Nodes:
+        """The children (parent, x) of the nodes, as nodes."""
+        labels, bound = node.labels, node.bound
+        if bound * self.width >= 1 << 31:
+            _dense_rank(labels.T)
+            bound = self.engine.n_rows
+        return _Nodes(_meet(labels[parent], self.width, self.table[xs]),
+                      np.concatenate([node.path[parent], xs[:, None]], axis=1),
+                      self._fix(node.left, parent, xs), bound * self.width)
+
+    def _descend(self, node: _Nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Take the nodes down to their leaves: the leaves' columns and
+        status."""
+        for _ in range(self.m - node.path.shape[1]):
+            node = self._extend(node, *self._children(node))
+        hits = _distinct_rows(node.labels)
+        path = node.path
+        del node
+        b = len(path)
+        self.engine.evaluated += b
+        # one gather of the kept column numbers, row by row
+        keep = np.ones((b, self.n), dtype=bool)
+        keep[:, self.fixed] = False
+        keep[np.arange(b)[:, None], path] = False
+        cols = np.broadcast_to(np.arange(self.n), (b, self.n))[keep]
+        return cols.reshape(b, self.n - self.m - self.fixed.size), hits
 
 
 def _drop_each(cols: Sequence[int]) -> np.ndarray:
@@ -560,7 +752,8 @@ def minimum_resolving_sets(
 ) -> Iterator[np.ndarray]:
     """Every resolving k-subset of g, lexicographic order (0-based
     columns), where k is the metric dimension, as (B, k) column arrays:
-    the sets of one kernel batch that resolve.
+    the sets of one batch that resolve, the batch's own array when all
+    of them do.
 
     When k equals the twin bound of `g.twin_classes()` the sets come from
     the twin-swap orbit of the core (every class minus its largest
@@ -570,8 +763,8 @@ def minimum_resolving_sets(
     twin class, so a resolving set of size sum(|c| - 1) omits exactly one
     member of each class.  Swapping a member for its twin is an
     automorphism, so the orbit's sets resolve together or not at all;
-    each is still checked by the kernel, and only those that resolve are
-    yielded.  Either route is refused from its count, prod |c| or
+    the orbit walk still decides each one, and only those that resolve
+    are yielded.  Either route is refused from its count, prod |c| or
     C(N, k), before `g.distance_matrix()` is read.
     """
     classes = g.twin_classes()
@@ -582,7 +775,8 @@ def minimum_resolving_sets(
         _refuse_orbit(classes, budget)
         batches = _Engine(g.distance_matrix(), budget).orbit(classes)
     for cols, hits in batches:
-        yield cols[hits]
+        yield cols if hits.all() else cols[hits]
+        del cols, hits  # not held while the next batch is built
 
 
 def enumerate_minimum_resolving_sets(

@@ -1,7 +1,7 @@
 import os
 import signal
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -131,6 +131,51 @@ def status_by_rows(dist, cols):
         return ~np.any(codes[1:] == codes[:-1], axis=0)
     return np.array([len({row.tobytes() for row in dist[:, c]}) == n_rows
                      for c in cols], dtype=bool)
+
+
+def orbit_by_mixed_radix(engine, twin_classes):
+    """(columns, status) batches of the twin-swap orbit, lexicographic
+    order, each set charged to `engine`'s budget: the route the orbit
+    walk replaced, kept as its reference.
+
+    Lists every set's omitted columns at once (mixed radix over the
+    classes), sorts those rows and checks each set on all its columns
+    through `engine.status`.
+    """
+    classes = [sorted(c) for c in twin_classes]
+    total = prod(len(c) for c in classes)
+    members = [np.asarray(c, dtype=np.intp) for c in classes]
+    # one omitted column per class, every combination (mixed radix)
+    index = np.arange(total)
+    omitted = np.empty((total, len(classes)), dtype=np.intp)
+    for j, m in enumerate(members):
+        index, digit = np.divmod(index, len(m))
+        omitted[:, j] = m[digit]
+    omitted.sort(axis=1)
+    # W1 < W2 lexicographically iff the least column omitted by only one
+    # of them is omitted by W2, iff W1's sorted omissions are the larger
+    order = np.lexsort(omitted.T[::-1])[::-1]
+    k = engine.n_cols - len(classes)
+    for lo in range(0, total, engine.batch):
+        rows = omitted[order[lo:lo + engine.batch]]
+        keep = np.ones((len(rows), engine.n_cols), dtype=bool)
+        keep[np.arange(len(rows))[:, None], rows] = False
+        cols = np.nonzero(keep)[1].reshape(len(rows), k)
+        engine.evaluated += len(rows)
+        yield cols, engine.status(cols)
+
+
+def random_partition(n, rng, sizes=(1, 2, 3, 4, 6, 8)):
+    """A random partition of range(n) into classes, each size drawn from
+    `sizes` (the last class takes what is left), members shuffled."""
+    order = list(range(n))
+    rng.shuffle(order)
+    classes, lo = [], 0
+    while lo < n:
+        size = rng.choice(sizes)
+        classes.append(order[lo:lo + size])
+        lo += size
+    return classes
 
 
 def least_equal_rows_by_dict(block):

@@ -567,6 +567,27 @@ def test_verify_corollary_can_fail(monkeypatch, capsys):
     assert calls == [8, 8]  # one mask table per cell, over its 8 vertices
 
 
+def test_verify_corollary_fails_on_a_set_that_does_not_span(monkeypatch, capsys):
+    # the spanning test ORs the masks one column at a time; a block whose
+    # last set holds only e1 and 2e1 (columns 0 and 1, repeated to width
+    # 5) lies on one line, so the corollary must fail
+    assert [vectorspace.decode(v, 3, 2) for v in (1, 2)] == [(1, 0), (2, 0)]
+    real = resolving.minimum_resolving_sets
+
+    def last_set_on_a_line(g, k, budget=resolving.DEFAULT_BUDGET):
+        blocks = [block.copy() for block in real(g, k, budget)]
+        blocks[-1][-1] = [0, 1, 0, 1, 0]
+        yield from blocks
+
+    monkeypatch.setattr(resolving, "minimum_resolving_sets", last_set_on_a_line)
+    assert main(["verify", "--q", "3", "--n", "2", "--format", "json"]) == 1
+    cell = json.loads(capsys.readouterr().out)["records"][0]
+    assert cell["corollary"] == {"status": "verified", "minimum_sets": 16,
+                                 "all_contain_v_basis": False}
+    assert main(["verify", "--q", "3", "--n", "2"]) == 1
+    assert " corollary=FAIL " in capsys.readouterr().out
+
+
 def _merge_e1_with_e1_plus_e2(monkeypatch):
     real = twins.partition_by_neighborhood
 

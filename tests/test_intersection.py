@@ -155,6 +155,14 @@ def test_member_outside_ground_rejected():
         SetFamily([{1, 9}], ground=[1, 2])
 
 
+def test_mixed_token_types_rejected():
+    # no default order on ints and strings: a usage error naming the types,
+    # not a bare TypeError; an explicit ground set still works
+    with pytest.raises(BadParameters, match=r"^tokens of types int, str have no common order"):
+        SetFamily([{1}, {"a"}])
+    assert SetFamily([{1}, {"a"}], ground=["a", 1]).ground == ("a", 1)
+
+
 def test_powerset_family():
     fam = intersection.powerset_family(2)
     assert [set(m) for m in fam.members] == [{1}, {2}, {1, 2}]

@@ -1,0 +1,104 @@
+"""Mutants as tests: one registry of deliberate faults.
+
+Each entry breaks one step of a route with a monkeypatch and names the
+check that must catch it.  Unpatched, the check passes on the same
+input; patched, it fails.  So a refactor that leaves a check unable to
+fail turns one of these tests red.
+"""
+
+import random
+from dataclasses import dataclass
+from itertools import combinations
+from math import prod
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from conftest import orbit_by_mixed_radix, random_partition, resolves_by_definition
+from resolvdim import resolving
+from resolvdim.graph import ComponentGraph
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    target: object
+    attr: str
+    replacement: Callable
+    check: Callable[[], bool]
+
+
+def _orbit_agrees():
+    """The orbit walk gives the oracle's sets and statuses, in its order,
+    on the (3,2) twin classes and on eight seeded random partitions of
+    the (3,2) and (2,4) columns (prod |c| <= 2,000)."""
+    cases = []
+    for q, n in ((3, 2), (2, 4)):
+        g = ComponentGraph(q, n)
+        dist = g.distance_matrix()
+        if q >= 3:
+            cases.append((dist, g.twin_classes()))
+        rng = random.Random(f"mutants:{q}:{n}")
+        while len(cases) < (5 if q >= 3 else 9):
+            classes = random_partition(len(dist), rng)
+            if prod(len(c) for c in classes) <= 2_000:
+                cases.append((dist, classes))
+    for dist, classes in cases:
+        got = list(resolving._Engine(dist).orbit(classes))
+        want = list(orbit_by_mixed_radix(resolving._Engine(dist), classes))
+        for part in (0, 1):
+            if not np.array_equal(np.concatenate([b[part] for b in got]),
+                                  np.concatenate([b[part] for b in want])):
+                return False
+    return True
+
+
+def _scan_agrees():
+    """`all_resolving_k_subsets` lists the resolving 4-subsets of (2,4)
+    (C(15,4) = 1365 sets, one partial batch) that the definition does."""
+    g = ComponentGraph(2, 4)
+    want = [w for w in combinations(range(g.vertex_count), 4)
+            if resolves_by_definition(g, [c + 1 for c in w])]
+    return resolving.all_resolving_k_subsets(g.distance_matrix(), 4) == want
+
+
+def _kept_by_omitted(self, free):
+    # refines by the omitted member instead of the members the set keeps
+    table = np.zeros((self.n, self.engine.n_rows), dtype=np.int64)
+    for c in free:
+        for x in c:
+            table[x] = np.unique(self.engine.column(x), return_inverse=True)[1]
+    return table
+
+
+def _scan_full_batches(self, k):
+    # the plain scan without its final partial batch
+    for cols, hits in _real_scan(self, k):
+        if len(cols) == self.batch:
+            yield cols, hits
+
+
+_real_scan = resolving._Engine.scan
+
+MUTANTS = [
+    Mutant("orbit-refines-by-the-omitted-member", resolving._OrbitWalk, "kept_table",
+           _kept_by_omitted, _orbit_agrees),
+    Mutant("orbit-reuses-the-parent-labels", resolving, "_meet",
+           lambda parents, width, rows: parents, _orbit_agrees),
+    Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
+           lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
+    Mutant("scan-drops-the-final-partial-batch", resolving._Engine, "scan",
+           _scan_full_batches, _scan_agrees),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_check_passes_unpatched(mutant):
+    assert mutant.check()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_check_fails_patched(mutant, monkeypatch):
+    monkeypatch.setattr(mutant.target, mutant.attr, mutant.replacement)
+    assert not mutant.check()

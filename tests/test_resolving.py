@@ -6,9 +6,10 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from conftest import (int64_digits, least_equal_rows_by_dict, plain_first_hit,
-                      representation, resolves_by_definition, status_by_rows)
-from resolvdim import intersection, resolving
+from conftest import (int64_digits, least_equal_rows_by_dict, orbit_by_mixed_radix,
+                      plain_first_hit, random_partition, representation,
+                      resolves_by_definition, status_by_rows)
+from resolvdim import field, intersection, resolving
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -416,6 +417,88 @@ def test_orbit_matches_plain_scan(q, n):
     assert len(orbit) == prod(len(c) for c in classes)
 
 
+def _orbit_sets(batches):
+    """Every set of (columns, status) batches, in order: one (B, k)
+    column array and one status vector."""
+    cols, hits = zip(*batches)
+    return np.concatenate(cols), np.concatenate(hits)
+
+
+def _assert_orbit_matches_oracle(dist, classes):
+    walk = resolving._Engine(dist)
+    sets, hits = _orbit_sets(walk.orbit(classes))
+    oracle = resolving._Engine(dist)
+    want_sets, want_hits = _orbit_sets(orbit_by_mixed_radix(oracle, classes))
+    assert np.array_equal(sets, want_sets)
+    assert np.array_equal(hits, want_hits)
+    assert walk.evaluated == oracle.evaluated == len(sets) == prod(len(c) for c in classes)
+    return hits
+
+
+# every q >= 3 cell whose orbit, (q-1)^(n 2^(n-1)) sets, has at most 20,000
+# members, and the q = 2 cells up to n = 4
+ORBIT_CELLS = [(q, n) for q in field.SUPPORTED_ORDERS if q >= 3 for n in (1, 2, 3)
+               if (q - 1) ** (n << (n - 1)) <= 20_000] + [(2, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CELLS)
+def test_orbit_walk_matches_mixed_radix_orbit(q, n):
+    g = ComponentGraph(q, n)
+    if q >= 3:
+        assert prod(len(c) for c in g.twin_classes()) == (q - 1) ** (n << (n - 1))
+    _assert_orbit_matches_oracle(g.distance_matrix(), g.twin_classes())
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (4, 2), (5, 2), (2, 4)])
+def test_orbit_walk_matches_on_random_partitions(q, n):
+    # classes that are not twins: the sets of one orbit need not resolve
+    # together, so each status is checked on its own
+    dist = ComponentGraph(q, n).distance_matrix()
+    rng = random.Random(f"orbit:{q}:{n}")
+    seen = set()
+    tried = 0
+    while tried < 12:
+        classes = random_partition(len(dist), rng)
+        if prod(len(c) for c in classes) > 20_000:
+            continue
+        tried += 1
+        seen.update(_assert_orbit_matches_oracle(dist, classes).tolist())
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (7, 2)])
+def test_orbit_traced_peak(q, n):
+    # the walk holds one slice of at most `_BATCH_CELLS` labels per level
+    # it visits; the mixed-radix orbit peaked at 2.7 and 3.2 MB here
+    g = ComponentGraph(q, n)
+    k = resolving.metric_dimension_formula(q, n)
+    tracemalloc.start()
+    try:
+        count = sum(len(block) for block in resolving.minimum_resolving_sets(g, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == prod(len(c) for c in g.twin_classes())
+    assert peak <= 1.5 * 2 ** 20
+
+
+def test_orbit_walk_splits_a_node_with_more_children_than_a_batch():
+    # (27,2): 728 rows, so a batch holds 90 sets, fewer than the root has
+    # children; the first batches match the oracle's sets
+    g = ComponentGraph(27, 2)
+    dist, classes = g.distance_matrix(), g.twin_classes()
+    walk = resolving._Engine(dist, budget=1 << 20)
+    assert walk.batch == 90
+    got = list(islice(walk.orbit(classes), 4))
+    want = list(islice(orbit_by_mixed_radix(resolving._Engine(dist, 1 << 20), classes), 4))
+    got_sets, got_hits = _orbit_sets(got)
+    want_sets, want_hits = _orbit_sets(want)
+    size = min(len(got_sets), len(want_sets))
+    assert size > 90
+    assert np.array_equal(got_sets[:size], want_sets[:size])
+    assert np.array_equal(got_hits[:size], want_hits[:size])
+
+
 def test_orbit_over_budget_raises_before_listing(monkeypatch):
     # refused from the class sizes, before the matrix is read
     g = ComponentGraph(3, 3)
@@ -478,7 +561,7 @@ def test_kernel_matches_rows_on_orbit_batches():
     dist = g.distance_matrix()
     engine = resolving._Engine(dist)
     assert int64_digits(engine.base) < 56
-    for cols, hits in islice(engine.orbit(g.twin_classes()), 3):
+    for cols, hits in islice(orbit_by_mixed_radix(engine, g.twin_classes()), 3):
         assert np.array_equal(hits, status_by_rows(dist, cols))
 
 
