@@ -122,6 +122,11 @@ class PlainGraph:
     def vertex_ids(self) -> range:
         return range(self.vertex_count)
 
+    def distance_columns(self) -> np.ndarray:
+        """The distance matrix, which the walk and the orbit read as their
+        column source."""
+        return self.distance_matrix()
+
     def distance_matrix(self) -> np.ndarray:
         """BFS distances; unreachable pairs get vertex_count + 1."""
         if self._dist is None:

@@ -18,8 +18,8 @@ lexicographically least minimum resolving set.  The walk never calls the
 column-group kernel, which serves the plain scan, the 2^N table and the
 single-set checks.  When the dimension equals the twin bound, the
 minimum resolving sets are the twin-swap orbit of the core and are
-enumerated as such, by a walk of their omitted columns that refines
-shared prefixes once (`_OrbitWalk`).
+enumerated as such, by a walk over the twin classes, one omitted member
+per level, that refines shared prefixes once (`_OrbitWalk`).
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,15 +179,16 @@ class _Engine:
     Rows of `dist` are vertices and columns are candidate members; the
     matrix is read at its stored dtype.  `dist` may also be a column
     source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`),
-    on which only `walk` and `landmark_bound` run: the walk reads one
-    column per node, the kernel whole blocks of the matrix.  `keys` is
+    on which only `walk`, `orbit` and `landmark_bound` run: the walk
+    reads one column per node, the orbit each column twice, the kernel
+    whole blocks of the matrix.  `keys` is
     the one kernel: exact per-vertex labels of any number of columns,
     read by `status` (the batched resolving test) and by the colliding
     pair of a single set.
     The walks: `scan` lists every k-subset in lexicographic order,
     `batch` sets at a time through `status`; `orbit` lists the sets that
-    omit one member of each twin class, in the same order and batches
-    of at most `batch`, from a walk over their omitted columns
+    omit one member of each twin class, in class-product order and
+    batches of at most `batch`, from a walk over the classes
     (`_OrbitWalk`) that refines each shared prefix once and never calls
     the kernel; `walk` visits the scan's subsets in the same order but
     skips the prefixes the twin and refinement rules rule out, and
@@ -383,7 +384,7 @@ class _Engine:
 
         The orbit is every set that omits exactly one member of each of
         the classes, which partition the columns: prod |c| sets, listed in
-        lexicographic order, each one charged to the budget.  The walk
+        class-product order, each one charged to the budget.  The walk
         behind it is `_OrbitWalk`.  Callers refuse an orbit that does not
         fit the budget before they start it.
         """
@@ -418,71 +419,40 @@ def _distinct_rows(labels: np.ndarray) -> np.ndarray:
     return ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
 
 
-class _Nodes(NamedTuple):
-    """Consecutive nodes of one depth of the orbit walk: each node's row
-    labels (below `bound`), its omitted columns so far (ascending) and
-    which classes it has still to fix."""
-
-    labels: np.ndarray  # (P, rows) int32
-    path: np.ndarray    # (P, depth) intp
-    left: np.ndarray    # (P, classes) bool
-    bound: int
-
-    @property
-    def last(self) -> np.ndarray:
-        """Each node's largest omitted column, -1 at the root."""
-        return self.path[:, -1] if self.path.shape[1] else np.full(len(self.path), -1)
-
-
 class _OrbitWalk:
-    """The twin-swap orbit as a walk over its omitted columns.
+    """The twin-swap orbit as a walk over its classes, one level each.
 
-    A set of the orbit is named by the columns it omits, one per class;
-    a class of one member is omitted by every set and takes no part.
-    W1 precedes W2 lexicographically exactly when the least column
-    omitted by only one of them is omitted by W2, so the sets in order
-    are their ascending omission tuples in decreasing order.  The walk is
-    the tree of those tuples: a node at depth d has fixed the d least
-    omitted columns, and its children fix the next one, largest first.
-    A child x exceeds its parent's last omission, lies in a class not
-    yet fixed, and leaves every other unfixed class a member above x.
-    The leaves, at depth m (the classes of two or more members), are
-    the orbit in lexicographic order, so the batches stream out in order
-    with no whole-orbit array.
+    A set of the orbit omits one member of each class; a class of one
+    member is omitted by every set and takes no part.  Level d is free
+    class d (two or more members), the classes ordered by size, largest
+    last, ties by least member, so the upper levels hold the fewest
+    nodes.  A node's children omit each member of its level's class in
+    turn, and the leaves are the orbit in class-product order.
 
-    A node's labels partition the rows by the columns its fixed classes
-    keep.  Fixing x keeps its class minus x, whose own partition of the
-    rows depends on x alone: `kept_table` computes it once per column,
-    so a child's labels are its parent's met with one table row
-    (`_meet`), a digit appended as `_Engine.keys` appends one.  Labels
-    are int32 and are dense-ranked only before a digit would overflow
-    them, which leaves room for a digit while N * N < 2^31, true of any
-    N below 46,341.  A leaf's set resolves when its labels are distinct
-    (`_distinct_rows`).  Each node costs one meet of N labels, whatever
-    the size of its class.
+    A node's labels partition the rows by the columns its classes keep.
+    Omitting x keeps its class minus x, whose own partition of the rows
+    depends on x alone: `kept_table` computes it once per column, so a
+    child's labels are its parent's met with one table row (`_meet`), a
+    digit appended as `_Engine.keys` appends one.  Labels are int32 and
+    are dense-ranked only before a digit would overflow them, which
+    leaves room for a digit while N * N < 2^31, true of any N below
+    46,341.  A leaf's set resolves when its labels are distinct
+    (`_distinct_rows`).
 
-    The tree is cut into runs of consecutive nodes of one depth with at
-    most `batch` leaves below them; a run goes down to its leaves as a
-    whole and is one batch of the output, so no level holds more than
-    `_BATCH_CELLS` labels.  A node with more leaves below it is split
-    into runs of its children.
+    Every node at depth d has `leaves[d]` leaves below it, the product
+    of the sizes of classes d onward.  A node with more leaves than a
+    batch holds is split into runs of its children, as many as fit a
+    batch; a run goes down to its leaves as a whole and is one batch of
+    the output, so no level holds more than `_BATCH_CELLS` labels.
     """
 
     def __init__(self, engine: _Engine, twin_classes: Sequence[Sequence[int]]):
         classes = [sorted(c) for c in twin_classes]
-        free = [c for c in classes if len(c) > 1]
-        self.engine = engine
-        self.n, self.m = n, m = engine.n_cols, len(free)
+        self.engine, self.n = engine, engine.n_cols
+        self.free = sorted((c for c in classes if len(c) > 1), key=lambda c: (len(c), c[0]))
         self.fixed = np.array([c[0] for c in classes if len(c) == 1], dtype=np.intp)
-        # owner[x]: x's class among `free`, m for a singleton
-        self.owner = np.full(n, m, dtype=np.intp)
-        for i, c in enumerate(free):
-            self.owner[c] = i
-        self.largest = np.array([c[-1] for c in free], dtype=np.intp)
-        # above[i, x + 1]: members of class i greater than x, for x >= -1
-        self.above = np.array([len(c) - np.searchsorted(c, np.arange(n + 1)) for c in free],
-                              dtype=np.int64).reshape(m, n + 1)
-        self.table = self.kept_table(free)
+        self.leaves = [prod(len(c) for c in self.free[d:]) for d in range(len(self.free) + 1)]
+        self.table = self.kept_table(self.free)
         self.width = int(self.table.max(initial=0)) + 1
 
     def kept_table(self, free: Sequence[Sequence[int]]) -> np.ndarray:
@@ -511,93 +481,55 @@ class _OrbitWalk:
         return table
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(columns, status) batches of the orbit, lexicographic order."""
-        root = _Nodes(np.zeros((1, self.engine.n_rows), dtype=np.int32),
-                      np.empty((1, 0), dtype=np.intp), np.ones((1, self.m), dtype=bool), 1)
-        yield from self._runs(root)
+        """(columns, status) batches of the orbit, class-product order."""
+        root = (np.zeros((1, self.engine.n_rows), dtype=np.int32), 1,
+                np.empty((1, 0), dtype=np.intp))
+        if self.leaves[0] <= self.engine.batch:
+            yield self._descend(root, 0)
+        else:
+            yield from self._runs(root, 0)
 
-    def _runs(self, node: _Nodes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Batches below one node: the node itself when its leaves fit a
-        batch, else runs of its children, a child with too many leaves
-        split in turn."""
-        batch = self.engine.batch
-        if self._leaves(node.last, node.left)[0] <= batch:
-            yield self._descend(node)
-            return
-        parent, xs = self._children(node)
-        counts = self._leaves(xs, self._fix(node.left, parent, xs))
-        reach = np.cumsum(counts)  # leaves below the children up to each one
-        lo = 0
-        while lo < len(xs):
-            hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] - counts[lo] + batch,
-                                                 side="right")))
-            yield from self._runs(self._extend(node, parent[lo:hi], xs[lo:hi]))
-            lo = hi
+    def _runs(self, node: tuple, d: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Batches below one node at depth d with more leaves than a batch:
+        runs of its children that fit a batch, else each child's runs."""
+        members = self.free[d]
+        step = self.engine.batch // self.leaves[d + 1]
+        for lo in range(0, len(members), max(step, 1)):
+            run = self._children(node, members[lo:lo + max(step, 1)])
+            if step:
+                yield self._descend(run, d + 1)
+            else:
+                yield from self._runs(run, d + 1)
 
-    def _leaves(self, last: np.ndarray, left: np.ndarray) -> np.ndarray:
-        """Leaves below each node: every class it has still to fix omits
-        one of its members above the node's last omission."""
-        count = np.ones(len(last), dtype=np.int64)
-        for i in range(self.m):
-            count *= np.where(left[:, i], self.above[i, last + 1], 1)
-        return count
-
-    def _fix(self, left: np.ndarray, parent: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """The classes each child has still to fix: its parent's, less x's."""
-        left = left[parent]
-        left[np.arange(len(xs)), self.owner[xs]] = False
-        return left
-
-    def _children(self, node: _Nodes) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, x) of every child of the nodes, in order.
-
-        x lies in an unfixed class, above the parent's last omission and
-        below the largest member of every other unfixed class: below the
-        least of those largest members, or, in the class that holds it,
-        below the next least."""
-        n, p = self.n, len(node.path)
-        top = np.where(node.left, self.largest, n)
-        rows = np.arange(p)
-        lowest = top.argmin(axis=1)
-        first = top[rows, lowest]
-        top[rows, lowest] = n
-        second = top.min(axis=1)
-        col = np.arange(n)
-        open_ = col < first[:, None]
-        open_ |= (self.owner == lowest[:, None]) & (col < second[:, None])
-        unfixed = np.zeros((p, self.m + 1), dtype=bool)
-        unfixed[:, :self.m] = node.left
-        open_ &= unfixed[:, self.owner]
-        open_ &= col > node.last[:, None]
-        parent, back = np.divmod(np.flatnonzero(open_[:, ::-1]), n)
-        return parent, n - 1 - back
-
-    def _extend(self, node: _Nodes, parent: np.ndarray, xs: np.ndarray) -> _Nodes:
-        """The children (parent, x) of the nodes, as nodes."""
-        labels, bound = node.labels, node.bound
+    def _children(self, node: tuple, members: Sequence[int]) -> tuple:
+        """(labels, bound, omitted columns) of the children of the nodes
+        that omit each of `members`, node by node; labels lie below bound."""
+        labels, bound, omitted = node
         if bound * self.width >= 1 << 31:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
-        return _Nodes(_meet(labels[parent], self.width, self.table[xs]),
-                      np.concatenate([node.path[parent], xs[:, None]], axis=1),
-                      self._fix(node.left, parent, xs), bound * self.width)
+        p, b = len(labels), len(members)
+        labels = _meet(np.repeat(labels, b, axis=0).reshape(p, b, -1), self.width,
+                       self.table[members])
+        omitted = np.column_stack([np.repeat(omitted, b, axis=0), np.tile(members, p)])
+        return labels.reshape(p * b, -1), bound * self.width, omitted
 
-    def _descend(self, node: _Nodes) -> tuple[np.ndarray, np.ndarray]:
-        """Take the nodes down to their leaves: the leaves' columns and
-        status."""
-        for _ in range(self.m - node.path.shape[1]):
-            node = self._extend(node, *self._children(node))
-        hits = _distinct_rows(node.labels)
-        path = node.path
-        del node
-        b = len(path)
+    def _descend(self, node: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Take a run of nodes at depth d down to its leaves: the leaves'
+        columns and status."""
+        for members in self.free[d:]:
+            node = self._children(node, members)
+        labels, _, omitted = node
+        hits = _distinct_rows(labels)
+        del node, labels
+        b = len(omitted)
         self.engine.evaluated += b
         # one gather of the kept column numbers, row by row
         keep = np.ones((b, self.n), dtype=bool)
         keep[:, self.fixed] = False
-        keep[np.arange(b)[:, None], path] = False
+        keep[np.arange(b)[:, None], omitted] = False
         cols = np.broadcast_to(np.arange(self.n), (b, self.n))[keep]
-        return cols.reshape(b, self.n - self.m - self.fixed.size), hits
+        return cols.reshape(b, self.n - len(self.free) - self.fixed.size), hits
 
 
 def _drop_each(cols: Sequence[int]) -> np.ndarray:
@@ -725,8 +657,9 @@ def _refuse_scan(n: int, k: int, budget: int) -> None:
 # ---------------------------------------------------------------------------
 #
 # Each maps matrix columns to `g.vertex_ids()` and reads the twin classes
-# from `g.twin_classes()`.  A component graph gives the walk its skeleton
-# columns; every other route, and every route on a plain graph, reads
+# from `g.twin_classes()`.  The walk and the orbit read
+# `g.distance_columns()`: a component graph's skeleton columns, a plain
+# graph's matrix.  The plain scan and the 2^N table read
 # `g.distance_matrix()`.
 
 def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
@@ -739,33 +672,33 @@ def metric_dimension_search(
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive-search metric dimension with its least witness (ids).
 
-    On a component graph the walk reads `g.distance_columns()`, one
-    column per node, and holds no N x N array.
+    The walk reads `g.distance_columns()`, one column per node, so on a
+    component graph it holds no N x N array.
     """
-    dist = g.distance_columns() if isinstance(g, ComponentGraph) else g.distance_matrix()
-    k, cols = find_min_resolving_for_matrix(dist, g.twin_classes(), budget)
+    k, cols = find_min_resolving_for_matrix(g.distance_columns(), g.twin_classes(), budget)
     return k, _ids(g, cols)
 
 
 def minimum_resolving_sets(
     g, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[np.ndarray]:
-    """Every resolving k-subset of g, lexicographic order (0-based
-    columns), where k is the metric dimension, as (B, k) column arrays:
-    the sets of one batch that resolve, the batch's own array when all
-    of them do.
+    """Every resolving k-subset of g (0-based columns), where k is the
+    metric dimension, as (B, k) column arrays: the sets of one batch
+    that resolve, the batch's own array when all of them do.
 
     When k equals the twin bound of `g.twin_classes()` the sets come from
     the twin-swap orbit of the core (every class minus its largest
-    column), one budget unit per orbit member; otherwise from the plain
-    scan of every k-subset.  At that size the orbit holds
+    column), in class-product order, one budget unit per orbit member,
+    read from `g.distance_columns()`; otherwise from the plain scan of
+    every k-subset, in lexicographic order, read from
+    `g.distance_matrix()`.  At that size the orbit holds
     every candidate: a resolving set holds all but one member of each
     twin class, so a resolving set of size sum(|c| - 1) omits exactly one
     member of each class.  Swapping a member for its twin is an
     automorphism, so the orbit's sets resolve together or not at all;
     the orbit walk still decides each one, and only those that resolve
     are yielded.  Either route is refused from its count, prod |c| or
-    C(N, k), before `g.distance_matrix()` is read.
+    C(N, k), before any distance is read.
     """
     classes = g.twin_classes()
     if k == 0 or k != twins_mod.twin_lower_bound(classes):
@@ -773,7 +706,7 @@ def minimum_resolving_sets(
         batches = _Engine(g.distance_matrix(), budget).scan(k)
     else:
         _refuse_orbit(classes, budget)
-        batches = _Engine(g.distance_matrix(), budget).orbit(classes)
+        batches = _Engine(g.distance_columns(), budget).orbit(classes)
     for cols, hits in batches:
         yield cols if hits.all() else cols[hits]
         del cols, hits  # not held while the next batch is built
@@ -783,10 +716,11 @@ def enumerate_minimum_resolving_sets(
     g, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, lexicographic order (ids): k from
-    `metric_dimension_search`, the sets from `minimum_resolving_sets`."""
+    `metric_dimension_search`, the sets from `minimum_resolving_sets`,
+    sorted."""
     k, _ = metric_dimension_search(g, budget)
-    return [_ids(g, cols) for block in minimum_resolving_sets(g, k, budget)
-            for cols in block.tolist()]
+    return sorted(_ids(g, cols) for block in minimum_resolving_sets(g, k, budget)
+                  for cols in block.tolist())
 
 
 def enumerate_minimal_resolving_sets(

@@ -178,6 +178,24 @@ def random_partition(n, rng, sizes=(1, 2, 3, 4, 6, 8)):
     return classes
 
 
+def partition_with_a_wide_class(n, rng, wide=200, pairs=2):
+    """A random partition of range(n): one class of `wide` to `wide` + 50
+    members, `pairs` classes of two, and singletons."""
+    order = list(range(n))
+    rng.shuffle(order)
+    size = rng.randint(wide, wide + 50)
+    ends = range(size, size + 2 * pairs + 1, 2)
+    return ([order[:size]] + [order[a:a + 2] for a in ends[:-1]]
+            + [[x] for x in order[ends[-1]:]])
+
+
+def orbit_pairs(batches):
+    """Every (set, status) pair of (columns, status) batches, sorted: the
+    orbit's order is the walk's own, so sets are compared, not positions."""
+    return sorted((tuple(cols), hit) for block, hits in batches
+                  for cols, hit in zip(block.tolist(), hits.tolist()))
+
+
 def least_equal_rows_by_dict(block):
     """Lexicographically least pair u < v of equal rows (0-based), from a
     dict of row bytes: the reference for the kernel's colliding pair."""

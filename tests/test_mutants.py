@@ -8,14 +8,15 @@ fail turns one of these tests red.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import Callable
 
 import numpy as np
 import pytest
 
-from conftest import orbit_by_mixed_radix, random_partition, resolves_by_definition
+from conftest import (orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
+                      random_partition, resolves_by_definition)
 from resolvdim import resolving
 from resolvdim.graph import ComponentGraph
 
@@ -29,10 +30,16 @@ class Mutant:
     check: Callable[[], bool]
 
 
+def _orbit_matches(dist, classes):
+    """The orbit walk gives the oracle's (set, status) pairs."""
+    return (orbit_pairs(resolving._Engine(dist).orbit(classes))
+            == orbit_pairs(orbit_by_mixed_radix(resolving._Engine(dist), classes)))
+
+
 def _orbit_agrees():
-    """The orbit walk gives the oracle's sets and statuses, in its order,
-    on the (3,2) twin classes and on eight seeded random partitions of
-    the (3,2) and (2,4) columns (prod |c| <= 2,000)."""
+    """The orbit walk gives the oracle's sets and statuses on the (3,2)
+    twin classes and on eight seeded random partitions of the (3,2) and
+    (2,4) columns (prod |c| <= 2,000)."""
     cases = []
     for q, n in ((3, 2), (2, 4)):
         g = ComponentGraph(q, n)
@@ -44,14 +51,14 @@ def _orbit_agrees():
             classes = random_partition(len(dist), rng)
             if prod(len(c) for c in classes) <= 2_000:
                 cases.append((dist, classes))
-    for dist, classes in cases:
-        got = list(resolving._Engine(dist).orbit(classes))
-        want = list(orbit_by_mixed_radix(resolving._Engine(dist), classes))
-        for part in (0, 1):
-            if not np.array_equal(np.concatenate([b[part] for b in got]),
-                                  np.concatenate([b[part] for b in want])):
-                return False
-    return True
+    return all(_orbit_matches(dist, classes) for dist, classes in cases)
+
+
+def _orbit_agrees_on_a_wide_class():
+    """The same on a partition of the (2,9) columns with a class wider
+    than a batch (128 sets), so a node's children come in several runs."""
+    dist = ComponentGraph(2, 9).distance_matrix()
+    return _orbit_matches(dist, partition_with_a_wide_class(len(dist), random.Random("mutants")))
 
 
 def _scan_agrees():
@@ -80,6 +87,7 @@ def _scan_full_batches(self, k):
 
 
 _real_scan = resolving._Engine.scan
+_real_runs = resolving._OrbitWalk._runs
 
 MUTANTS = [
     Mutant("orbit-refines-by-the-omitted-member", resolving._OrbitWalk, "kept_table",
@@ -88,6 +96,9 @@ MUTANTS = [
            lambda parents, width, rows: parents, _orbit_agrees),
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
            lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
+    Mutant("orbit-drops-the-children-after-the-first-run", resolving._OrbitWalk, "_runs",
+           lambda self, node, d: islice(_real_runs(self, node, d), 1),
+           _orbit_agrees_on_a_wide_class),
     Mutant("scan-drops-the-final-partial-batch", resolving._Engine, "scan",
            _scan_full_batches, _scan_agrees),
 ]

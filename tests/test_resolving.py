@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import (int64_digits, least_equal_rows_by_dict, orbit_by_mixed_radix,
-                      plain_first_hit, random_partition, representation,
-                      resolves_by_definition, status_by_rows)
+                      orbit_pairs, partition_with_a_wide_class, plain_first_hit,
+                      random_partition, representation, resolves_by_definition,
+                      status_by_rows)
 from resolvdim import field, intersection, resolving
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, UnsupportedOrder)
@@ -229,8 +230,10 @@ def test_empty_set_resolves_at_most_one_vertex(n, edges, expected):
 
 
 def test_minimum_sets(g32):
+    # the orbit comes in class-product order; the list is sorted
     mins = resolving.enumerate_minimum_resolving_sets(g32)
     assert len(mins) == 16
+    assert mins == sorted(set(mins))
     assert all(len(w) == 5 for w in mins)
     assert mins[0] == (1, 3, 4, 5, 7)
 
@@ -407,32 +410,30 @@ def test_landmark_bound():
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
 def test_orbit_matches_plain_scan(q, n):
+    # the orbit's sets are the scan's; the enumeration lists them in the
+    # scan's lexicographic order
     g = ComponentGraph(q, n)
     dist, classes = g.distance_matrix(), g.twin_classes()
     k = resolving.metric_dimension_formula(q, n)
     blocks = list(resolving.minimum_resolving_sets(g, k))
     assert all(block.ndim == 2 and block.shape[1] == k for block in blocks)
     orbit = [tuple(row) for block in blocks for row in block.tolist()]
-    assert orbit == resolving.all_resolving_k_subsets(dist, k)
+    scan = resolving.all_resolving_k_subsets(dist, k)
+    assert sorted(orbit) == scan
     assert len(orbit) == prod(len(c) for c in classes)
-
-
-def _orbit_sets(batches):
-    """Every set of (columns, status) batches, in order: one (B, k)
-    column array and one status vector."""
-    cols, hits = zip(*batches)
-    return np.concatenate(cols), np.concatenate(hits)
+    assert resolving.enumerate_minimum_resolving_sets(g) == \
+        [tuple(c + 1 for c in w) for w in scan]
 
 
 def _assert_orbit_matches_oracle(dist, classes):
+    """The walk's (set, status) pairs are the mixed-radix orbit's, one
+    budget unit each; returns the statuses seen."""
     walk = resolving._Engine(dist)
-    sets, hits = _orbit_sets(walk.orbit(classes))
+    got = orbit_pairs(walk.orbit(classes))
     oracle = resolving._Engine(dist)
-    want_sets, want_hits = _orbit_sets(orbit_by_mixed_radix(oracle, classes))
-    assert np.array_equal(sets, want_sets)
-    assert np.array_equal(hits, want_hits)
-    assert walk.evaluated == oracle.evaluated == len(sets) == prod(len(c) for c in classes)
-    return hits
+    assert got == orbit_pairs(orbit_by_mixed_radix(oracle, classes))
+    assert walk.evaluated == oracle.evaluated == len(got) == prod(len(c) for c in classes)
+    return {hit for _, hit in got}
 
 
 # every q >= 3 cell whose orbit, (q-1)^(n 2^(n-1)) sets, has at most 20,000
@@ -462,11 +463,11 @@ def test_orbit_walk_matches_on_random_partitions(q, n):
         if prod(len(c) for c in classes) > 20_000:
             continue
         tried += 1
-        seen.update(_assert_orbit_matches_oracle(dist, classes).tolist())
+        seen |= _assert_orbit_matches_oracle(dist, classes)
     assert seen == {False, True}
 
 
-@pytest.mark.parametrize("q,n", [(3, 3), (7, 2)])
+@pytest.mark.parametrize("q,n", [(3, 3), (7, 2), (16, 2)])
 def test_orbit_traced_peak(q, n):
     # the walk holds one slice of at most `_BATCH_CELLS` labels per level
     # it visits; the mixed-radix orbit peaked at 2.7 and 3.2 MB here
@@ -483,20 +484,34 @@ def test_orbit_traced_peak(q, n):
 
 
 def test_orbit_walk_splits_a_node_with_more_children_than_a_batch():
-    # (27,2): 728 rows, so a batch holds 90 sets, fewer than the root has
-    # children; the first batches match the oracle's sets
+    # (27,2): 728 rows, so a batch holds 90 sets, fewer than the 676
+    # members of the last class; the first node above it, which omits
+    # the least member of both classes of 26, is split into eight runs
+    # whose sets each omit one member of the last class, and each set's
+    # status is the kernel's
     g = ComponentGraph(27, 2)
     dist, classes = g.distance_matrix(), g.twin_classes()
     walk = resolving._Engine(dist, budget=1 << 20)
     assert walk.batch == 90
-    got = list(islice(walk.orbit(classes), 4))
-    want = list(islice(orbit_by_mixed_radix(resolving._Engine(dist, 1 << 20), classes), 4))
-    got_sets, got_hits = _orbit_sets(got)
-    want_sets, want_hits = _orbit_sets(want)
-    size = min(len(got_sets), len(want_sets))
-    assert size > 90
-    assert np.array_equal(got_sets[:size], want_sets[:size])
-    assert np.array_equal(got_hits[:size], want_hits[:size])
+    assert sorted(map(len, classes)) == [26, 26, 676]
+    got = list(islice(walk.orbit(classes), 8))
+    assert [len(cols) for cols, _ in got] == [90] * 7 + [46]
+    small = [c[0] for c in classes if len(c) == 26]
+    wide = next(c for c in classes if len(c) == 676)
+    want = np.array([[c for c in range(len(dist)) if c not in {*small, x}] for x in wide])
+    assert orbit_pairs(got) == orbit_pairs([(want, resolving._Engine(dist).status(want))])
+    assert walk.evaluated == 676
+
+
+def test_orbit_walk_splits_a_class_wider_than_a_batch():
+    # (2,9): 511 rows, so a batch holds 128 sets, fewer than the members
+    # of the wide class: its node is split into runs of its children,
+    # and the whole orbit matches the oracle's
+    dist = ComponentGraph(2, 9).distance_matrix()
+    classes = partition_with_a_wide_class(len(dist), random.Random("orbit:2:9"))
+    assert resolving._Engine(dist).batch == 128
+    assert max(map(len, classes)) >= 200
+    _assert_orbit_matches_oracle(dist, classes)
 
 
 def test_orbit_over_budget_raises_before_listing(monkeypatch):
@@ -511,6 +526,18 @@ def test_orbit_over_budget_raises_before_listing(monkeypatch):
     with pytest.raises(BudgetExceeded, match="orbit has 4096 sets") as err:
         next(sets)
     assert err.value.evaluated == 0
+
+
+def test_orbit_reads_no_distance_matrix(monkeypatch):
+    # the orbit reads `g.distance_columns()`, computed from the skeletons
+    g = ComponentGraph(3, 3)
+
+    def refuse(self):
+        raise AssertionError("the orbit read the N x N matrix")
+
+    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    sets = [w for block in resolving.minimum_resolving_sets(g, 19) for w in block.tolist()]
+    assert len(set(map(tuple, sets))) == prod(len(c) for c in g.twin_classes()) == 4096
 
 
 def test_scan_over_budget_raises_before_the_matrix(monkeypatch):
