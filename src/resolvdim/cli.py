@@ -122,7 +122,7 @@ def cmd_dim(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     formula = resolving_mod.metric_dimension_formula(args.q, args.n)
     search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
-    match = formula == search
+    match = formula == search and resolving_mod.resolves(g, witness)
     if args.format == "json":
         text = render_json({
             "q": args.q, "n": args.n, "formula": formula, "search": search,
@@ -305,10 +305,10 @@ def _twins(g, args, record):
 
 
 def _dim(g, args, record):
-    """Metric dimension, closed form against search."""
+    """Metric dimension, closed form against search; the witness must resolve."""
     formula = resolving_mod.metric_dimension_formula(g.q, g.n)
     search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
-    ok = formula == search
+    ok = formula == search and resolving_mod.resolves(g, witness)
     yield "dim", {"status": "checked", "formula": formula, "search": search,
                   "witness": _labels(g, witness), "match": ok}, ok
 
@@ -337,8 +337,9 @@ def _corollary(g, args, record):
                 union |= np.bitwise_or.reduce(masks[block[:, lo:lo + step]], axis=1)
             spans = spans and bool((union == ~np.uint64(0)).all())
             del block, union  # not held while the next block is built
+        # a resolving set of size dim exists, so an empty family fails
         yield "corollary", {"status": "verified", "minimum_sets": count,
-                            "all_contain_v_basis": spans}, spans
+                            "all_contain_v_basis": spans}, spans and count > 0
     elif n == 3:
         ids = [vectorspace.parse_vertex(t, q, n) for t in ("e1", "e1+e3", "e3")]
         rep = resolving_mod.is_resolving(g, ids)

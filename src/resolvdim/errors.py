@@ -58,7 +58,7 @@ class VertexParseError(ResolvdimError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.detail, self.position = message, position
 
 
 class BudgetExceeded(ResolvdimError):

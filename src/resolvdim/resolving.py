@@ -15,11 +15,11 @@ k-subsets in lexicographic order depth first and drops a prefix when one
 of those two rules shows that no completion can resolve; a full k-subset
 is decided by the same rule, so the returned witness is the
 lexicographically least minimum resolving set.  The walk never calls the
-column-group kernel, which serves the plain scan, the 2^N table and the
-single-set checks.  When the dimension equals the twin bound, the
-minimum resolving sets are the twin-swap orbit of the core and are
-enumerated as such, by a walk over the twin classes, one omitted member
-per level, that refines shared prefixes once (`_OrbitWalk`).
+column-group kernel, which serves the plain scan, the 2^N table and a
+single set's status.  When the dimension equals the twin bound, the
+minimum resolving sets are the twin-swap orbit of the core, enumerated
+by a walk over the twin classes that refines shared prefixes once
+(`_OrbitWalk`); over one class it lists a set's single removals.
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -87,21 +87,22 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     """Full report: resolving status, least collision, minimality.
 
     The least colliding pair comes from the kernel keys of the sorted set;
-    when there is none, minimality from the status of each single removal.
-    Single removals suffice: supersets of resolving sets resolve, so a
-    resolving proper subset implies a resolving (k-1)-subset.  Needs the
-    N x k block, no N x N matrix.
+    when there is none, minimality from each single removal: the orbit of
+    one class holding every member, by ascending omitted member, so
+    `redundant_vertex` is the least redundant one.  Single removals
+    suffice, as supersets of resolving sets resolve.  Needs the N x k
+    block, no N x N matrix.
     """
     members = tuple(w)
     order = _sorted_members(members)
     engine = _Engine(g.distance_block(order))
-    every = np.arange(len(order))
-    pair = _least_equal_rows(engine.keys(every[None, :])[:, 0])
+    pair = _least_equal_rows(engine.keys(np.arange(len(order))[None, :])[:, 0])
     if pair is not None:
         u, v = pair
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
                                colliding_pair=(u + 1, v + 1))
-    still = engine.status(_drop_each(every))
+    still = (np.concatenate([hits for _, hits in engine.orbit([range(len(order))])])
+             if order else np.zeros(0, dtype=bool))
     redundant = order[int(np.argmax(still))] if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
@@ -190,11 +191,13 @@ class _Engine:
     omit one member of each twin class, in class-product order and
     batches of at most `batch`, from a walk over the classes
     (`_OrbitWalk`) that refines each shared prefix once and never calls
-    the kernel; `walk` visits the scan's subsets in the same order but
+    the kernel (over one class of every column: a set's single
+    removals); `walk` visits the scan's subsets in the same order but
     skips the prefixes the twin and refinement rules rule out, and
     decides every node, full k-subsets included, by one refinement step
-    of its parent's partition, without the kernel.  Each charges the
-    budget for the subsets it evaluates.
+    of its parent's partition (`_refine`, which the orbit's table
+    shares), without the kernel.  Each charges the budget for the
+    subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray | SkeletonColumns,
@@ -293,8 +296,7 @@ class _Engine:
         k-subset and a node like any other: with r = 0 rule (a) keeps it
         only when every cell is a single vertex, that is, when it
         resolves, and the first such leaf is the witness.  Labels are
-        the dense ranks of a prefix's partition, stored as int32 (they
-        lie below N) and widened to int64 for the refinement key.
+        the int32 dense ranks of a prefix's partition from `_refine`.
         """
         n = self.n_cols
         # cls[v]: v's class, named by its least column; next_same[v]: the
@@ -367,15 +369,14 @@ class _Engine:
                 return None, False
             self.evaluated += 1
             c = int(cands[pos])
-            key = np.multiply(labels, self.base, dtype=np.int64) + self.column(c)
-            counts = np.bincount(key)
             picks_after = k - len(path) - 1
-            if counts.max() > limit[picks_after]:
+            labels = _refine(labels, self.base, self.column(c), limit[picks_after])
+            if labels is None:
                 continue
             if picks_after == 0:  # limit[0] == 1: every vertex stands alone
                 return tuple(path) + (c,), True
             pick(c)
-            frames.append([(np.cumsum(counts > 0, dtype=np.int32) - 1)[key], children(), 0])
+            frames.append([labels, children(), 0])
         return None, True
 
     def orbit(self, twin_classes: Sequence[Sequence[int]]
@@ -404,12 +405,17 @@ def _dense_rank(labels: np.ndarray) -> None:
     labels[order, batch] = ranked
 
 
-def _meet(parents: np.ndarray, width: int, rows: np.ndarray) -> np.ndarray:
-    """Labels of the meet of two partitions, row by row: `parents` (its
-    own copy, reused) and `rows`, whose labels lie below `width`."""
-    parents *= width
-    parents += rows
-    return parents
+def _refine(labels: np.ndarray, base: int, column: np.ndarray,
+            limit: int) -> np.ndarray | None:
+    """The partition `labels` (each below N) met with one column of
+    distances below `base`: int32 dense ranks in ascending key order,
+    from a bincount of the int64 keys, or None when a cell holds more
+    than `limit` rows."""
+    key = np.multiply(labels, base, dtype=np.int64) + column
+    counts = np.bincount(key)
+    if counts.max() > limit:
+        return None
+    return (np.cumsum(counts > 0, dtype=np.int32) - 1)[key]
 
 
 def _distinct_rows(labels: np.ndarray) -> np.ndarray:
@@ -432,8 +438,8 @@ class _OrbitWalk:
     A node's labels partition the rows by the columns its classes keep.
     Omitting x keeps its class minus x, whose own partition of the rows
     depends on x alone: `kept_table` computes it once per column, so a
-    child's labels are its parent's met with one table row (`_meet`), a
-    digit appended as `_Engine.keys` appends one.  Labels are int32 and
+    child's labels are its parent's met with one table row, a digit
+    appended as `_Engine.keys` appends one.  Labels are int32 and
     are dense-ranked only before a digit would overflow them, which
     leaves room for a digit while N * N < 2^31, true of any N below
     46,341.  A leaf's set resolves when its labels are distinct
@@ -459,25 +465,22 @@ class _OrbitWalk:
         """(n, rows) table whose row x, for x in a class of `free`, is the
         partition of the rows by the class's other columns, as dense
         labels.  Row x meets the partition by the members before x with
-        that by the members after it, so a class costs 3|c| one-column
-        steps, not |c|(|c| - 1)."""
+        that by the members after it, so a class costs 2|c| one-column
+        steps (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
         e = self.engine
         rows = e.n_rows
         table = np.zeros((self.n, rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
-
-        def ranked(key: np.ndarray) -> np.ndarray:
-            _dense_rank(key[:, None])
-            return key
-
         for c in free:
-            before = np.zeros(rows, dtype=np.int64)
+            before = np.zeros(rows, dtype=np.int32)
             for x in c:
                 table[x] = before
-                before = ranked(before * e.base + e.column(x))
-            after = np.zeros(rows, dtype=np.int64)
+                before = _refine(before, e.base, e.column(x), rows)
+            after = np.zeros(rows, dtype=np.int32)
             for x in reversed(c):
-                table[x] = ranked(table[x] * np.int64(rows) + after)
-                after = ranked(after * e.base + e.column(x))
+                meet = table[x] * np.int64(rows) + after
+                _dense_rank(meet[:, None])
+                table[x] = meet
+                after = _refine(after, e.base, e.column(x), rows)
         return table
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -509,8 +512,9 @@ class _OrbitWalk:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
         p, b = len(labels), len(members)
-        labels = _meet(np.repeat(labels, b, axis=0).reshape(p, b, -1), self.width,
-                       self.table[members])
+        labels = np.repeat(labels, b, axis=0).reshape(p, b, -1)
+        labels *= self.width
+        labels += self.table[members]
         omitted = np.column_stack([np.repeat(omitted, b, axis=0), np.tile(members, p)])
         return labels.reshape(p * b, -1), bound * self.width, omitted
 
@@ -530,13 +534,6 @@ class _OrbitWalk:
         keep[np.arange(b)[:, None], omitted] = False
         cols = np.broadcast_to(np.arange(self.n), (b, self.n))[keep]
         return cols.reshape(b, self.n - len(self.free) - self.fixed.size), hits
-
-
-def _drop_each(cols: Sequence[int]) -> np.ndarray:
-    """(k, k-1) batch whose row i is cols without its i-th entry."""
-    k = len(cols)
-    full = np.broadcast_to(np.asarray(cols, dtype=np.intp), (k, k))
-    return full[~np.eye(k, dtype=bool)].reshape(k, max(k - 1, 0))
 
 
 def find_min_resolving_for_matrix(

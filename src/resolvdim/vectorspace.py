@@ -114,7 +114,6 @@ def parse_vertex_list(text: str, q: int, n: int) -> list[int]:
         try:
             out.append(parse_vertex(stripped, q, n))
         except VertexParseError as exc:
-            raise VertexParseError(str(exc).rsplit(" (at position", 1)[0],
-                                   pos + exc.position) from None
+            raise VertexParseError(exc.detail, pos + exc.position) from None
         pos += len(part) + 1
     return out

@@ -76,6 +76,33 @@ def resolves_by_definition(g, w):
     return len({representation(g, v, w) for v in g.vertex_ids()}) == g.vertex_count
 
 
+class DistanceTable:
+    """g's distances read once, pair by pair, through `g.distance`: a
+    stand-in for g in `resolves_by_definition` when many sets of one
+    graph are checked."""
+
+    def __init__(self, g):
+        self.vertex_count = g.vertex_count
+        self._rows = [None] + [[None] + [g.distance(u, v) for v in g.vertex_ids()]
+                               for u in g.vertex_ids()]
+
+    def vertex_ids(self):
+        return range(1, self.vertex_count + 1)
+
+    def distance(self, u, v):
+        return self._rows[u][v]
+
+
+def minimality_by_definition(g, w):
+    """(is_minimal, redundant_vertex) of a resolving set w, from
+    `resolves_by_definition` applied to each single removal: the least
+    member whose removal still resolves, or None."""
+    members = sorted(w)
+    redundant = next((x for x in members
+                      if resolves_by_definition(g, [y for y in members if y != x])), None)
+    return redundant is None, redundant
+
+
 def int64_digits(base):
     """Most base-`base` digits whose packed code stays below 2^62 (at
     least one): the width of the single packed pass."""

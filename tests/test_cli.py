@@ -111,6 +111,27 @@ def test_dim_text_and_json(tmp_path):
     assert payload["match"] is True
 
 
+def test_dim_fails_on_a_witness_that_does_not_resolve(monkeypatch, capsys):
+    # formula and search still agree at 4, but the moved witness
+    # {e1, e2, e3, e1+e4} does not resolve (2,4): the kernel's check of the
+    # witness must fail the dim subcommand and verify's dim section
+    real = resolving.find_min_resolving_for_matrix
+
+    def moved(dist, twin_classes, budget=resolving.DEFAULT_BUDGET):
+        k, cols = real(dist, twin_classes, budget)
+        return k, cols[:-1] + (cols[-1] + 1,)
+
+    monkeypatch.setattr(resolving, "find_min_resolving_for_matrix", moved)
+    assert main(["dim", "--q", "2", "--n", "4"]) == 1
+    assert capsys.readouterr().out == ("q=2 n=4 dim_formula=4 dim_search=4 "
+                                       "witness=e1,e2,e3,e1+e4 match=false\n")
+    assert main(["verify", "--q", "2", "--n", "4", "--format", "json"]) == 1
+    cell = json.loads(capsys.readouterr().out)["records"][0]
+    assert cell["dim"]["match"] is False and cell["pass"] is False
+    assert main(["verify", "--q", "2", "--n", "4"]) == 1
+    assert " dim=FAIL " in capsys.readouterr().out
+
+
 def test_dim_budget_exceeded_exit_code():
     # the pruned walk decides (3,3) in 19 node evaluations
     result = run_cli(["dim", "--q", "3", "--n", "3", "--budget", "10"])
@@ -585,6 +606,20 @@ def test_verify_corollary_fails_on_a_set_that_does_not_span(monkeypatch, capsys)
     cell = json.loads(capsys.readouterr().out)["records"][0]
     assert cell["corollary"] == {"status": "verified", "minimum_sets": 16,
                                  "all_contain_v_basis": False}
+    assert main(["verify", "--q", "3", "--n", "2"]) == 1
+    assert " corollary=FAIL " in capsys.readouterr().out
+
+
+def test_verify_corollary_fails_on_an_empty_family(monkeypatch, capsys):
+    # a resolving set of size dim exists, so an orbit that yields no set
+    # is a failure, not a vacuous pass
+    monkeypatch.setattr(resolving, "minimum_resolving_sets",
+                        lambda g, k, budget=resolving.DEFAULT_BUDGET: iter(()))
+    assert main(["verify", "--q", "3", "--n", "2", "--format", "json"]) == 1
+    cell = json.loads(capsys.readouterr().out)["records"][0]
+    assert cell["corollary"] == {"status": "verified", "minimum_sets": 0,
+                                 "all_contain_v_basis": True}
+    assert cell["pass"] is False
     assert main(["verify", "--q", "3", "--n", "2"]) == 1
     assert " corollary=FAIL " in capsys.readouterr().out
 

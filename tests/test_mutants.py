@@ -6,7 +6,9 @@ input; patched, it fails.  So a refactor that leaves a check unable to
 fail turns one of these tests red.
 """
 
+import io
 import random
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
@@ -15,9 +17,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import (orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
-                      random_partition, resolves_by_definition)
-from resolvdim import resolving
+from conftest import (minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
+                      partition_with_a_wide_class, random_partition, resolves_by_definition)
+from resolvdim import cli, resolving
 from resolvdim.graph import ComponentGraph
 
 
@@ -70,6 +72,43 @@ def _scan_agrees():
     return resolving.all_resolving_k_subsets(g.distance_matrix(), 4) == want
 
 
+def _single_removals_agree():
+    """`is_resolving` gives the minimality and least redundant member
+    that the definition gives on each single removal, for 20 seeded
+    resolving sets each of (2,4) and (3,2), some with a redundant
+    member."""
+    for q, n in ((2, 4), (3, 2)):
+        g = ComponentGraph(q, n)
+        rng = random.Random(f"mutants:removals:{q}:{n}")
+        sets = [rng.sample(g.vertex_ids(), rng.randint(4, g.vertex_count)) for _ in range(40)]
+        for w in [w for w in sets if resolves_by_definition(g, w)][:20]:
+            rep = resolving.is_resolving(g, w)
+            if (rep.is_minimal, rep.redundant_vertex) != minimality_by_definition(g, w):
+                return False
+    return True
+
+
+def _verify_passes(q, n, check):
+    """`verify` at (q, n) exits 0 and its text line reads `check=ok`."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify", "--q", str(q), "--n", str(n)])
+    return code == 0 and f" {check}=ok " in out.getvalue()
+
+
+def _dim_checks_its_witness():
+    """`dim` and the dim section of `verify` pass at (2,4)."""
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["dim", "--q", "2", "--n", "4"])
+    return code == 0 and _verify_passes(2, 4, "dim")
+
+
+def _witness_moved(dist, twin_classes, budget=resolving.DEFAULT_BUDGET):
+    # the least witness with its last member moved to the next column
+    k, cols = _real_find_min(dist, twin_classes, budget)
+    return k, cols[:-1] + (cols[-1] + 1,)
+
+
 def _kept_by_omitted(self, free):
     # refines by the omitted member instead of the members the set keeps
     table = np.zeros((self.n, self.engine.n_rows), dtype=np.int64)
@@ -87,13 +126,17 @@ def _scan_full_batches(self, k):
 
 
 _real_scan = resolving._Engine.scan
+_real_find_min = resolving.find_min_resolving_for_matrix
 _real_runs = resolving._OrbitWalk._runs
 
 MUTANTS = [
     Mutant("orbit-refines-by-the-omitted-member", resolving._OrbitWalk, "kept_table",
            _kept_by_omitted, _orbit_agrees),
-    Mutant("orbit-reuses-the-parent-labels", resolving, "_meet",
-           lambda parents, width, rows: parents, _orbit_agrees),
+    Mutant("single-removals-refine-by-the-omitted-member", resolving._OrbitWalk,
+           "kept_table", _kept_by_omitted, _single_removals_agree),
+    Mutant("orbit-reuses-the-parent-labels", resolving._OrbitWalk, "kept_table",
+           lambda self, free: np.zeros((self.n, self.engine.n_rows), dtype=np.uint8),
+           _orbit_agrees),
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
            lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
     Mutant("orbit-drops-the-children-after-the-first-run", resolving._OrbitWalk, "_runs",
@@ -101,6 +144,11 @@ MUTANTS = [
            _orbit_agrees_on_a_wide_class),
     Mutant("scan-drops-the-final-partial-batch", resolving._Engine, "scan",
            _scan_full_batches, _scan_agrees),
+    Mutant("dim-witness-moves-its-last-member", resolving, "find_min_resolving_for_matrix",
+           _witness_moved, _dim_checks_its_witness),
+    Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",
+           lambda g, k, budget=resolving.DEFAULT_BUDGET: iter(()),
+           lambda: _verify_passes(3, 2, "corollary")),
 ]
 
 

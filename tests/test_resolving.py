@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations, islice
 from math import comb, prod
@@ -6,11 +7,11 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from conftest import (int64_digits, least_equal_rows_by_dict, orbit_by_mixed_radix,
-                      orbit_pairs, partition_with_a_wide_class, plain_first_hit,
-                      random_partition, representation, resolves_by_definition,
-                      status_by_rows)
-from resolvdim import field, intersection, resolving
+from conftest import (DistanceTable, int64_digits, least_equal_rows_by_dict,
+                      minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
+                      partition_with_a_wide_class, plain_first_hit, random_partition,
+                      representation, resolves_by_definition, status_by_rows)
+from resolvdim import exchange, field, intersection, resolving
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -691,3 +692,71 @@ def test_column_walk_over_budget_matches_matrix_walk():
         resolving.metric_dimension_search(g, 1000)
     assert (err.value.evaluated, err.value.lower_bound, err.value.upper_bound) == \
         (1000, 12, 4095)
+
+
+def _assert_report_matches_definition(g, w, oracle=None):
+    """`is_resolving` on w against the definition on `oracle` (g when
+    None): the status of w, and when it resolves, minimality and the
+    least redundant member from each single removal.  Returns
+    (resolves, minimal)."""
+    oracle = g if oracle is None else oracle
+    rep = resolving.is_resolving(g, w)
+    assert rep.is_resolving == resolves_by_definition(oracle, w)
+    if not rep.is_resolving:
+        assert not rep.is_minimal and rep.redundant_vertex is None
+        return False, False
+    assert (rep.is_minimal, rep.redundant_vertex) == minimality_by_definition(oracle, w)
+    return True, rep.is_minimal
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_single_removals_match_definition(q, n):
+    # seeded sets of every size from the dimension up, so that resolving
+    # sets, minimal ones and sets with a redundant member all occur
+    g = ComponentGraph(q, n)
+    rng = random.Random(f"removals:{q}:{n}")
+    low = resolving.metric_dimension_formula(q, n)
+    seen = {_assert_report_matches_definition(
+        g, rng.sample(range(1, g.vertex_count + 1), rng.randint(low, g.vertex_count)))
+        for _ in range(40)}
+    seen |= {_assert_report_matches_definition(g, resolving.canonical_metric_basis(q, n))}
+    assert seen >= {(True, True), (True, False)}
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_single_removals_of_sets_of_at_most_two_members(q, n):
+    # k = 0 has no removal, k = 1 one removal to the empty set, which
+    # resolves only N = 1; every such set of each graph
+    g = ComponentGraph(q, n)
+    for k in range(3):
+        for w in combinations(g.vertex_ids(), k):
+            _assert_report_matches_definition(g, w)
+
+
+def test_single_removals_of_a_set_wider_than_a_batch():
+    # (2,9): 511 rows, so a batch holds 128 sets and the 256 removals of
+    # the minimal coordinate-avoiding set plus e1+...+e9 come in two
+    # runs; its least redundant member, e1+...+e7+e9, is the 255th
+    g = ComponentGraph(2, 9)
+    w = exchange.coordinate_avoiding_set(2, 9) + (511,)
+    assert resolving._Engine(g.distance_block(sorted(w))).batch == 128
+    assert _assert_report_matches_definition(g, w, DistanceTable(g)) == (True, False)
+    assert sorted(w).index(resolving.is_resolving(g, w).redundant_vertex) == 254
+
+
+def test_minimality_of_a_wide_basis_is_fast_and_small():
+    # (4,5) canonical basis, 992 members, whose removals are one orbit
+    # class; keying each removal on its k - 1 columns took 3.5-4.3 s and
+    # 12.6 MB traced here
+    g = ComponentGraph(4, 5)
+    basis = resolving.canonical_metric_basis(4, 5)
+    start = time.perf_counter()
+    assert resolving.is_minimal(g, basis)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert resolving.is_minimal(g, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -87,6 +87,19 @@ def test_parse_list_error_position_is_global():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize("text,detail,position", [
+    ("e1, 2e1+e5", "index 5 outside 1..3", 7),
+    ("e1,e1+x", "bad term 'x'", 6),
+    ("e1,e2 (at position 9)", "bad term 'e2 (at position 9)'", 3),
+])
+def test_parse_list_error_keeps_the_term_detail(text, detail, position):
+    # the list re-raises the term's own detail at the shifted position
+    with pytest.raises(VertexParseError) as err:
+        vs.parse_vertex_list(text, 3, 3)
+    assert (err.value.detail, err.value.position) == (detail, position)
+    assert str(err.value) == f"{detail} (at position {position})"
+
+
 @given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 4), st.data())
 def test_roundtrip_property(q, n, data):
     vid = data.draw(st.integers(1, q ** n - 1))
