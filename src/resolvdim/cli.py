@@ -1,52 +1,32 @@
-"""Command-line front end.
+"""Command-line front end: the parser, the subcommands and the exit codes.
 
 One executable with subcommands {graph, dim, twins, check, exchange,
 intersect, verify}.  Exit codes are a stable contract: 0 all pass, 1
 verification failure, 2 usage error (including instances over the vertex
-cap and parse errors), 3 budget exceeded.
-
-Reports are deterministic: identical configurations produce byte-identical
-output, because `verify` checks its cells one after another in sorted
-order, draws nothing at random, and includes timings only when --timings
-is given.
+cap and parse errors), 3 budget exceeded.  The checks behind `dim`,
+`exchange` and `verify` live in `resolvdim.verify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-import time
 from contextlib import nullcontext
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from . import exchange as exchange_mod
-from . import field as field_mod
-from . import graph as graph_mod
-from . import intersection as intersection_mod
-from . import resolving as resolving_mod
-from . import twins as twins_mod
-from . import vectorspace
-from .errors import (BadParameters, BudgetExceeded, InstanceTooLarge,
-                     ResolvdimError)
-
-SCHEMA_VERSION = 1
+from . import (field as field_mod, graph as graph_mod, intersection as intersection_mod,
+               resolving as resolving_mod, twins as twins_mod, vectorspace, verify)
+from .errors import BadParameters, BudgetExceeded, ResolvdimError
+from .verify import labels, render_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# most hyperplane masks the corollary's spanning test gathers at once (64 kB)
-_SPAN_MASKS = 1 << 13
-
-
-def render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -54,53 +34,45 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
-def _parse_range(raw: str, what: str) -> tuple[int, int]:
+def _parse_range(args, name: str) -> tuple[int, int] | None:
+    """The bounds of --NAME-range A..B, or None when --NAME is given."""
+    one, raw = getattr(args, name), getattr(args, f"{name}_range")
+    if one is not None and raw is not None:
+        raise BadParameters(f"give either --{name} or --{name}-range, not both")
+    if one is not None:
+        return None
+    if raw is None:
+        raise BadParameters(f"missing --{name} or --{name}-range")
     m = re.fullmatch(r"(\d+)\.\.(\d+)", raw)
     if m is None:
-        raise BadParameters(f"malformed {what} range {raw!r}; expected A..B")
+        raise BadParameters(f"malformed {name} range {raw!r}; expected A..B")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise BadParameters(f"malformed {what} range {raw!r}: {lo} > {hi}")
+        raise BadParameters(f"malformed {name} range {raw!r}: {lo} > {hi}")
     return lo, hi
 
 
 def _resolve_qs(args) -> list[int]:
-    if args.q is not None and args.q_range is not None:
-        raise BadParameters("give either --q or --q-range, not both")
-    if args.q is not None:
+    bounds = _parse_range(args, "q")
+    if bounds is None:
         field_mod.validate_order(args.q)
         return [args.q]
-    if args.q_range is not None:
-        lo, hi = _parse_range(args.q_range, "q")
-        qs = [q for q in field_mod.SUPPORTED_ORDERS if lo <= q <= hi]
-        if not qs:
-            raise BadParameters(f"no supported field orders in {lo}..{hi}")
-        return qs
-    raise BadParameters("missing --q or --q-range")
+    qs = [q for q in field_mod.SUPPORTED_ORDERS if bounds[0] <= q <= bounds[1]]
+    if not qs:
+        raise BadParameters("no supported field orders in {}..{}".format(*bounds))
+    return qs
 
 
 def _resolve_ns(args) -> list[int]:
-    if args.n is not None and args.n_range is not None:
-        raise BadParameters("give either --n or --n-range, not both")
-    if args.n is not None:
+    bounds = _parse_range(args, "n")
+    if bounds is None:
         if args.n < 1:
             raise BadParameters(f"n must be >= 1, got {args.n}")
         return [args.n]
-    if args.n_range is not None:
-        lo, hi = _parse_range(args.n_range, "n")
-        if lo < 1:
-            raise BadParameters("n range must start at 1 or above")
-        return list(range(lo, hi + 1))
-    raise BadParameters("missing --n or --n-range")
+    if bounds[0] < 1:
+        raise BadParameters("n range must start at 1 or above")
+    return list(range(bounds[0], bounds[1] + 1))
 
-
-def _labels(g: graph_mod.ComponentGraph, ids) -> list[str]:
-    return [g.label(v) for v in ids]
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 def cmd_graph(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
@@ -120,25 +92,21 @@ def cmd_graph(args) -> int:
 
 def cmd_dim(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
-    formula = resolving_mod.metric_dimension_formula(args.q, args.n)
-    search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
-    match = formula == search and resolving_mod.resolves(g, witness)
+    body = verify.dim_section(g, args.budget).body
     if args.format == "json":
-        text = render_json({
-            "q": args.q, "n": args.n, "formula": formula, "search": search,
-            "witness": _labels(g, witness), "match": match,
-        })
+        text = render_json({"q": args.q, "n": args.n, **body})
     else:
-        text = (f"q={args.q} n={args.n} dim_formula={formula} dim_search={search} "
-                f"witness={','.join(_labels(g, witness))} match={str(match).lower()}\n")
+        text = (f"q={args.q} n={args.n} dim_formula={body['formula']} "
+                f"dim_search={body['search']} witness={','.join(body['witness'])} "
+                f"match={str(body['match']).lower()}\n")
     _emit(text, args.out)
-    return EXIT_PASS if match else EXIT_FAIL
+    return EXIT_PASS if body["match"] else EXIT_FAIL
 
 
 def cmd_twins(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     part = twins_mod.partition_by_neighborhood(g)
-    classes = [(f"{mask:0{args.n}b}", _labels(g, cls))
+    classes = [(f"{mask:0{args.n}b}", labels(g, cls))
                for cls, mask in zip(part.classes, part.skeletons)]
     if args.format == "json":
         _emit(render_json([{"mask": mask, "size": len(members), "members": members}
@@ -153,30 +121,23 @@ def cmd_check(args) -> int:
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     ids = vectorspace.parse_vertex_list(args.set, args.q, args.n)
     report = resolving_mod.is_resolving(g, ids)
-    f = field_mod.field_new(args.q)
-    vectors = [vectorspace.decode(v, args.q, args.n) for v in ids]
-    spans = field_mod.has_full_rank(f, args.n, vectors)
+    spans = verify.contains_v_basis(g, ids)
+    pair, extra = report.colliding_pair, report.redundant_vertex
     if args.format == "json":
-        payload = {
-            "q": args.q, "n": args.n, "W": _labels(g, ids),
-            "resolving": report.is_resolving,
-            "minimal": report.is_minimal,
-            "contains_v_basis": spans,
-            "colliding_pair": (None if report.colliding_pair is None
-                               else _labels(g, report.colliding_pair)),
-            "redundant_vertex": (None if report.redundant_vertex is None
-                                 else g.label(report.redundant_vertex)),
-        }
-        _emit(render_json(payload), args.out)
+        _emit(render_json({
+            "q": args.q, "n": args.n, "W": labels(g, ids), "resolving": report.is_resolving,
+            "minimal": report.is_minimal, "contains_v_basis": spans,
+            "colliding_pair": None if pair is None else labels(g, pair),
+            "redundant_vertex": None if extra is None else g.label(extra),
+        }), args.out)
     else:
-        lines = [f"W={','.join(_labels(g, ids))}",
+        lines = [f"W={','.join(labels(g, ids))}",
                  f"resolving={str(report.is_resolving).lower()}"]
-        if report.colliding_pair is not None:
-            u, v = report.colliding_pair
-            lines.append(f"collision=({g.label(u)},{g.label(v)})")
+        if pair is not None:
+            lines.append(f"collision=({g.label(pair[0])},{g.label(pair[1])})")
         lines.append(f"minimal={str(report.is_minimal).lower()}")
-        if report.redundant_vertex is not None:
-            lines.append(f"redundant_vertex={g.label(report.redundant_vertex)}")
+        if extra is not None:
+            lines.append(f"redundant_vertex={g.label(extra)}")
         lines.append(f"contains_v_basis={str(spans).lower()}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_PASS if report.is_resolving else EXIT_FAIL
@@ -186,23 +147,9 @@ def cmd_exchange(args) -> int:
     if args.format == "text":
         raise BadParameters("exchange has JSON output only; drop --format text")
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
-    report = exchange_mod.has_exchange_property(g, budget=args.budget)
-    witness = None
-    if report.witness is not None:
-        witness = {
-            "kind": "exchange-violation",
-            "w1": _labels(g, report.witness.w1),
-            "r": g.label(report.witness.r),
-            "w2": _labels(g, report.witness.w2),
-        }
-    payload = {
-        "q": args.q, "n": args.n,
-        "holds": report.holds,
-        "method": report.method,
-        "sizes": list(report.minimal_set_sizes),
-        "witness": witness,
-    }
-    _emit(render_json(payload), args.out)
+    section, witness = verify.exchange_section(g, args.budget)
+    payload = {k: section.body[k] for k in ("holds", "method", "sizes")}
+    _emit(render_json({"q": args.q, "n": args.n, **payload, "witness": witness}), args.out)
     return EXIT_PASS
 
 
@@ -272,198 +219,17 @@ def _parse_edge_file(text: str, vertices: int) -> list[tuple[int, int]]:
     return edges
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-#
-# A check runs on one cell's graph and yields (section, body, verdict): the
-# section's text label, its JSON body and its verdict, True or False, or
-# None when the body gives none (skipped, not-applicable, no-twins).
-# `_verify_cell` is the one loop over the checks: it times each one, turns
-# BudgetExceeded and InstanceTooLarge into a skipped section, and derives
-# both the cell's pass and the text tokens from the same verdicts.
-
-def _counts(g, args, record):
-    """Order, size and completeness against the counting formulas."""
-    q, n = g.q, g.n
-    order = graph_mod.order_formula(q, n)
-    enumerated = sum(1 for coeffs in product(range(q), repeat=n) if any(coeffs))
-    ok = order == enumerated
-    yield "order", {"formula": order, "enumerated": enumerated, "match": ok}, ok
-    brute = graph_mod.size_bruteforce(g)
-    size = graph_mod.size_formula(q, n)
-    ok = size == brute
-    yield "size", {"formula": size, "bruteforce": brute, "match": ok}, ok
-    complete = graph_mod.is_complete(g)
-    ok = complete == (n == 1)
-    yield "complete", {"value": complete, "expected": n == 1, "match": ok}, ok
-
-
-def _twins(g, args, record):
-    coincide = twins_mod.partitions_coincide(g)
-    yield "twins", {"status": "checked", "coincide": coincide}, coincide
-
-
-def _dim(g, args, record):
-    """Metric dimension, closed form against search; the witness must resolve."""
-    formula = resolving_mod.metric_dimension_formula(g.q, g.n)
-    search, witness = resolving_mod.metric_dimension_search(g, budget=args.budget)
-    ok = formula == search and resolving_mod.resolves(g, witness)
-    yield "dim", {"status": "checked", "formula": formula, "search": search,
-                  "witness": _labels(g, witness), "match": ok}, ok
-
-
-def _corollary(g, args, record):
-    """Minimum resolving sets against linear independence."""
-    q, n = g.q, g.n
-    if q == 2 and n != 3:
-        yield "corollary", {"status": "not-applicable"}, None
-    elif record["dim"]["status"] == "skipped":
-        yield "corollary", {"status": "skipped", "reason": "dim search skipped"}, None
-    elif q >= 3:
-        count, spans, masks = 0, True, None
-        for block in resolving_mod.minimum_resolving_sets(
-                g, record["dim"]["search"], args.budget):
-            if masks is None:  # the budget has admitted the sets by now
-                masks = field_mod.field_new(q).hyperplane_masks(
-                    n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
-            count += len(block)
-            # a set spans V iff no hyperplane holds it: its masks OR to all
-            # ones; a few columns of the block at a time, so no gather holds
-            # more than _SPAN_MASKS masks
-            union = np.zeros((len(block), masks.shape[1]), dtype=np.uint64)
-            step = max(1, _SPAN_MASKS // union.size)
-            for lo in range(0, block.shape[1], step):
-                union |= np.bitwise_or.reduce(masks[block[:, lo:lo + step]], axis=1)
-            spans = spans and bool((union == ~np.uint64(0)).all())
-            del block, union  # not held while the next block is built
-        # a resolving set of size dim exists, so an empty family fails
-        yield "corollary", {"status": "verified", "minimum_sets": count,
-                            "all_contain_v_basis": spans}, spans and count > 0
-    elif n == 3:
-        ids = [vectorspace.parse_vertex(t, q, n) for t in ("e1", "e1+e3", "e3")]
-        rep = resolving_mod.is_resolving(g, ids)
-        f = field_mod.field_new(q)
-        dependent = not field_mod.has_full_rank(
-            f, n, [vectorspace.decode(v, q, n) for v in ids])
-        minimum = len(ids) == record["dim"]["search"]
-        ok = rep.is_resolving and minimum and dependent
-        yield "corollary", {"status": "counterexample-verified",
-                            "witness": _labels(g, ids), "ok": ok}, ok
-
-
-def _exchange(g, args, record):
-    report = exchange_mod.has_exchange_property(g, budget=args.budget)
-    expected = g.q >= 3 or g.n <= 2  # the property fails exactly at q=2, n>=3
-    ok = report.holds == expected
-    yield "exchange", {"status": "checked", "holds": report.holds,
-                       "method": report.method,
-                       "sizes": list(report.minimal_set_sizes),
-                       "expected": expected, "match": ok}, ok
-
-
-def _swaps(g, args, record):
-    """Twin swaps in resolving sets, checked exactly rather than sampled.
-
-    (a) Each twin class passes `is_twin_class`, which reads skeleton
-    distances, one block per class, not the adjacency rows behind the
-    classes.  Each twin transposition is an automorphism, so every
-    swap keeps every resolving set resolving (Hernando, Mora, Pelayo, Seara
-    and Wood, 2010).  (b) The canonical basis resolves, and so does the set
-    that swaps, in each class, its least member in the basis for the least
-    member outside.  A resolving set omits at most one member of a class,
-    so a class the basis does not cut fails.
-    """
-    classes = [c for c in twins_mod.partition_by_neighborhood(g).classes if len(c) > 1]
-    if not classes:
-        yield "swaps", {"status": "no-twins"}, None
-        return
-    pairs = sum(len(c) - 1 for c in classes)
-    twins_ok = all([twins_mod.is_twin_class(g, c) for c in classes])  # no early stop
-    basis = resolving_mod.canonical_metric_basis(g.q, g.n)
-    members = set(basis)
-    split = [([x for x in c if x in members], [x for x in c if x not in members])
-             for c in classes]
-    cut = [(ins[0], out[0]) for ins, out in split if ins and out]
-    swapped = members.symmetric_difference(x for pair in cut for x in pair)
-    ok = (twins_ok and len(cut) == len(classes) and resolving_mod.resolves(g, basis)
-          and resolving_mod.resolves(g, swapped))
-    yield "swaps", {"status": "checked", "pairs_checked": pairs,
-                    "classes_swapped": len(cut), "all_resolving": ok}, ok
-
-
-# (--timings window, check); a skipped check's section is named after its window
-_CHECKS = (("counts", _counts), ("twins", _twins), ("dim", _dim),
-           ("corollary", _corollary), ("exchange", _exchange), ("swaps", _swaps))
-# record key of a section whose text label differs from it
-_RECORD_KEY = {"swaps": "twin_swap_trials"}
-_NO_VERDICT_TOKEN = {"skipped": "skipped", "not-applicable": "n/a", "no-twins": "no-twins"}
-
-
-def _verify_cell(args, q: int, n: int) -> tuple[dict, str]:
-    """One cell's record and its line of the text report."""
-    start = time.perf_counter()
-    try:
-        g = graph_mod.ComponentGraph(q, n, vertex_cap=args.vertex_cap)
-    except InstanceTooLarge as exc:
-        return ({"q": q, "n": n, "status": "skipped", "reason": str(exc), "pass": True},
-                f"q={q} n={n} cell=SKIPPED ({exc})")
-    record: dict = {"q": q, "n": n, "vertices": g.vertex_count}
-    timings: dict[str, float] = {}
-    verdicts: list[bool | None] = []
-    tokens = [f"q={q}", f"n={n}"]
-    for window, check in _CHECKS:
-        try:
-            sections = list(check(g, args, record))
-        except (BudgetExceeded, InstanceTooLarge) as exc:
-            sections = [(window, {"status": "skipped", "reason": str(exc)}, None)]
-        for label, body, verdict in sections:
-            record[_RECORD_KEY.get(label, label)] = body
-            verdicts.append(verdict)
-            if verdict is None:
-                tokens.append(f"{label}={_NO_VERDICT_TOKEN[body['status']]}")
-            else:
-                tokens.append(f"{label}={'ok' if verdict else 'FAIL'}")
-        now = time.perf_counter()
-        timings[window], start = now - start, now
-    record["pass"] = False not in verdicts
-    tokens.append(f"cell={'PASS' if record['pass'] else 'FAIL'}")
-    if args.timings:
-        record["timings"] = {k: round(v, 6) for k, v in timings.items()}
-    return record, " ".join(tokens)
-
-
 def cmd_verify(args) -> int:
     if args.workers < 1:
         raise BadParameters(f"--workers must be >= 1, got {args.workers}")
     if args.timings and args.format != "json":
         raise BadParameters("--timings is reported in JSON only; add --format json")
-    qs, ns = sorted(_resolve_qs(args)), sorted(_resolve_ns(args))
-    cells = [_verify_cell(args, q, n) for q in qs for n in ns]
-    overall = all(record["pass"] for record, _ in cells)
-    if args.format == "json":
-        text = render_json({
-            "schema_version": SCHEMA_VERSION,
-            "config": {"qs": qs, "ns": ns, "budget": args.budget,
-                       "vertex_cap": args.vertex_cap,
-                       # kept for schema_version 1 readers: --seed seeds
-                       # nothing, and the escape hatch allow_theorem
-                       # recorded is gone, so it is always false
-                       "seed": args.seed, "allow_theorem": False},
-            "records": [record for record, _ in cells],
-            "overall_pass": overall,
-        })
-    else:
-        text = "\n".join([f"schema_version={SCHEMA_VERSION}",
-                          *(line for _, line in cells),
-                          f"OVERALL: {'PASS' if overall else 'FAIL'}"]) + "\n"
+    overall, text = verify.report(sorted(_resolve_qs(args)), sorted(_resolve_ns(args)),
+                                  args.budget, args.vertex_cap, args.seed, args.timings,
+                                  args.format)
     _emit(text, args.out)
     return EXIT_PASS if overall else EXIT_FAIL
 
-
-# ---------------------------------------------------------------------------
-# parser and entry point
-# ---------------------------------------------------------------------------
 
 def _add_qn(sp, required: bool = True) -> None:
     sp.add_argument("--q", type=int, required=required,
@@ -554,9 +320,8 @@ def main(argv: list[str] | None = None) -> int:
             raise BadParameters(f"--vertex-cap must be >= 1, got {args.vertex_cap}")
         return args.handler(args)
     except BudgetExceeded as exc:
-        bounds = ""
-        if exc.lower_bound is not None or exc.upper_bound is not None:
-            bounds = f" (bounds: {exc.lower_bound}..{exc.upper_bound})"
+        known = exc.lower_bound is not None or exc.upper_bound is not None
+        bounds = f" (bounds: {exc.lower_bound}..{exc.upper_bound})" if known else ""
         sys.stderr.write(f"budget exceeded: {exc}{bounds}\n")
         return EXIT_BUDGET
     except ResolvdimError as exc:

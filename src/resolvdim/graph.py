@@ -49,7 +49,7 @@ class ComponentGraph:
         # q^n - 1 >= 2^n - 1 > vertex_cap once n passes the cap's bit
         # length, so a huge n is refused without forming q^n
         big = n > max(64, vertex_cap.bit_length())
-        count = None if big else order_formula(q, n)
+        count = None if big else q ** n - 1
         if big or count > vertex_cap:
             shown = f"{q}^{n}-1" if big or count >= 1 << 64 else count
             raise InstanceTooLarge(

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from resolvdim import cli, field, resolving, twins, vectorspace
+from resolvdim import cli, field, resolving, vectorspace, verify
 from resolvdim.cli import main
 from resolvdim.graph import ComponentGraph
+from test_mutants import SWAPS
 
 CLI = [sys.executable, "-m", "resolvdim"]
 DATA = Path(__file__).parent / "data"
@@ -518,12 +519,58 @@ def test_verify_text_report_matches_golden_bytes(tmp_path, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
-def test_verify_timings_flag(tmp_path):
-    out = tmp_path / "t.json"
-    run_cli(["verify", "--q", "2", "--n", "1", "--format", "json",
-             "--timings", "--out", str(out)])
-    report = json.loads(out.read_text())
-    assert "timings" in report["records"][0]
+# (exit code, sha256 of stdout) of the single-cell commands that share a
+# check with `verify`, and of a grid past the goldens' q <= 4, captured
+# before the checks moved out of the CLI module
+_GRID = ("verify", "--q-range", "2..5", "--n-range", "1..3", "--budget", "20000")
+OUTPUT_SHA256 = {
+    _GRID: (1, "ade4972fcb33609dfba056c2416e2bf6a69b324f3f80deb7362dead46da1525d"),
+    _GRID + ("--format", "json"):
+        (1, "2257ad49f4babd5f6eb217fc1a44181f42908dfcae8dd68b3d215bb0d4384b5c"),
+    ("dim", "2", "3"): (0, "cd7ae10664c3f221e62793a30957d21f7aa430c4a31bd60d97abdf59b08cd718"),
+    ("dim", "2", "3", "json"):
+        (0, "1f1b2f77331605191e927b0b288681902920f89b3fca55668c0d96e094141f28"),
+    ("exchange", "2", "3"):
+        (0, "339418b585e9b638639b041081ea3b9493c3c9216a27c4d7ac9f000d16508807"),
+    ("dim", "2", "4"): (0, "40c8709c7f96269d5791bc32f165987894e52fca57af76d569813c535c555848"),
+    ("dim", "2", "4", "json"):
+        (0, "dcb6e19ab5920e7e3e2debd7b65385970a8ac3b1106739121ed7b0a08f1511fe"),
+    ("exchange", "2", "4"):
+        (0, "c9af114890e20c4bcfae0aa7be212bc6bf8473140369ca410848f027641f7b4d"),
+    ("dim", "3", "2"): (0, "e844e867fa18b9f10fd0f140c47b05359b9c8b9703a4d1df0f0dcd9ab2849b7d"),
+    ("dim", "3", "2", "json"):
+        (0, "b7114f402c532e629f8c4addf744446908ae715701647a89c3bcda601f1c4786"),
+    ("exchange", "3", "2"):
+        (0, "c9da497fbc28d2735e6444b7157fd90e1fc533636321bd1f4305bb3b4019fa82"),
+    ("dim", "4", "2"): (0, "69375340c703a2d680dc31bfbc3689c4c6913f3b8f4ab4d6af16141ae4752ed5"),
+    ("dim", "4", "2", "json"):
+        (0, "f31e2ed420b67b8d4b5a0f72988ec6c03f3a5608be40445b847284959d5143e0"),
+    ("exchange", "4", "2"):
+        (0, "19cd0049a7472ede4de6e6daa90e0f3f41a1f729a68f8b65e31d47e5d38146f9"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUT_SHA256), ids=" ".join)
+def test_output_bytes(key, capsys):
+    # (command, q, n[, "json"]) or a full argv
+    argv = (list(key) if key[0] == "verify" else
+            [key[0], "--q", key[1], "--n", key[2], *(["--format", "json"] if key[3:] else [])])
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[key]
+    assert err == ""
+
+
+def test_verify_timings_flag(capsys):
+    # one window per check, named as perfbench's cli.check_s.* metrics and
+    # CI's corollary timing read them, at a decided cell and at one whose
+    # checks are skipped
+    for argv in (["--q", "3", "--n", "2"], ["--q", "2", "--n", "13", "--budget", "1000"]):
+        assert main(["verify", *argv, "--format", "json", "--timings"]) == 0
+        [cell] = json.loads(capsys.readouterr().out)["records"]
+        assert set(cell["timings"]) == {"counts", "twins", "dim", "corollary", "exchange",
+                                        "swaps"}
+    assert cell["dim"]["status"] == cell["exchange"]["status"] == "skipped"
 
 
 def test_verify_timings_text_is_usage_error(capsys):
@@ -624,51 +671,12 @@ def test_verify_corollary_fails_on_an_empty_family(monkeypatch, capsys):
     assert " corollary=FAIL " in capsys.readouterr().out
 
 
-def _merge_e1_with_e1_plus_e2(monkeypatch):
-    real = twins.partition_by_neighborhood
-
-    def merged(g):
-        ids = [vectorspace.parse_vertex(t, g.q, g.n) for t in ("e1", "e1+e2")]
-        parts = [c for c in real(g).classes if not set(ids) & set(c)]
-        joined = tuple(sorted(x for c in real(g).classes if set(ids) & set(c) for x in c))
-        classes = tuple(sorted(parts + [joined]))
-        return twins.TwinPartition(classes, tuple(g.skeleton(c[0]) for c in classes))
-
-    monkeypatch.setattr(twins, "partition_by_neighborhood", merged)
-
-
-def _reject_one_consecutive_pair(monkeypatch):
-    real = twins.is_twin_class  # (4, 5) is (e1+e2, 2e1+e2), consecutive in its class
-    monkeypatch.setattr(twins, "is_twin_class",
-                        lambda g, c: (4, 5) not in zip(c, c[1:]) and real(g, c))
-
-
-def _basis_holds_a_whole_class(monkeypatch):
-    real = resolving.canonical_metric_basis  # adds 2e1, the omitted twin of e1
-    monkeypatch.setattr(resolving, "canonical_metric_basis",
-                        lambda q, n: tuple(sorted(real(q, n) + (2,))))
-
-
-def _resolves_ignores_the_last_column(monkeypatch):
-    real = resolving.resolves
-    monkeypatch.setattr(resolving, "resolves", lambda g, w: real(g, sorted(w)[:-1]))
-
-
-def _resolves_ignores_the_swapped_in_columns(monkeypatch):
-    real, basis = resolving.resolves, set(resolving.canonical_metric_basis(3, 2))
-    monkeypatch.setattr(resolving, "resolves",
-                        lambda g, w: real(g, [x for x in w if x in basis]))
-
-
-@pytest.mark.parametrize("mutate", [_merge_e1_with_e1_plus_e2, _reject_one_consecutive_pair,
-                                    _basis_holds_a_whole_class,
-                                    _resolves_ignores_the_last_column,
-                                    _resolves_ignores_the_swapped_in_columns],
-                         ids=lambda mutate: mutate.__name__.strip("_"))
-def test_verify_swaps_can_fail(mutate, monkeypatch, capsys):
+# the registry's swaps mutants, under the test ids they had here
+@pytest.mark.parametrize("mutant", SWAPS, ids=lambda m: m.name.replace("-", "_"))
+def test_verify_swaps_can_fail(mutant, monkeypatch, capsys):
     # each part of the exact swap check must turn a wrong answer into a
     # verdict, never a usage error or a traceback
-    mutate(monkeypatch)
+    monkeypatch.setattr(mutant.target, mutant.attr, mutant.replacement)
     assert main(["verify", "--q", "3", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].endswith(" swaps=FAIL cell=FAIL")
@@ -686,7 +694,8 @@ def test_verify_swaps_counts_every_twin_pair():
     for q in (2, 3, 4, 5):
         for n in (1, 2, 3):
             g = ComponentGraph(q, n)
-            [(_, body, _)] = cli._swaps(g, None, {})
+            [section] = verify._swaps(g, None, {})
+            body = section.json()
             sizes = np.unique(g.skeleton_array(), return_counts=True)[1]
             if (q, n) == (2, 2):
                 assert body == {"status": "checked", "pairs_checked": 1,

@@ -6,6 +6,7 @@ input; patched, it fails.  So a refactor that leaves a check unable to
 fail turns one of these tests red.
 """
 
+import dataclasses
 import io
 import random
 from contextlib import redirect_stdout
@@ -19,7 +20,7 @@ import pytest
 
 from conftest import (minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
                       partition_with_a_wide_class, random_partition, resolves_by_definition)
-from resolvdim import cli, resolving
+from resolvdim import cli, exchange, graph, resolving, twins, vectorspace
 from resolvdim.graph import ComponentGraph
 
 
@@ -125,9 +126,54 @@ def _scan_full_batches(self, k):
             yield cols, hits
 
 
+def _merge_e1_with_e1_plus_e2(g):
+    # the twin partition with the classes of e1 and e1+e2 joined
+    ids = [vectorspace.parse_vertex(t, g.q, g.n) for t in ("e1", "e1+e2")]
+    parts = [c for c in _real_partition(g).classes if not set(ids) & set(c)]
+    joined = tuple(sorted(x for c in _real_partition(g).classes if set(ids) & set(c) for x in c))
+    classes = tuple(sorted(parts + [joined]))
+    return twins.TwinPartition(classes, tuple(g.skeleton(c[0]) for c in classes))
+
+
+def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
+    report = _real_exchange(g, budget)
+    return dataclasses.replace(report, holds=not report.holds)
+
+
 _real_scan = resolving._Engine.scan
 _real_find_min = resolving.find_min_resolving_for_matrix
 _real_runs = resolving._OrbitWalk._runs
+_real_partition = twins.partition_by_neighborhood
+_real_is_twin_class = twins.is_twin_class
+_real_basis = resolving.canonical_metric_basis
+_real_resolves = resolving.resolves
+_real_order = graph.order_formula
+_real_size = graph.size_bruteforce
+_real_complete = graph.is_complete
+_real_exchange = exchange.has_exchange_property
+_BASIS_3_2 = set(resolving.canonical_metric_basis(3, 2))
+
+
+def _swaps_pass():
+    """`verify` at (3,2) passes its exact twin-swap check."""
+    return _verify_passes(3, 2, "swaps")
+
+
+# the parts of verify's exact twin-swap check
+SWAPS = [
+    Mutant("merge-e1-with-e1-plus-e2", twins, "partition_by_neighborhood",
+           _merge_e1_with_e1_plus_e2, _swaps_pass),
+    # (4, 5) is (e1+e2, 2e1+e2), consecutive in its class
+    Mutant("reject-one-consecutive-pair", twins, "is_twin_class",
+           lambda g, c: (4, 5) not in zip(c, c[1:]) and _real_is_twin_class(g, c), _swaps_pass),
+    # adds 2e1, the omitted twin of e1
+    Mutant("basis-holds-a-whole-class", resolving, "canonical_metric_basis",
+           lambda q, n: tuple(sorted(_real_basis(q, n) + (2,))), _swaps_pass),
+    Mutant("resolves-ignores-the-last-column", resolving, "resolves",
+           lambda g, w: _real_resolves(g, sorted(w)[:-1]), _swaps_pass),
+    Mutant("resolves-ignores-the-swapped-in-columns", resolving, "resolves",
+           lambda g, w: _real_resolves(g, [x for x in w if x in _BASIS_3_2]), _swaps_pass),
+]
 
 MUTANTS = [
     Mutant("orbit-refines-by-the-omitted-member", resolving._OrbitWalk, "kept_table",
@@ -149,6 +195,15 @@ MUTANTS = [
     Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",
            lambda g, k, budget=resolving.DEFAULT_BUDGET: iter(()),
            lambda: _verify_passes(3, 2, "corollary")),
+    Mutant("order-formula-off-by-one", graph, "order_formula",
+           lambda q, n: _real_order(q, n) + 1, lambda: _verify_passes(3, 2, "order")),
+    Mutant("size-count-off-by-one", graph, "size_bruteforce",
+           lambda g: _real_size(g) + 1, lambda: _verify_passes(3, 2, "size")),
+    Mutant("completeness-negated", graph, "is_complete",
+           lambda g: not _real_complete(g), lambda: _verify_passes(3, 2, "complete")),
+    Mutant("exchange-verdict-flipped", exchange, "has_exchange_property",
+           _exchange_flipped, lambda: _verify_passes(3, 2, "exchange")),
+    *SWAPS,
 ]
 
 

@@ -64,6 +64,22 @@ def _resolves(path):
     return obj is not None
 
 
+def _attributes_read(tree):
+    """(module, attribute) for each attribute read on a resolvdim module
+    that the tree imports, by `from resolvdim import m` or `import
+    resolvdim.m as m`."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "resolvdim":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.split(".")[1]) for alias in node.names
+                           if alias.name.startswith("resolvdim.") and alias.asname)
+    return [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+
+
 def test_benchmark_names_exist():
     # a renamed function shows in the benchmark only as a missing wrapper
     # in a traced run or a crashed microbenchmark; catch it here instead
@@ -77,15 +93,18 @@ def test_benchmark_names_exist():
         module, cls, attr = entry.elts[:3]
         names.append((module.id,) + ((cls.value,) if cls.value else ()) + (attr.value,))
     micro = ast.parse((PERFBENCH / "micro.py").read_text())
-    modules = {alias.asname or alias.name: alias.name for node in ast.walk(micro)
-               if isinstance(node, ast.ImportFrom) and node.module == "resolvdim"
-               for alias in node.names}
-    names += [(modules[node.value.id], node.attr) for node in ast.walk(micro)
-              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in modules]
+    names += _attributes_read(micro)
     names += [(node.module.split(".")[1], alias.name) for node in ast.walk(micro)
               if isinstance(node, ast.ImportFrom)
               and (node.module or "").startswith("resolvdim.") for alias in node.names]
+    # the entry points: the traced pass calls cli.main, and the setup probe
+    # that times start-up imports cli and builds its parser
+    runner = ast.parse((PERFBENCH / "runner.py").read_text())
+    probe = next(node.value.value for node in ast.walk(runner) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets))
+    entry_points = _attributes_read(tracer) + _attributes_read(ast.parse(probe))
+    assert {("cli", "main"), ("cli", "build_parser")} <= set(entry_points)
+    names += entry_points
     assert len(names) > len(wrapped.elts)
     assert [".".join(p) for p in names if not _resolves(p)] == []
 
