@@ -215,6 +215,8 @@ def _parse_edge_file(text: str, vertices: int) -> list[tuple[int, int]]:
                                 f"got {line!r}") from None
         if not (1 <= u <= vertices and 1 <= v <= vertices):
             raise BadParameters(f"line {lineno}: vertex outside 1..{vertices}")
+        if u == v:
+            raise BadParameters(f"line {lineno}: self-loop at vertex {u}")
         edges.append((u - 1, v - 1))
     return edges
 

@@ -9,11 +9,12 @@ read-only int64 skeleton array, never from a materialized edge list.
 The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
 `bfs_distances`, which the test suite compares against it pair by pair.
-Because of it, the routes that need no subset table read the skeletons
-directly: the twin classes from packed adjacency rows, the search walk
-from `SkeletonColumns`, the exports from one row generator each.  Only
-`adjacency_matrix` and `distance_matrix` hold an entry per vertex pair;
-`packed_adjacency` holds a bit per pair.
+Because of it, every route reads the skeletons directly: the twin
+classes from packed adjacency rows, the subset engine from
+`SkeletonColumns`, the exports from one row generator each.  Only
+`adjacency_matrix` and `distance_matrix` hold an entry per vertex pair,
+and no route of the CLI calls them; `packed_adjacency` holds a bit per
+pair.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ class ComponentGraph:
     """Implicit nonzero component graph on q^n - 1 vertices.
 
     Immutable after construction; all queries are pure and thread-safe.
-    The lazily built distance matrix and twin classes are idempotent
-    caches.
+    The lazily built twin classes are an idempotent cache.
     """
 
     def __init__(self, q: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
@@ -69,7 +69,6 @@ class ComponentGraph:
         # (uint16 up to n = 16): the pair tests run about 3x faster than
         # on int64 at q = 2, n = 12
         self._masks = self._skeletons.astype(np.min_scalar_type((1 << n) - 1))
-        self._dist: np.ndarray | None = None
         self._twins: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries --
@@ -179,11 +178,9 @@ class ComponentGraph:
 
     def distance_matrix(self) -> np.ndarray:
         """int16 distance matrix indexed 0..N-1 (vertex id minus 1): the
-        `distance_block` of every vertex, built on the first call and kept."""
-        if self._dist is None:
-            self._refuse_dense()
-            self._dist = self.distance_block(self.vertex_ids())
-        return self._dist
+        `distance_block` of every vertex; a fresh array on every call."""
+        self._refuse_dense()
+        return self.distance_block(self.vertex_ids())
 
     def __repr__(self) -> str:
         return f"ComponentGraph(q={self.q}, n={self.n}, vertices={self.vertex_count})"
@@ -192,8 +189,9 @@ class ComponentGraph:
 class SkeletonColumns:
     """Columns of a component graph's distance matrix, each computed from
     the skeletons when asked: 0 at the column's own vertex, 1 where the
-    skeletons meet, else 2.  It stands in for the matrix in the search
-    walk, which reads one column per node, so the walk holds O(N) memory.
+    skeletons meet, else 2.  It stands in for the matrix in the subset
+    engine: the search walk reads one column per node, so it holds O(N)
+    memory, and the kernel one N x B block of columns per step.
 
     `largest` is the matrix's largest entry, which the walk's landmark
     bound reads: 0 for the single vertex at N = 1; 1 at n = 1, where all
@@ -207,11 +205,12 @@ class SkeletonColumns:
         self.shape = (count, count)
         self.largest = 0 if count == 1 else 1 if n == 1 else 2
 
-    def column(self, c: int) -> np.ndarray:
-        """int16 distances from every vertex to vertex c + 1 (0-based c)."""
+    def column(self, c: int | np.ndarray) -> np.ndarray:
+        """int16 distances from every vertex to vertex c + 1 (0-based c);
+        for a 1-D index array c, the N x B block of those columns."""
         sk = self._skeletons
-        col = np.where(sk & sk[c], np.int16(1), np.int16(2))
-        col[c] = 0
+        col = np.where(np.bitwise_and.outer(sk, sk[c]), np.int16(1), np.int16(2))
+        col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col
 
 

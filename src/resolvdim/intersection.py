@@ -64,7 +64,7 @@ class SetFamily:
 class PlainGraph:
     """A simple undirected graph on vertices 0..vertex_count-1, held as its
     symmetric boolean adjacency matrix; every other view is read from it.
-    `edges` is (u, v) pairs, each checked, or that bool matrix, held as is."""
+    `edges` is (u, v) pairs or that bool matrix, each checked."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if vertex_count < 0:
@@ -74,6 +74,8 @@ class PlainGraph:
                 f"plain graph needs at most {MATRIX_CAP} vertices, got {vertex_count}")
         self._dist: np.ndarray | None = None
         if getattr(edges, "dtype", None) == bool and edges.shape == (vertex_count,) * 2:
+            if edges.diagonal().any() or not np.array_equal(edges, edges.T):
+                raise BadParameters("adjacency matrix must be symmetric with a False diagonal")
             self._adj = edges
             return
         try:

@@ -19,7 +19,8 @@ column-group kernel, which serves the plain scan, the 2^N table and a
 single set's status.  When the dimension equals the twin bound, the
 minimum resolving sets are the twin-swap orbit of the core, enumerated
 by a walk over the twin classes that refines shared prefixes once
-(`_OrbitWalk`); over one class it lists a set's single removals.
+(`_OrbitWalk`).  A set's single removals are the rows of the orbit's
+kept table for one class that holds every member (`_kept_table`).
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -71,38 +72,47 @@ def _sorted_members(w: Iterable[int]) -> tuple[int, ...]:
     return order
 
 
-def _least_equal_rows(keys: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically least pair u < v of rows with equal keys (0-based)
-    or None: after a stable sort, the adjacent equal entry with the least
-    first row."""
-    order = np.argsort(keys, kind="stable")
-    same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+def _collision(engine: _Engine) -> tuple[int, int] | None:
+    """The least pair u < v of ids (row + 1) that agree on every column of
+    the engine, or None: after a stable sort of the kernel's keys, the
+    adjacent equal entry with the least first row."""
+    keys = engine.keys(np.arange(engine.n_cols)[None, :])[:, 0]
+    rank = np.argsort(keys, kind="stable")
+    same = np.flatnonzero(keys[rank[1:]] == keys[rank[:-1]])
     if not same.size:
         return None
-    i = same[np.argmin(order[same])]
-    return int(order[i]), int(order[i + 1])
+    i = same[np.argmin(rank[same])]
+    return int(rank[i]) + 1, int(rank[i + 1]) + 1
+
+
+def _single_removals(engine: _Engine) -> np.ndarray:
+    """Whether each column's removal from the engine's set still resolves:
+    the rows of the one-class kept table with distinct labels,
+    `engine.batch` rows at a time."""
+    table = _kept_table(engine, [range(engine.n_cols)])
+    still = np.empty(engine.n_cols, dtype=bool)
+    for lo in range(0, engine.n_cols, engine.batch):
+        still[lo:lo + engine.batch] = _distinct_rows(table[lo:lo + engine.batch])
+    return still
 
 
 def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     """Full report: resolving status, least collision, minimality.
 
-    The least colliding pair comes from the kernel keys of the sorted set;
-    when there is none, minimality from each single removal: the orbit of
-    one class holding every member, by ascending omitted member, so
+    The least colliding pair comes from `_collision` over the sorted
+    set's N x k block; when there is none, minimality from each single
+    removal (`_single_removals`), by ascending member, so
     `redundant_vertex` is the least redundant one.  Single removals
-    suffice, as supersets of resolving sets resolve.  Needs the N x k
-    block, no N x N matrix.
+    suffice, as supersets of resolving sets resolve.  No N x N matrix.
     """
     members = tuple(w)
     order = _sorted_members(members)
     engine = _Engine(g.distance_block(order))
-    pair = _least_equal_rows(engine.keys(np.arange(len(order))[None, :])[:, 0])
+    pair = _collision(engine)
     if pair is not None:
-        u, v = pair
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
-                               colliding_pair=(u + 1, v + 1))
-    still = (np.concatenate([hits for _, hits in engine.orbit([range(len(order))])])
-             if order else np.zeros(0, dtype=bool))
+                               colliding_pair=pair)
+    still = _single_removals(engine)
     redundant = order[int(np.argmax(still))] if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
@@ -110,11 +120,9 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
 
 
 def resolves(g: ComponentGraph, w: Iterable[int]) -> bool:
-    """True iff w resolves g: its N x k block as one batch of one, with
-    no minimality check."""
-    order = _sorted_members(w)
-    engine = _Engine(g.distance_block(order))
-    return bool(engine.status(np.arange(len(order))[None, :])[0])
+    """True iff w resolves g: `_collision` finds no pair in its N x k
+    block, with no minimality check."""
+    return _collision(_Engine(g.distance_block(_sorted_members(w)))) is None
 
 
 def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
@@ -171,38 +179,33 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the subset engine over a distance matrix (0-based indices)
+# the subset engine over distance columns (0-based indices)
 # ---------------------------------------------------------------------------
 
 class _Engine:
     """The one subset engine: a kernel and three walks.
 
-    Rows of `dist` are vertices and columns are candidate members; the
-    matrix is read at its stored dtype.  `dist` may also be a column
-    source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`),
-    on which only `walk`, `orbit` and `landmark_bound` run: the walk
-    reads one column per node, the orbit each column twice, the kernel
-    whole blocks of the matrix.  `keys` is
-    the one kernel: exact per-vertex labels of any number of columns,
-    read by `status` (the batched resolving test) and by the colliding
-    pair of a single set.
+    Rows of `dist` are vertices and columns are candidate members.  The
+    engine reads it through `column(c)`, one column for an index and an
+    N x B block for an index array: a distance matrix, read at its
+    stored dtype, or a column source such as `SkeletonColumns`
+    (`shape`, `largest`, `column(c)`).  `keys` is the one kernel: exact
+    per-vertex labels of any number of columns, read by `status` (the
+    batched resolving test) and by the colliding pair of a single set.
     The walks: `scan` lists every k-subset in lexicographic order,
-    `batch` sets at a time through `status`; `orbit` lists the sets that
-    omit one member of each twin class, in class-product order and
-    batches of at most `batch`, from a walk over the classes
-    (`_OrbitWalk`) that refines each shared prefix once and never calls
-    the kernel (over one class of every column: a set's single
-    removals); `walk` visits the scan's subsets in the same order but
-    skips the prefixes the twin and refinement rules rule out, and
-    decides every node, full k-subsets included, by one refinement step
-    of its parent's partition (`_refine`, which the orbit's table
-    shares), without the kernel.  Each charges the budget for the
-    subsets it evaluates.
+    `batch` sets at a time through `status`; the orbit (`_OrbitWalk`)
+    lists the sets that omit one member of each twin class, in
+    class-product order and batches of at most `batch`, refining each
+    shared prefix once, without the kernel; `walk` visits the scan's
+    subsets in the same order but skips the prefixes the twin and
+    refinement rules rule out, and decides every node, full k-subsets
+    included, by one refinement step of its parent's partition
+    (`_refine`, which the orbit's table shares), without the kernel.
+    Each charges the budget for the subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray | SkeletonColumns,
                  budget: int = DEFAULT_BUDGET):
-        self.dist = dist
         self.n_rows, self.n_cols = dist.shape
         if isinstance(dist, np.ndarray):
             self.column = lambda c: dist[:, c]
@@ -237,7 +240,7 @@ class _Engine:
                 _dense_rank(labels)
                 bound = n
             labels *= self.base
-            labels += self.dist[:, cols[:, j]]
+            labels += self.column(cols[:, j])
             bound *= self.base
         return labels
 
@@ -379,18 +382,6 @@ class _Engine:
             frames.append([labels, children(), 0])
         return None, True
 
-    def orbit(self, twin_classes: Sequence[Sequence[int]]
-              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(columns, status) batches of the twin-swap orbit of the core.
-
-        The orbit is every set that omits exactly one member of each of
-        the classes, which partition the columns: prod |c| sets, listed in
-        class-product order, each one charged to the budget.  The walk
-        behind it is `_OrbitWalk`.  Callers refuse an orbit that does not
-        fit the budget before they start it.
-        """
-        yield from _OrbitWalk(self, twin_classes).batches()
-
 
 def _dense_rank(labels: np.ndarray) -> None:
     """Replace each column of a 2-D label array, in place, by its dense
@@ -418,6 +409,28 @@ def _refine(labels: np.ndarray, base: int, column: np.ndarray,
     return (np.cumsum(counts > 0, dtype=np.int32) - 1)[key]
 
 
+def _kept_table(engine: _Engine, free: Sequence[Sequence[int]]) -> np.ndarray:
+    """(n_cols, n_rows) table whose row x, for x in a class of `free`, is
+    the partition of the rows by the class's other columns, as dense
+    labels.  Row x meets the partition by the members before x with that
+    by the members after it, so a class costs 2|c| one-column steps
+    (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
+    rows = engine.n_rows
+    table = np.zeros((engine.n_cols, rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
+    for c in free:
+        before = np.zeros(rows, dtype=np.int32)
+        for x in c:
+            table[x] = before
+            before = _refine(before, engine.base, engine.column(x), rows)
+        after = np.zeros(rows, dtype=np.int32)
+        for x in reversed(c):
+            meet = table[x] * np.int64(rows) + after
+            _dense_rank(meet[:, None])
+            table[x] = meet
+            after = _refine(after, engine.base, engine.column(x), rows)
+    return table
+
+
 def _distinct_rows(labels: np.ndarray) -> np.ndarray:
     """True for each row of a 2-D label array whose labels are pairwise
     distinct; sorts the rows in place."""
@@ -428,6 +441,9 @@ def _distinct_rows(labels: np.ndarray) -> np.ndarray:
 class _OrbitWalk:
     """The twin-swap orbit as a walk over its classes, one level each.
 
+    An orbit has prod |c| sets at one budget unit each; callers refuse
+    one that does not fit the budget before they start it.
+
     A set of the orbit omits one member of each class; a class of one
     member is omitted by every set and takes no part.  Level d is free
     class d (two or more members), the classes ordered by size, largest
@@ -437,7 +453,7 @@ class _OrbitWalk:
 
     A node's labels partition the rows by the columns its classes keep.
     Omitting x keeps its class minus x, whose own partition of the rows
-    depends on x alone: `kept_table` computes it once per column, so a
+    depends on x alone: `_kept_table` computes it once per column, so a
     child's labels are its parent's met with one table row, a digit
     appended as `_Engine.keys` appends one.  Labels are int32 and
     are dense-ranked only before a digit would overflow them, which
@@ -458,30 +474,8 @@ class _OrbitWalk:
         self.free = sorted((c for c in classes if len(c) > 1), key=lambda c: (len(c), c[0]))
         self.fixed = np.array([c[0] for c in classes if len(c) == 1], dtype=np.intp)
         self.leaves = [prod(len(c) for c in self.free[d:]) for d in range(len(self.free) + 1)]
-        self.table = self.kept_table(self.free)
+        self.table = _kept_table(engine, self.free)
         self.width = int(self.table.max(initial=0)) + 1
-
-    def kept_table(self, free: Sequence[Sequence[int]]) -> np.ndarray:
-        """(n, rows) table whose row x, for x in a class of `free`, is the
-        partition of the rows by the class's other columns, as dense
-        labels.  Row x meets the partition by the members before x with
-        that by the members after it, so a class costs 2|c| one-column
-        steps (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
-        e = self.engine
-        rows = e.n_rows
-        table = np.zeros((self.n, rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
-        for c in free:
-            before = np.zeros(rows, dtype=np.int32)
-            for x in c:
-                table[x] = before
-                before = _refine(before, e.base, e.column(x), rows)
-            after = np.zeros(rows, dtype=np.int32)
-            for x in reversed(c):
-                meet = table[x] * np.int64(rows) + after
-                _dense_rank(meet[:, None])
-                table[x] = meet
-                after = _refine(after, e.base, e.column(x), rows)
-        return table
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(columns, status) batches of the orbit, class-product order."""
@@ -572,7 +566,8 @@ def find_min_resolving_for_matrix(
     raise AssertionError("the full vertex set always resolves")
 
 
-def resolving_status_by_mask(dist: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def resolving_status_by_mask(dist: np.ndarray | SkeletonColumns,
+                             budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Resolving status of every subset, indexed by bit mask of columns.
 
     Needs 2^N evaluations; refused as by `_refuse_table`.
@@ -654,10 +649,9 @@ def _refuse_scan(n: int, k: int, budget: int) -> None:
 # ---------------------------------------------------------------------------
 #
 # Each maps matrix columns to `g.vertex_ids()` and reads the twin classes
-# from `g.twin_classes()`.  The walk and the orbit read
-# `g.distance_columns()`: a component graph's skeleton columns, a plain
-# graph's matrix.  The plain scan and the 2^N table read
-# `g.distance_matrix()`.
+# from `g.twin_classes()`.  The walk, the orbit, the plain scan and the
+# 2^N table all read `g.distance_columns()`: a component graph's skeleton
+# columns, a plain graph's matrix.
 
 def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
     ids = g.vertex_ids()
@@ -683,12 +677,12 @@ def minimum_resolving_sets(
     metric dimension, as (B, k) column arrays: the sets of one batch
     that resolve, the batch's own array when all of them do.
 
-    When k equals the twin bound of `g.twin_classes()` the sets come from
-    the twin-swap orbit of the core (every class minus its largest
-    column), in class-product order, one budget unit per orbit member,
-    read from `g.distance_columns()`; otherwise from the plain scan of
-    every k-subset, in lexicographic order, read from
-    `g.distance_matrix()`.  At that size the orbit holds
+    Both routes read `g.distance_columns()`.  When k equals the twin
+    bound of `g.twin_classes()` the sets come from the twin-swap orbit
+    of the core (every class minus its largest column), in
+    class-product order, one budget unit per orbit member; otherwise
+    from the plain scan of every k-subset, in lexicographic order.  At
+    that size the orbit holds
     every candidate: a resolving set holds all but one member of each
     twin class, so a resolving set of size sum(|c| - 1) omits exactly one
     member of each class.  Swapping a member for its twin is an
@@ -700,10 +694,10 @@ def minimum_resolving_sets(
     classes = g.twin_classes()
     if k == 0 or k != twins_mod.twin_lower_bound(classes):
         _refuse_scan(g.vertex_count, k, budget)
-        batches = _Engine(g.distance_matrix(), budget).scan(k)
+        batches = _Engine(g.distance_columns(), budget).scan(k)
     else:
         _refuse_orbit(classes, budget)
-        batches = _Engine(g.distance_columns(), budget).orbit(classes)
+        batches = _OrbitWalk(_Engine(g.distance_columns(), budget), classes).batches()
     for cols, hits in batches:
         yield cols if hits.all() else cols[hits]
         del cols, hits  # not held while the next batch is built
@@ -726,10 +720,10 @@ def enumerate_minimal_resolving_sets(
     """All minimal resolving sets, lexicographic order (ids), from the full
     2^N subset table; BudgetExceeded, with its own message for each, when
     2^N exceeds the budget or N the 20-vertex table guard, before
-    `g.distance_matrix()` is read."""
+    `g.distance_columns()` is read."""
     n = g.vertex_count
     _refuse_table(n, budget)
-    minimal = minimal_status_by_mask(resolving_status_by_mask(g.distance_matrix(), budget))
+    minimal = minimal_status_by_mask(resolving_status_by_mask(g.distance_columns(), budget))
     sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
                   for m in map(int, np.flatnonzero(minimal)))
     return [_ids(g, w) for w in sets]

@@ -374,7 +374,7 @@ def test_intersect_realize_self_loop_is_usage_error(tmp_path, capsys):
     edges.write_text("1 2\n1 1\n")
     assert main(["intersect", "--realize", str(edges), "--vertices", "2"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: self-loop at vertex 0\n"
+    assert captured.err == "error: line 2: self-loop at vertex 1\n"
     assert captured.out == ""
 
 
@@ -757,6 +757,10 @@ def _run_in(directory, argv, capsys, monkeypatch):
     # and the exchange table do not: both are refused from their counts
     pytest.param(["verify", "--q", "4", "--n", "4", "--budget", "1000000", "--format", "json"],
                  id="verify-orbit-refused"),
+    # the 2^N table and the single-set checks read distance columns
+    pytest.param(["exchange", "--q", "2", "--n", "4"], id="exchange-table"),
+    pytest.param(["verify", "--q-range", "2..3", "--n-range", "1..3", "--budget", "20000"],
+                 id="verify-grid"),
 ], ids=lambda argv: argv[0])
 def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monkeypatch):
     # these routes read the skeletons alone: with both N x N views broken
@@ -769,7 +773,8 @@ def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monk
     monkeypatch.setattr(ComponentGraph, "adjacency_matrix", refuse)
     monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
     assert _run_in(tmp_path / "refused", argv, capsys, monkeypatch) == before
-    assert before[0] == 0
+    # the grid holds (2,2), whose twins check fails by design (criterion 3)
+    assert before[0] == (1 if "--q-range" in argv else 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -793,9 +798,9 @@ def test_verify_builds_the_packed_rows_once_per_cell(argv, capsys, monkeypatch):
 
 def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):
     def refuse(self):
-        raise AssertionError("an N x N view was built")
+        raise AssertionError("a distance was read before the table was admitted")
 
-    monkeypatch.setattr(ComponentGraph, "distance_matrix", refuse)
+    monkeypatch.setattr(ComponentGraph, "distance_columns", refuse)
     assert main(["exchange", "--q", "2", "--n", "12", "--budget", "1000"]) == 3
     assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
                                        "2^4095 evaluations, over the budget 1000\n")

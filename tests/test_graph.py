@@ -225,3 +225,8 @@ def test_skeleton_columns_match_the_distance_matrix(q, n):
         col = cols.column(c)
         assert col.dtype == np.int16
         assert np.array_equal(col, dist[:, c]), c
+    # an index array gives the N x B block, repeats and any order included
+    picks = np.array([g.vertex_count - 1, 0, g.vertex_count // 2, 0])
+    block = cols.column(picks)
+    assert block.dtype == np.int16
+    assert np.array_equal(block, dist[:, picks])

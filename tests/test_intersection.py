@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import intersection_graph_by_pairs
-from resolvdim import exchange, intersection
+from resolvdim import exchange, intersection, resolving
 from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
 from resolvdim.graph import MATRIX_CAP, ComponentGraph
 from resolvdim.intersection import PlainGraph, SetFamily
@@ -121,6 +121,11 @@ def test_intersection_graph_mutants_fail_the_pair_check(monkeypatch, name, kind,
     fam = _seeded_family(kind)
     assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
     patch(monkeypatch)
+    if name == "diagonal not cleared":
+        # `PlainGraph` refuses a True diagonal before any pair is compared
+        with pytest.raises(BadParameters, match="with a False diagonal$"):
+            intersection.intersection_graph(fam)
+        return
     assert intersection.intersection_graph(fam) != intersection_graph_by_pairs(fam)
 
 
@@ -299,6 +304,21 @@ def test_plain_graph_rejects_the_first_bad_edge_in_input_order():
     # the self-loop test comes before the range test
     with pytest.raises(BadParameters, match="^self-loop at vertex 7$"):
         PlainGraph(3, [(7, 7)])
+
+
+def test_plain_graph_rejects_a_matrix_that_is_not_an_adjacency_matrix():
+    # the path 0-1-2 as its upper triangle plus a True diagonal entry: held
+    # as is, it gave asymmetric distances and the dimension witness (1,)
+    T, F = True, False
+    path = np.array([[F, T, F], [T, F, T], [F, T, F]])
+    one_sided = np.triu(path)
+    looped = path.copy()
+    looped[0, 0] = T
+    for bad in (one_sided, looped, one_sided | looped):
+        with pytest.raises(BadParameters, match="^adjacency matrix must be symmetric "
+                                                "with a False diagonal$"):
+            PlainGraph(3, bad)
+    assert resolving.metric_dimension_search(PlainGraph(3, path)) == (1, (0,))
 
 
 @pytest.mark.parametrize("pair", [(1, 2, 3), (0,), ("a", 1), (0.5, 1), ()])

@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import (minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
-                      partition_with_a_wide_class, random_partition, resolves_by_definition)
+from conftest import (exchange_by_definition, minimality_by_definition,
+                      orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
+                      random_partition, resolves_by_definition)
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace
 from resolvdim.graph import ComponentGraph
 
@@ -35,7 +36,7 @@ class Mutant:
 
 def _orbit_matches(dist, classes):
     """The orbit walk gives the oracle's (set, status) pairs."""
-    return (orbit_pairs(resolving._Engine(dist).orbit(classes))
+    return (orbit_pairs(resolving._OrbitWalk(resolving._Engine(dist), classes).batches())
             == orbit_pairs(orbit_by_mixed_radix(resolving._Engine(dist), classes)))
 
 
@@ -89,6 +90,27 @@ def _single_removals_agree():
     return True
 
 
+def _wide_single_removals_agree():
+    """`is_resolving` finds a redundant member of the (2,9) coordinate-
+    avoiding set plus e1+...+e9 (256 removals, two batches of 128, the
+    least redundant one the 255th), and the set without it resolves by
+    the definition."""
+    g = ComponentGraph(2, 9)
+    w = exchange.coordinate_avoiding_set(2, 9) + (511,)
+    x = resolving.is_resolving(g, w).redundant_vertex
+    return x is not None and resolves_by_definition(g, [v for v in w if v != x])
+
+
+def _exchange_agrees():
+    """The exchange verdict, minimal set sizes and violation at (2,3) are
+    the definition's, read from rows of the distance matrix."""
+    g = ComponentGraph(2, 3)
+    report = exchange.has_exchange_property(g)
+    w = report.witness
+    got = (report.holds, report.minimal_set_sizes, None if w is None else (w.w1, w.r, w.w2))
+    return got == exchange_by_definition(g)
+
+
 def _verify_passes(q, n, check):
     """`verify` at (q, n) exits 0 and its text line reads `check=ok`."""
     out = io.StringIO()
@@ -110,13 +132,27 @@ def _witness_moved(dist, twin_classes, budget=resolving.DEFAULT_BUDGET):
     return k, cols[:-1] + (cols[-1] + 1,)
 
 
-def _kept_by_omitted(self, free):
+def _kept_by_omitted(engine, free):
     # refines by the omitted member instead of the members the set keeps
-    table = np.zeros((self.n, self.engine.n_rows), dtype=np.int64)
+    table = np.zeros((engine.n_cols, engine.n_rows), dtype=np.int64)
     for c in free:
         for x in c:
-            table[x] = np.unique(self.engine.column(x), return_inverse=True)[1]
+            table[x] = np.unique(engine.column(x), return_inverse=True)[1]
     return table
+
+
+def _removals_of_the_first_batch(engine):
+    # decides the first `engine.batch` removals; the rest read as not resolving
+    still = _real_single_removals(engine)
+    still[engine.batch:] = False
+    return still
+
+
+def _column_without_its_zero(self, c):
+    # a column's own vertex meets itself, so it reads 1, not 0
+    col = _real_column(self, c)
+    col[col == 0] = 1
+    return col
 
 
 def _scan_full_batches(self, k):
@@ -143,6 +179,8 @@ def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
 _real_scan = resolving._Engine.scan
 _real_find_min = resolving.find_min_resolving_for_matrix
 _real_runs = resolving._OrbitWalk._runs
+_real_single_removals = resolving._single_removals
+_real_column = graph.SkeletonColumns.column
 _real_partition = twins.partition_by_neighborhood
 _real_is_twin_class = twins.is_twin_class
 _real_basis = resolving.canonical_metric_basis
@@ -176,12 +214,14 @@ SWAPS = [
 ]
 
 MUTANTS = [
-    Mutant("orbit-refines-by-the-omitted-member", resolving._OrbitWalk, "kept_table",
+    Mutant("orbit-refines-by-the-omitted-member", resolving, "_kept_table",
            _kept_by_omitted, _orbit_agrees),
-    Mutant("single-removals-refine-by-the-omitted-member", resolving._OrbitWalk,
-           "kept_table", _kept_by_omitted, _single_removals_agree),
-    Mutant("orbit-reuses-the-parent-labels", resolving._OrbitWalk, "kept_table",
-           lambda self, free: np.zeros((self.n, self.engine.n_rows), dtype=np.uint8),
+    Mutant("single-removals-refine-by-the-omitted-member", resolving, "_kept_table",
+           _kept_by_omitted, _single_removals_agree),
+    Mutant("single-removals-read-one-chunk", resolving, "_single_removals",
+           _removals_of_the_first_batch, _wide_single_removals_agree),
+    Mutant("orbit-reuses-the-parent-labels", resolving, "_kept_table",
+           lambda engine, free: np.zeros((engine.n_cols, engine.n_rows), dtype=np.uint8),
            _orbit_agrees),
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
            lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
@@ -190,6 +230,8 @@ MUTANTS = [
            _orbit_agrees_on_a_wide_class),
     Mutant("scan-drops-the-final-partial-batch", resolving._Engine, "scan",
            _scan_full_batches, _scan_agrees),
+    Mutant("column-keeps-its-own-vertex-nonzero", graph.SkeletonColumns, "column",
+           _column_without_its_zero, _exchange_agrees),
     Mutant("dim-witness-moves-its-last-member", resolving, "find_min_resolving_for_matrix",
            _witness_moved, _dim_checks_its_witness),
     Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",
