@@ -10,17 +10,18 @@ The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
 `bfs_distances`, which the test suite compares against it pair by pair.
 Because of it, every route reads the skeletons directly: the twin
-classes from packed adjacency rows, the subset engine from
-`SkeletonColumns`, the exports from one row generator each.  Only
-`adjacency_matrix` and `distance_matrix` hold an entry per vertex pair,
-and no route of the CLI calls them; `packed_adjacency` holds a bit per
-pair.
+classes from packed adjacency rows (`_meet_rows`), the subset engine,
+single sets included, and the twin-class check from `SkeletonColumns`,
+the exports from one row generator each.  So the twin classes and the
+check of them share no code.  Only `adjacency_matrix` and
+`distance_matrix` hold an entry per vertex pair, and no route of the
+CLI calls them; `packed_adjacency` holds a bit per pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,21 +123,6 @@ class ComponentGraph:
         for lo in range(0, len(sk), ROW_BLOCK):
             yield lo, (sk[lo:lo + ROW_BLOCK, None] & right) != 0
 
-    def distance_block(self, w: Sequence[int]) -> np.ndarray:
-        """int16 N x k block: row v-1, column j holds the distance from v to w[j].
-
-        Built from the skeletons a row block at a time, so it needs no
-        N x N matrix and no N x k temporary.
-        """
-        for x in w:
-            self.check_vertex(x)
-        cols = np.asarray(w, dtype=np.intp) - 1
-        block = np.empty((self.vertex_count, len(cols)), dtype=np.int16)
-        for lo, meets in self._meet_rows(cols):
-            block[lo:lo + ROW_BLOCK] = np.where(meets, np.int16(1), np.int16(2))
-        block[cols, np.arange(len(cols))] = 0
-        return block
-
     def _refuse_dense(self) -> None:
         """The matrix cap, shared by every view that grows as N^2."""
         if self.vertex_count > MATRIX_CAP:
@@ -177,10 +163,17 @@ class ComponentGraph:
         return self.distance_matrix() == 1
 
     def distance_matrix(self) -> np.ndarray:
-        """int16 distance matrix indexed 0..N-1 (vertex id minus 1): the
-        `distance_block` of every vertex; a fresh array on every call."""
+        """int16 distance matrix indexed 0..N-1 (vertex id minus 1), built
+        from `_meet_rows` a row block at a time; a fresh array on every
+        call.  It reads no `SkeletonColumns`, so the tests can hold the
+        columns against it."""
         self._refuse_dense()
-        return self.distance_block(self.vertex_ids())
+        n = self.vertex_count
+        dist = np.empty((n, n), dtype=np.int16)
+        for lo, meets in self._meet_rows(np.arange(n)):
+            dist[lo:lo + ROW_BLOCK] = np.where(meets, np.int16(1), np.int16(2))
+        np.fill_diagonal(dist, 0)
+        return dist
 
     def __repr__(self) -> str:
         return f"ComponentGraph(q={self.q}, n={self.n}, vertices={self.vertex_count})"
@@ -191,7 +184,8 @@ class SkeletonColumns:
     the skeletons when asked: 0 at the column's own vertex, 1 where the
     skeletons meet, else 2.  It stands in for the matrix in the subset
     engine: the search walk reads one column per node, so it holds O(N)
-    memory, and the kernel one N x B block of columns per step.
+    memory, and the kernel one N x B block of columns per step; a single
+    set's check keys its columns one at a time, with no N x k copy.
 
     `largest` is the matrix's largest entry, which the walk's landmark
     bound reads: 0 for the single vertex at N = 1; 1 at n = 1, where all
@@ -207,9 +201,10 @@ class SkeletonColumns:
 
     def column(self, c: int | np.ndarray) -> np.ndarray:
         """int16 distances from every vertex to vertex c + 1 (0-based c);
-        for a 1-D index array c, the N x B block of those columns."""
+        for a 1-D index array c, the N x B block of those columns (the
+        meets tested before the block is built, so not held beside it)."""
         sk = self._skeletons
-        col = np.where(np.bitwise_and.outer(sk, sk[c]), np.int16(1), np.int16(2))
+        col = np.where(np.bitwise_and.outer(sk, sk[c]) != 0, np.int16(1), np.int16(2))
         col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col
 

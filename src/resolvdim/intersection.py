@@ -223,7 +223,7 @@ def powerset_matches_component_graph(n: int) -> bool:
         cols = np.arange(lo, min(lo + ROW_BLOCK, len(inc)))
         meets = (inc @ inc[cols].T) > 0
         meets[cols, np.arange(len(cols))] = False
-        if not np.array_equal(meets, g.distance_block(cols + 1) == 1):
+        if not np.array_equal(meets, g.distance_columns().column(cols) == 1):
             return False
     return True
 

@@ -19,8 +19,8 @@ column-group kernel, which serves the plain scan, the 2^N table and a
 single set's status.  When the dimension equals the twin bound, the
 minimum resolving sets are the twin-swap orbit of the core, enumerated
 by a walk over the twin classes that refines shared prefixes once
-(`_OrbitWalk`).  A set's single removals are the rows of the orbit's
-kept table for one class that holds every member (`_kept_table`).
+(`_OrbitWalk`).  A single set's removals are the rows of its own kept
+table, the table the orbit builds for each class (`_kept_table`).
 
 Budgets are counted in candidate subsets evaluated, never wall time: one
 unit per prefix subset whose representation partition the walk
@@ -63,20 +63,22 @@ class ResolvingReport:
 # single-set checks
 # ---------------------------------------------------------------------------
 
-def _sorted_members(w: Iterable[int]) -> tuple[int, ...]:
-    """The members of a candidate set in ascending order; duplicates are
-    refused."""
-    order = tuple(sorted(w))
+def _sorted_columns(g: ComponentGraph, w: Iterable[int]) -> np.ndarray:
+    """The set's 0-based columns, ascending; duplicates are refused first,
+    then ids outside 1..N, least first (id 0 would read column -1)."""
+    order = sorted(w)
     if len(set(order)) != len(order):
         raise BadParameters("candidate set contains duplicate vertices")
-    return order
+    for x in order:
+        g.check_vertex(x)
+    return np.array(order, dtype=np.intp) - 1
 
 
-def _collision(engine: _Engine) -> tuple[int, int] | None:
-    """The least pair u < v of ids (row + 1) that agree on every column of
-    the engine, or None: after a stable sort of the kernel's keys, the
+def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
+    """The least pair u < v of ids (row + 1) that agree on every column
+    of `cols`, or None: after a stable sort of the kernel's keys, the
     adjacent equal entry with the least first row."""
-    keys = engine.keys(np.arange(engine.n_cols)[None, :])[:, 0]
+    keys = engine.keys(cols[None, :])[:, 0]
     rank = np.argsort(keys, kind="stable")
     same = np.flatnonzero(keys[rank[1:]] == keys[rank[:-1]])
     if not same.size:
@@ -85,13 +87,13 @@ def _collision(engine: _Engine) -> tuple[int, int] | None:
     return int(rank[i]) + 1, int(rank[i + 1]) + 1
 
 
-def _single_removals(engine: _Engine) -> np.ndarray:
-    """Whether each column's removal from the engine's set still resolves:
-    the rows of the one-class kept table with distinct labels,
-    `engine.batch` rows at a time."""
-    table = _kept_table(engine, [range(engine.n_cols)])
-    still = np.empty(engine.n_cols, dtype=bool)
-    for lo in range(0, engine.n_cols, engine.batch):
+def _single_removals(engine: _Engine, cols: np.ndarray) -> np.ndarray:
+    """Whether each column's removal from `cols` still resolves: the rows
+    of the set's kept table with distinct labels, `engine.batch` rows at
+    a time."""
+    table = _kept_table(engine, cols)
+    still = np.empty(len(cols), dtype=bool)
+    for lo in range(0, len(cols), engine.batch):
         still[lo:lo + engine.batch] = _distinct_rows(table[lo:lo + engine.batch])
     return still
 
@@ -100,29 +102,29 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     """Full report: resolving status, least collision, minimality.
 
     The least colliding pair comes from `_collision` over the sorted
-    set's N x k block; when there is none, minimality from each single
-    removal (`_single_removals`), by ascending member, so
-    `redundant_vertex` is the least redundant one.  Single removals
-    suffice, as supersets of resolving sets resolve.  No N x N matrix.
+    set's columns of `g.distance_columns()`; when there is none,
+    minimality from each single removal (`_single_removals`), by
+    ascending member, so `redundant_vertex` is the least redundant one.
+    Single removals suffice, as supersets of resolving sets resolve.
     """
     members = tuple(w)
-    order = _sorted_members(members)
-    engine = _Engine(g.distance_block(order))
-    pair = _collision(engine)
+    cols = _sorted_columns(g, members)
+    engine = _Engine(g.distance_columns())
+    pair = _collision(engine, cols)
     if pair is not None:
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
                                colliding_pair=pair)
-    still = _single_removals(engine)
-    redundant = order[int(np.argmax(still))] if still.any() else None
+    still = _single_removals(engine, cols)
+    redundant = int(cols[np.argmax(still)]) + 1 if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
                            redundant_vertex=redundant)
 
 
 def resolves(g: ComponentGraph, w: Iterable[int]) -> bool:
-    """True iff w resolves g: `_collision` finds no pair in its N x k
-    block, with no minimality check."""
-    return _collision(_Engine(g.distance_block(_sorted_members(w)))) is None
+    """True iff w resolves g: `_collision` finds no pair among its columns
+    of `g.distance_columns()`, with no minimality check."""
+    return _collision(_Engine(g.distance_columns()), _sorted_columns(g, w)) is None
 
 
 def is_minimal(g: ComponentGraph, w: Iterable[int]) -> bool:
@@ -185,13 +187,14 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 class _Engine:
     """The one subset engine: a kernel and three walks.
 
-    Rows of `dist` are vertices and columns are candidate members.  The
-    engine reads it through `column(c)`, one column for an index and an
-    N x B block for an index array: a distance matrix, read at its
-    stored dtype, or a column source such as `SkeletonColumns`
-    (`shape`, `largest`, `column(c)`).  `keys` is the one kernel: exact
-    per-vertex labels of any number of columns, read by `status` (the
-    batched resolving test) and by the colliding pair of a single set.
+    Rows and columns of `dist` are vertices; every route, single sets
+    included, names a set by its columns.  The engine reads it through
+    `column(c)`, one column for an index and an N x B block for an index
+    array: a distance matrix, read at its stored dtype, or a column
+    source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`).
+    `keys` is the one kernel: exact per-vertex labels of any number of
+    columns, read by `status` (the batched resolving test) and by the
+    colliding pair of a single set.
     The walks: `scan` lists every k-subset in lexicographic order,
     `batch` sets at a time through `status`; the orbit (`_OrbitWalk`)
     lists the sets that omit one member of each twin class, in
@@ -409,25 +412,24 @@ def _refine(labels: np.ndarray, base: int, column: np.ndarray,
     return (np.cumsum(counts > 0, dtype=np.int32) - 1)[key]
 
 
-def _kept_table(engine: _Engine, free: Sequence[Sequence[int]]) -> np.ndarray:
-    """(n_cols, n_rows) table whose row x, for x in a class of `free`, is
-    the partition of the rows by the class's other columns, as dense
-    labels.  Row x meets the partition by the members before x with that
-    by the members after it, so a class costs 2|c| one-column steps
-    (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
+def _kept_table(engine: _Engine, members: Sequence[int]) -> np.ndarray:
+    """(|c|, n_rows) table for one class c of columns: row i is the
+    partition of the rows by the class's columns other than members[i],
+    as dense labels.  Row i meets the partition by the members before i
+    with that by the members after it, so a class costs 2|c| one-column
+    steps (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
     rows = engine.n_rows
-    table = np.zeros((engine.n_cols, rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
-    for c in free:
-        before = np.zeros(rows, dtype=np.int32)
-        for x in c:
-            table[x] = before
-            before = _refine(before, engine.base, engine.column(x), rows)
-        after = np.zeros(rows, dtype=np.int32)
-        for x in reversed(c):
-            meet = table[x] * np.int64(rows) + after
-            _dense_rank(meet[:, None])
-            table[x] = meet
-            after = _refine(after, engine.base, engine.column(x), rows)
+    table = np.empty((len(members), rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
+    before = np.zeros(rows, dtype=np.int32)
+    for i, x in enumerate(members):
+        table[i] = before
+        before = _refine(before, engine.base, engine.column(x), rows)
+    after = np.zeros(rows, dtype=np.int32)
+    for i in reversed(range(len(members))):
+        meet = table[i] * np.int64(rows) + after
+        _dense_rank(meet[:, None])
+        table[i] = meet
+        after = _refine(after, engine.base, engine.column(members[i]), rows)
     return table
 
 
@@ -453,13 +455,14 @@ class _OrbitWalk:
 
     A node's labels partition the rows by the columns its classes keep.
     Omitting x keeps its class minus x, whose own partition of the rows
-    depends on x alone: `_kept_table` computes it once per column, so a
-    child's labels are its parent's met with one table row, a digit
-    appended as `_Engine.keys` appends one.  Labels are int32 and
-    are dense-ranked only before a digit would overflow them, which
-    leaves room for a digit while N * N < 2^31, true of any N below
-    46,341.  A leaf's set resolves when its labels are distinct
-    (`_distinct_rows`).
+    depends on x alone: `_kept_table` computes it once per member, one
+    |c| x N table per level, so a child's labels are its parent's met
+    with one row of its level's table, a digit appended as `_Engine.keys`
+    appends one; a run of children reads a slice of the table, a view.
+    Labels are int32 and are dense-ranked only before a digit would
+    overflow them, which leaves room for a digit while N * N < 2^31,
+    true of any N below 46,341.  A leaf's set resolves when its labels
+    are distinct (`_distinct_rows`).
 
     Every node at depth d has `leaves[d]` leaves below it, the product
     of the sizes of classes d onward.  A node with more leaves than a
@@ -474,8 +477,8 @@ class _OrbitWalk:
         self.free = sorted((c for c in classes if len(c) > 1), key=lambda c: (len(c), c[0]))
         self.fixed = np.array([c[0] for c in classes if len(c) == 1], dtype=np.intp)
         self.leaves = [prod(len(c) for c in self.free[d:]) for d in range(len(self.free) + 1)]
-        self.table = _kept_table(engine, self.free)
-        self.width = int(self.table.max(initial=0)) + 1
+        self.tables = [_kept_table(engine, c) for c in self.free]
+        self.width = max((int(t.max(initial=0)) for t in self.tables), default=0) + 1
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(columns, status) batches of the orbit, class-product order."""
@@ -489,34 +492,34 @@ class _OrbitWalk:
     def _runs(self, node: tuple, d: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Batches below one node at depth d with more leaves than a batch:
         runs of its children that fit a batch, else each child's runs."""
-        members = self.free[d]
         step = self.engine.batch // self.leaves[d + 1]
-        for lo in range(0, len(members), max(step, 1)):
-            run = self._children(node, members[lo:lo + max(step, 1)])
+        for lo in range(0, len(self.free[d]), max(step, 1)):
+            run = self._children(node, d, slice(lo, lo + max(step, 1)))
             if step:
                 yield self._descend(run, d + 1)
             else:
                 yield from self._runs(run, d + 1)
 
-    def _children(self, node: tuple, members: Sequence[int]) -> tuple:
+    def _children(self, node: tuple, d: int, part: slice) -> tuple:
         """(labels, bound, omitted columns) of the children of the nodes
-        that omit each of `members`, node by node; labels lie below bound."""
+        that omit each member of `part` of class d; labels lie below bound."""
         labels, bound, omitted = node
+        members = self.free[d][part]
         if bound * self.width >= 1 << 31:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
         p, b = len(labels), len(members)
         labels = np.repeat(labels, b, axis=0).reshape(p, b, -1)
         labels *= self.width
-        labels += self.table[members]
+        labels += self.tables[d][part]
         omitted = np.column_stack([np.repeat(omitted, b, axis=0), np.tile(members, p)])
         return labels.reshape(p * b, -1), bound * self.width, omitted
 
     def _descend(self, node: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Take a run of nodes at depth d down to its leaves: the leaves'
         columns and status."""
-        for members in self.free[d:]:
-            node = self._children(node, members)
+        for level in range(d, len(self.free)):
+            node = self._children(node, level, slice(None))
         labels, _, omitted = node
         hits = _distinct_rows(labels)
         del node, labels

@@ -69,9 +69,10 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
 
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
-    """True iff the members are pairwise twins, read from their one
-    N x k distance block: the columns agree on every row outside the
-    members, and the distances between distinct members are all equal.
+    """True iff the members are pairwise twins, read from their N x k
+    block of `g.distance_columns()`: the columns agree on every row
+    outside the members, and the distances between distinct members are
+    all equal.  Ids outside 1..N are refused (OutOfRange).
 
     In a graph of diameter at most 2, u and v are twins exactly when
     they are at equal distance from every other vertex.  If the members
@@ -81,8 +82,10 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     conditions put any two members at equal distance from every other
     vertex.
     """
-    block = g.distance_block(members)
+    for x in members:
+        g.check_vertex(x)
     rows = np.asarray(members, dtype=np.intp) - 1
+    block = g.distance_columns().column(rows)
     inside = block[rows][~np.eye(len(rows), dtype=bool)]
     others = np.ones(g.vertex_count, dtype=bool)
     others[rows] = False

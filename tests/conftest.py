@@ -94,12 +94,15 @@ class DistanceTable:
 
 
 def minimality_by_definition(g, w):
-    """(is_minimal, redundant_vertex) of a resolving set w, from
-    `resolves_by_definition` applied to each single removal: the least
-    member whose removal still resolves, or None."""
+    """(is_minimal, redundant_vertex) of a resolving set w, by the
+    definition applied to each single removal: the least member whose
+    removal still leaves the N representations pairwise distinct, or
+    None.  Each vertex's representation over the sorted members is built
+    once, and removal i drops coordinate i of every one."""
     members = sorted(w)
-    redundant = next((x for x in members
-                      if resolves_by_definition(g, [y for y in members if y != x])), None)
+    reps = [representation(g, v, members) for v in g.vertex_ids()] if members else []
+    redundant = next((x for i, x in enumerate(members)
+                      if len({r[:i] + r[i + 1:] for r in reps}) == g.vertex_count), None)
     return redundant is None, redundant
 
 

@@ -22,6 +22,7 @@ from conftest import (exchange_by_definition, minimality_by_definition,
                       orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
                       random_partition, resolves_by_definition)
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace
+from resolvdim.errors import OutOfRange
 from resolvdim.graph import ComponentGraph
 
 
@@ -132,20 +133,40 @@ def _witness_moved(dist, twin_classes, budget=resolving.DEFAULT_BUDGET):
     return k, cols[:-1] + (cols[-1] + 1,)
 
 
-def _kept_by_omitted(engine, free):
+def _kept_by_omitted(engine, members):
     # refines by the omitted member instead of the members the set keeps
-    table = np.zeros((engine.n_cols, engine.n_rows), dtype=np.int64)
-    for c in free:
-        for x in c:
-            table[x] = np.unique(engine.column(x), return_inverse=True)[1]
-    return table
+    return np.array([np.unique(engine.column(x), return_inverse=True)[1] for x in members],
+                    dtype=np.int64).reshape(len(members), engine.n_rows)
 
 
-def _removals_of_the_first_batch(engine):
+def _removals_of_the_first_batch(engine, cols):
     # decides the first `engine.batch` removals; the rest read as not resolving
-    still = _real_single_removals(engine)
+    still = _real_single_removals(engine, cols)
     still[engine.batch:] = False
     return still
+
+
+def _sorted_columns_unchecked(g, w):
+    # the set's columns without the check that its ids lie in 1..N
+    return np.array(sorted(w), dtype=np.intp) - 1
+
+
+def _open_twins_only(rows):
+    # groups equal open rows only: the closed-row pass, which sets each
+    # vertex's own bit and groups again, is left out
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return tuple(map(tuple, groups.values()))
+
+
+def _out_of_range_refused():
+    """`resolves` refuses id 0 at (2,3), which would read the last column."""
+    try:
+        resolving.resolves(ComponentGraph(2, 3), [0, 1])
+    except OutOfRange:
+        return True
+    return False
 
 
 def _column_without_its_zero(self, c):
@@ -221,7 +242,7 @@ MUTANTS = [
     Mutant("single-removals-read-one-chunk", resolving, "_single_removals",
            _removals_of_the_first_batch, _wide_single_removals_agree),
     Mutant("orbit-reuses-the-parent-labels", resolving, "_kept_table",
-           lambda engine, free: np.zeros((engine.n_cols, engine.n_rows), dtype=np.uint8),
+           lambda engine, members: np.zeros((len(members), engine.n_rows), dtype=np.uint8),
            _orbit_agrees),
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
            lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
@@ -232,6 +253,10 @@ MUTANTS = [
            _scan_full_batches, _scan_agrees),
     Mutant("column-keeps-its-own-vertex-nonzero", graph.SkeletonColumns, "column",
            _column_without_its_zero, _exchange_agrees),
+    Mutant("single-set-ids-skip-the-range-check", resolving, "_sorted_columns",
+           _sorted_columns_unchecked, _out_of_range_refused),
+    Mutant("closed-row-pass-without-the-diagonal-bit", graph, "twin_classes_from_packed_rows",
+           _open_twins_only, lambda: _verify_passes(3, 2, "twins")),
     Mutant("dim-witness-moves-its-last-member", resolving, "find_min_resolving_for_matrix",
            _witness_moved, _dim_checks_its_witness),
     Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",

@@ -11,9 +11,9 @@ from conftest import (DistanceTable, int64_digits, least_equal_rows_by_dict,
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
                       partition_with_a_wide_class, plain_first_hit, random_partition,
                       representation, resolves_by_definition, status_by_rows)
-from resolvdim import exchange, field, intersection, resolving
+from resolvdim import exchange, field, intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
-                              NotResolving, UnsupportedOrder)
+                              NotResolving, OutOfRange, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
 from resolvdim.intersection import PlainGraph
 
@@ -580,6 +580,28 @@ def test_enumerate_minimum_refuses_the_orbit_before_the_matrix(monkeypatch):
     assert len(read) == 2
 
 
+def test_single_set_checks_refuse_ids_outside_the_graph(g23):
+    # id 0 would read column -1, the last vertex, were it not refused
+    for check in (resolving.resolves, resolving.is_resolving, twins.is_twin_class):
+        for w, bad in (([0, 1], 0), ([1, 8], 8)):
+            with pytest.raises(OutOfRange, match=f"^vertex id {bad} outside 1..7$"):
+                check(g23, w)
+
+
+def test_resolves_on_a_wide_basis_reads_columns_in_place():
+    # the (8,4) canonical basis, 4,080 of 4,095 vertices: keying a copied
+    # N x k block of its distances peaked at 34.9 MiB traced
+    g = ComponentGraph(8, 4)
+    basis = resolving.canonical_metric_basis(8, 4)
+    tracemalloc.start()
+    try:
+        assert resolving.resolves(g, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_resolves_matches_is_resolving(g23):
     for size in (1, 2, 3, 4):
         for w in combinations(g23.vertex_ids(), size):
@@ -646,11 +668,12 @@ def test_kernel_ranks_before_an_overflowing_digit():
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
 def test_colliding_pair_matches_rows(q, n):
     g = ComponentGraph(q, n)
+    dist = g.distance_matrix()
     for size in range(4):
         for w in combinations(g.vertex_ids(), size):
             rep = resolving.is_resolving(g, w)
             if not rep.is_resolving:
-                u, v = least_equal_rows_by_dict(g.distance_block(w))
+                u, v = least_equal_rows_by_dict(dist[:, np.array(w, dtype=np.intp) - 1])
                 assert rep.colliding_pair == (u + 1, v + 1)
 
 
@@ -658,9 +681,10 @@ def test_colliding_pair_matches_rows_on_wide_sets():
     # (7,3): each set has 334 columns, ten groups of the kernel
     g = ComponentGraph(7, 3)
     basis = resolving.canonical_metric_basis(7, 3)
+    dist = g.distance_matrix()
     for x in basis:
         w = [v for v in basis if v != x]
-        u, v = least_equal_rows_by_dict(g.distance_block(w))
+        u, v = least_equal_rows_by_dict(dist[:, np.array(w) - 1])
         assert resolving.is_resolving(g, w).colliding_pair == (u + 1, v + 1)
 
 
@@ -748,16 +772,16 @@ def test_single_removals_of_a_set_wider_than_a_batch():
     # runs; its least redundant member, e1+...+e7+e9, is the 255th
     g = ComponentGraph(2, 9)
     w = exchange.coordinate_avoiding_set(2, 9) + (511,)
-    assert resolving._Engine(g.distance_block(sorted(w))).batch == 128
+    assert resolving._Engine(g.distance_columns()).batch == 128
     assert _assert_report_matches_definition(g, w, DistanceTable(g)) == (True, False)
     assert sorted(w).index(resolving.is_resolving(g, w).redundant_vertex) == 254
 
 
 def test_minimality_of_the_2_12_coordinate_avoiding_set_is_small():
     # 2,047 members at N = 4095: the kept table is sorted 16 rows at a
-    # time, 128 batches, for a 32.3 MiB traced peak; the orbit walk over
-    # one class it replaced peaked at 33.0 MiB, one sort of the whole
-    # table at 40.0 MiB
+    # time, 128 batches.  The table itself, 16.8 MB, is nearly the whole
+    # peak; with a copied N x k block of the set's distances beside it
+    # the peak was 32.3 MiB
     g = ComponentGraph(2, 12)
     w = exchange.coordinate_avoiding_set(2, 12)
     tracemalloc.start()
@@ -767,7 +791,7 @@ def test_minimality_of_the_2_12_coordinate_avoiding_set_is_small():
     finally:
         tracemalloc.stop()
     assert rep.is_resolving and rep.is_minimal
-    assert peak < 36 * 2 ** 20
+    assert peak < 24 * 2 ** 20
 
 
 def test_minimality_of_a_wide_basis_is_fast_and_small():
