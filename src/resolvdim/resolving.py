@@ -10,27 +10,30 @@ The search starts at the larger of two lower bounds: the twin bound
 (every resolving set contains all but one member of each twin class;
 Hernando, Mora, Pelayo, Seara and Wood, 2010) and the landmark bound (k
 landmarks with distances in 1..D separate at most D^k + k vertices;
-Khuller, Raghavachari and Rosenfeld, 1996).  At each size it walks the
-k-subsets in lexicographic order depth first and drops a prefix when one
-of those two rules shows that no completion can resolve; a full k-subset
-is decided by the same rule, so the returned witness is the
-lexicographically least minimum resolving set.  The walk never calls the
-column-group kernel, which serves the plain scan, the 2^N table and a
-single set's status.  When the dimension equals the twin bound, the
-minimum resolving sets are the twin-swap orbit of the core, enumerated
-by a walk over the twin classes that refines shared prefixes once
-(`_OrbitWalk`).  A single set's removals are the rows of its own kept
-table, the table the orbit builds for each class (`_kept_table`).
+Khuller, Raghavachari and Rosenfeld, 1996).  At each size the pruned
+walk visits the k-subsets in lexicographic order depth first and drops
+a prefix when one of those two rules shows that no completion can
+resolve; a full k-subset is decided by the same rule, and the walk
+yields every resolving one in that order.  The search takes its first,
+the lexicographically least minimum resolving set;
+`all_resolving_k_subsets` and `minimum_resolving_sets` above the twin
+bound take them all.  Every other set is decided by one product walk
+over levels of partition rows (`_ProductWalk`), whose leaves come in
+mixed-radix order: the twin-swap orbit of the core when the dimension
+equals the twin bound (one level per twin class, `_orbit`), the 2^N
+table (one level per column, so leaf m is the set of mask m) and a
+single set's removals (one level, its own kept table).  Neither walk
+calls the column-group kernel, which gives a single set's status and
+colliding pair.
 
-Budgets are counted in candidate subsets evaluated, never wall time: one
-unit per prefix subset whose representation partition the walk
-evaluates, one per subset a plain scan or an orbit checks.
+Budgets are counted in candidate subsets evaluated, never wall time:
+one unit per node of the pruned walk, one per leaf of a product walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import islice
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -39,7 +42,7 @@ import numpy as np
 from . import field
 from . import twins as twins_mod
 from .errors import BadParameters, BudgetExceeded, NotResolving
-from .graph import ComponentGraph, SkeletonColumns
+from .graph import ComponentGraph, SkeletonColumns, twin_classes_from_packed_rows
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -88,14 +91,10 @@ def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
 
 
 def _single_removals(engine: _Engine, cols: np.ndarray) -> np.ndarray:
-    """Whether each column's removal from `cols` still resolves: the rows
-    of the set's kept table with distinct labels, `engine.batch` rows at
-    a time."""
-    table = _kept_table(engine, cols)
-    still = np.empty(len(cols), dtype=bool)
-    for lo in range(0, len(cols), engine.batch):
-        still[lo:lo + engine.batch] = _distinct_rows(table[lo:lo + engine.batch])
-    return still
+    """Whether each column's removal from `cols` still resolves: a product
+    walk whose one level is the set's kept table, so leaf i drops
+    cols[i]."""
+    return np.concatenate(list(_ProductWalk(engine, [_kept_table(engine, cols)]).batches()))
 
 
 def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
@@ -185,7 +184,7 @@ def canonical_metric_basis(q: int, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """The one subset engine: a kernel and three walks.
+    """The one subset engine: a kernel and two walks.
 
     Rows and columns of `dist` are vertices; every route, single sets
     included, names a set by its columns.  The engine reads it through
@@ -193,17 +192,15 @@ class _Engine:
     array: a distance matrix, read at its stored dtype, or a column
     source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`).
     `keys` is the one kernel: exact per-vertex labels of any number of
-    columns, read by `status` (the batched resolving test) and by the
-    colliding pair of a single set.
-    The walks: `scan` lists every k-subset in lexicographic order,
-    `batch` sets at a time through `status`; the orbit (`_OrbitWalk`)
-    lists the sets that omit one member of each twin class, in
-    class-product order and batches of at most `batch`, refining each
-    shared prefix once, without the kernel; `walk` visits the scan's
-    subsets in the same order but skips the prefixes the twin and
-    refinement rules rule out, and decides every node, full k-subsets
-    included, by one refinement step of its parent's partition
-    (`_refine`, which the orbit's table shares), without the kernel.
+    columns, read by the colliding pair of a single set.
+    The walks: `walk` yields every resolving k-subset in lexicographic
+    order, depth first, skipping the prefixes the twin and refinement
+    rules rule out and deciding every node, full k-subsets included, by
+    one refinement step of its parent's partition (`_refine`); the
+    product walk (`_ProductWalk`) decides every leaf of a product of
+    levels of partition rows, and serves the twin-swap orbit
+    (`_orbit`), the 2^N table (`resolving_status_by_mask`) and a single
+    set's removals (`_single_removals`).  Neither calls the kernel.
     Each charges the budget for the subsets it evaluates.
     """
 
@@ -247,29 +244,6 @@ class _Engine:
             bound *= self.base
         return labels
 
-    def status(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean resolving status for a (B, k) batch of column sets, from
-        their keys, `batch` sets at a time."""
-        out = np.empty(len(cols), dtype=bool)
-        for lo in range(0, len(cols), self.batch):
-            keys = self.keys(cols[lo:lo + self.batch])
-            keys.sort(axis=0)
-            out[lo:lo + self.batch] = ~np.any(keys[1:] == keys[:-1], axis=0)
-        return out
-
-    def scan(self, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(columns, status) batches of every k-subset in lexicographic
-        order, each one charged to the budget.  Callers refuse a scan that
-        does not fit the budget before they start it."""
-        it = combinations(range(self.n_cols), k)
-        total = comb(self.n_cols, k)
-        for lo in range(0, total, self.batch):
-            b = min(self.batch, total - lo)
-            cols = np.fromiter(chain.from_iterable(islice(it, b)), dtype=np.intp,
-                               count=b * k).reshape(b, k)
-            self.evaluated += b
-            yield cols, self.status(cols)
-
     def landmark_bound(self) -> int:
         """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
 
@@ -283,10 +257,11 @@ class _Engine:
             k += 1
         return k
 
-    def walk(self, k: int,
-             twin_classes: Sequence[Sequence[int]]) -> tuple[tuple[int, ...] | None, bool]:
-        """Lexicographically least resolving k-subset of a square matrix,
-        and whether the walk finished within the budget.
+    def walk(self, k: int, twin_classes: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+        """Every resolving k-subset of a square matrix, in lexicographic
+        order; BudgetExceeded ("search stopped after E subset
+        evaluations", with bounds k and N) when the budget runs out
+        before the walk ends.
 
         A depth-first walk over sorted prefixes, smallest next column
         first.  Every child of the current prefix is a node: one budget
@@ -298,11 +273,14 @@ class _Engine:
             the classes still need more than r members in total (every
             resolving set holds all but one member of each class).
         Rule (b) is applied before a child is formed, so the children
-        are the columns it allows.  A child with no pick left is a full
-        k-subset and a node like any other: with r = 0 rule (a) keeps it
-        only when every cell is a single vertex, that is, when it
-        resolves, and the first such leaf is the witness.  Labels are
-        the int32 dense ranks of a prefix's partition from `_refine`.
+        are the columns it allows; without the twin classes the walk
+        still lists every set, only more slowly.  A child with no pick
+        left is a full k-subset and a node like any other: with r = 0
+        rule (a) keeps it only when every cell is a single vertex, that
+        is, when it resolves, and it is yielded before its later
+        siblings are tried.  For k = 0 the root is the only set: the
+        empty set, yielded when N <= 1.  Labels are the int32 dense
+        ranks of a prefix's partition from `_refine`.
         """
         n = self.n_cols
         # cls[v]: v's class, named by its least column; next_same[v]: the
@@ -325,7 +303,10 @@ class _Engine:
         passed = np.zeros(n, dtype=bool)
         need = int(np.maximum(sizes - 1, 0).sum())
         if self.n_rows > limit[k] or need > k:
-            return None, True
+            return
+        if k == 0:
+            yield ()
+            return
         path: list[int] = []
         undo: list[tuple[int, bool]] = []
 
@@ -372,7 +353,10 @@ class _Engine:
                 continue
             frame[2] = pos + 1
             if self.left <= 0:
-                return None, False
+                raise BudgetExceeded(
+                    f"search stopped after {self.evaluated} subset evaluations",
+                    evaluated=self.evaluated, budget=self.budget,
+                    lower_bound=k, upper_bound=n)
             self.evaluated += 1
             c = int(cands[pos])
             picks_after = k - len(path) - 1
@@ -380,10 +364,10 @@ class _Engine:
             if labels is None:
                 continue
             if picks_after == 0:  # limit[0] == 1: every vertex stands alone
-                return tuple(path) + (c,), True
+                yield tuple(path) + (c,)
+                continue
             pick(c)
             frames.append([labels, children(), 0])
-        return None, True
 
 
 def _dense_rank(labels: np.ndarray) -> None:
@@ -440,60 +424,48 @@ def _distinct_rows(labels: np.ndarray) -> np.ndarray:
     return ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
 
 
-class _OrbitWalk:
-    """The twin-swap orbit as a walk over its classes, one level each.
+class _ProductWalk:
+    """Every leaf of a product of levels, decided in leaf order.
 
-    An orbit has prod |c| sets at one budget unit each; callers refuse
-    one that does not fit the budget before they start it.
+    Level d is a (len_d, n_rows) array of partition rows: labels of
+    the rows, each below `width`.  Leaf i takes row
+    (i // leaves[d + 1]) % len_d of every level d, `leaves[d]` the
+    product of the lengths of levels d onward, and its partition is the
+    meet of those rows; it is a hit when its labels are distinct
+    (`_distinct_rows`).  Its callers decode a leaf's set from its index
+    and refuse a walk that does not fit the budget before they start
+    it; each leaf is one budget unit.
 
-    A set of the orbit omits one member of each class; a class of one
-    member is omitted by every set and takes no part.  Level d is free
-    class d (two or more members), the classes ordered by size, largest
-    last, ties by least member, so the upper levels hold the fewest
-    nodes.  A node's children omit each member of its level's class in
-    turn, and the leaves are the orbit in class-product order.
-
-    A node's labels partition the rows by the columns its classes keep.
-    Omitting x keeps its class minus x, whose own partition of the rows
-    depends on x alone: `_kept_table` computes it once per member, one
-    |c| x N table per level, so a child's labels are its parent's met
-    with one row of its level's table, a digit appended as `_Engine.keys`
-    appends one; a run of children reads a slice of the table, a view.
+    A node at depth d has taken one row of each level before d; its
+    labels are its parent's with one digit appended, the row it takes,
+    as `_Engine.keys` appends one, so a shared prefix is met once.
     Labels are int32 and are dense-ranked only before a digit would
-    overflow them, which leaves room for a digit while N * N < 2^31,
-    true of any N below 46,341.  A leaf's set resolves when its labels
-    are distinct (`_distinct_rows`).
-
-    Every node at depth d has `leaves[d]` leaves below it, the product
-    of the sizes of classes d onward.  A node with more leaves than a
-    batch holds is split into runs of its children, as many as fit a
-    batch; a run goes down to its leaves as a whole and is one batch of
-    the output, so no level holds more than `_BATCH_CELLS` labels.
+    overflow them, which leaves room for a digit while N * width < 2^31.
+    A node with more leaves than a batch holds is split into runs of
+    its children, as many as fit a batch; a run goes down to its leaves
+    as a whole and is one batch of the output, so no level holds more
+    than `_BATCH_CELLS` labels, and a run of children reads a slice of
+    its level, a view.
     """
 
-    def __init__(self, engine: _Engine, twin_classes: Sequence[Sequence[int]]):
-        classes = [sorted(c) for c in twin_classes]
-        self.engine, self.n = engine, engine.n_cols
-        self.free = sorted((c for c in classes if len(c) > 1), key=lambda c: (len(c), c[0]))
-        self.fixed = np.array([c[0] for c in classes if len(c) == 1], dtype=np.intp)
-        self.leaves = [prod(len(c) for c in self.free[d:]) for d in range(len(self.free) + 1)]
-        self.tables = [_kept_table(engine, c) for c in self.free]
-        self.width = max((int(t.max(initial=0)) for t in self.tables), default=0) + 1
+    def __init__(self, engine: _Engine, levels: Sequence[np.ndarray]):
+        self.engine, self.levels = engine, levels
+        self.leaves = [prod(len(t) for t in levels[d:]) for d in range(len(levels) + 1)]
+        self.width = max((int(t.max(initial=0)) for t in levels), default=0) + 1
 
-    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(columns, status) batches of the orbit, class-product order."""
-        root = (np.zeros((1, self.engine.n_rows), dtype=np.int32), 1,
-                np.empty((1, 0), dtype=np.intp))
+    def batches(self) -> Iterator[np.ndarray]:
+        """The leaves' hits in leaf order, at most `engine.batch` a batch."""
+        root = (np.zeros((1, self.engine.n_rows), dtype=np.int32), 1)
         if self.leaves[0] <= self.engine.batch:
             yield self._descend(root, 0)
         else:
             yield from self._runs(root, 0)
 
-    def _runs(self, node: tuple, d: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _runs(self, node: tuple, d: int) -> Iterator[np.ndarray]:
         """Batches below one node at depth d with more leaves than a batch:
         runs of its children that fit a batch, else each child's runs."""
         step = self.engine.batch // self.leaves[d + 1]
-        for lo in range(0, len(self.free[d]), max(step, 1)):
+        for lo in range(0, len(self.levels[d]), max(step, 1)):
             run = self._children(node, d, slice(lo, lo + max(step, 1)))
             if step:
                 yield self._descend(run, d + 1)
@@ -501,36 +473,59 @@ class _OrbitWalk:
                 yield from self._runs(run, d + 1)
 
     def _children(self, node: tuple, d: int, part: slice) -> tuple:
-        """(labels, bound, omitted columns) of the children of the nodes
-        that omit each member of `part` of class d; labels lie below bound."""
-        labels, bound, omitted = node
-        members = self.free[d][part]
+        """(labels, bound) of the children of the nodes that take each row
+        of `part` of level d; labels lie below bound."""
+        labels, bound = node
+        rows = self.levels[d][part]
         if bound * self.width >= 1 << 31:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
-        p, b = len(labels), len(members)
-        labels = np.repeat(labels, b, axis=0).reshape(p, b, -1)
+        p, b, n = len(labels), len(rows), self.engine.n_rows
+        labels = np.repeat(labels, b, axis=0).reshape(p, b, n)
         labels *= self.width
-        labels += self.tables[d][part]
-        omitted = np.column_stack([np.repeat(omitted, b, axis=0), np.tile(members, p)])
-        return labels.reshape(p * b, -1), bound * self.width, omitted
+        labels += rows
+        return labels.reshape(p * b, n), bound * self.width
 
-    def _descend(self, node: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Take a run of nodes at depth d down to its leaves: the leaves'
-        columns and status."""
-        for level in range(d, len(self.free)):
+    def _descend(self, node: tuple, d: int) -> np.ndarray:
+        """Take a run of nodes at depth d down to its leaves: their hits."""
+        for level in range(d, len(self.levels)):
             node = self._children(node, level, slice(None))
-        labels, _, omitted = node
-        hits = _distinct_rows(labels)
-        del node, labels
-        b = len(omitted)
-        self.engine.evaluated += b
+        hits = _distinct_rows(node[0])
+        self.engine.evaluated += len(hits)
+        return hits
+
+
+def _orbit(engine: _Engine,
+           twin_classes: Sequence[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(columns, status) batches of the twin-swap orbit, class-product
+    order: a product walk with one level per class.
+
+    A set of the orbit omits one member of each class; a class of one
+    member is omitted by every set and takes no part.  Level d is free
+    class d (two or more members), the classes ordered by size, largest
+    last, ties by least member, so the upper levels hold the fewest
+    nodes.  Omitting x keeps its class minus x, whose own partition of
+    the rows depends on x alone: level d is the class's kept table
+    (`_kept_table`), row i for omitting its i-th member, so leaf i omits
+    member (i // leaves[d + 1]) % |c| of each free class, and its kept
+    columns are decoded from its index.
+    """
+    classes = [sorted(c) for c in twin_classes]
+    free = sorted((c for c in classes if len(c) > 1), key=lambda c: (len(c), c[0]))
+    fixed = [c[0] for c in classes if len(c) == 1]
+    walk = _ProductWalk(engine, [_kept_table(engine, c) for c in free])
+    n, width = engine.n_cols, engine.n_cols - len(free) - len(fixed)
+    lo = 0
+    for hits in walk.batches():
+        b = len(hits)
+        leaf, row = np.arange(lo, lo + b), np.arange(b)
+        lo += b
+        keep = np.ones((b, n), dtype=bool)
+        keep[:, fixed] = False
+        for d, members in enumerate(free):
+            keep[row, np.asarray(members)[leaf // walk.leaves[d + 1] % len(members)]] = False
         # one gather of the kept column numbers, row by row
-        keep = np.ones((b, self.n), dtype=bool)
-        keep[:, self.fixed] = False
-        keep[np.arange(b)[:, None], omitted] = False
-        cols = np.broadcast_to(np.arange(self.n), (b, self.n))[keep]
-        return cols.reshape(b, self.n - len(self.free) - self.fixed.size), hits
+        yield np.broadcast_to(np.arange(n), (b, n))[keep].reshape(b, width), hits
 
 
 def find_min_resolving_for_matrix(
@@ -544,8 +539,9 @@ def find_min_resolving_for_matrix(
     `dist` is the distance matrix or a column source for it (see
     `_Engine`).  `twin_classes` partition the vertices into twin
     classes.  The walk starts at the larger of the twin and landmark
-    bounds and moves k upward; the budget counts the nodes it evaluates.
-    The empty set resolves a matrix of at most one vertex.
+    bounds and moves k upward, taking the first set it yields; the
+    budget counts the nodes it evaluates.  The empty set resolves a
+    matrix of at most one vertex.
     """
     n = dist.shape[0]
     if n <= 1:
@@ -553,14 +549,9 @@ def find_min_resolving_for_matrix(
     engine = _Engine(dist, budget)
     start = max(1, twins_mod.twin_lower_bound(twin_classes), engine.landmark_bound())
     for k in range(start, n + 1):
-        hit, complete = engine.walk(k, twin_classes)
+        hit = next(engine.walk(k, twin_classes), None)
         if hit is not None:
             return k, hit
-        if not complete:
-            raise BudgetExceeded(
-                f"search stopped after {engine.evaluated} subset evaluations",
-                evaluated=engine.evaluated, budget=budget,
-                lower_bound=k, upper_bound=n)
         if engine.left == 0:
             raise BudgetExceeded(
                 f"budget spent after finishing level k={k}",
@@ -573,16 +564,18 @@ def resolving_status_by_mask(dist: np.ndarray | SkeletonColumns,
                              budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Resolving status of every subset, indexed by bit mask of columns.
 
-    Needs 2^N evaluations; refused as by `_refuse_table`.
+    A product walk whose level d is a zero row and the dense ranks of
+    column N - 1 - d: leaf m takes column c exactly when bit c of m is
+    set, so the leaves come in mask order.  Needs 2^N evaluations;
+    refused as by `_refuse_table`.
     """
     n = dist.shape[0]
     _refuse_table(n, budget)
     engine = _Engine(dist, budget)
-    status = np.zeros(1 << n, dtype=bool)
-    for k in range(n + 1):
-        for cols, hits in engine.scan(k):
-            status[(np.int64(1) << cols).sum(axis=1)] = hits
-    return status
+    levels = [np.stack([np.zeros(n, dtype=np.intp),
+                        np.unique(engine.column(c), return_inverse=True)[1]])
+              for c in reversed(range(n))]
+    return np.concatenate(list(_ProductWalk(engine, levels).batches()))
 
 
 def minimal_status_by_mask(status: np.ndarray) -> np.ndarray:
@@ -602,11 +595,13 @@ def minimal_status_by_mask(status: np.ndarray) -> np.ndarray:
 def all_resolving_k_subsets(
     dist: np.ndarray, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """Every resolving k-subset of matrix columns, lexicographic order;
-    refused by `_refuse_scan` before the scan starts."""
-    _refuse_scan(dist.shape[0], k, budget)
-    return [tuple(row) for cols, hits in _Engine(dist, budget).scan(k)
-            for row in cols[hits].tolist()]
+    """Every resolving k-subset of matrix columns, lexicographic order:
+    every set the pruned walk yields, with the twin classes of the
+    graph whose edges are the entries equal to 1.  The budget counts
+    the walk's nodes, and the walk raises BudgetExceeded when they run
+    out."""
+    classes = twin_classes_from_packed_rows(np.packbits(dist == 1, axis=1))
+    return list(_Engine(dist, budget).walk(k, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -637,24 +632,14 @@ def _refuse_orbit(classes: Sequence[Sequence[int]], budget: int) -> None:
             evaluated=0, budget=budget)
 
 
-def _refuse_scan(n: int, k: int, budget: int) -> None:
-    """BudgetExceeded when the plain scan's C(n, k) subsets, k >= 1, exceed
-    the budget."""
-    total = comb(n, k)
-    if k and total > budget:
-        raise BudgetExceeded(
-            f"scanning C({n},{k}) = {total} subsets exceeds the budget {budget}",
-            evaluated=0, budget=budget)
-
-
 # ---------------------------------------------------------------------------
 # front ends: component graphs and plain graphs alike
 # ---------------------------------------------------------------------------
 #
 # Each maps matrix columns to `g.vertex_ids()` and reads the twin classes
-# from `g.twin_classes()`.  The walk, the orbit, the plain scan and the
-# 2^N table all read `g.distance_columns()`: a component graph's skeleton
-# columns, a plain graph's matrix.
+# from `g.twin_classes()`.  The pruned walk, the orbit and the 2^N table
+# all read `g.distance_columns()`: a component graph's skeleton columns, a
+# plain graph's matrix.
 
 def _ids(g, cols: Iterable[int]) -> tuple[int, ...]:
     ids = g.vertex_ids()
@@ -677,31 +662,34 @@ def minimum_resolving_sets(
     g, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[np.ndarray]:
     """Every resolving k-subset of g (0-based columns), where k is the
-    metric dimension, as (B, k) column arrays: the sets of one batch
-    that resolve, the batch's own array when all of them do.
+    metric dimension, as (B, k) column arrays of at most `_Engine.batch`
+    sets each.
 
     Both routes read `g.distance_columns()`.  When k equals the twin
     bound of `g.twin_classes()` the sets come from the twin-swap orbit
     of the core (every class minus its largest column), in
-    class-product order, one budget unit per orbit member; otherwise
-    from the plain scan of every k-subset, in lexicographic order.  At
-    that size the orbit holds
-    every candidate: a resolving set holds all but one member of each
-    twin class, so a resolving set of size sum(|c| - 1) omits exactly one
+    class-product order, one budget unit per orbit member, and a batch
+    holds the sets of one orbit batch that resolve (the batch's own
+    array when all of them do).  At that size the orbit holds every
+    candidate: a resolving set holds all but one member of each twin
+    class, so a resolving set of size sum(|c| - 1) omits exactly one
     member of each class.  Swapping a member for its twin is an
     automorphism, so the orbit's sets resolve together or not at all;
-    the orbit walk still decides each one, and only those that resolve
-    are yielded.  Either route is refused from its count, prod |c| or
-    C(N, k), before any distance is read.
+    the orbit still decides each one.  The orbit is refused from its
+    count, prod |c|, before any distance is read.  Otherwise the sets
+    are every set the pruned walk yields, in lexicographic order, and
+    the walk raises BudgetExceeded when the nodes it evaluates use up
+    the budget.
     """
     classes = g.twin_classes()
-    if k == 0 or k != twins_mod.twin_lower_bound(classes):
-        _refuse_scan(g.vertex_count, k, budget)
-        batches = _Engine(g.distance_columns(), budget).scan(k)
-    else:
-        _refuse_orbit(classes, budget)
-        batches = _OrbitWalk(_Engine(g.distance_columns(), budget), classes).batches()
-    for cols, hits in batches:
+    if k != twins_mod.twin_lower_bound(classes):
+        engine = _Engine(g.distance_columns(), budget)
+        sets = engine.walk(k, classes)
+        while block := list(islice(sets, engine.batch)):
+            yield np.array(block, dtype=np.intp).reshape(len(block), k)
+        return
+    _refuse_orbit(classes, budget)
+    for cols, hits in _orbit(_Engine(g.distance_columns(), budget), classes):
         yield cols if hits.all() else cols[hits]
         del cols, hits  # not held while the next batch is built
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlreadyMember, NotMember, NotTwins
+from .errors import AlreadyMember, BadParameters, NotMember, NotTwins
 from .graph import ComponentGraph, twin_classes_from_packed_rows  # re-exported
 
 
@@ -64,7 +64,8 @@ def partitions_coincide(g: ComponentGraph) -> bool:
 
 
 def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
-    """True iff u and v are twins: `is_twin_class` of the pair."""
+    """True iff u and v are twins: `is_twin_class` of the pair, so u == v
+    is refused (BadParameters)."""
     return is_twin_class(g, (u, v))
 
 
@@ -72,7 +73,8 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     """True iff the members are pairwise twins, read from their N x k
     block of `g.distance_columns()`: the columns agree on every row
     outside the members, and the distances between distinct members are
-    all equal.  Ids outside 1..N are refused (OutOfRange).
+    all equal.  A repeated id is refused first (BadParameters), then ids
+    outside 1..N (OutOfRange), as the single-set checks refuse them.
 
     In a graph of diameter at most 2, u and v are twins exactly when
     they are at equal distance from every other vertex.  If the members
@@ -82,7 +84,9 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     conditions put any two members at equal distance from every other
     vertex.
     """
-    for x in members:
+    if len(set(members)) != len(members):
+        raise BadParameters("twin class contains duplicate vertices")
+    for x in sorted(members):
         g.check_vertex(x)
     rows = np.asarray(members, dtype=np.intp) - 1
     block = g.distance_columns().column(rows)

@@ -1,7 +1,7 @@
 import os
 import signal
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, islice
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ import resolvdim
 from resolvdim.errors import DimensionMismatch, EmptySet
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
-from resolvdim.resolving import _Engine
 
 # Seconds any one test may run; the slowest takes a few.
 TEST_ALARM_S = 120
@@ -163,14 +162,55 @@ def status_by_rows(dist, cols):
                      for c in cols], dtype=bool)
 
 
-def orbit_by_mixed_radix(engine, twin_classes):
+def kernel_status(engine, cols):
+    """Boolean resolving status for a (B, k) batch of column sets, from
+    the column-group kernel's keys (`engine.keys`), `engine.batch` sets
+    at a time: the batched resolving test of the plain scan the two
+    walks replaced, kept to check the kernel against `status_by_rows`."""
+    out = np.empty(len(cols), dtype=bool)
+    for lo in range(0, len(cols), engine.batch):
+        keys = engine.keys(cols[lo:lo + engine.batch])
+        keys.sort(axis=0)
+        out[lo:lo + engine.batch] = ~np.any(keys[1:] == keys[:-1], axis=0)
+    return out
+
+
+def scan_batches(dist, k, batch=4096):
+    """(columns, status) batches of every k-subset of the matrix columns
+    in lexicographic order, each decided by `status_by_rows`: the plain
+    scan, with no pruning and no engine code, the oracle for the
+    engine's walks."""
+    sets = combinations(range(dist.shape[1]), k)
+    while block := list(islice(sets, batch)):
+        cols = np.array(block, dtype=np.intp).reshape(len(block), k)
+        yield cols, status_by_rows(dist, cols)
+
+
+def resolving_sets_by_scan(dist, k):
+    """Every resolving k-subset of the matrix columns, lexicographic
+    order, from the plain scan (`scan_batches`)."""
+    return [tuple(row) for cols, hits in scan_batches(dist, k)
+            for row in cols[hits].tolist()]
+
+
+def status_by_mask_by_scan(dist):
+    """Resolving status of every subset of the matrix columns, indexed by
+    bit mask: the plain scan of every size (`scan_batches`), each set
+    written at the sum of its column bits."""
+    status = np.zeros(1 << dist.shape[1], dtype=bool)
+    for k in range(dist.shape[1] + 1):
+        for cols, hits in scan_batches(dist, k):
+            status[(np.int64(1) << cols).sum(axis=1)] = hits
+    return status
+
+
+def orbit_by_mixed_radix(dist, twin_classes, batch=4096):
     """(columns, status) batches of the twin-swap orbit, lexicographic
-    order, each set charged to `engine`'s budget: the route the orbit
-    walk replaced, kept as its reference.
+    order: the route the orbit walk replaced, kept as its reference.
 
     Lists every set's omitted columns at once (mixed radix over the
     classes), sorts those rows and checks each set on all its columns
-    through `engine.status`.
+    through `status_by_rows`.
     """
     classes = [sorted(c) for c in twin_classes]
     total = prod(len(c) for c in classes)
@@ -185,14 +225,13 @@ def orbit_by_mixed_radix(engine, twin_classes):
     # W1 < W2 lexicographically iff the least column omitted by only one
     # of them is omitted by W2, iff W1's sorted omissions are the larger
     order = np.lexsort(omitted.T[::-1])[::-1]
-    k = engine.n_cols - len(classes)
-    for lo in range(0, total, engine.batch):
-        rows = omitted[order[lo:lo + engine.batch]]
-        keep = np.ones((len(rows), engine.n_cols), dtype=bool)
+    n = dist.shape[1]
+    for lo in range(0, total, batch):
+        rows = omitted[order[lo:lo + batch]]
+        keep = np.ones((len(rows), n), dtype=bool)
         keep[np.arange(len(rows))[:, None], rows] = False
-        cols = np.nonzero(keep)[1].reshape(len(rows), k)
-        engine.evaluated += len(rows)
-        yield cols, engine.status(cols)
+        cols = np.nonzero(keep)[1].reshape(len(rows), n - len(classes))
+        yield cols, status_by_rows(dist, cols)
 
 
 def random_partition(n, rng, sizes=(1, 2, 3, 4, 6, 8)):
@@ -240,9 +279,8 @@ def least_equal_rows_by_dict(block):
 
 def plain_first_hit(dist, k):
     """Lexicographically least resolving k-subset of the matrix columns, or
-    None: the plain scan over every k-subset, with no pruning."""
-    total = comb(dist.shape[1], k)
-    for cols, hits in _Engine(dist, total).scan(k):
+    None: the first hit of the plain scan (`scan_batches`)."""
+    for cols, hits in scan_batches(dist, k):
         if hits.any():
             return tuple(int(c) for c in cols[int(np.argmax(hits))])
     return None

@@ -11,7 +11,7 @@ import io
 import random
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from math import prod
 from typing import Callable
 
@@ -20,7 +20,7 @@ import pytest
 
 from conftest import (exchange_by_definition, minimality_by_definition,
                       orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
-                      random_partition, resolves_by_definition)
+                      random_partition, resolves_by_definition, resolving_sets_by_scan)
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace
 from resolvdim.errors import OutOfRange
 from resolvdim.graph import ComponentGraph
@@ -37,8 +37,8 @@ class Mutant:
 
 def _orbit_matches(dist, classes):
     """The orbit walk gives the oracle's (set, status) pairs."""
-    return (orbit_pairs(resolving._OrbitWalk(resolving._Engine(dist), classes).batches())
-            == orbit_pairs(orbit_by_mixed_radix(resolving._Engine(dist), classes)))
+    return (orbit_pairs(resolving._orbit(resolving._Engine(dist), classes))
+            == orbit_pairs(orbit_by_mixed_radix(dist, classes)))
 
 
 def _orbit_agrees():
@@ -66,13 +66,14 @@ def _orbit_agrees_on_a_wide_class():
     return _orbit_matches(dist, partition_with_a_wide_class(len(dist), random.Random("mutants")))
 
 
-def _scan_agrees():
-    """`all_resolving_k_subsets` lists the resolving 4-subsets of (2,4)
-    (C(15,4) = 1365 sets, one partial batch) that the definition does."""
-    g = ComponentGraph(2, 4)
-    want = [w for w in combinations(range(g.vertex_count), 4)
-            if resolves_by_definition(g, [c + 1 for c in w])]
-    return resolving.all_resolving_k_subsets(g.distance_matrix(), 4) == want
+def _all_hits_agree():
+    """`all_resolving_k_subsets` lists the sets the plain scan lists: the
+    16 resolving 5-subsets of (3,2), among them sets that differ in
+    their last column only, and the 11 resolving 5-subsets of (2,4)."""
+    cases = [(ComponentGraph(3, 2).distance_matrix(), 5),
+             (ComponentGraph(2, 4).distance_matrix(), 5)]
+    return all(resolving.all_resolving_k_subsets(dist, k) == resolving_sets_by_scan(dist, k)
+               for dist, k in cases)
 
 
 def _single_removals_agree():
@@ -176,11 +177,14 @@ def _column_without_its_zero(self, c):
     return col
 
 
-def _scan_full_batches(self, k):
-    # the plain scan without its final partial batch
-    for cols, hits in _real_scan(self, k):
-        if len(cols) == self.batch:
-            yield cols, hits
+def _walk_without_later_siblings(self, k, twin_classes):
+    # after a hit, the walk tries none of its later siblings: no set that
+    # shares the hit's first k - 1 columns is yielded
+    prefix = None
+    for w in _real_walk(self, k, twin_classes):
+        if w[:-1] != prefix:
+            prefix = w[:-1]
+            yield w
 
 
 def _merge_e1_with_e1_plus_e2(g):
@@ -197,9 +201,10 @@ def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
     return dataclasses.replace(report, holds=not report.holds)
 
 
-_real_scan = resolving._Engine.scan
+_real_walk = resolving._Engine.walk
 _real_find_min = resolving.find_min_resolving_for_matrix
-_real_runs = resolving._OrbitWalk._runs
+_real_product_walk = resolving._ProductWalk.__init__
+_real_runs = resolving._ProductWalk._runs
 _real_single_removals = resolving._single_removals
 _real_column = graph.SkeletonColumns.column
 _real_partition = twins.partition_by_neighborhood
@@ -246,11 +251,19 @@ MUTANTS = [
            _orbit_agrees),
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
            lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
-    Mutant("orbit-drops-the-children-after-the-first-run", resolving._OrbitWalk, "_runs",
+    Mutant("orbit-drops-the-children-after-the-first-run", resolving._ProductWalk, "_runs",
            lambda self, node, d: islice(_real_runs(self, node, d), 1),
            _orbit_agrees_on_a_wide_class),
-    Mutant("scan-drops-the-final-partial-batch", resolving._Engine, "scan",
-           _scan_full_batches, _scan_agrees),
+    Mutant("all-hits-walk-stops-at-its-first-leaf", resolving._Engine, "walk",
+           lambda self, k, twin_classes: islice(_real_walk(self, k, twin_classes), 1),
+           _all_hits_agree),
+    Mutant("all-hits-walk-skips-the-later-siblings-of-a-hit", resolving._Engine, "walk",
+           _walk_without_later_siblings, _all_hits_agree),
+    # the 2^N table's levels taken in reverse, so level 0 is column 0 and
+    # leaf m is the set of mask m with its N bits reversed
+    Mutant("mask-table-level-0-is-column-0", resolving._ProductWalk, "__init__",
+           lambda self, engine, levels: _real_product_walk(self, engine, levels[::-1]),
+           _exchange_agrees),
     Mutant("column-keeps-its-own-vertex-nonzero", graph.SkeletonColumns, "column",
            _column_without_its_zero, _exchange_agrees),
     Mutant("single-set-ids-skip-the-range-check", resolving, "_sorted_columns",

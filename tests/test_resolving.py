@@ -7,10 +7,11 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from conftest import (DistanceTable, int64_digits, least_equal_rows_by_dict,
+from conftest import (DistanceTable, int64_digits, kernel_status, least_equal_rows_by_dict,
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
                       partition_with_a_wide_class, plain_first_hit, random_partition,
-                      representation, resolves_by_definition, status_by_rows)
+                      representation, resolves_by_definition, resolving_sets_by_scan,
+                      status_by_mask_by_scan, status_by_rows)
 from resolvdim import exchange, field, intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, OutOfRange, UnsupportedOrder)
@@ -225,7 +226,7 @@ def test_front_ends_on_graphs_with_at_most_one_vertex(n):
 @pytest.mark.parametrize("n, edges, expected", [
     (0, [], [()]), (1, [], [()]), (2, [], []), (2, [(0, 1)], [])])
 def test_empty_set_resolves_at_most_one_vertex(n, edges, expected):
-    # the plain scan at k = 0 lists the empty set, which resolves N <= 1 only
+    # the walk at k = 0 yields the empty set, which resolves N <= 1 only
     dist = PlainGraph(n, edges).distance_matrix()
     assert resolving.all_resolving_k_subsets(dist, 0) == expected
 
@@ -274,21 +275,20 @@ def test_mask_table_consistency(g23, g24):
 
 
 def test_wide_path_matches_definition():
-    # A path on 15 vertices plus 5 isolated ones: the unreachable distance
-    # 21 makes the code base 22, so sets of 14 or more columns no longer fit
-    # one int64 code and take more than one column group of the kernel.
+    # A path on 15 vertices plus 5 isolated ones, which are open twins:
+    # the unreachable distance 21 makes the code base 22, so the oracle
+    # decides sets of 14 or more columns one row set at a time.
     pg = PlainGraph(20, [(i, i + 1) for i in range(14)])
     dist = pg.distance_matrix()
     for k in (5, 17):
-        expected = [cols for cols in combinations(range(20), k)
-                    if len({tuple(dist[v, list(cols)]) for v in range(20)}) == 20]
+        expected = resolving_sets_by_scan(dist, k)
         found = resolving.all_resolving_k_subsets(dist, k)
         assert found == expected
         assert 0 < len(found) < len(list(combinations(range(20), k)))
 
 
 # ---------------------------------------------------------------------------
-# the pruned walk and the twin-swap orbit against the plain scan
+# the pruned walk and the product walk against the plain scan
 # ---------------------------------------------------------------------------
 
 def _assert_walk_matches_plain_scan(dist, classes):
@@ -328,21 +328,71 @@ def test_walk_matches_plain_scan_on_random_graphs(seed):
     _assert_walk_matches_plain_scan(pg.distance_matrix(), pg.twin_classes())
 
 
+# every component graph of at most 48 vertices, at k = dim and at
+# k = dim + 1, where C(N, k) is at most 200,000; above 48 vertices the
+# all-hits walk of a (q,2) cell at k = N - 2 takes seconds to minutes
+ALL_HITS_CELLS = [(q, n, k) for q in field.SUPPORTED_ORDERS for n in range(1, 6)
+                  if q ** n - 1 <= 48
+                  for dim in [resolving.metric_dimension_formula(q, n)]
+                  for k in (dim, dim + 1) if k <= q ** n - 1 and comb(q ** n - 1, k) <= 200_000]
+
+
+@pytest.mark.parametrize("q,n,k", ALL_HITS_CELLS)
+def test_all_hits_walk_matches_plain_scan(q, n, k):
+    dist = ComponentGraph(q, n).distance_matrix()
+    assert resolving.all_resolving_k_subsets(dist, k) == resolving_sets_by_scan(dist, k)
+
+
+def _random_plain_graph(rng, with_twins, p):
+    """A seeded G(n, p) plain graph on 8 to 14 vertices, redrawn until it
+    has a twin class of two or more vertices exactly when `with_twins`."""
+    while True:
+        n = rng.randint(8, 14)
+        pg = PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        if (max(map(len, pg.twin_classes())) > 1) == with_twins:
+            return pg
+
+
+@pytest.mark.parametrize("with_twins", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_all_hits_walk_matches_plain_scan_on_random_graphs(seed, with_twins):
+    rng = random.Random(f"all-hits:{seed}:{with_twins}")
+    dist = _random_plain_graph(rng, with_twins, p=rng.choice([0.2, 0.3, 0.5])).distance_matrix()
+    for k in (0, 3, 5):
+        assert resolving.all_resolving_k_subsets(dist, k) == resolving_sets_by_scan(dist, k)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (4, 2)])
+def test_mask_table_matches_plain_scan(q, n):
+    dist = ComponentGraph(q, n).distance_matrix()
+    assert np.array_equal(resolving.resolving_status_by_mask(dist), status_by_mask_by_scan(dist))
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_mask_table_matches_plain_scan_on_random_graphs(n):
+    rng = random.Random(f"mask-table:{n}")
+    dist = PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.3]).distance_matrix()
+    status = resolving.resolving_status_by_mask(dist)
+    assert np.array_equal(status, status_by_mask_by_scan(dist))
+    assert 0 < status.sum() < status.size
+
+
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (3, 4)])
 def test_walk_starts_at_the_dimension(q, n):
     # the twin bound is attained: the walk goes straight down one branch
     g = ComponentGraph(q, n)
     engine = resolving._Engine(g.distance_matrix())
     k = resolving.metric_dimension_formula(q, n)
-    witness, complete = engine.walk(k, g.twin_classes())
-    assert complete
+    witness = next(engine.walk(k, g.twin_classes()))
     assert tuple(c + 1 for c in witness) == resolving.canonical_metric_basis(q, n)
     # one node per pick, the witness the first leaf tried
     assert engine.evaluated == k
 
 
 def test_walk_decides_leaves_without_the_kernel(monkeypatch):
-    # the walk and the plain scan are independent routes: no leaf of the
+    # the walk and the kernel are independent routes: no leaf of the
     # walk goes through the column-group kernel
     graphs = [ComponentGraph(q, n) for q, n in [(2, 2), (2, 4), (2, 6), (3, 3), (7, 2)]]
     inputs = [(g.distance_matrix(), g.twin_classes()) for g in graphs]
@@ -356,7 +406,6 @@ def test_walk_decides_leaves_without_the_kernel(monkeypatch):
         raise AssertionError("the walk called the kernel")
 
     monkeypatch.setattr(resolving._Engine, "keys", kernel)
-    monkeypatch.setattr(resolving._Engine, "status", kernel)
     assert [resolving.find_min_resolving_for_matrix(d, c) for d, c in inputs] == expected
 
 
@@ -419,7 +468,7 @@ def test_orbit_matches_plain_scan(q, n):
     blocks = list(resolving.minimum_resolving_sets(g, k))
     assert all(block.ndim == 2 and block.shape[1] == k for block in blocks)
     orbit = [tuple(row) for block in blocks for row in block.tolist()]
-    scan = resolving.all_resolving_k_subsets(dist, k)
+    scan = resolving_sets_by_scan(dist, k)
     assert sorted(orbit) == scan
     assert len(orbit) == prod(len(c) for c in classes)
     assert resolving.enumerate_minimum_resolving_sets(g) == \
@@ -430,10 +479,9 @@ def _assert_orbit_matches_oracle(dist, classes):
     """The walk's (set, status) pairs are the mixed-radix orbit's, one
     budget unit each; returns the statuses seen."""
     walk = resolving._Engine(dist)
-    got = orbit_pairs(resolving._OrbitWalk(walk, classes).batches())
-    oracle = resolving._Engine(dist)
-    assert got == orbit_pairs(orbit_by_mixed_radix(oracle, classes))
-    assert walk.evaluated == oracle.evaluated == len(got) == prod(len(c) for c in classes)
+    got = orbit_pairs(resolving._orbit(walk, classes))
+    assert got == orbit_pairs(orbit_by_mixed_radix(dist, classes))
+    assert walk.evaluated == len(got) == prod(len(c) for c in classes)
     return {hit for _, hit in got}
 
 
@@ -495,12 +543,12 @@ def test_orbit_walk_splits_a_node_with_more_children_than_a_batch():
     walk = resolving._Engine(dist, budget=1 << 20)
     assert walk.batch == 90
     assert sorted(map(len, classes)) == [26, 26, 676]
-    got = list(islice(resolving._OrbitWalk(walk, classes).batches(), 8))
+    got = list(islice(resolving._orbit(walk, classes), 8))
     assert [len(cols) for cols, _ in got] == [90] * 7 + [46]
     small = [c[0] for c in classes if len(c) == 26]
     wide = next(c for c in classes if len(c) == 676)
     want = np.array([[c for c in range(len(dist)) if c not in {*small, x}] for x in wide])
-    assert orbit_pairs(got) == orbit_pairs([(want, resolving._Engine(dist).status(want))])
+    assert orbit_pairs(got) == orbit_pairs([(want, status_by_rows(dist, want))])
     assert walk.evaluated == 676
 
 
@@ -541,18 +589,18 @@ def test_orbit_reads_no_distance_matrix(monkeypatch):
     assert len(set(map(tuple, sets))) == prod(len(c) for c in g.twin_classes()) == 4096
 
 
-def test_scan_over_budget_raises_before_the_matrix(monkeypatch):
-    # (2,4) has dimension 4 above its twin bound 0: the plain scan of
-    # C(15, 4) = 1365 sets is refused from its count
+def test_minimum_sets_above_the_twin_bound_raise_the_walks_budget_error():
+    # (2,4) has dimension 4 above its twin bound 0: the sets come from the
+    # pruned walk, which lists all of them in 467 nodes and stops after
+    # as many as the budget allows
     g = ComponentGraph(2, 4)
-
-    def refuse(self):
-        raise AssertionError("a distance was read before the scan was admitted")
-
-    monkeypatch.setattr(ComponentGraph, "distance_columns", refuse)
+    assert [b.tolist() for b in resolving.minimum_resolving_sets(g, 4, budget=467)] == \
+        [[[0, 1, 3, 7]]]
     with pytest.raises(BudgetExceeded,
-                       match=r"^scanning C\(15,4\) = 1365 subsets exceeds the budget 1364$"):
-        next(resolving.minimum_resolving_sets(g, 4, budget=1364))
+                       match="^search stopped after 466 subset evaluations$") as err:
+        next(resolving.minimum_resolving_sets(g, 4, budget=466))
+    assert (err.value.evaluated, err.value.budget) == (466, 466)
+    assert (err.value.lower_bound, err.value.upper_bound) == (4, 15)
 
 
 def test_enumerate_minimum_refuses_the_orbit_before_the_matrix(monkeypatch):
@@ -620,8 +668,8 @@ def test_kernel_matches_rows_on_orbit_batches():
     dist = g.distance_matrix()
     engine = resolving._Engine(dist)
     assert int64_digits(engine.base) < 56
-    for cols, hits in islice(orbit_by_mixed_radix(engine, g.twin_classes()), 3):
-        assert np.array_equal(hits, status_by_rows(dist, cols))
+    for cols, _ in islice(orbit_by_mixed_radix(dist, g.twin_classes(), engine.batch), 3):
+        assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
 
 
 @pytest.mark.parametrize("q,n", [(7, 2), (3, 4)])
@@ -634,7 +682,7 @@ def test_kernel_matches_rows_around_one_packed_pass(q, n):
         if k > len(dist):
             continue
         cols = np.array([rng.sample(range(len(dist)), k) for _ in range(64)])
-        assert np.array_equal(engine.status(cols), status_by_rows(dist, cols))
+        assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
 
 
 def test_kernel_matches_rows_on_the_first_two_group_sets():
@@ -645,7 +693,7 @@ def test_kernel_matches_rows_on_the_first_two_group_sets():
     assert int64_digits(engine.base) == 13
     for k in (13, 14):
         cols = np.array(list(combinations(range(20), k)))
-        hits = engine.status(cols)
+        hits = kernel_status(engine, cols)
         assert 0 < hits.sum() < len(hits)
         assert np.array_equal(hits, status_by_rows(dist, cols))
 
@@ -661,7 +709,7 @@ def test_kernel_ranks_before_an_overflowing_digit():
     cols = np.array([[0, 1]])
     engine = resolving._Engine(dist)
     assert engine.base == 2 ** 40 + 1
-    assert engine.status(cols).tolist() == [True]
+    assert kernel_status(engine, cols).tolist() == [True]
     assert status_by_rows(dist, cols).tolist() == [True]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import twin_classes_by_union_find
 from resolvdim import resolving, twins
-from resolvdim.errors import AlreadyMember, NotMember, NotTwins
+from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
 from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
@@ -101,7 +101,19 @@ def test_are_twins_matches_partition(q, n):
            for v in c}
     for u in g.vertex_ids():
         for v in g.vertex_ids():
-            assert twins.are_twins(g, u, v) == (cls[u] == cls[v])
+            if u != v:
+                assert twins.are_twins(g, u, v) == (cls[u] == cls[v])
+
+
+def test_repeated_id_is_refused(g32):
+    # a vertex is not its own twin: a repeated id is refused, before any
+    # id is checked against 1..N, as the single-set checks refuse it
+    for check in (lambda w: twins.is_twin_class(g32, w), lambda w: twins.are_twins(g32, *w)):
+        for w in ((3, 3), (0, 0), (9, 9)):
+            with pytest.raises(BadParameters, match="^twin class contains duplicate vertices$"):
+                check(w)
+    with pytest.raises(BadParameters):
+        twins.is_twin_class(g32, (2, 3, 6, 3))
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
