@@ -445,7 +445,8 @@ class _ProductWalk:
     its children, as many as fit a batch; a run goes down to its leaves
     as a whole and is one batch of the output, so no level holds more
     than `_BATCH_CELLS` labels, and a run of children reads a slice of
-    its level, a view.
+    its level, a view.  A one-level walk's leaves are that slice itself,
+    sorted in place by `_distinct_rows`: the walk owns its levels.
     """
 
     def __init__(self, engine: _Engine, levels: Sequence[np.ndarray]):
@@ -477,6 +478,8 @@ class _ProductWalk:
         of `part` of level d; labels lie below bound."""
         labels, bound = node
         rows = self.levels[d][part]
+        if bound == 1 and len(labels) == 1 and d == len(self.levels) - 1:
+            return rows, bound  # the root's children are leaves: the rows
         if bound * self.width >= 1 << 31:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
@@ -599,7 +602,9 @@ def all_resolving_k_subsets(
     every set the pruned walk yields, with the twin classes of the
     graph whose edges are the entries equal to 1.  The budget counts
     the walk's nodes, and the walk raises BudgetExceeded when they run
-    out."""
+    out.  That cost is in nodes, not C(N, k): about N^3 / 6 at k = N - 2
+    on a (q,2) cell, so it exceeds the default budget at (25,2), k = 622,
+    where C(N, k) is 194,376."""
     classes = twin_classes_from_packed_rows(np.packbits(dist == 1, axis=1))
     return list(_Engine(dist, budget).walk(k, classes))
 
@@ -679,7 +684,8 @@ def minimum_resolving_sets(
     count, prod |c|, before any distance is read.  Otherwise the sets
     are every set the pruned walk yields, in lexicographic order, and
     the walk raises BudgetExceeded when the nodes it evaluates use up
-    the budget.
+    the budget, possibly after some batches; near k = N its nodes far
+    exceed C(N, k) (see `all_resolving_k_subsets`).
     """
     classes = g.twin_classes()
     if k != twins_mod.twin_lower_bound(classes):

@@ -125,7 +125,7 @@ def _corollary(g, budget, done):
     elif q >= 3:
         count, spans, masks = 0, True, None
         for block in resolving_mod.minimum_resolving_sets(g, done["dim"].body["search"], budget):
-            if masks is None:  # the budget has admitted the sets by now
+            if masks is None:  # the orbit is admitted; the walk may still raise
                 masks = field_mod.field_new(q).hyperplane_masks(
                     n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
             count += len(block)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, resolving_sets_by_scan
 from resolvdim import exchange, field, intersection, resolving, twins, vectorspace
 from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import (ComponentGraph, bfs_distances, is_complete,
@@ -48,7 +48,8 @@ def test_criterion_1_order_and_size_formulas():
 def test_criterion_2_metric_dimension_formula_vs_search():
     # the (3,2), (3,3) and (4,2) values come from the exhaustive search
     # oracle; (4,2) additionally gets a direct proof that nothing smaller
-    # than 12 resolves.
+    # than 12 resolves: the plain scan decides all C(15, 11) = 1,365
+    # 11-subsets, with no twin bound and no engine code.
     expected = {(2, 2): 1, (2, 3): 3, (2, 4): 4, (3, 2): 5, (3, 3): 19, (4, 2): 12}
     start = time.perf_counter()
     for (q, n), dim in expected.items():
@@ -59,8 +60,7 @@ def test_criterion_2_metric_dimension_formula_vs_search():
         assert resolving.is_resolving(g, witness).is_resolving
     elapsed = time.perf_counter() - start
     g42 = ComponentGraph(4, 2)
-    none_below = resolving.all_resolving_k_subsets(g42.distance_matrix(), 11, 10_000)
-    assert none_below == []
+    assert resolving_sets_by_scan(g42.distance_matrix(), 11) == []
     ok = elapsed < 60.0
     assert report(2, "metric dimension, formula = search", ok), f"took {elapsed:.2f}s"
 
