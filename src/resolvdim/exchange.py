@@ -10,6 +10,13 @@ re-checking it: W2 in lexicographic order, then r ascending, and W1 the
 least minimal set holding r.  The report also lists the size of every
 minimal set.
 
+Where that 2^N table is refused, a checked certificate may decide
+instead: `resolving.twin_core_certificate` checks, in the same run, the
+premises under which the minimal sets are the twin-swap orbit, for which
+the property holds (its docstring has the proof).  A premise that fails,
+or a graph past the matrix cap, keeps the table's refusal: no verdict is
+reported that was not checked.
+
 Two helper constructions give explicit oversized minimal sets at q=2: the
 set of vertices avoiding one fixed coordinate, and for n=3 a hand-picked
 four-element minimal set.
@@ -20,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import resolving
-from .errors import BadParameters
+from .errors import BadParameters, BudgetExceeded
+from .graph import MATRIX_CAP
 from .resolving import DEFAULT_BUDGET
 
 
@@ -36,21 +44,35 @@ class ExchangeViolation:
 @dataclass(frozen=True)
 class ExchangeReport:
     holds: bool
-    method: str  # "definition-check"
+    # "definition-check" (the 2^N table) or "twin-core-certificate"
+    method: str
     minimal_set_sizes: tuple[int, ...]
     witness: ExchangeViolation | None = None
 
 
 def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
-    """Definition-level exchange verdict for a graph with a distance matrix.
+    """Exchange verdict for a graph with a distance matrix.
 
     Works on component graphs and plain graphs alike.  The minimal sets
-    come from `resolving.enumerate_minimal_resolving_sets`.  When its 2^N
-    table does not fit the budget, or N is over the 20-vertex table
-    guard, BudgetExceeded propagates with the reason: a verdict is only
-    ever reported for a quantifier that was checked.
+    come from `resolving.enumerate_minimal_resolving_sets`, and the
+    quantifier is checked on them.  Where its 2^N table does not fit the
+    budget, or N is over the 20-vertex table guard, the twin-core
+    certificate decides (`resolving.twin_core_certificate`, charged one
+    unit per set of its family, with its own refusal): the property
+    holds, and every minimal set has the core's size.  Past the matrix
+    cap, or when a premise fails, the table's BudgetExceeded propagates:
+    a verdict is only ever reported for a quantifier or a certificate
+    that was checked.
     """
-    sets = resolving.enumerate_minimal_resolving_sets(g, budget)
+    try:
+        sets = resolving.enumerate_minimal_resolving_sets(g, budget)
+    except BudgetExceeded:
+        cert = (None if g.vertex_count > MATRIX_CAP
+                else resolving.twin_core_certificate(g, budget))
+        if cert is None:
+            raise
+        return ExchangeReport(holds=True, method="twin-core-certificate",
+                              minimal_set_sizes=(len(cert.core),) * cert.family_size)
     family = set(map(frozenset, sets))
     sizes = tuple(sorted(len(w) for w in sets))
     universe = sorted({v for w in sets for v in w})

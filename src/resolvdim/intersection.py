@@ -124,6 +124,10 @@ class PlainGraph:
     def vertex_ids(self) -> range:
         return range(self.vertex_count)
 
+    def check_vertex(self, u: int) -> None:
+        if not (0 <= u < self.vertex_count):
+            raise OutOfRange(f"vertex id {u} outside 0..{self.vertex_count - 1}")
+
     def distance_columns(self) -> np.ndarray:
         """The distance matrix, which the walk and the orbit read as their
         column source."""

@@ -24,7 +24,9 @@ equals the twin bound (one level per twin class, `_orbit`), the 2^N
 table (one level per column, so leaf m is the set of mask m) and a
 single set's removals (one level, its own kept table).  Neither walk
 calls the column-group kernel, which gives a single set's status and
-colliding pair.
+colliding pair.  Where the table or the orbit is refused,
+`twin_core_certificate` checks the premises under which the minimal
+sets are the orbit, with one kernel call and no walk.
 
 Budgets are counted in candidate subsets evaluated, never wall time:
 one unit per node of the pruned walk, one per leaf of a product walk.
@@ -68,26 +70,27 @@ class ResolvingReport:
 
 def _sorted_columns(g: ComponentGraph, w: Iterable[int]) -> np.ndarray:
     """The set's 0-based columns, ascending; duplicates are refused first,
-    then ids outside 1..N, least first (id 0 would read column -1)."""
+    then ids outside the graph's, least first (id 0 of a component graph
+    would read column -1)."""
     order = sorted(w)
     if len(set(order)) != len(order):
         raise BadParameters("candidate set contains duplicate vertices")
     for x in order:
         g.check_vertex(x)
-    return np.array(order, dtype=np.intp) - 1
+    return np.array(order, dtype=np.intp) - g.vertex_ids().start
 
 
 def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
-    """The least pair u < v of ids (row + 1) that agree on every column
-    of `cols`, or None: after a stable sort of the kernel's keys, the
-    adjacent equal entry with the least first row."""
+    """The least pair u < v of rows that agree on every column of `cols`,
+    or None: after a stable sort of the kernel's keys, the adjacent equal
+    entry with the least first row."""
     keys = engine.keys(cols[None, :])[:, 0]
     rank = np.argsort(keys, kind="stable")
     same = np.flatnonzero(keys[rank[1:]] == keys[rank[:-1]])
     if not same.size:
         return None
     i = same[np.argmin(rank[same])]
-    return int(rank[i]) + 1, int(rank[i + 1]) + 1
+    return int(rank[i]), int(rank[i + 1])
 
 
 def _single_removals(engine: _Engine, cols: np.ndarray) -> np.ndarray:
@@ -106,15 +109,15 @@ def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
     ascending member, so `redundant_vertex` is the least redundant one.
     Single removals suffice, as supersets of resolving sets resolve.
     """
-    members = tuple(w)
+    members, ids = tuple(w), g.vertex_ids()
     cols = _sorted_columns(g, members)
     engine = _Engine(g.distance_columns())
     pair = _collision(engine, cols)
     if pair is not None:
         return ResolvingReport(W=members, is_resolving=False, is_minimal=False,
-                               colliding_pair=pair)
+                               colliding_pair=(ids[pair[0]], ids[pair[1]]))
     still = _single_removals(engine, cols)
-    redundant = int(cols[np.argmax(still)]) + 1 if still.any() else None
+    redundant = ids[int(cols[np.argmax(still)])] if still.any() else None
     return ResolvingReport(W=members, is_resolving=True,
                            is_minimal=redundant is None,
                            redundant_vertex=redundant)
@@ -235,14 +238,29 @@ class _Engine:
         n, (b, k) = self.n_rows, cols.shape
         labels = np.zeros((n, b), dtype=np.int64)
         bound = 1  # every label lies below bound
-        for j in range(k):
+        for digit in self._digits(cols):
             if bound * self.base >= 1 << 62:
                 _dense_rank(labels)
                 bound = n
             labels *= self.base
-            labels += self.column(cols[:, j])
+            labels += digit
             bound *= self.base
         return labels
+
+    def _digits(self, cols: np.ndarray) -> Iterator[np.ndarray]:
+        """The (N, B) digits of a (B, k) batch, column j of every set at
+        step j.  A batch reads one N x B block per column; a single set
+        reads its columns `batch` at a time, so each read is one block of
+        at most `_BATCH_CELLS` cells, not one call per column."""
+        b, k = cols.shape
+        if b > 1:
+            for j in range(k):
+                yield self.column(cols[:, j])
+            return
+        for lo in range(0, k, self.batch):
+            block = self.column(cols[0, lo:lo + self.batch])
+            for j in range(block.shape[1]):
+                yield block[:, j:j + 1]
 
     def landmark_bound(self) -> int:
         """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
@@ -724,3 +742,89 @@ def enumerate_minimal_resolving_sets(
     sets = sorted(tuple(i for i in range(n) if (m >> i) & 1)
                   for m in map(int, np.flatnonzero(minimal)))
     return [_ids(g, w) for w in sets]
+
+
+# ---------------------------------------------------------------------------
+# the twin-core certificate: the minimal sets where no table lists them
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TwinCore:
+    """The twin classes (0-based columns, ascending) of a graph whose
+    twin-core premises held (`twin_core_certificate`)."""
+
+    classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def core(self) -> tuple[int, ...]:
+        """The orbit member that omits the largest column of each class of
+        two or more, ascending."""
+        return tuple(sorted(x for c in self.classes for x in c
+                            if len(c) == 1 or x != c[-1]))
+
+    @property
+    def family_size(self) -> int:
+        """The orbit's size, prod |c|."""
+        return prod(len(c) for c in self.classes)
+
+
+def _paired(classes: Sequence[Sequence[int]]) -> bool:
+    """Premise (ii) of the twin-core certificate: every class has two
+    members or more."""
+    return all(len(c) > 1 for c in classes)
+
+
+def twin_core_certificate(g, budget: int | None = None) -> TwinCore | None:
+    """The twin classes of g when its minimal resolving sets are exactly
+    the twin-swap orbit; None when a premise fails.
+
+    The orbit is the sets that omit exactly one member of each class of
+    two or more, prod |c| of them; the core is its member that omits
+    each such class's largest.  The premises, each checked here on
+    `g.twin_classes()`:
+    (i) the classes partition the columns and each passes
+        `twins.is_twin_class`;
+    (ii) every class has two members or more;
+    (iii) the core resolves (`resolves`).  Given (i) and (ii) this fails
+        only when the classes split a twin class: two non-twins outside
+        the core are told apart by some w, and w or its twin is in the
+        core.
+    Then:
+    - Two members of a class have equal distances to every other vertex,
+      so a resolving set omits at most one member of each class, and by
+      (i) and (ii) it holds an orbit member: in each class it does not
+      cut, leave out any one member.
+    - A twin transposition is an automorphism, so by (iii) every orbit
+      member resolves.  A minimal resolving set holds a resolving orbit
+      member, so it is that member.  An orbit member is minimal: without
+      any one of its members x, x's class has two members outside it.
+      So the minimal sets are the orbit, each of |core| members.
+    - The exchange property holds.  Take orbit members W1, W2 and r in
+      W1 minus W2, in class C.  W2 omits r alone of C; W1 holds r and
+      omits some s of C, which W2 keeps.  (W2 - s) + r omits s alone of
+      C and what W2 omits elsewhere, so it is an orbit member.
+    A singleton class {v} breaks this: v has no twin, so nothing forces
+    it into a resolving set, yet every orbit member holds it, and an orbit
+    member need not be minimal.  At q=2, n=3 every class is a singleton:
+    the orbit is V alone, which resolves, while the minimal sets have 3
+    or 4 members and the exchange property fails.  The exchange step
+    above needs a twin s of r too.
+
+    With a budget the family is charged one unit per set, refused
+    (BudgetExceeded, "minimal-set family has P sets, over the budget B")
+    from the class sizes alone once (ii) holds, before any distance is
+    read.
+    """
+    classes = g.twin_classes()
+    if not _paired(classes):
+        return None
+    cert = TwinCore(classes)
+    if budget is not None and cert.family_size > budget:
+        raise BudgetExceeded(
+            f"minimal-set family has {cert.family_size} sets, over the budget {budget}",
+            evaluated=0, budget=budget)
+    if sorted(x for c in classes for x in c) != list(range(g.vertex_count)):
+        return None
+    if not all(twins_mod.is_twin_class(g, _ids(g, c)) for c in classes):
+        return None
+    return cert if resolves(g, _ids(g, cert.core)) else None

@@ -71,25 +71,28 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     """True iff the members are pairwise twins, read from their N x k
-    block of `g.distance_columns()`: the columns agree on every row
+    block of `g.distance_columns()` (a plain graph's distance matrix or a
+    component graph's skeleton columns): the columns agree on every row
     outside the members, and the distances between distinct members are
     all equal.  A repeated id is refused first (BadParameters), then ids
-    outside 1..N (OutOfRange), as the single-set checks refuse them.
+    outside the graph's (OutOfRange), as the single-set checks refuse
+    them.
 
-    In a graph of diameter at most 2, u and v are twins exactly when
-    they are at equal distance from every other vertex.  If the members
-    are pairwise twins, every outside row is constant along the block's
-    columns, and d(x, z) = d(y, z) for distinct members x, y, z, so all
-    distances between distinct members are equal.  Conversely the two
-    conditions put any two members at equal distance from every other
-    vertex.
+    In any graph, u and v are twins exactly when they are at equal
+    distance from every other vertex: the vertices at distance 1 are
+    then the same.  If the members are pairwise twins, every outside row
+    is constant along the block's columns, and d(x, z) = d(y, z) for
+    distinct members x, y, z, so all distances between distinct members
+    are equal.  Conversely the two conditions put any two members at
+    equal distance from every other vertex.
     """
     if len(set(members)) != len(members):
         raise BadParameters("twin class contains duplicate vertices")
     for x in sorted(members):
         g.check_vertex(x)
-    rows = np.asarray(members, dtype=np.intp) - 1
-    block = g.distance_columns().column(rows)
+    rows = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
+    source = g.distance_columns()
+    block = source[:, rows] if isinstance(source, np.ndarray) else source.column(rows)
     inside = block[rows][~np.eye(len(rows), dtype=bool)]
     others = np.ones(g.vertex_count, dtype=bool)
     others[rows] = False

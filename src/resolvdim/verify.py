@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -115,16 +116,49 @@ def _twins(g, budget, done):
     yield Section("twins", "checked", coincide, {"coincide": coincide})
 
 
+def _axes_in_classes(g, classes) -> bool:
+    """Premise (iv) of the certified corollary: for each i, some twin class
+    (0-based columns) holds two nonzero multiples of e_i, read with
+    `vectorspace.decode`.  Every orbit member omits one member of each
+    class, so it keeps a multiple of each e_i and spans the space."""
+    axes = set()
+    for c in classes:
+        supports = [[i for i, x in enumerate(vectorspace.decode(v + 1, g.q, g.n)) if x]
+                    for v in c]
+        units = [s[0] for s in supports if len(s) == 1]
+        axes.update(i for i in units if units.count(i) >= 2)
+    return axes == set(range(g.n))
+
+
 def _corollary(g, budget, done):
-    """Minimum resolving sets against linear independence."""
+    """Minimum resolving sets against linear independence.
+
+    At q >= 3 the twin-swap orbit lists the minimum sets and tests each
+    one.  Where the orbit is refused (dim is the twin bound and its
+    prod |c| sets exceed the budget), the twin-core certificate decides
+    when its premises hold (`resolving.twin_core_certificate`): the
+    minimum sets are then the prod |c| orbit members, each of the core's
+    size, which must be the dim search's, and premise (iv) makes each
+    one span.  A premise that fails keeps the orbit's refusal.
+    """
     q, n = g.q, g.n
     if q == 2 and n != 3:
         yield Section("corollary", "not-applicable", None, {})
     elif done["dim"].status == "skipped":
         yield Section("corollary", "skipped", None, {"reason": "dim search skipped"})
     elif q >= 3:
+        k, classes = done["dim"].body["search"], g.twin_classes()
+        refused = (k == twins_mod.twin_lower_bound(classes)
+                   and prod(len(c) for c in classes) > budget)
+        cert = resolving_mod.twin_core_certificate(g) if refused else None
+        if cert is not None:
+            spans = _axes_in_classes(g, cert.classes)
+            yield Section("corollary", "verified", len(cert.core) == k and spans,
+                          {"minimum_sets": cert.family_size, "all_contain_v_basis": spans,
+                           "method": "twin-core-certificate"})
+            return
         count, spans, masks = 0, True, None
-        for block in resolving_mod.minimum_resolving_sets(g, done["dim"].body["search"], budget):
+        for block in resolving_mod.minimum_resolving_sets(g, k, budget):
             if masks is None:  # the orbit is admitted; the walk may still raise
                 masks = field_mod.field_new(q).hyperplane_masks(
                     n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])

@@ -521,12 +521,15 @@ def test_verify_text_report_matches_golden_bytes(tmp_path, argv, golden):
 
 # (exit code, sha256 of stdout) of the single-cell commands that share a
 # check with `verify`, and of a grid past the goldens' q <= 4, captured
-# before the checks moved out of the CLI module
+# before the checks moved out of the CLI module; the grid's two were
+# captured again when the twin-core certificate decided the exchange at
+# (3,3), (4,2) and (5,2) and the corollary at (4,3) and (5,3), which it
+# skipped before
 _GRID = ("verify", "--q-range", "2..5", "--n-range", "1..3", "--budget", "20000")
 OUTPUT_SHA256 = {
-    _GRID: (1, "ade4972fcb33609dfba056c2416e2bf6a69b324f3f80deb7362dead46da1525d"),
+    _GRID: (1, "93cb51cdcc517a5a9ba2c8c405ab9bd2b82d65fe53ee8509cfd814f00f5f76a0"),
     _GRID + ("--format", "json"):
-        (1, "2257ad49f4babd5f6eb217fc1a44181f42908dfcae8dd68b3d215bb0d4384b5c"),
+        (1, "054b2441232fc790eeb2b2f1327c6b86e914fa999167cb4bb9c7cd01c85aeaa7"),
     ("dim", "2", "3"): (0, "cd7ae10664c3f221e62793a30957d21f7aa430c4a31bd60d97abdf59b08cd718"),
     ("dim", "2", "3", "json"):
         (0, "1f1b2f77331605191e927b0b288681902920f89b3fca55668c0d96e094141f28"),
@@ -754,7 +757,8 @@ def _run_in(directory, argv, capsys, monkeypatch):
     ["dim", "--q", "3", "--n", "4", "--budget", "20000"],
     ["graph", "--q", "2", "--n", "11", "--out", "g"],
     # the dim search fits the budget, the corollary's orbit of 3^32 sets
-    # and the exchange table do not: both are refused from their counts
+    # and the exchange table do not: the corollary is certified, and the
+    # exchange certificate's family is refused from its count
     pytest.param(["verify", "--q", "4", "--n", "4", "--budget", "1000000", "--format", "json"],
                  id="verify-orbit-refused"),
     # the 2^N table and the single-set checks read distance columns
@@ -804,9 +808,26 @@ def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):
     assert main(["exchange", "--q", "2", "--n", "12", "--budget", "1000"]) == 3
     assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
                                        "2^4095 evaluations, over the budget 1000\n")
-    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "100000000"]) == 3
+    # (2,5)'s classes are singletons, so the certificate refuses from
+    # their sizes and the table's refusal stands
+    assert main(["exchange", "--q", "2", "--n", "5", "--budget", "3000000000"]) == 3
     assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
-                                       "N <= 20, got N = 26\n")
+                                       "N <= 20, got N = 31\n")
+    # (3,3)'s certificate family is refused from the class sizes alone
+    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "1000"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: minimal-set family has "
+                                       "4096 sets, over the budget 1000\n")
+
+
+def test_exchange_by_the_twin_core_certificate(capsys):
+    # (3,3): the 2^26 table is refused, the certificate's 4,096 sets fit
+    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "20000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"q": 3, "n": 3, "holds": True, "method": "twin-core-certificate",
+                       "sizes": [19] * 4096, "witness": None}
+    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "minimal-set family has 4096 sets" in captured.err
 
 
 def test_graph_export_peak_memory(tmp_path):

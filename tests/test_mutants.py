@@ -21,7 +21,7 @@ import pytest
 from conftest import (exchange_by_definition, minimality_by_definition,
                       orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
                       random_partition, resolves_by_definition, resolving_sets_by_scan)
-from resolvdim import cli, exchange, graph, resolving, twins, vectorspace
+from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
 from resolvdim.errors import OutOfRange
 from resolvdim.graph import ComponentGraph
 
@@ -196,6 +196,39 @@ def _merge_e1_with_e1_plus_e2(g):
     return twins.TwinPartition(classes, tuple(g.skeleton(c[0]) for c in classes))
 
 
+def _certificate_agrees(g, table_graph=None):
+    """The twin-core certificate refuses g, or claims the exchange verdict
+    and minimal set sizes of the 2^N table (read on `table_graph`, else
+    on g)."""
+    cert = resolving.twin_core_certificate(g)
+    if cert is None:
+        return True
+    table = _real_exchange(table_graph or g)
+    return (True, (len(cert.core),) * cert.family_size) == (table.holds,
+                                                            table.minimal_set_sizes)
+
+
+def _certificate_agrees_on_merged_classes():
+    """The same at (3,2) with the twin classes of e1 and e2 merged into one
+    of four members, which is not a twin class, against the table of an
+    unpatched (3,2)."""
+    g = ComponentGraph(3, 2)
+    ids = {vectorspace.parse_vertex(t, 3, 2) - 1 for t in ("e1", "e2")}
+    real = g.twin_classes()
+    merged = tuple(sorted(x for c in real if ids & set(c) for x in c))
+    g.twin_classes = lambda: tuple(sorted([c for c in real if not ids & set(c)] + [merged]))
+    return _certificate_agrees(g, ComponentGraph(3, 2))
+
+
+def _certified_count_at_4_3():
+    """At (4,3), budget 20,000, `verify` certifies the corollary and counts
+    prod (q-1)^|S| minimum sets over the skeleton classes S."""
+    record, _ = verify.verify_cell(4, 3, 20_000, vectorspace.DEFAULT_VERTEX_CAP, False)
+    skeleton = twins.partition_by_skeleton(ComponentGraph(4, 3)).classes
+    return (record["corollary"].get("method") == "twin-core-certificate"
+            and record["corollary"]["minimum_sets"] == prod(len(c) for c in skeleton))
+
+
 def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
     report = _real_exchange(g, budget)
     return dataclasses.replace(report, holds=not report.holds)
@@ -283,6 +316,14 @@ MUTANTS = [
            lambda g: not _real_complete(g), lambda: _verify_passes(3, 2, "complete")),
     Mutant("exchange-verdict-flipped", exchange, "has_exchange_property",
            _exchange_flipped, lambda: _verify_passes(3, 2, "exchange")),
+    # at (2,3) every class is a singleton: the core is V, which resolves
+    Mutant("twin-core-accepts-a-singleton-class", resolving, "_paired",
+           lambda classes: True, lambda: _certificate_agrees(ComponentGraph(2, 3))),
+    Mutant("twin-core-counts-one-less-per-class", resolving.TwinCore, "family_size",
+           property(lambda self: prod(len(c) - 1 for c in self.classes)),
+           _certified_count_at_4_3),
+    Mutant("twin-core-skips-the-twin-class-premise", twins, "is_twin_class",
+           lambda g, c: True, _certificate_agrees_on_merged_classes),
     *SWAPS,
 ]
 
