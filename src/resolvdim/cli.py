@@ -148,7 +148,7 @@ def cmd_exchange(args) -> int:
         raise BadParameters("exchange has JSON output only; drop --format text")
     g = graph_mod.ComponentGraph(args.q, args.n, vertex_cap=args.vertex_cap)
     section, witness = verify.exchange_section(g, args.budget)
-    payload = {k: section.body[k] for k in ("holds", "method", "sizes")}
+    payload = {k: v for k, v in section.body.items() if k not in ("expected", "match")}
     _emit(render_json({"q": args.q, "n": args.n, **payload, "witness": witness}), args.out)
     return EXIT_PASS
 

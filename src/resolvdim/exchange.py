@@ -7,8 +7,8 @@ sets from `resolving.enumerate_minimal_resolving_sets` and tests the
 quantifier over all ordered pairs, one family lookup per swap; when it
 fails, it returns the first violation found as the witness, without
 re-checking it: W2 in lexicographic order, then r ascending, and W1 the
-least minimal set holding r.  The report also lists the size of every
-minimal set.
+least minimal set holding r.  The report also counts the minimal sets
+of each size.
 
 Where that 2^N table is refused, a checked certificate may decide
 instead: `resolving.twin_core_certificate` checks, in the same run, the
@@ -24,6 +24,7 @@ four-element minimal set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import resolving
@@ -46,8 +47,14 @@ class ExchangeReport:
     holds: bool
     # "definition-check" (the 2^N table) or "twin-core-certificate"
     method: str
-    minimal_set_sizes: tuple[int, ...]
+    # (size, number of minimal sets of that size), sizes ascending
+    size_counts: tuple[tuple[int, int], ...]
     witness: ExchangeViolation | None = None
+
+    @property
+    def minimal_set_sizes(self) -> tuple[int, ...]:
+        """Every minimal set's size, ascending: `size_counts` expanded."""
+        return tuple(s for s, count in self.size_counts for _ in range(count))
 
 
 def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
@@ -72,9 +79,9 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
         if cert is None:
             raise
         return ExchangeReport(holds=True, method="twin-core-certificate",
-                              minimal_set_sizes=(len(cert.core),) * cert.family_size)
+                              size_counts=((len(cert.core), cert.family_size),))
     family = set(map(frozenset, sets))
-    sizes = tuple(sorted(len(w) for w in sets))
+    sizes = tuple(sorted(Counter(len(w) for w in sets).items()))
     universe = sorted({v for w in sets for v in w})
     for w2 in sets:
         members = frozenset(w2)
@@ -85,10 +92,10 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
             if not any(with_r - {s} in family for s in w2):
                 w1 = next(w for w in sets if r in w)
                 return ExchangeReport(holds=False, method="definition-check",
-                                      minimal_set_sizes=sizes,
+                                      size_counts=sizes,
                                       witness=ExchangeViolation(w1=w1, r=r, w2=w2))
     return ExchangeReport(holds=True, method="definition-check",
-                          minimal_set_sizes=sizes)
+                          size_counts=sizes)
 
 
 def coordinate_avoiding_set(q: int, n: int) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ CLI calls them; `packed_adjacency` holds a bit per pair.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -208,6 +209,25 @@ class SkeletonColumns:
         col = np.where(np.bitwise_and.outer(sk, sk[c]) != 0, np.int16(1), np.int16(2))
         col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col
+
+
+class MatrixColumns:
+    """A stored distance matrix as a column source, with the interface of
+    `SkeletonColumns`: `shape`, `largest` and `column(c)`, read at the
+    matrix's own dtype.  `largest` is computed when first read, as a
+    class test reads only columns."""
+
+    def __init__(self, dist: np.ndarray):
+        self._dist = dist
+        self.shape = dist.shape
+
+    @cached_property
+    def largest(self) -> int:
+        return int(self._dist.max(initial=0))
+
+    def column(self, c: int | np.ndarray) -> np.ndarray:
+        """Column c (0-based), or the N x B block of the columns in c."""
+        return self._dist[:, c]
 
 
 def twin_classes_from_packed_rows(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:

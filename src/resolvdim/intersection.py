@@ -22,7 +22,8 @@ import numpy as np
 
 from . import resolving
 from .errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
-from .graph import MATRIX_CAP, ROW_BLOCK, ComponentGraph, twin_classes_from_packed_rows
+from .graph import (MATRIX_CAP, ROW_BLOCK, ComponentGraph, MatrixColumns,
+                    twin_classes_from_packed_rows)
 from .resolving import DEFAULT_BUDGET
 
 
@@ -128,10 +129,10 @@ class PlainGraph:
         if not (0 <= u < self.vertex_count):
             raise OutOfRange(f"vertex id {u} outside 0..{self.vertex_count - 1}")
 
-    def distance_columns(self) -> np.ndarray:
-        """The distance matrix, which the walk and the orbit read as their
-        column source."""
-        return self.distance_matrix()
+    def distance_columns(self) -> MatrixColumns:
+        """The distance matrix as the column source that the walks, the
+        kernel and `is_twin_class` read."""
+        return MatrixColumns(self.distance_matrix())
 
     def distance_matrix(self) -> np.ndarray:
         """BFS distances; unreachable pairs get vertex_count + 1."""

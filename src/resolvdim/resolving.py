@@ -44,7 +44,8 @@ import numpy as np
 from . import field
 from . import twins as twins_mod
 from .errors import BadParameters, BudgetExceeded, NotResolving
-from .graph import ComponentGraph, SkeletonColumns, twin_classes_from_packed_rows
+from .graph import (ComponentGraph, MatrixColumns, SkeletonColumns,
+                    twin_classes_from_packed_rows)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -192,8 +193,9 @@ class _Engine:
     Rows and columns of `dist` are vertices; every route, single sets
     included, names a set by its columns.  The engine reads it through
     `column(c)`, one column for an index and an N x B block for an index
-    array: a distance matrix, read at its stored dtype, or a column
-    source such as `SkeletonColumns` (`shape`, `largest`, `column(c)`).
+    array, of a column source (`shape`, `largest`, `column(c)`):
+    `SkeletonColumns`, or `MatrixColumns`, in which a bare distance
+    matrix is wrapped.
     `keys` is the one kernel: exact per-vertex labels of any number of
     columns, read by the colliding pair of a single set.
     The walks: `walk` yields every resolving k-subset in lexicographic
@@ -207,15 +209,13 @@ class _Engine:
     Each charges the budget for the subsets it evaluates.
     """
 
-    def __init__(self, dist: np.ndarray | SkeletonColumns,
+    def __init__(self, dist: np.ndarray | MatrixColumns | SkeletonColumns,
                  budget: int = DEFAULT_BUDGET):
-        self.n_rows, self.n_cols = dist.shape
         if isinstance(dist, np.ndarray):
-            self.column = lambda c: dist[:, c]
-            largest = int(dist.max(initial=0))
-        else:
-            self.column, largest = dist.column, dist.largest
-        self.base = max(largest + 1, 2)
+            dist = MatrixColumns(dist)
+        self.n_rows, self.n_cols = dist.shape
+        self.column = dist.column
+        self.base = max(dist.largest + 1, 2)
         self.budget = budget
         self.evaluated = 0
         self.batch = max(1, _BATCH_CELLS // max(self.n_rows, 1))
@@ -249,18 +249,15 @@ class _Engine:
 
     def _digits(self, cols: np.ndarray) -> Iterator[np.ndarray]:
         """The (N, B) digits of a (B, k) batch, column j of every set at
-        step j.  A batch reads one N x B block per column; a single set
-        reads its columns `batch` at a time, so each read is one block of
-        at most `_BATCH_CELLS` cells, not one call per column."""
+        step j.  Each read gathers the next batch // B columns of every
+        set, one block of at most `_BATCH_CELLS` cells while B <= batch:
+        a single set reads `batch` columns at a time, a full batch one."""
         b, k = cols.shape
-        if b > 1:
-            for j in range(k):
-                yield self.column(cols[:, j])
-            return
-        for lo in range(0, k, self.batch):
-            block = self.column(cols[0, lo:lo + self.batch])
-            for j in range(block.shape[1]):
-                yield block[:, j:j + 1]
+        step = max(1, self.batch // b)
+        for lo in range(0, k, step):
+            block = self.column(cols[:, lo:lo + step].T.ravel())
+            for i in range(block.shape[1] // b):
+                yield block[:, i * b:(i + 1) * b]
 
     def landmark_bound(self) -> int:
         """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
@@ -550,7 +547,7 @@ def _orbit(engine: _Engine,
 
 
 def find_min_resolving_for_matrix(
-    dist: np.ndarray | SkeletonColumns,
+    dist: np.ndarray | MatrixColumns | SkeletonColumns,
     twin_classes: Sequence[Sequence[int]],
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, tuple[int, ...]]:
@@ -581,7 +578,7 @@ def find_min_resolving_for_matrix(
     raise AssertionError("the full vertex set always resolves")
 
 
-def resolving_status_by_mask(dist: np.ndarray | SkeletonColumns,
+def resolving_status_by_mask(dist: np.ndarray | MatrixColumns | SkeletonColumns,
                              budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Resolving status of every subset, indexed by bit mask of columns.
 

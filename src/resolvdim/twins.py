@@ -71,8 +71,7 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     """True iff the members are pairwise twins, read from their N x k
-    block of `g.distance_columns()` (a plain graph's distance matrix or a
-    component graph's skeleton columns): the columns agree on every row
+    block of `g.distance_columns()`: the columns agree on every row
     outside the members, and the distances between distinct members are
     all equal.  A repeated id is refused first (BadParameters), then ids
     outside the graph's (OutOfRange), as the single-set checks refuse
@@ -91,8 +90,7 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     for x in sorted(members):
         g.check_vertex(x)
     rows = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
-    source = g.distance_columns()
-    block = source[:, rows] if isinstance(source, np.ndarray) else source.column(rows)
+    block = g.distance_columns().column(rows)
     inside = block[rows][~np.eye(len(rows), dtype=bool)]
     others = np.ones(g.vertex_count, dtype=bool)
     others[rows] = False

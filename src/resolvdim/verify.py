@@ -17,7 +17,6 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
 import numpy as np
 
@@ -91,9 +90,13 @@ def exchange_section(g: graph_mod.ComponentGraph, budget: int) -> tuple[Section,
     w = report.witness
     witness = None if w is None else {"kind": "exchange-violation", "w1": labels(g, w.w1),
                                       "r": g.label(w.r), "w2": labels(g, w.w2)}
-    return Section("exchange", "checked", ok, {
-        "holds": report.holds, "method": report.method,
-        "sizes": list(report.minimal_set_sizes), "expected": expected, "match": ok}), witness
+    body = {"holds": report.holds, "method": report.method, "expected": expected, "match": ok}
+    if report.method == "definition-check":
+        body["sizes"] = list(report.minimal_set_sizes)
+    else:  # the family is counted, not listed: each size once, and its count
+        body["sizes"] = [s for s, _ in report.size_counts]
+        body["size_counts"] = {str(s): count for s, count in report.size_counts}
+    return Section("exchange", "checked", ok, body), witness
 
 
 def _counts(g, budget, done):
@@ -133,13 +136,13 @@ def _axes_in_classes(g, classes) -> bool:
 def _corollary(g, budget, done):
     """Minimum resolving sets against linear independence.
 
-    At q >= 3 the twin-swap orbit lists the minimum sets and tests each
-    one.  Where the orbit is refused (dim is the twin bound and its
-    prod |c| sets exceed the budget), the twin-core certificate decides
-    when its premises hold (`resolving.twin_core_certificate`): the
+    At q >= 3 `resolving.minimum_resolving_sets` lists the minimum sets
+    and each one is tested.  Where it is refused before its first batch,
+    the twin-core certificate decides when its premises hold
+    (`resolving.twin_core_certificate`) and so does premise (iv): the
     minimum sets are then the prod |c| orbit members, each of the core's
-    size, which must be the dim search's, and premise (iv) makes each
-    one span.  A premise that fails keeps the orbit's refusal.
+    size, which must be the dim search's, and (iv) makes each one span.
+    A premise that fails keeps the refusal.
     """
     q, n = g.q, g.n
     if q == 2 and n != 3:
@@ -147,31 +150,32 @@ def _corollary(g, budget, done):
     elif done["dim"].status == "skipped":
         yield Section("corollary", "skipped", None, {"reason": "dim search skipped"})
     elif q >= 3:
-        k, classes = done["dim"].body["search"], g.twin_classes()
-        refused = (k == twins_mod.twin_lower_bound(classes)
-                   and prod(len(c) for c in classes) > budget)
-        cert = resolving_mod.twin_core_certificate(g) if refused else None
-        if cert is not None:
-            spans = _axes_in_classes(g, cert.classes)
-            yield Section("corollary", "verified", len(cert.core) == k and spans,
-                          {"minimum_sets": cert.family_size, "all_contain_v_basis": spans,
+        k = done["dim"].body["search"]
+        count, spans, masks = 0, True, None
+        try:
+            for block in resolving_mod.minimum_resolving_sets(g, k, budget):
+                if masks is None:  # the orbit is admitted; the walk may still raise
+                    masks = field_mod.field_new(q).hyperplane_masks(
+                        n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
+                count += len(block)
+                # a set spans V iff no hyperplane holds it: its masks OR to all
+                # ones; a few columns of the block at a time, so no gather holds
+                # more than _SPAN_MASKS masks
+                union = np.zeros((len(block), masks.shape[1]), dtype=np.uint64)
+                step = max(1, _SPAN_MASKS // union.size)
+                for lo in range(0, block.shape[1], step):
+                    union |= np.bitwise_or.reduce(masks[block[:, lo:lo + step]], axis=1)
+                spans = spans and bool((union == ~np.uint64(0)).all())
+                del block, union  # not held while the next block is built
+        except BudgetExceeded:
+            # refused before the first batch: the certificate may decide
+            cert = None if masks is not None else resolving_mod.twin_core_certificate(g)
+            if cert is None or not _axes_in_classes(g, cert.classes):
+                raise
+            yield Section("corollary", "verified", len(cert.core) == k,
+                          {"minimum_sets": cert.family_size, "all_contain_v_basis": True,
                            "method": "twin-core-certificate"})
             return
-        count, spans, masks = 0, True, None
-        for block in resolving_mod.minimum_resolving_sets(g, k, budget):
-            if masks is None:  # the orbit is admitted; the walk may still raise
-                masks = field_mod.field_new(q).hyperplane_masks(
-                    n, [vectorspace.decode(v, q, n) for v in g.vertex_ids()])
-            count += len(block)
-            # a set spans V iff no hyperplane holds it: its masks OR to all
-            # ones; a few columns of the block at a time, so no gather holds
-            # more than _SPAN_MASKS masks
-            union = np.zeros((len(block), masks.shape[1]), dtype=np.uint64)
-            step = max(1, _SPAN_MASKS // union.size)
-            for lo in range(0, block.shape[1], step):
-                union |= np.bitwise_or.reduce(masks[block[:, lo:lo + step]], axis=1)
-            spans = spans and bool((union == ~np.uint64(0)).all())
-            del block, union  # not held while the next block is built
         # a resolving set of size dim exists, so an empty family fails
         yield Section("corollary", "verified", spans and count > 0,
                       {"minimum_sets": count, "all_contain_v_basis": spans})

@@ -529,7 +529,7 @@ _GRID = ("verify", "--q-range", "2..5", "--n-range", "1..3", "--budget", "20000"
 OUTPUT_SHA256 = {
     _GRID: (1, "93cb51cdcc517a5a9ba2c8c405ab9bd2b82d65fe53ee8509cfd814f00f5f76a0"),
     _GRID + ("--format", "json"):
-        (1, "054b2441232fc790eeb2b2f1327c6b86e914fa999167cb4bb9c7cd01c85aeaa7"),
+        (1, "648ac76701d4ea8b2c7650a8cc147963135a14c1356fa84f2c70d4c3732ef004"),
     ("dim", "2", "3"): (0, "cd7ae10664c3f221e62793a30957d21f7aa430c4a31bd60d97abdf59b08cd718"),
     ("dim", "2", "3", "json"):
         (0, "1f1b2f77331605191e927b0b288681902920f89b3fca55668c0d96e094141f28"),
@@ -824,7 +824,7 @@ def test_exchange_by_the_twin_core_certificate(capsys):
     assert main(["exchange", "--q", "3", "--n", "3", "--budget", "20000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"q": 3, "n": 3, "holds": True, "method": "twin-core-certificate",
-                       "sizes": [19] * 4096, "witness": None}
+                       "size_counts": {"19": 4096}, "sizes": [19], "witness": None}
     assert main(["exchange", "--q", "3", "--n", "3", "--budget", "1000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "minimal-set family has 4096 sets" in captured.err

@@ -117,6 +117,7 @@ def test_certificate_family_over_the_budget_is_refused(g33):
     assert err.value.evaluated == 0
     report = exchange.has_exchange_property(g33, budget=4096)
     assert report.holds and report.method == "twin-core-certificate"
+    assert report.size_counts == ((19, 4096),)
     assert report.minimal_set_sizes == (19,) * 4096
 
 
@@ -209,6 +210,25 @@ def test_certified_corollary_matches_the_orbit_oracle(q, n):
                                    "all_contain_v_basis": spans,
                                    "method": "twin-core-certificate"}
     assert len(sets) == total and spans and record["pass"]
+
+
+def test_certified_corollary_keeps_the_refusal_when_the_axes_premise_fails(monkeypatch):
+    # premise (iv) is sufficient for spanning but not necessary, so when
+    # it fails nothing was checked and the orbit's refusal stands
+    monkeypatch.setattr(verify, "_axes_in_classes", lambda g, classes: False)
+    record, _ = verify.verify_cell(4, 3, 20000, DEFAULT_VERTEX_CAP, False)
+    assert record["corollary"] == {"status": "skipped", "reason": "twin-swap orbit has "
+                                   "531441 sets, over the budget 20000"}
+
+
+def test_certified_exchange_counts_its_family_in_the_report():
+    # the certificate's family is counted, not listed: `sizes` holds each
+    # size once and `size_counts` its number of minimal sets
+    section, witness = verify.exchange_section(ComponentGraph(4, 2), 20000)
+    assert section.body == {"holds": True, "method": "twin-core-certificate",
+                            "sizes": [12], "size_counts": {"12": 81},
+                            "expected": True, "match": True}
+    assert witness is None
 
 
 def test_distinct_sizes_shortcut(g22, g23, g24, g32):

@@ -736,6 +736,24 @@ def test_colliding_pair_matches_rows_on_wide_sets():
         assert resolving.is_resolving(g, w).colliding_pair == (u + 1, v + 1)
 
 
+@pytest.mark.parametrize("b", [1, 3, 191])
+def test_kernel_reads_blocks_within_the_batch_cells(b):
+    # (7,3): N = 342, so a batch is 191 sets.  Sets of 200 columns are read
+    # 191 columns of one set, 63 columns of three sets or one column of 191
+    # sets at a time, and each read stays within `_BATCH_CELLS` cells
+    dist = ComponentGraph(7, 3).distance_matrix()
+    engine = resolving._Engine(dist)
+    assert engine.batch == 191
+    reads, column = [], engine.column
+    engine.column = lambda c: reads.append(len(c)) or column(c)
+    rng = random.Random(f"blocks:{b}")
+    cols = np.array([rng.sample(range(len(dist)), 200) for _ in range(b)])
+    assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
+    step = max(1, engine.batch // b)
+    assert reads == [b * min(step, 200 - lo) for lo in range(0, 200, step)]
+    assert max(reads) * len(dist) <= resolving._BATCH_CELLS
+
+
 def _desk_cells(limit):
     from resolvdim.field import SUPPORTED_ORDERS
     return [(q, n) for q in SUPPORTED_ORDERS for n in range(1, 12) if q ** n - 1 <= limit]

@@ -137,6 +137,28 @@ def test_is_twin_class_matches_consecutive_pairs(q, n):
         assert not twins.is_twin_class(g, (1, 2, 3))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_is_twin_class_on_plain_graphs(seed):
+    # a plain graph's column source is its distance matrix; the class test
+    # reads it as it reads a component graph's skeleton columns, against
+    # N(u) - v == N(v) - u on each consecutive pair
+    rng = random.Random(f"plaintwins:{seed}")
+    n = 12
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    edges += [(u, n + u) for u in range(3)] + [(n + u, w) for u, w in edges if u < 3 and w < n]
+    g = PlainGraph(n + 3, edges)
+    source = g.distance_columns()
+    assert np.array_equal(source.column(np.arange(n + 3)), g.distance_matrix())
+    assert source.largest == g.distance_matrix().max()
+    nbrs = [set(x) for x in g.neighbors()]
+    rows = list(g.twin_classes())
+    candidates = rows + [tuple(sorted(a + b)) for a, b in combinations(rows, 2)]
+    for c in candidates:
+        assert twins.is_twin_class(g, c) == \
+            all(nbrs[u] - {v} == nbrs[v] - {u} for u, v in zip(c, c[1:])), c
+    assert all(twins.is_twin_class(g, c) for c in rows)
+
+
 def test_no_twin_swap_available_at_q2_n3(g23):
     for u in g23.vertex_ids():
         for v in g23.vertex_ids():
