@@ -185,9 +185,8 @@ class SkeletonColumns:
     the skeletons when asked: 0 at the column's own vertex, 1 where the
     skeletons meet, else 2.  It stands in for the matrix in the subset
     engine: the search walk reads one column per node, so it holds O(N)
-    memory, and the kernel one N x B block of columns per step; a single
-    set's check keys its columns a block of at most 65,536 cells at a
-    time, with no N x k copy.
+    memory, and a single set's check keys its columns a block of at most
+    65,536 cells at a time, with no N x k copy.
 
     `largest` is the matrix's largest entry, which the walk's landmark
     bound reads: 0 for the single vertex at N = 1; 1 at n = 1, where all

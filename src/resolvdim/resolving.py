@@ -17,16 +17,16 @@ resolve; a full k-subset is decided by the same rule, and the walk
 yields every resolving one in that order.  The search takes its first,
 the lexicographically least minimum resolving set;
 `all_resolving_k_subsets` and `minimum_resolving_sets` above the twin
-bound take them all.  Every other set is decided by one product walk
-over levels of partition rows (`_ProductWalk`), whose leaves come in
-mixed-radix order: the twin-swap orbit of the core when the dimension
-equals the twin bound (one level per twin class, `_orbit`), the 2^N
-table (one level per column, so leaf m is the set of mask m) and a
-single set's removals (one level, its own kept table).  Neither walk
-calls the column-group kernel, which gives a single set's status and
-colliding pair.  Where the table or the orbit is refused,
-`twin_core_certificate` checks the premises under which the minimal
-sets are the orbit, with one kernel call and no walk.
+bound take them all.  The other families are decided by one product
+walk over levels of partition rows (`_ProductWalk`), whose leaves come
+in mixed-radix order: the twin-swap orbit of the core when the
+dimension equals the twin bound (one level per twin class, `_orbit`)
+and the 2^N table (one level per column, so leaf m is the set of mask
+m).  Neither walk calls the column-group kernel, `_collision`, which
+gives a single set's status and colliding pair; a single set's removals
+are the rows of its own kept table, with no walk.  Where the table or
+the orbit is refused, `twin_core_certificate` checks the premises under
+which the minimal sets are the orbit, with one kernel call and no walk.
 
 Budgets are counted in candidate subsets evaluated, never wall time:
 one unit per node of the pruned walk, one per leaf of a product walk.
@@ -50,7 +50,7 @@ from .graph import (ComponentGraph, MatrixColumns, SkeletonColumns,
 DEFAULT_BUDGET = 1_000_000
 
 _MASK_TABLE_MAX_N = 20
-# most int64 keys one chunk of the kernel may hold (512 kB)
+# most cells one block of the engine holds: a kernel read, a batch of labels
 _BATCH_CELLS = 1 << 16
 
 
@@ -83,9 +83,27 @@ def _sorted_columns(g: ComponentGraph, w: Iterable[int]) -> np.ndarray:
 
 def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
     """The least pair u < v of rows that agree on every column of `cols`,
-    or None: after a stable sort of the kernel's keys, the adjacent equal
-    entry with the least first row."""
-    keys = engine.keys(cols[None, :])[:, 0]
+    or None: the column-group kernel.
+
+    Each column, read `engine.batch` at a time, appends one base-`base`
+    digit to every row's int64 key, so two rows hold equal keys exactly
+    when they agree on every column so far.  When the next digit would
+    pass 2^62, the keys are first dense-ranked, which keeps equality and
+    brings every key below N; a digit always fits after a rank while
+    N * base < 2^62, true of int16 distances for any N below 2^47.  The
+    pair is the adjacent equal entry, after a stable sort of the keys,
+    with the least first row.
+    """
+    keys = np.zeros(engine.n_rows, dtype=np.int64)
+    bound = 1  # every key lies below bound
+    for lo in range(0, len(cols), engine.batch):
+        for digit in engine.column(cols[lo:lo + engine.batch]).T:
+            if bound * engine.base >= 1 << 62:
+                _dense_rank(keys[:, None])
+                bound = engine.n_rows
+            keys *= engine.base
+            keys += digit
+            bound *= engine.base
     rank = np.argsort(keys, kind="stable")
     same = np.flatnonzero(keys[rank[1:]] == keys[rank[:-1]])
     if not same.size:
@@ -95,10 +113,14 @@ def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
 
 
 def _single_removals(engine: _Engine, cols: np.ndarray) -> np.ndarray:
-    """Whether each column's removal from `cols` still resolves: a product
-    walk whose one level is the set's kept table, so leaf i drops
-    cols[i]."""
-    return np.concatenate(list(_ProductWalk(engine, [_kept_table(engine, cols)]).batches()))
+    """Whether each column's removal from `cols` still resolves: row i of
+    the set's kept table (`_kept_table`) is its partition without cols[i],
+    and the rows are tested `engine.batch` at a time (`_distinct_rows`)."""
+    table = _kept_table(engine, cols)
+    still = np.empty(len(table), dtype=bool)
+    for lo in range(0, len(table), engine.batch):
+        still[lo:lo + engine.batch] = _distinct_rows(table[lo:lo + engine.batch])
+    return still
 
 
 def is_resolving(g: ComponentGraph, w: Iterable[int]) -> ResolvingReport:
@@ -196,17 +218,16 @@ class _Engine:
     array, of a column source (`shape`, `largest`, `column(c)`):
     `SkeletonColumns`, or `MatrixColumns`, in which a bare distance
     matrix is wrapped.
-    `keys` is the one kernel: exact per-vertex labels of any number of
-    columns, read by the colliding pair of a single set.
-    The walks: `walk` yields every resolving k-subset in lexicographic
-    order, depth first, skipping the prefixes the twin and refinement
-    rules rule out and deciding every node, full k-subsets included, by
-    one refinement step of its parent's partition (`_refine`); the
-    product walk (`_ProductWalk`) decides every leaf of a product of
-    levels of partition rows, and serves the twin-swap orbit
-    (`_orbit`), the 2^N table (`resolving_status_by_mask`) and a single
-    set's removals (`_single_removals`).  Neither calls the kernel.
-    Each charges the budget for the subsets it evaluates.
+    The one kernel, `_collision`, keys a single set's columns and reads
+    its colliding pair.  The walks: `walk` yields every resolving
+    k-subset in lexicographic order, depth first, skipping the prefixes
+    the twin and refinement rules rule out and deciding every node, full
+    k-subsets included, by one refinement step of its parent's partition
+    (`_refine`); the product walk (`_ProductWalk`) decides every leaf
+    of a product of levels of partition rows, and serves two clients:
+    the twin-swap orbit (`_orbit`) and the 2^N table
+    (`resolving_status_by_mask`).  Neither calls the kernel.  Each
+    charges the budget for the subsets it evaluates.
     """
 
     def __init__(self, dist: np.ndarray | MatrixColumns | SkeletonColumns,
@@ -223,41 +244,6 @@ class _Engine:
     @property
     def left(self) -> int:
         return self.budget - self.evaluated
-
-    def keys(self, cols: np.ndarray) -> np.ndarray:
-        """(N, B) int64 keys of a (B, k) batch of column sets: two rows hold
-        equal keys in column b exactly when they agree on every column of
-        set b.
-
-        Each column appends one base-`base` digit to every row's label.
-        When the next digit would overflow an int64, each candidate's
-        labels are first dense-ranked, which keeps equality and brings
-        every label below N.  A digit always fits after a rank while
-        N * base < 2^62, true of int16 distances for any N below 2^47.
-        """
-        n, (b, k) = self.n_rows, cols.shape
-        labels = np.zeros((n, b), dtype=np.int64)
-        bound = 1  # every label lies below bound
-        for digit in self._digits(cols):
-            if bound * self.base >= 1 << 62:
-                _dense_rank(labels)
-                bound = n
-            labels *= self.base
-            labels += digit
-            bound *= self.base
-        return labels
-
-    def _digits(self, cols: np.ndarray) -> Iterator[np.ndarray]:
-        """The (N, B) digits of a (B, k) batch, column j of every set at
-        step j.  Each read gathers the next batch // B columns of every
-        set, one block of at most `_BATCH_CELLS` cells while B <= batch:
-        a single set reads `batch` columns at a time, a full batch one."""
-        b, k = cols.shape
-        step = max(1, self.batch // b)
-        for lo in range(0, k, step):
-            block = self.column(cols[:, lo:lo + step].T.ravel())
-            for i in range(block.shape[1] // b):
-                yield block[:, i * b:(i + 1) * b]
 
     def landmark_bound(self) -> int:
         """Least k >= 1 with n_rows <= D^k + k, D the largest distance.
@@ -453,15 +439,14 @@ class _ProductWalk:
 
     A node at depth d has taken one row of each level before d; its
     labels are its parent's with one digit appended, the row it takes,
-    as `_Engine.keys` appends one, so a shared prefix is met once.
+    as `_collision` appends one, so a shared prefix is met once.
     Labels are int32 and are dense-ranked only before a digit would
     overflow them, which leaves room for a digit while N * width < 2^31.
     A node with more leaves than a batch holds is split into runs of
     its children, as many as fit a batch; a run goes down to its leaves
     as a whole and is one batch of the output, so no level holds more
     than `_BATCH_CELLS` labels, and a run of children reads a slice of
-    its level, a view.  A one-level walk's leaves are that slice itself,
-    sorted in place by `_distinct_rows`: the walk owns its levels.
+    its level, a view.
     """
 
     def __init__(self, engine: _Engine, levels: Sequence[np.ndarray]):
@@ -493,8 +478,6 @@ class _ProductWalk:
         of `part` of level d; labels lie below bound."""
         labels, bound = node
         rows = self.levels[d][part]
-        if bound == 1 and len(labels) == 1 and d == len(self.levels) - 1:
-            return rows, bound  # the root's children are leaves: the rows
         if bound * self.width >= 1 << 31:
             _dense_rank(labels.T)
             bound = self.engine.n_rows
@@ -628,27 +611,21 @@ def all_resolving_k_subsets(
 # refusals: read from counts alone, before any matrix is built
 # ---------------------------------------------------------------------------
 
+def _refuse(needed: int, budget: int, what: str) -> None:
+    """BudgetExceeded ("<what>, over the budget B", nothing evaluated) when
+    `needed` subset evaluations exceed the budget."""
+    if needed > budget:
+        raise BudgetExceeded(f"{what}, over the budget {budget}", evaluated=0, budget=budget)
+
+
 def _refuse_table(n: int, budget: int) -> None:
     """BudgetExceeded unless the 2^n subset table fits: first when 2^n
     evaluations exceed the budget, then when n is beyond the table guard,
     each with its own message."""
-    if (1 << n) > budget:
-        raise BudgetExceeded(
-            f"full subset table needs 2^{n} evaluations, over the budget {budget}",
-            evaluated=0, budget=budget)
+    _refuse(1 << n, budget, f"full subset table needs 2^{n} evaluations")
     if n > _MASK_TABLE_MAX_N:
         raise BudgetExceeded(
             f"full subset table needs N <= {_MASK_TABLE_MAX_N}, got N = {n}",
-            evaluated=0, budget=budget)
-
-
-def _refuse_orbit(classes: Sequence[Sequence[int]], budget: int) -> None:
-    """BudgetExceeded when the twin-swap orbit of `classes`, prod |c| sets,
-    exceeds the budget."""
-    total = prod(len(c) for c in classes)
-    if total > budget:
-        raise BudgetExceeded(
-            f"twin-swap orbit has {total} sets, over the budget {budget}",
             evaluated=0, budget=budget)
 
 
@@ -709,7 +686,8 @@ def minimum_resolving_sets(
         while block := list(islice(sets, engine.batch)):
             yield np.array(block, dtype=np.intp).reshape(len(block), k)
         return
-    _refuse_orbit(classes, budget)
+    orbit = prod(len(c) for c in classes)
+    _refuse(orbit, budget, f"twin-swap orbit has {orbit} sets")
     for cols, hits in _orbit(_Engine(g.distance_columns(), budget), classes):
         yield cols if hits.all() else cols[hits]
         del cols, hits  # not held while the next batch is built
@@ -816,10 +794,8 @@ def twin_core_certificate(g, budget: int | None = None) -> TwinCore | None:
     if not _paired(classes):
         return None
     cert = TwinCore(classes)
-    if budget is not None and cert.family_size > budget:
-        raise BudgetExceeded(
-            f"minimal-set family has {cert.family_size} sets, over the budget {budget}",
-            evaluated=0, budget=budget)
+    if budget is not None:
+        _refuse(cert.family_size, budget, f"minimal-set family has {cert.family_size} sets")
     if sorted(x for c in classes for x in c) != list(range(g.vertex_count)):
         return None
     if not all(twins_mod.is_twin_class(g, _ids(g, c)) for c in classes):

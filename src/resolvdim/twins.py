@@ -71,11 +71,11 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     """True iff the members are pairwise twins, read from their N x k
-    block of `g.distance_columns()`: the columns agree on every row
-    outside the members, and the distances between distinct members are
-    all equal.  A repeated id is refused first (BadParameters), then ids
-    outside the graph's (OutOfRange), as the single-set checks refuse
-    them.
+    block of `g.distance_columns()`: with d(x0, x1), the distance between
+    the first two members, written in place over each member's own zero,
+    every row of the block is constant.  A repeated id is refused first
+    (BadParameters), then ids outside the graph's (OutOfRange), as the
+    single-set checks refuse them.
 
     In any graph, u and v are twins exactly when they are at equal
     distance from every other vertex: the vertices at distance 1 are
@@ -83,7 +83,10 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     is constant along the block's columns, and d(x, z) = d(y, z) for
     distinct members x, y, z, so all distances between distinct members
     are equal.  Conversely the two conditions put any two members at
-    equal distance from every other vertex.
+    equal distance from every other vertex.  The diagonal rule is those
+    two conditions: an outside row holds no member's zero, and member
+    x's row is constant exactly when d(x, y) equals the written d(x0, x1)
+    for every other member y.
     """
     if len(set(members)) != len(members):
         raise BadParameters("twin class contains duplicate vertices")
@@ -91,11 +94,9 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
         g.check_vertex(x)
     rows = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
     block = g.distance_columns().column(rows)
-    inside = block[rows][~np.eye(len(rows), dtype=bool)]
-    others = np.ones(g.vertex_count, dtype=bool)
-    others[rows] = False
-    outside = block[others]
-    return bool((outside == outside[:, :1]).all() and (inside == inside[:1]).all())
+    if len(rows) > 1:
+        block[rows, np.arange(len(rows))] = block[rows[0], 1]
+    return bool((block == block[:, :1]).all())
 
 
 def twin_swap(g: ComponentGraph, w: Iterable[int], u: int, v: int) -> tuple[int, ...]:

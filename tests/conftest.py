@@ -147,7 +147,7 @@ def status_by_rows(dist, cols):
     """Boolean resolving status for a (B, k) batch of column sets: one
     packed int64 pass when k fits `int64_digits`, else a set of row bytes
     per candidate.  The two detectors the column-group kernel
-    `_Engine.keys` replaced, kept as its reference."""
+    `resolving._collision` replaced, kept as its reference."""
     n_rows = dist.shape[0]
     base = max(int(dist.max(initial=0)) + 1, 2)
     b, k = cols.shape
@@ -162,17 +162,30 @@ def status_by_rows(dist, cols):
                      for c in cols], dtype=bool)
 
 
+def overflowing_digit_matrix():
+    """A 3 x 3 distance table of base 2^40 + 1 whose columns 0 and 1
+    resolve it: after column 0 the kernel's key bound times the base
+    passes 2^62, so the keys are dense-ranked before column 1 is
+    appended.  Keys that are never re-ranked wrap modulo 2^64:
+    2^24 * (2^40 + 1) is 2^24, and rows 0 and 1 collide."""
+    return np.array([[2 ** 24, 0, 2 ** 40],
+                     [0, 2 ** 24, 0],
+                     [1, 1, 0]], dtype=np.int64)
+
+
+def mixed_triple_graph():
+    """w, x, y, z = 0..3 with edges w-x, w-y, w-z and x-y: the one row
+    outside {x, y, z}, w's, is constant on it, but d(x, y) = 1 while
+    d(x, z) = 2.  x and y are true twins."""
+    return PlainGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+
 def kernel_status(engine, cols):
     """Boolean resolving status for a (B, k) batch of column sets, from
-    the column-group kernel's keys (`engine.keys`), `engine.batch` sets
-    at a time: the batched resolving test of the plain scan the two
-    walks replaced, kept to check the kernel against `status_by_rows`."""
-    out = np.empty(len(cols), dtype=bool)
-    for lo in range(0, len(cols), engine.batch):
-        keys = engine.keys(cols[lo:lo + engine.batch])
-        keys.sort(axis=0)
-        out[lo:lo + engine.batch] = ~np.any(keys[1:] == keys[:-1], axis=0)
-    return out
+    one run of the column-group kernel (`resolving._collision`) per set,
+    kept to check the kernel against `status_by_rows`."""
+    return np.array([resolvdim.resolving._collision(engine, c) is None for c in cols],
+                    dtype=bool)
 
 
 def scan_batches(dist, k, batch=4096):

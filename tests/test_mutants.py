@@ -18,9 +18,10 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import (exchange_by_definition, minimality_by_definition,
-                      orbit_by_mixed_radix, orbit_pairs, partition_with_a_wide_class,
-                      random_partition, resolves_by_definition, resolving_sets_by_scan)
+from conftest import (exchange_by_definition, minimality_by_definition, mixed_triple_graph,
+                      orbit_by_mixed_radix, orbit_pairs, overflowing_digit_matrix,
+                      partition_with_a_wide_class, random_partition, resolves_by_definition,
+                      resolving_sets_by_scan)
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
 from resolvdim.errors import OutOfRange
 from resolvdim.graph import ComponentGraph
@@ -229,6 +230,58 @@ def _certified_count_at_4_3():
             and record["corollary"]["minimum_sets"] == prod(len(c) for c in skeleton))
 
 
+def _kernel_ranks_before_an_overflow():
+    """The kernel finds no collision in columns 0 and 1 of the base-(2^40
+    + 1) matrix, which resolve it."""
+    dist = overflowing_digit_matrix()
+    return resolving._collision(resolving._Engine(dist), np.array([0, 1])) is None
+
+
+def _collision_never_re_ranked(engine, cols):
+    # appends every digit with no dense rank, so a key past 2^63 wraps
+    keys = np.zeros(engine.n_rows, dtype=np.int64)
+    for digit in engine.column(cols).T:
+        keys *= engine.base
+        keys += digit
+    order = np.argsort(keys, kind="stable")
+    same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    return (int(order[same[0]]), int(order[same[0] + 1])) if same.size else None
+
+
+def _twin_class_block(g, members):
+    rows = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
+    return rows, g.distance_columns().column(rows)
+
+
+def _twin_class_outside_only(g, members):
+    # compares the rows outside the members only
+    rows, block = _twin_class_block(g, members)
+    outside = np.delete(block, rows, axis=0)
+    return bool((outside == outside[:, :1]).all())
+
+
+def _twin_class_with_its_zero_diagonal(g, members):
+    # every row constant, with each member's own zero left in its row
+    _, block = _twin_class_block(g, members)
+    return bool((block == block[:, :1]).all())
+
+
+def _twin_class_refuses_a_mixed_triple():
+    """`is_twin_class` refuses {x, y, z} of the mixed-triple graph, whose
+    outside row is constant, and accepts the twins {x, y}."""
+    g = mixed_triple_graph()
+    return not twins.is_twin_class(g, (1, 2, 3)) and twins.is_twin_class(g, (1, 2))
+
+
+def _twin_classes_accepted():
+    """`is_twin_class` accepts every twin class of two or more members of
+    (3,2) and of the mixed-triple graph."""
+    g32, plain = ComponentGraph(3, 2), mixed_triple_graph()
+    cases = [(g32, c) for c in twins.partition_by_neighborhood(g32).classes]
+    cases += [(plain, c) for c in plain.twin_classes()]
+    return all(twins.is_twin_class(g, c) for g, c in cases if len(c) > 1)
+
+
 def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
     report = _real_exchange(g, budget)
     return dataclasses.replace(report, holds=not report.holds)
@@ -324,6 +377,14 @@ MUTANTS = [
            _certified_count_at_4_3),
     Mutant("twin-core-skips-the-twin-class-premise", twins, "is_twin_class",
            lambda g, c: True, _certificate_agrees_on_merged_classes),
+    Mutant("twin-class-ignores-inside-distances", twins, "is_twin_class",
+           _twin_class_outside_only, _twin_class_refuses_a_mixed_triple),
+    # a member's row holds its own zero beside nonzero distances, so every
+    # class of two or more is refused
+    Mutant("twin-class-keeps-the-zero-diagonal", twins, "is_twin_class",
+           _twin_class_with_its_zero_diagonal, _twin_classes_accepted),
+    Mutant("kernel-never-re-ranks", resolving, "_collision",
+           _collision_never_re_ranked, _kernel_ranks_before_an_overflow),
     *SWAPS,
 ]
 

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import (DistanceTable, int64_digits, kernel_status, least_equal_rows_by_dict,
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
-                      partition_with_a_wide_class, plain_first_hit, random_partition,
-                      representation, resolves_by_definition, resolving_sets_by_scan,
-                      status_by_mask_by_scan, status_by_rows)
+                      overflowing_digit_matrix, partition_with_a_wide_class, plain_first_hit,
+                      random_partition, representation, resolves_by_definition,
+                      resolving_sets_by_scan, status_by_mask_by_scan, status_by_rows)
 from resolvdim import exchange, field, intersection, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, OutOfRange, UnsupportedOrder)
@@ -405,7 +405,7 @@ def test_walk_decides_leaves_without_the_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("the walk called the kernel")
 
-    monkeypatch.setattr(resolving._Engine, "keys", kernel)
+    monkeypatch.setattr(resolving, "_collision", kernel)
     assert [resolving.find_min_resolving_for_matrix(d, c) for d, c in inputs] == expected
 
 
@@ -699,13 +699,9 @@ def test_kernel_matches_rows_on_the_first_two_group_sets():
 
 
 def test_kernel_ranks_before_an_overflowing_digit():
-    # base 2^40 + 1: after column 0 the labels' bound times the base passes
-    # 2^62, so the labels are dense-ranked before column 1 is appended.  A
-    # kernel that never re-ranks wraps modulo 2^64: 2^24 * (2^40 + 1) is
-    # 2^24, rows 0 and 1 collide and the status reads [False].
-    dist = np.array([[2 ** 24, 0, 2 ** 40],
-                     [0, 2 ** 24, 0],
-                     [1, 1, 0]], dtype=np.int64)
+    # a kernel that never re-ranks reads [False] here (see the matrix's
+    # docstring and the `kernel-never-re-ranks` mutant)
+    dist = overflowing_digit_matrix()
     cols = np.array([[0, 1]])
     engine = resolving._Engine(dist)
     assert engine.base == 2 ** 40 + 1
@@ -736,21 +732,17 @@ def test_colliding_pair_matches_rows_on_wide_sets():
         assert resolving.is_resolving(g, w).colliding_pair == (u + 1, v + 1)
 
 
-@pytest.mark.parametrize("b", [1, 3, 191])
-def test_kernel_reads_blocks_within_the_batch_cells(b):
-    # (7,3): N = 342, so a batch is 191 sets.  Sets of 200 columns are read
-    # 191 columns of one set, 63 columns of three sets or one column of 191
-    # sets at a time, and each read stays within `_BATCH_CELLS` cells
+def test_kernel_reads_blocks_within_the_batch_cells():
+    # (7,3): N = 342, so a batch is 191 columns.  A set of 200 columns is
+    # read 191 columns, then 9, and each read stays within `_BATCH_CELLS`
     dist = ComponentGraph(7, 3).distance_matrix()
     engine = resolving._Engine(dist)
     assert engine.batch == 191
     reads, column = [], engine.column
     engine.column = lambda c: reads.append(len(c)) or column(c)
-    rng = random.Random(f"blocks:{b}")
-    cols = np.array([rng.sample(range(len(dist)), 200) for _ in range(b)])
+    cols = np.array([random.Random("blocks:1").sample(range(len(dist)), 200)])
     assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
-    step = max(1, engine.batch // b)
-    assert reads == [b * min(step, 200 - lo) for lo in range(0, 200, step)]
+    assert reads == [191, 9]
     assert max(reads) * len(dist) <= resolving._BATCH_CELLS
 
 

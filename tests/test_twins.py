@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import twin_classes_by_union_find
+from conftest import mixed_triple_graph, twin_classes_by_union_find
 from resolvdim import resolving, twins
 from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
 from resolvdim.field import SUPPORTED_ORDERS
@@ -157,6 +157,31 @@ def test_is_twin_class_on_plain_graphs(seed):
         assert twins.is_twin_class(g, c) == \
             all(nbrs[u] - {v} == nbrs[v] - {u} for u, v in zip(c, c[1:])), c
     assert all(twins.is_twin_class(g, c) for c in rows)
+
+
+def test_is_twin_class_reads_the_distances_between_members():
+    # every row outside {x, y, z} is constant on it, so only the distances
+    # between its members, d(x, y) = 1 and d(x, z) = 2, refuse it
+    g = mixed_triple_graph()
+    assert not twins.is_twin_class(g, (1, 2, 3))
+    assert twins.is_twin_class(g, (1, 2))
+    assert not twins.is_twin_class(g, (1, 3))
+
+
+def test_is_twin_class_of_the_largest_16_3_class_is_small():
+    # 3,375 members at N = 4095: the int16 block, 27.6 MB, is tested in
+    # place with one bool block of 13.8 MB beside it.  With an eye mask
+    # and copies of the inside and outside rows the peak was 80.7 MiB
+    g = ComponentGraph(16, 3)
+    members = tuple(x + 1 for x in max(g.twin_classes(), key=len))
+    tracemalloc.start()
+    try:
+        ok = twins.is_twin_class(g, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 3375 and ok
+    assert peak <= 45 * 2 ** 20
 
 
 def test_no_twin_swap_available_at_q2_n3(g23):
