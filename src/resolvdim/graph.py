@@ -202,10 +202,23 @@ class SkeletonColumns:
 
     def column(self, c: int | np.ndarray) -> np.ndarray:
         """int16 distances from every vertex to vertex c + 1 (0-based c);
-        for a 1-D index array c, the N x B block of those columns (the
-        meets tested before the block is built, so not held beside it)."""
-        sk = self._skeletons
-        col = np.where(np.bitwise_and.outer(sk, sk[c]) != 0, np.int16(1), np.int16(2))
+        for a 1-D index array c, the N x B block of those columns.
+
+        The block is the only N x B array: masks of 16 bits or fewer are
+        ANDed straight into it (a wrapped uint16 meet stays nonzero), and
+        wider ones a ROW_BLOCK slab of rows at a time, so no bit is cut.
+        Comparing with 0 in place leaves 1 where the masks do not meet and
+        0 where they do; one more makes those the distances 2 and 1."""
+        sk, own = self._skeletons, self._skeletons[c]
+        col = np.empty((len(sk),) + own.shape, dtype=np.int16)
+        if sk.itemsize <= col.itemsize:
+            np.bitwise_and.outer(sk, own, out=col, casting="unsafe")
+            np.equal(col, 0, out=col)
+        else:
+            for lo in range(0, len(sk), ROW_BLOCK):
+                np.equal(np.bitwise_and.outer(sk[lo:lo + ROW_BLOCK], own), 0,
+                         out=col[lo:lo + ROW_BLOCK])
+        col += 1
         col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col
 

@@ -280,8 +280,12 @@ class _Engine:
         rule (a) keeps it only when every cell is a single vertex, that
         is, when it resolves, and it is yielded before its later
         siblings are tried.  For k = 0 the root is the only set: the
-        empty set, yielded when N <= 1.  Labels are the int32 dense
-        ranks of a prefix's partition from `_refine`.
+        empty set, yielded when N <= 1.  Labels are the dense ranks of a
+        prefix's partition from `_refine`, in the narrowest unsigned type
+        that holds N (uint16 up to N = 65,535).  Depth d keeps its labels
+        in row d of one k x N array, left unwritten until the walk gets
+        there, so a walk touches one row per depth it reaches and gives
+        them all back at once when it ends.
         """
         n = self.n_cols
         # cls[v]: v's class, named by its least column; next_same[v]: the
@@ -343,7 +347,9 @@ class _Engine:
             nonlocal need
             need += fills
 
-        frames = [[np.zeros(self.n_rows, dtype=np.int32), children(), 0]]
+        rows = np.empty((k, self.n_rows), dtype=np.min_scalar_type(self.n_rows))
+        rows[0] = 0
+        frames = [[rows[0], children(), 0]]
         while frames:
             frame = frames[-1]
             labels, cands, pos = frame
@@ -368,7 +374,8 @@ class _Engine:
                 yield tuple(path) + (c,)
                 continue
             pick(c)
-            frames.append([labels, children(), 0])
+            rows[len(frames)] = labels
+            frames.append([rows[len(frames)], children(), 0])
 
 
 def _dense_rank(labels: np.ndarray) -> None:
@@ -387,14 +394,15 @@ def _dense_rank(labels: np.ndarray) -> None:
 def _refine(labels: np.ndarray, base: int, column: np.ndarray,
             limit: int) -> np.ndarray | None:
     """The partition `labels` (each below N) met with one column of
-    distances below `base`: int32 dense ranks in ascending key order,
-    from a bincount of the int64 keys, or None when a cell holds more
-    than `limit` rows."""
+    distances below `base`: dense ranks in ascending key order, in
+    `labels`' own dtype, from a bincount of the int64 keys, or None when
+    a cell holds more than `limit` rows.  The ranks lie below N, so a
+    dtype that holds N holds them."""
     key = np.multiply(labels, base, dtype=np.int64) + column
     counts = np.bincount(key)
     if counts.max() > limit:
         return None
-    return (np.cumsum(counts > 0, dtype=np.int32) - 1)[key]
+    return (np.cumsum(counts > 0, dtype=labels.dtype) - 1)[key]
 
 
 def _kept_table(engine: _Engine, members: Sequence[int]) -> np.ndarray:
@@ -405,11 +413,11 @@ def _kept_table(engine: _Engine, members: Sequence[int]) -> np.ndarray:
     steps (`_refine`) and |c| sorted meets, not |c|(|c| - 1) steps."""
     rows = engine.n_rows
     table = np.empty((len(members), rows), dtype=np.min_scalar_type(max(rows - 1, 0)))
-    before = np.zeros(rows, dtype=np.int32)
+    before = np.zeros(rows, dtype=np.min_scalar_type(rows))
     for i, x in enumerate(members):
         table[i] = before
         before = _refine(before, engine.base, engine.column(x), rows)
-    after = np.zeros(rows, dtype=np.int32)
+    after = np.zeros(rows, dtype=np.min_scalar_type(rows))
     for i in reversed(range(len(members))):
         meet = table[i] * np.int64(rows) + after
         _dense_rank(meet[:, None])

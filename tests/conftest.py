@@ -1,4 +1,5 @@
 import os
+import random
 import signal
 from itertools import combinations, islice
 from math import prod
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import resolvdim
-from resolvdim.errors import DimensionMismatch, EmptySet
+from resolvdim.errors import BudgetExceeded, DimensionMismatch, EmptySet
+from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import ComponentGraph
-from resolvdim.intersection import PlainGraph
+from resolvdim.intersection import PlainGraph, SetFamily
 
 # Seconds any one test may run; the slowest takes a few.
 TEST_ALARM_S = 120
@@ -68,28 +70,28 @@ def resolves_by_definition(g, w):
     """W resolves g iff the N representation tuples are pairwise distinct.
 
     Straight from the definition, one `representation` per vertex; shares
-    no code with the subset engine.  The empty set resolves only N = 1.
+    no code with the subset engine.  The empty set resolves only N <= 1.
     """
     if not w:
-        return g.vertex_count == 1
+        return g.vertex_count <= 1
     return len({representation(g, v, w) for v in g.vertex_ids()}) == g.vertex_count
 
 
 class DistanceTable:
-    """g's distances read once, pair by pair, through `g.distance`: a
-    stand-in for g in `resolves_by_definition` when many sets of one
-    graph are checked."""
+    """g's distance matrix read once into Python rows, with g's ids: a
+    stand-in for g, plain graphs too, in `resolves_by_definition` and
+    `minimality_by_definition` when many sets of one graph are checked."""
 
     def __init__(self, g):
-        self.vertex_count = g.vertex_count
-        self._rows = [None] + [[None] + [g.distance(u, v) for v in g.vertex_ids()]
-                               for u in g.vertex_ids()]
+        self._ids = g.vertex_ids()
+        self.vertex_count = len(self._ids)
+        self._rows = g.distance_matrix().tolist()
 
     def vertex_ids(self):
-        return range(1, self.vertex_count + 1)
+        return self._ids
 
     def distance(self, u, v):
-        return self._rows[u][v]
+        return self._rows[u - self._ids.start][v - self._ids.start]
 
 
 def minimality_by_definition(g, w):
@@ -300,8 +302,10 @@ def plain_first_hit(dist, k):
 
 
 def exchange_by_definition(g):
-    """(holds, sorted minimal set sizes, first violation (w1, r, w2) in ids
-    or None) of the exchange property, straight from the definition.
+    """The minimal resolving sets and the exchange property, straight
+    from the definition: `sets`, the minimal sets (0-based columns,
+    lexicographic); `sizes`, their sizes sorted; `holds`; and `witness`,
+    the first violation (w1, r, w2) in columns, or None.
 
     The status of every subset comes from its distance rows, one Python
     set of representation tuples per subset; a resolving set is minimal
@@ -311,14 +315,14 @@ def exchange_by_definition(g):
     r.  Shares no code with the subset engine or the 2^N mask table.
     """
     rows = g.distance_matrix().tolist()
-    ids = list(g.vertex_ids())
-    n = len(ids)
+    n = len(rows)
     resolving = {w for k in range(n + 1) for w in combinations(range(n), k)
                  if len({tuple(row[c] for c in w) for row in rows}) == n}
     minimal = sorted(w for w in resolving
                      if not any(w[:i] + w[i + 1:] in resolving for i in range(len(w))))
     family = set(minimal)
-    sizes = tuple(sorted(len(w) for w in minimal))
+    answer = {"sets": minimal, "sizes": tuple(sorted(len(w) for w in minimal)),
+              "holds": True, "witness": None}
     held = sorted({r for w in minimal for r in w})
     for w2 in minimal:
         for r in held:
@@ -326,9 +330,17 @@ def exchange_by_definition(g):
                 continue
             if not any(tuple(sorted(set(w2) - {s} | {r})) in family for s in w2):
                 w1 = min(w for w in minimal if r in w)
-                return False, sizes, (tuple(ids[c] for c in w1), ids[r],
-                                      tuple(ids[c] for c in w2))
-    return True, sizes, None
+                return {**answer, "holds": False, "witness": (w1, r, w2)}
+    return answer
+
+
+def walk_outcome(source, classes, budget):
+    """The pruned walk's (k, witness) at a budget, or where it stopped:
+    (message, evaluated, lower bound, upper bound)."""
+    try:
+        return resolvdim.resolving.find_min_resolving_for_matrix(source, classes, budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.evaluated, exc.lower_bound, exc.upper_bound
 
 
 def export_by_lines(g):
@@ -395,6 +407,114 @@ def twin_classes_by_union_find(adj):
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
+
+
+def desk_instances(limit, orders=SUPPORTED_ORDERS):
+    """Every supported (q, n) with at most `limit` vertices, by q then n."""
+    return [(q, n) for q in orders for n in range(1, limit.bit_length() + 1)
+            if q ** n - 1 <= limit]
+
+
+# seeded graphs and families: each seed string fixes one instance
+
+def gnp(rng, n, p):
+    """G(n, p) on 0..n-1 drawn from rng, one draw per pair u < v in order."""
+    return PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+def random_graph(seed, kind="exchange"):
+    """G(n, p) with n from 0 to 10 (2 to 10 for kind "walk"): twins of both
+    kinds, disconnected pairs and the empty graph occur."""
+    rng = random.Random(f"{kind}:{seed}")
+    n = rng.randint(2 if kind == "walk" else 0, 10)
+    return gnp(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+
+
+def mask_table_graph(n):
+    return gnp(random.Random(f"mask-table:{n}"), n, 0.3)
+
+
+def all_hits_graph(seed, with_twins):
+    """8 to 14 vertices, redrawn until it has a twin class of two or more
+    vertices exactly when `with_twins`."""
+    rng = random.Random(f"all-hits:{seed}:{with_twins}")
+    p = rng.choice([0.2, 0.3, 0.5])
+    while True:
+        pg = gnp(rng, rng.randint(8, 14), p)
+        if (max(map(len, pg.twin_classes())) > 1) == with_twins:
+            return pg
+
+
+def doubled_graph(seed):
+    """A seeded G(m, p) with every vertex v doubled by v + m, a true twin
+    (adjacent to v) or a false twin, so every twin class has two members
+    or more; m <= 8, so N <= 16."""
+    rng = random.Random(f"doubled:{seed}")
+    m = rng.randint(1, 8)
+    p = rng.choice([0.2, 0.4, 0.6, 0.8])
+    base = [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < p]
+    edges = [(a + da, b + db) for a, b in base for da in (0, m) for db in (0, m)]
+    edges += [(v, v + m) for v in range(m) if rng.random() < 0.5]
+    return PlainGraph(2 * m, edges)
+
+
+def twins_graph(seed):
+    """G(12, 0.4) plus a twin copy 12 + u of each u < 3: a false twin,
+    holding u's neighbours below 12."""
+    rng = random.Random(f"plaintwins:{seed}")
+    n = 12
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    edges += [(u, n + u) for u in range(3)] + [(n + u, w) for u, w in edges if u < 3 and w < n]
+    return PlainGraph(n + 3, edges)
+
+
+def seeded_family(kind):
+    """A set family of one kind (see FAMILY_KINDS in test_intersection.py)."""
+    rng = random.Random(f"intersection-graph:{kind}")
+    tokens = [f"t{i}" for i in range(60)]
+    rng.shuffle(tokens)
+    if kind == "no members":
+        return SetFamily([])
+    if kind == "one member":
+        return SetFamily([set(rng.sample(tokens, 3))])
+    if kind == "all disjoint":
+        return SetFamily([{tokens[2 * i], tokens[2 * i + 1]} for i in range(30)])
+    if kind == "one shared token":
+        return SetFamily([{"shared", tokens[i]} for i in range(40)])
+    if kind == "integer tokens":
+        return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
+                          for _ in range(80)])
+    if kind == "tokens over 256 holders":
+        # 300^2 and 200^2 holder pairs pass PAIR_CHUNK: one token per chunk
+        return SetFamily([{"hub"} | ({"rim"} if i % 3 else set())
+                          | set(rng.sample(tokens, rng.randint(0, 2))) for i in range(300)])
+    if kind == "equal holder counts":
+        # 130 tokens of 40 holders: chunks of 40, 40, 40 and 10 tokens
+        members = [{f"own{i}"} for i in range(300)]
+        for j in range(130):
+            for i in rng.sample(range(300), 40):
+                members[i].add(f"s{j}")
+        return SetFamily(members)
+    if kind == "duplicate members":
+        base = [set(rng.sample(tokens, rng.randint(1, 3))) for _ in range(40)]
+        members = [m for m in base for _ in range(rng.randint(1, 3))]
+        rng.shuffle(members)
+        return SetFamily(members)
+    if kind == "one-holder tokens":
+        # a token of its own for every member; a third also share one of 10
+        return SetFamily([{f"own{i}"} | ({f"s{rng.randrange(10)}"} if rng.random() < 0.33
+                                         else set()) for i in range(90)])
+    if kind == "edge tokens":
+        # a realization of G(30, 0.2): every edge token has exactly two holders
+        members = [{f"p{v}"} for v in range(30)]
+        for u in range(30):
+            for v in range(u + 1, 30):
+                if rng.random() < 0.2:
+                    members[u].add(f"e{u}-{v}")
+                    members[v].add(f"e{u}-{v}")
+        return SetFamily(members)
+    return SetFamily([set(rng.sample(tokens, rng.randint(1, 4))) for _ in range(120)])
 
 
 @pytest.fixture(scope="session")

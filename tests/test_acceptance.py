@@ -10,23 +10,10 @@ import sys
 import time
 from itertools import combinations
 
-import pytest
-
-from conftest import child_env, resolving_sets_by_scan
+from conftest import child_env, desk_instances, resolving_sets_by_scan
 from resolvdim import exchange, field, intersection, resolving, twins, vectorspace
-from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import (ComponentGraph, bfs_distances, is_complete,
                              size_bruteforce, size_formula)
-
-
-def desk_instances(limit, orders=SUPPORTED_ORDERS):
-    out = []
-    for q in orders:
-        n = 1
-        while q ** n - 1 <= limit:
-            out.append((q, n))
-            n += 1
-    return out
 
 
 def report(number, name, ok):

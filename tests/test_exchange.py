@@ -1,72 +1,17 @@
-import random
-from itertools import product
-from math import prod
-
 import pytest
 
-from conftest import exchange_by_definition, orbit_by_mixed_radix
-from resolvdim import exchange, resolving, twins, verify
+from conftest import random_graph
+from test_routes import MINIMAL, answers
+from resolvdim import exchange, resolving, verify
 from resolvdim.errors import BadParameters, BudgetExceeded
 from resolvdim.graph import ComponentGraph
-from resolvdim.intersection import PlainGraph
 from resolvdim.vectorspace import DEFAULT_VERTEX_CAP
 
 
-def _as_oracle(report):
-    witness = report.witness
-    return (report.holds, report.minimal_set_sizes,
-            None if witness is None else (witness.w1, witness.r, witness.w2))
-
-
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
-def test_matches_the_definition_on_component_graphs(q, n):
-    g = ComponentGraph(q, n)
-    assert _as_oracle(exchange.has_exchange_property(g)) == exchange_by_definition(g)
-
-
-def _random_graph(seed):
-    rng = random.Random(f"exchange:{seed}")
-    n = rng.randint(0, 10)
-    p = rng.choice([0.2, 0.4, 0.6, 0.8])
-    return PlainGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < p])
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_matches_the_definition_on_random_graphs(seed):
-    # disconnected pairs, twins of both kinds and the empty graph included
-    g = _random_graph(seed)
-    assert _as_oracle(exchange.has_exchange_property(g)) == exchange_by_definition(g)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_single_set_checks_on_random_graphs(seed):
-    # the certificate's premises on a plain graph (ids 0..N-1): the least
-    # colliding pair and least redundant member by the definition, and
-    # the twin-class test against the twin classes
-    g = _random_graph(seed)
-    n, rows = g.vertex_count, g.distance_matrix().tolist()
-    rng = random.Random(f"single:{seed}")
-    for _ in range(6):
-        w = sorted(rng.sample(range(n), rng.randint(0, n)))
-        reps = [tuple(row[c] for c in w) for row in rows]
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if reps[u] == reps[v]]
-        report = resolving.is_resolving(g, w)
-        assert report.colliding_pair == (pairs[0] if pairs else None)
-        assert resolving.resolves(g, w) == (not pairs)
-        if not pairs:
-            redundant = next((x for i, x in enumerate(w)
-                              if len({r[:i] + r[i + 1:] for r in reps}) == n), None)
-            assert report.redundant_vertex == redundant
-    classes = g.twin_classes()
-    assert all(twins.is_twin_class(g, c) for c in classes if len(c) > 1)
-    for a, b in zip(classes, classes[1:]):
-        assert not twins.are_twins(g, a[0], b[0])
-
-
 def test_random_graphs_include_both_verdicts():
-    # the witness comparison above is exercised, not only `holds`
-    verdicts = {exchange_by_definition(_random_graph(seed))[0] for seed in range(20)}
+    # the route matrix compares witnesses on these graphs, not only `holds`
+    verdicts = {answers(MINIMAL, f"exchange:{seed}")["exchange_by_definition"]["holds"]
+                for seed in range(20)}
     assert verdicts == {True, False}
 
 
@@ -121,95 +66,24 @@ def test_certificate_family_over_the_budget_is_refused(g33):
     assert report.minimal_set_sizes == (19,) * 4096
 
 
-def _orbit(cert):
-    """The certificate's family as sorted column tuples: every set that
-    omits one member of each class."""
-    every = set().union(*cert.classes)
-    return sorted(tuple(sorted(every - set(omitted))) for omitted in product(*cert.classes))
-
-
-def _certified_against_the_table(g):
-    """The certificate's family, verdict and sizes against the 2^N table's;
-    None when the certificate refuses.  The exchange check's own route to
-    the certificate is forced by a budget one below 2^N (on no vertices
-    that budget refuses the certificate's one set too)."""
-    cert = resolving.twin_core_certificate(g)
-    if cert is None:
-        return None
-    table = exchange.has_exchange_property(g)
-    assert table.method == "definition-check"
-    ids = g.vertex_ids()
-    assert ([tuple(ids[c] for c in w) for w in _orbit(cert)]
-            == resolving.enumerate_minimal_resolving_sets(g))
-    claimed = (True, (len(cert.core),) * cert.family_size)
-    assert claimed == (table.holds, table.minimal_set_sizes)
-    if g.vertex_count:
-        certified = exchange.has_exchange_property(g, budget=(1 << g.vertex_count) - 1)
-        assert certified.method == "twin-core-certificate"
-        assert (certified.holds, certified.minimal_set_sizes) == claimed
-    return cert
-
-
-@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (7, 1), (8, 1),
-                                 (9, 1), (11, 1), (13, 1), (16, 1)])
-def test_certificate_matches_the_table_on_component_graphs(q, n):
-    assert _certified_against_the_table(ComponentGraph(q, n)) is not None
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_certificate_refuses_at_q2(n):
     # (2,2) has the singleton class {e1+e2}; at n >= 3 every class is one
     assert resolving.twin_core_certificate(ComponentGraph(2, n)) is None
 
 
-def _doubled_graph(seed):
-    """A seeded G(m, p) with every vertex v doubled by v + m, a true twin
-    (adjacent to v) or a false twin, so every twin class has two members
-    or more; m <= 8, so N <= 16."""
-    rng = random.Random(f"doubled:{seed}")
-    m = rng.randint(1, 8)
-    p = rng.choice([0.2, 0.4, 0.6, 0.8])
-    base = [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < p]
-    edges = [(a + da, b + db) for a, b in base for da in (0, m) for db in (0, m)]
-    edges += [(v, v + m) for v in range(m) if rng.random() < 0.5]
-    return PlainGraph(2 * m, edges)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_certificate_matches_the_table_on_doubled_random_graphs(seed):
-    # with every class of two or more, the core of the true twin classes
-    # always resolves, so the certificate decides every one of these
-    assert _certified_against_the_table(_doubled_graph(seed)) is not None
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_certificate_refuses_random_graphs_with_a_singleton_class(seed):
-    g = _random_graph(seed)
-    singleton = min(map(len, g.twin_classes()), default=2) == 1
-    assert (_certified_against_the_table(g) is None) == singleton
+    # where it decides, the route matrix holds its family against the table
+    singleton = min(map(len, random_graph(seed).twin_classes()), default=2) == 1
+    certified = "twin_core_certificate" in answers(MINIMAL, f"exchange:{seed}")
+    assert certified != singleton
 
 
 def test_random_graphs_include_both_certificate_outcomes():
-    outcomes = {resolving.twin_core_certificate(_random_graph(seed)) is None
+    outcomes = {"twin_core_certificate" in answers(MINIMAL, f"exchange:{seed}")
                 for seed in range(20)}
     assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
-def test_certified_corollary_matches_the_orbit_oracle(q, n):
-    # one budget unit below the orbit's prod |c| sets the certificate
-    # decides the corollary; the oracle lists the orbit and tests each set
-    g = ComponentGraph(q, n)
-    classes = g.twin_classes()
-    total = prod(len(c) for c in classes)
-    record, _ = verify.verify_cell(q, n, total - 1, DEFAULT_VERTEX_CAP, False)
-    sets = [cols for block, hits in orbit_by_mixed_radix(g.distance_matrix(), classes)
-            for cols, hit in zip(block.tolist(), hits.tolist()) if hit]
-    spans = all(verify.contains_v_basis(g, [c + 1 for c in w]) for w in sets)
-    assert record["corollary"] == {"status": "verified", "minimum_sets": len(sets),
-                                   "all_contain_v_basis": spans,
-                                   "method": "twin-core-certificate"}
-    assert len(sets) == total and spans and record["pass"]
 
 
 def test_certified_corollary_keeps_the_refusal_when_the_axes_premise_fails(monkeypatch):

@@ -3,12 +3,13 @@
 Each entry breaks one step of a route with a monkeypatch and names the
 check that must catch it.  Unpatched, the check passes on the same
 input; patched, it fails.  So a refactor that leaves a check unable to
-fail turns one of these tests red.
+fail turns one of these tests red.  A fault that one route of the route
+matrix (`test_routes.py`) would hide names the matrix cells it breaks:
+its check recomputes their routes, and passes when they agree.
 """
 
 import dataclasses
 import io
-import random
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from itertools import islice
@@ -18,13 +19,14 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import (exchange_by_definition, minimality_by_definition, mixed_triple_graph,
-                      orbit_by_mixed_radix, orbit_pairs, overflowing_digit_matrix,
-                      partition_with_a_wide_class, random_partition, resolves_by_definition,
-                      resolving_sets_by_scan)
-from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
-from resolvdim.errors import OutOfRange
+from conftest import (intersection_graph_by_pairs, mixed_triple_graph,
+                      overflowing_digit_matrix, seeded_family)
+from test_routes import K_SUBSETS, MINIMAL, MINIMUM, SINGLE, TABLE, agree
+from resolvdim import (cli, exchange, graph, intersection, resolving, twins, vectorspace,
+                       verify)
+from resolvdim.errors import BadParameters, OutOfRange
 from resolvdim.graph import ComponentGraph
+from resolvdim.intersection import SetFamily
 
 
 @dataclass(frozen=True)
@@ -36,82 +38,9 @@ class Mutant:
     check: Callable[[], bool]
 
 
-def _orbit_matches(dist, classes):
-    """The orbit walk gives the oracle's (set, status) pairs."""
-    return (orbit_pairs(resolving._orbit(resolving._Engine(dist), classes))
-            == orbit_pairs(orbit_by_mixed_radix(dist, classes)))
-
-
-def _orbit_agrees():
-    """The orbit walk gives the oracle's sets and statuses on the (3,2)
-    twin classes and on eight seeded random partitions of the (3,2) and
-    (2,4) columns (prod |c| <= 2,000)."""
-    cases = []
-    for q, n in ((3, 2), (2, 4)):
-        g = ComponentGraph(q, n)
-        dist = g.distance_matrix()
-        if q >= 3:
-            cases.append((dist, g.twin_classes()))
-        rng = random.Random(f"mutants:{q}:{n}")
-        while len(cases) < (5 if q >= 3 else 9):
-            classes = random_partition(len(dist), rng)
-            if prod(len(c) for c in classes) <= 2_000:
-                cases.append((dist, classes))
-    return all(_orbit_matches(dist, classes) for dist, classes in cases)
-
-
-def _orbit_agrees_on_a_wide_class():
-    """The same on a partition of the (2,9) columns with a class wider
-    than a batch (128 sets), so a node's children come in several runs."""
-    dist = ComponentGraph(2, 9).distance_matrix()
-    return _orbit_matches(dist, partition_with_a_wide_class(len(dist), random.Random("mutants")))
-
-
-def _all_hits_agree():
-    """`all_resolving_k_subsets` lists the sets the plain scan lists: the
-    16 resolving 5-subsets of (3,2), among them sets that differ in
-    their last column only, and the 11 resolving 5-subsets of (2,4)."""
-    cases = [(ComponentGraph(3, 2).distance_matrix(), 5),
-             (ComponentGraph(2, 4).distance_matrix(), 5)]
-    return all(resolving.all_resolving_k_subsets(dist, k) == resolving_sets_by_scan(dist, k)
-               for dist, k in cases)
-
-
-def _single_removals_agree():
-    """`is_resolving` gives the minimality and least redundant member
-    that the definition gives on each single removal, for 20 seeded
-    resolving sets each of (2,4) and (3,2), some with a redundant
-    member."""
-    for q, n in ((2, 4), (3, 2)):
-        g = ComponentGraph(q, n)
-        rng = random.Random(f"mutants:removals:{q}:{n}")
-        sets = [rng.sample(g.vertex_ids(), rng.randint(4, g.vertex_count)) for _ in range(40)]
-        for w in [w for w in sets if resolves_by_definition(g, w)][:20]:
-            rep = resolving.is_resolving(g, w)
-            if (rep.is_minimal, rep.redundant_vertex) != minimality_by_definition(g, w):
-                return False
-    return True
-
-
-def _wide_single_removals_agree():
-    """`is_resolving` finds a redundant member of the (2,9) coordinate-
-    avoiding set plus e1+...+e9 (256 removals, two batches of 128, the
-    least redundant one the 255th), and the set without it resolves by
-    the definition."""
-    g = ComponentGraph(2, 9)
-    w = exchange.coordinate_avoiding_set(2, 9) + (511,)
-    x = resolving.is_resolving(g, w).redundant_vertex
-    return x is not None and resolves_by_definition(g, [v for v in w if v != x])
-
-
-def _exchange_agrees():
-    """The exchange verdict, minimal set sizes and violation at (2,3) are
-    the definition's, read from rows of the distance matrix."""
-    g = ComponentGraph(2, 3)
-    report = exchange.has_exchange_property(g)
-    w = report.witness
-    got = (report.holds, report.minimal_set_sizes, None if w is None else (w.w1, w.r, w.w2))
-    return got == exchange_by_definition(g)
+def _cells_agree(question, *cells):
+    """The routes of `question` agree on each of the matrix cells."""
+    return lambda: all(agree(question, cell) for cell in cells)
 
 
 def _verify_passes(q, n, check):
@@ -197,30 +126,6 @@ def _merge_e1_with_e1_plus_e2(g):
     return twins.TwinPartition(classes, tuple(g.skeleton(c[0]) for c in classes))
 
 
-def _certificate_agrees(g, table_graph=None):
-    """The twin-core certificate refuses g, or claims the exchange verdict
-    and minimal set sizes of the 2^N table (read on `table_graph`, else
-    on g)."""
-    cert = resolving.twin_core_certificate(g)
-    if cert is None:
-        return True
-    table = _real_exchange(table_graph or g)
-    return (True, (len(cert.core),) * cert.family_size) == (table.holds,
-                                                            table.minimal_set_sizes)
-
-
-def _certificate_agrees_on_merged_classes():
-    """The same at (3,2) with the twin classes of e1 and e2 merged into one
-    of four members, which is not a twin class, against the table of an
-    unpatched (3,2)."""
-    g = ComponentGraph(3, 2)
-    ids = {vectorspace.parse_vertex(t, 3, 2) - 1 for t in ("e1", "e2")}
-    real = g.twin_classes()
-    merged = tuple(sorted(x for c in real if ids & set(c) for x in c))
-    g.twin_classes = lambda: tuple(sorted([c for c in real if not ids & set(c)] + [merged]))
-    return _certificate_agrees(g, ComponentGraph(3, 2))
-
-
 def _certified_count_at_4_3():
     """At (4,3), budget 20,000, `verify` certifies the corollary and counts
     prod (q-1)^|S| minimum sets over the skeleton classes S."""
@@ -287,6 +192,32 @@ def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
     return dataclasses.replace(report, holds=not report.holds)
 
 
+def _pair_check(kind):
+    """`intersection_graph` gives the pair loop's graph on a seeded family."""
+    def check():
+        fam = seeded_family(kind)
+        try:
+            return intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
+        except BadParameters:  # `PlainGraph` refuses a matrix with a True diagonal
+            return False
+    return check
+
+
+def _powerset_changed(change):
+    # the powerset family with its member list changed in place
+    def family(n):
+        fam = _real_powerset(n)
+        members = [set(m) for m in fam.members]
+        change(members)
+        return SetFamily(members, ground=fam.ground)
+    return family
+
+
+def _correspondence_holds():
+    """The powerset intersection graph of [3] is the (2,3) graph."""
+    return intersection.powerset_matches_component_graph(3)
+
+
 _real_walk = resolving._Engine.walk
 _real_find_min = resolving.find_min_resolving_for_matrix
 _real_product_walk = resolving._ProductWalk.__init__
@@ -301,6 +232,8 @@ _real_order = graph.order_formula
 _real_size = graph.size_bruteforce
 _real_complete = graph.is_complete
 _real_exchange = exchange.has_exchange_property
+_real_holder_chunks = intersection._holder_chunks
+_real_powerset = intersection.powerset_family
 _BASIS_3_2 = set(resolving.canonical_metric_basis(3, 2))
 
 
@@ -327,31 +260,33 @@ SWAPS = [
 
 MUTANTS = [
     Mutant("orbit-refines-by-the-omitted-member", resolving, "_kept_table",
-           _kept_by_omitted, _orbit_agrees),
+           _kept_by_omitted, _cells_agree(MINIMUM, "3-2")),
     Mutant("single-removals-refine-by-the-omitted-member", resolving, "_kept_table",
-           _kept_by_omitted, _single_removals_agree),
+           _kept_by_omitted, _cells_agree(SINGLE, "2-4", "3-2")),
+    # the (2,9) set's 256 removals come in two batches of 128
     Mutant("single-removals-read-one-chunk", resolving, "_single_removals",
-           _removals_of_the_first_batch, _wide_single_removals_agree),
+           _removals_of_the_first_batch, _cells_agree(SINGLE, "2-9")),
     Mutant("orbit-reuses-the-parent-labels", resolving, "_kept_table",
            lambda engine, members: np.zeros((len(members), engine.n_rows), dtype=np.uint8),
-           _orbit_agrees),
+           _cells_agree(MINIMUM, "3-2")),
+    # the twin-swap orbit's sets all resolve, so the 2^N table shows it
     Mutant("orbit-skips-the-distinctness-test", resolving, "_distinct_rows",
-           lambda labels: np.ones(len(labels), dtype=bool), _orbit_agrees),
+           lambda labels: np.ones(len(labels), dtype=bool), _cells_agree(TABLE, "3-2")),
     Mutant("orbit-drops-the-children-after-the-first-run", resolving._ProductWalk, "_runs",
            lambda self, node, d: islice(_real_runs(self, node, d), 1),
-           _orbit_agrees_on_a_wide_class),
+           _cells_agree(MINIMUM, "3-3")),
     Mutant("all-hits-walk-stops-at-its-first-leaf", resolving._Engine, "walk",
            lambda self, k, twin_classes: islice(_real_walk(self, k, twin_classes), 1),
-           _all_hits_agree),
+           _cells_agree(K_SUBSETS, "3-2", "2-4")),
     Mutant("all-hits-walk-skips-the-later-siblings-of-a-hit", resolving._Engine, "walk",
-           _walk_without_later_siblings, _all_hits_agree),
+           _walk_without_later_siblings, _cells_agree(K_SUBSETS, "3-2", "2-4")),
     # the 2^N table's levels taken in reverse, so level 0 is column 0 and
     # leaf m is the set of mask m with its N bits reversed
     Mutant("mask-table-level-0-is-column-0", resolving._ProductWalk, "__init__",
            lambda self, engine, levels: _real_product_walk(self, engine, levels[::-1]),
-           _exchange_agrees),
+           _cells_agree(MINIMAL, "2-3")),
     Mutant("column-keeps-its-own-vertex-nonzero", graph.SkeletonColumns, "column",
-           _column_without_its_zero, _exchange_agrees),
+           _column_without_its_zero, _cells_agree(MINIMAL, "2-3")),
     Mutant("single-set-ids-skip-the-range-check", resolving, "_sorted_columns",
            _sorted_columns_unchecked, _out_of_range_refused),
     Mutant("closed-row-pass-without-the-diagonal-bit", graph, "twin_classes_from_packed_rows",
@@ -371,12 +306,12 @@ MUTANTS = [
            _exchange_flipped, lambda: _verify_passes(3, 2, "exchange")),
     # at (2,3) every class is a singleton: the core is V, which resolves
     Mutant("twin-core-accepts-a-singleton-class", resolving, "_paired",
-           lambda classes: True, lambda: _certificate_agrees(ComponentGraph(2, 3))),
+           lambda classes: True, _cells_agree(MINIMAL, "2-3")),
     Mutant("twin-core-counts-one-less-per-class", resolving.TwinCore, "family_size",
            property(lambda self: prod(len(c) - 1 for c in self.classes)),
            _certified_count_at_4_3),
     Mutant("twin-core-skips-the-twin-class-premise", twins, "is_twin_class",
-           lambda g, c: True, _certificate_agrees_on_merged_classes),
+           lambda g, c: True, _cells_agree(MINIMAL, "3-2:merged")),
     Mutant("twin-class-ignores-inside-distances", twins, "is_twin_class",
            _twin_class_outside_only, _twin_class_refuses_a_mixed_triple),
     # a member's row holds its own zero beside nonzero distances, so every
@@ -385,6 +320,23 @@ MUTANTS = [
            _twin_class_with_its_zero_diagonal, _twin_classes_accepted),
     Mutant("kernel-never-re-ranks", resolving, "_collision",
            _collision_never_re_ranked, _kernel_ranks_before_an_overflow),
+    Mutant("intersection-diagonal-not-cleared", np, "fill_diagonal",
+           lambda a, val: None, _pair_check("strings")),
+    Mutant("intersection-drops-the-last-partial-chunk-of-a-group", intersection,
+           "_holder_chunks",
+           lambda fam: (rows for rows in _real_holder_chunks(fam)
+                        if len(rows) == max(1, intersection.PAIR_CHUNK // rows.shape[1] ** 2)),
+           _pair_check("equal holder counts")),
+    Mutant("intersection-skips-two-holder-groups", intersection, "_holder_chunks",
+           lambda fam: (rows for rows in _real_holder_chunks(fam) if rows.shape[1] != 2),
+           _pair_check("edge tokens")),
+    # {1,2,3} loses token 1; {1} gains token 2; the members leave mask order
+    Mutant("powerset-member-loses-a-token", intersection, "powerset_family",
+           _powerset_changed(lambda members: members[-1].discard(1)), _correspondence_holds),
+    Mutant("powerset-member-gains-a-token", intersection, "powerset_family",
+           _powerset_changed(lambda members: members[0].add(2)), _correspondence_holds),
+    Mutant("powerset-members-out-of-mask-order", intersection, "powerset_family",
+           _powerset_changed(lambda members: members.reverse()), _correspondence_holds),
     *SWAPS,
 ]
 

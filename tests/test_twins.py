@@ -1,26 +1,14 @@
 import random
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import mixed_triple_graph, twin_classes_by_union_find
+from conftest import desk_instances, mixed_triple_graph, twin_classes_by_union_find
 from resolvdim import resolving, twins
 from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
-from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
-
-
-def desk_instances(limit):
-    out = []
-    for q in SUPPORTED_ORDERS:
-        n = 1
-        while q ** n - 1 <= limit:
-            out.append((q, n))
-            n += 1
-    return out
 
 
 def test_neighborhood_partition_q2(g23):
@@ -94,17 +82,6 @@ def test_twin_swap_rejects_degenerate_and_non_members(g32):
         twins.twin_swap(g32, (1, 3, 4, 5, 7), 1, 5)
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (3, 3)])
-def test_are_twins_matches_partition(q, n):
-    g = ComponentGraph(q, n)
-    cls = {v: i for i, c in enumerate(twins.partition_by_neighborhood(g).classes)
-           for v in c}
-    for u in g.vertex_ids():
-        for v in g.vertex_ids():
-            if u != v:
-                assert twins.are_twins(g, u, v) == (cls[u] == cls[v])
-
-
 def test_repeated_id_is_refused(g32):
     # a vertex is not its own twin: a repeated id is refused, before any
     # id is checked against 1..N, as the single-set checks refuse it
@@ -114,49 +91,6 @@ def test_repeated_id_is_refused(g32):
                 check(w)
     with pytest.raises(BadParameters):
         twins.is_twin_class(g32, (2, 3, 6, 3))
-
-
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
-def test_is_twin_class_matches_consecutive_pairs(q, n):
-    # the one-block class test against `are_twins` on each consecutive
-    # pair: the true classes, every union of two classes and seeded random
-    # sets; at (2,2) the whole vertex set {e1, e2, e1+e2} leaves no row
-    # outside it, and only the distances between members reject it
-    g = ComponentGraph(q, n)
-    classes = twins.partition_by_neighborhood(g).classes
-    rng = random.Random(f"twinclass:{q}:{n}")
-    ids = list(g.vertex_ids())
-    candidates = list(classes) + [tuple(sorted(a + b)) for a, b in combinations(classes, 2)]
-    candidates += [tuple(sorted(rng.sample(ids, k))) for k in (2, 3, 4) if k <= len(ids)
-                   for _ in range(20)]
-    for c in candidates:
-        assert twins.is_twin_class(g, c) == \
-            all(twins.are_twins(g, u, v) for u, v in zip(c, c[1:])), c
-    assert all(twins.is_twin_class(g, c) for c in classes)
-    if (q, n) == (2, 2):
-        assert not twins.is_twin_class(g, (1, 2, 3))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_is_twin_class_on_plain_graphs(seed):
-    # a plain graph's column source is its distance matrix; the class test
-    # reads it as it reads a component graph's skeleton columns, against
-    # N(u) - v == N(v) - u on each consecutive pair
-    rng = random.Random(f"plaintwins:{seed}")
-    n = 12
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    edges += [(u, n + u) for u in range(3)] + [(n + u, w) for u, w in edges if u < 3 and w < n]
-    g = PlainGraph(n + 3, edges)
-    source = g.distance_columns()
-    assert np.array_equal(source.column(np.arange(n + 3)), g.distance_matrix())
-    assert source.largest == g.distance_matrix().max()
-    nbrs = [set(x) for x in g.neighbors()]
-    rows = list(g.twin_classes())
-    candidates = rows + [tuple(sorted(a + b)) for a, b in combinations(rows, 2)]
-    for c in candidates:
-        assert twins.is_twin_class(g, c) == \
-            all(nbrs[u] - {v} == nbrs[v] - {u} for u, v in zip(c, c[1:])), c
-    assert all(twins.is_twin_class(g, c) for c in rows)
 
 
 def test_is_twin_class_reads_the_distances_between_members():
