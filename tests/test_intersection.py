@@ -53,6 +53,35 @@ def test_holder_chunk_shapes():
     assert (300, 1) in shapes
 
 
+_REAL_HOLDER_CHUNKS = intersection._holder_chunks
+# (name, family kind it must fail on, patch), each patch a fault in
+# `intersection_graph` that the pair check must catch
+_MUTANTS = [
+    ("diagonal not cleared", "strings",
+     lambda mp: mp.setattr(np, "fill_diagonal", lambda a, val: None)),
+    ("last partial chunk of a group dropped", "equal holder counts",
+     lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
+         rows for rows in _REAL_HOLDER_CHUNKS(fam)
+         if len(rows) == max(1, intersection.PAIR_CHUNK // rows.shape[1] ** 2)))),
+    ("two-holder groups skipped", "edge tokens",
+     lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
+         rows for rows in _REAL_HOLDER_CHUNKS(fam) if rows.shape[1] != 2))),
+]
+
+
+@pytest.mark.parametrize("name, kind, patch", _MUTANTS, ids=[m[0] for m in _MUTANTS])
+def test_intersection_graph_mutants_fail_the_pair_check(monkeypatch, name, kind, patch):
+    fam = seeded_family(kind)
+    assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
+    patch(monkeypatch)
+    if name == "diagonal not cleared":
+        # `PlainGraph` refuses a True diagonal before any pair is compared
+        with pytest.raises(BadParameters, match="with a False diagonal$"):
+            intersection.intersection_graph(fam)
+        return
+    assert intersection.intersection_graph(fam) != intersection_graph_by_pairs(fam)
+
+
 def test_intersection_graph_refuses_families_over_the_cap(monkeypatch):
     # the guard sits before the holder pass and the K x K matrix
     def building(fam):
@@ -106,6 +135,27 @@ def test_powerset_family():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_powerset_correspondence(n):
     assert intersection.powerset_matches_component_graph(n)
+
+
+def _mutant_powerset(change):
+    real = intersection.powerset_family
+
+    def family(n):
+        fam = real(n)
+        members = [set(m) for m in fam.members]
+        change(members)
+        return SetFamily(members, ground=fam.ground)
+    return family
+
+
+@pytest.mark.parametrize("change", [
+    lambda members: members[-1].discard(1),    # {1,2,3} loses token 1
+    lambda members: members[0].add(2),         # {1} gains token 2
+    lambda members: members.reverse(),         # members out of mask order
+])
+def test_correspondence_rejects_mutant_family(monkeypatch, change):
+    monkeypatch.setattr(intersection, "powerset_family", _mutant_powerset(change))
+    assert not intersection.powerset_matches_component_graph(3)
 
 
 def test_incidence_matrix():

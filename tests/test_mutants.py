@@ -19,14 +19,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import (intersection_graph_by_pairs, mixed_triple_graph,
-                      overflowing_digit_matrix, seeded_family)
+from conftest import mixed_triple_graph, overflowing_digit_matrix
 from test_routes import K_SUBSETS, MINIMAL, MINIMUM, SINGLE, TABLE, agree
-from resolvdim import (cli, exchange, graph, intersection, resolving, twins, vectorspace,
-                       verify)
-from resolvdim.errors import BadParameters, OutOfRange
+from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
+from resolvdim.errors import OutOfRange
 from resolvdim.graph import ComponentGraph
-from resolvdim.intersection import SetFamily
 
 
 @dataclass(frozen=True)
@@ -192,32 +189,6 @@ def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
     return dataclasses.replace(report, holds=not report.holds)
 
 
-def _pair_check(kind):
-    """`intersection_graph` gives the pair loop's graph on a seeded family."""
-    def check():
-        fam = seeded_family(kind)
-        try:
-            return intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
-        except BadParameters:  # `PlainGraph` refuses a matrix with a True diagonal
-            return False
-    return check
-
-
-def _powerset_changed(change):
-    # the powerset family with its member list changed in place
-    def family(n):
-        fam = _real_powerset(n)
-        members = [set(m) for m in fam.members]
-        change(members)
-        return SetFamily(members, ground=fam.ground)
-    return family
-
-
-def _correspondence_holds():
-    """The powerset intersection graph of [3] is the (2,3) graph."""
-    return intersection.powerset_matches_component_graph(3)
-
-
 _real_walk = resolving._Engine.walk
 _real_find_min = resolving.find_min_resolving_for_matrix
 _real_product_walk = resolving._ProductWalk.__init__
@@ -232,8 +203,6 @@ _real_order = graph.order_formula
 _real_size = graph.size_bruteforce
 _real_complete = graph.is_complete
 _real_exchange = exchange.has_exchange_property
-_real_holder_chunks = intersection._holder_chunks
-_real_powerset = intersection.powerset_family
 _BASIS_3_2 = set(resolving.canonical_metric_basis(3, 2))
 
 
@@ -320,23 +289,6 @@ MUTANTS = [
            _twin_class_with_its_zero_diagonal, _twin_classes_accepted),
     Mutant("kernel-never-re-ranks", resolving, "_collision",
            _collision_never_re_ranked, _kernel_ranks_before_an_overflow),
-    Mutant("intersection-diagonal-not-cleared", np, "fill_diagonal",
-           lambda a, val: None, _pair_check("strings")),
-    Mutant("intersection-drops-the-last-partial-chunk-of-a-group", intersection,
-           "_holder_chunks",
-           lambda fam: (rows for rows in _real_holder_chunks(fam)
-                        if len(rows) == max(1, intersection.PAIR_CHUNK // rows.shape[1] ** 2)),
-           _pair_check("equal holder counts")),
-    Mutant("intersection-skips-two-holder-groups", intersection, "_holder_chunks",
-           lambda fam: (rows for rows in _real_holder_chunks(fam) if rows.shape[1] != 2),
-           _pair_check("edge tokens")),
-    # {1,2,3} loses token 1; {1} gains token 2; the members leave mask order
-    Mutant("powerset-member-loses-a-token", intersection, "powerset_family",
-           _powerset_changed(lambda members: members[-1].discard(1)), _correspondence_holds),
-    Mutant("powerset-member-gains-a-token", intersection, "powerset_family",
-           _powerset_changed(lambda members: members[0].add(2)), _correspondence_holds),
-    Mutant("powerset-members-out-of-mask-order", intersection, "powerset_family",
-           _powerset_changed(lambda members: members.reverse()), _correspondence_holds),
     *SWAPS,
 ]
 

@@ -2,16 +2,18 @@ import random
 import time
 import tracemalloc
 from itertools import combinations, islice
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
 
-from conftest import (int64_digits, kernel_status, least_equal_rows_by_dict,
+from conftest import (desk_instances, int64_digits, kernel_status, least_equal_rows_by_dict,
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
                       overflowing_digit_matrix, partition_with_a_wide_class, random_partition,
                       representation, resolves_by_definition, status_by_rows, walk_outcome)
-from resolvdim import exchange, resolving, twins
+from test_routes import (DIM, K_SUBSETS, MINIMAL, MINIMUM, ORBIT, ORBIT_CELLS, SINGLE, TABLE,
+                         assert_routes_agree)
+from resolvdim import exchange, field, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, OutOfRange, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -194,6 +196,19 @@ def test_table_guard_has_its_own_message(g33):
     assert (err.value.evaluated, err.value.budget) == (0, 10 ** 8)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_front_ends_agree_on_powerset_graph(n):
+    # the powerset intersection graph is the (2,n) component graph with
+    # every id lowered by one, so its ids are the component graph's columns
+    cell = f"2-{n}"
+    assert_routes_agree(DIM, cell, "metric_dimension_search",
+                        "metric_dimension_search on the powerset graph")
+    assert_routes_agree(MINIMUM, cell, "minimum_resolving_sets",
+                        "enumerate_minimum_resolving_sets on the powerset graph")
+    assert_routes_agree(MINIMAL, cell, "enumerate_minimal_resolving_sets and has_exchange_property",
+                        "enumerate_minimal_resolving_sets on the powerset graph")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_front_ends_on_graphs_with_at_most_one_vertex(n):
     # the empty set resolves both: dimension 0, witness ()
@@ -229,6 +244,92 @@ def test_monotonicity_random_supersets(g32):
         for _ in range(rng.randrange(0, 4)):
             w.add(rng.choice(ids))
         assert resolving.is_resolving(g32, sorted(w)).is_resolving
+
+
+def test_mask_table_consistency():
+    # the full-subset table against the plain scan, and the minimal sets
+    # read from its minimal table against the definition, at N = 7 and
+    # N = 15; at N = 15 a minimal set reaches the views for bits 8 and up
+    for cell in ("2-3", "2-4"):
+        assert_routes_agree(TABLE, cell, "resolving_status_by_mask", "status_by_mask_by_scan")
+        got = assert_routes_agree(MINIMAL, cell,
+                                  "enumerate_minimal_resolving_sets and has_exchange_property",
+                                  "exchange_by_definition")
+    assert max(map(max, got["exchange_by_definition"]["sets"])) >= 8
+
+
+def test_wide_path_matches_definition():
+    # A path on 15 vertices plus 5 isolated ones, which are open twins:
+    # the unreachable distance 21 makes the code base 22, so the oracle
+    # decides sets of 14 or more columns one row set at a time.
+    got = assert_routes_agree(K_SUBSETS, "path", "all_resolving_k_subsets",
+                              "resolving_sets_by_scan")
+    for k, sets in got["resolving_sets_by_scan"].items():
+        assert 0 < len(sets) < comb(20, k)
+
+
+# ---------------------------------------------------------------------------
+# the pruned walk and the product walk against the plain scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1),
+                                 (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
+def test_walk_matches_plain_scan(q, n):
+    # the witness is the plain scan's first hit at k, and k the formula's;
+    # the scan runs from k = 0 where its levels are cheap, else at k and,
+    # where it is cheap, at k - 1
+    assert_routes_agree(DIM, f"{q}-{n}", "find_min_resolving_for_matrix", "plain_first_hit",
+                        "metric_dimension_formula")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_walk_matches_plain_scan_on_powerset_graph(n):
+    assert_routes_agree(DIM, f"2-{n}", "metric_dimension_search on the powerset graph",
+                        "plain_first_hit", "powerset_intersection_dimension")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_matches_plain_scan_on_random_graphs(seed):
+    # small graphs with backtracking, twin classes of both kinds, and
+    # disconnected pairs at the unreachable distance
+    assert_routes_agree(DIM, f"walk:{seed}", "find_min_resolving_for_matrix", "plain_first_hit")
+
+
+# every component graph of at most 48 vertices, at k = dim and at
+# k = dim + 1, where C(N, k) is at most 200,000; above 48 vertices the
+# all-hits walk of a (q,2) cell at k = N - 2 takes seconds to minutes
+ALL_HITS_CELLS = [(q, n, k) for q in field.SUPPORTED_ORDERS for n in range(1, 6)
+                  if q ** n - 1 <= 48
+                  for dim in [resolving.metric_dimension_formula(q, n)]
+                  for k in (dim, dim + 1) if k <= q ** n - 1 and comb(q ** n - 1, k) <= 200_000]
+
+
+@pytest.mark.parametrize("q,n,k", ALL_HITS_CELLS)
+def test_all_hits_walk_matches_plain_scan(q, n, k):
+    got = assert_routes_agree(K_SUBSETS, f"{q}-{n}", "all_resolving_k_subsets",
+                              "resolving_sets_by_scan")
+    assert k in got["resolving_sets_by_scan"]
+
+
+@pytest.mark.parametrize("with_twins", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_all_hits_walk_matches_plain_scan_on_random_graphs(seed, with_twins):
+    # seeded G(n, p) on 8 to 14 vertices, with a twin class of two or more
+    # exactly when `with_twins`, at k = 0, 3 and 5
+    assert_routes_agree(K_SUBSETS, f"all-hits:{seed}:{with_twins}", "all_resolving_k_subsets",
+                        "resolving_sets_by_scan")
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (4, 2)])
+def test_mask_table_matches_plain_scan(q, n):
+    assert_routes_agree(TABLE, f"{q}-{n}", "resolving_status_by_mask", "status_by_mask_by_scan")
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_mask_table_matches_plain_scan_on_random_graphs(n):
+    got = assert_routes_agree(TABLE, f"mask-table:{n}", "resolving_status_by_mask",
+                              "status_by_mask_by_scan")
+    assert 0 < len(got["status_by_mask_by_scan"]["masks"]) < 1 << n
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (3, 4)])
@@ -309,6 +410,27 @@ def test_landmark_bound():
     assert resolving._Engine(ComponentGraph(2, 12).distance_matrix()).landmark_bound() == 12
     # a complete graph has the single distance 1: K_4 needs 3
     assert resolving._Engine(ComponentGraph(5, 1).distance_matrix()).landmark_bound() == 3
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
+def test_orbit_matches_plain_scan(q, n):
+    # the orbit's sets are the scan's, prod |c| of them; the enumeration
+    # lists them in the scan's lexicographic order
+    g = ComponentGraph(q, n)
+    got = assert_routes_agree(MINIMUM, f"{q}-{n}", "minimum_resolving_sets",
+                              "resolving_sets_by_scan at k = dim")
+    scan = got["resolving_sets_by_scan at k = dim"]["sets"]
+    assert len(scan) == prod(len(c) for c in g.twin_classes())
+    assert resolving.enumerate_minimum_resolving_sets(g) == \
+        [tuple(c + 1 for c in w) for w in scan]
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CELLS)
+def test_orbit_walk_matches_mixed_radix_orbit(q, n):
+    # the walk's (set, status) pairs are the mixed-radix orbit's, one
+    # budget unit each, and at q >= 3 there are (q-1)^(n 2^(n-1)) of them
+    names = ["_orbit", "orbit_by_mixed_radix", "prod |c| over the twin classes"]
+    assert_routes_agree(ORBIT, f"{q}-{n}", *names, *(["(q-1)^(n 2^(n-1))"] if q >= 3 else []))
 
 
 def _assert_orbit_matches_oracle(dist, classes):
@@ -473,6 +595,13 @@ def test_resolves_on_a_wide_basis_reads_columns_in_place():
     assert peak < 4 * 2 ** 20
 
 
+def test_resolves_matches_is_resolving():
+    # every set of at most four members of the (2,3) graph
+    assert_routes_agree(SINGLE, "2-3", "is_resolving", "resolves")
+    with pytest.raises(BadParameters):
+        resolving.resolves(ComponentGraph(2, 3), (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # the column-group kernel against the detectors it replaced
 # ---------------------------------------------------------------------------
@@ -487,6 +616,24 @@ def test_kernel_matches_rows_on_orbit_batches():
         assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
 
 
+@pytest.mark.parametrize("q,n", [(7, 2), (3, 4)])
+def test_kernel_matches_rows_around_one_packed_pass(q, n):
+    # 64 seeded sets at each size a digit short of one packed pass, at it,
+    # a digit past it and two passes and one
+    assert_routes_agree(SINGLE, f"{q}-{n}", "_collision", "status_by_rows")
+
+
+def test_kernel_matches_rows_on_the_first_two_group_sets():
+    # the path-plus-isolated graph of `test_wide_path_matches_definition`:
+    # code base 22, so 13 columns are one packed pass and 14 need two
+    # groups; 2,000 seeded sets of each size, each size with both verdicts
+    got = assert_routes_agree(SINGLE, "path", "_collision", "status_by_rows")
+    dist = PlainGraph(20, [(i, i + 1) for i in range(14)]).distance_matrix()
+    assert int64_digits(resolving._Engine(dist).base) == 13
+    status = got["status_by_rows"]["status"]
+    assert 0 < sum(status[:2000]) < 2000 and 0 < sum(status[2000:]) < 2000
+
+
 def test_kernel_ranks_before_an_overflowing_digit():
     # a kernel that never re-ranks reads [False] here (see the matrix's
     # docstring and the `kernel-never-re-ranks` mutant)
@@ -496,6 +643,11 @@ def test_kernel_ranks_before_an_overflowing_digit():
     assert engine.base == 2 ** 40 + 1
     assert kernel_status(engine, cols).tolist() == [True]
     assert status_by_rows(dist, cols).tolist() == [True]
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_colliding_pair_matches_rows(q, n):
+    assert_routes_agree(SINGLE, f"{q}-{n}", "is_resolving", "least_equal_rows_by_dict")
 
 
 def test_colliding_pair_matches_rows_on_wide_sets():
@@ -523,6 +675,14 @@ def test_kernel_reads_blocks_within_the_batch_cells():
     assert max(reads) * len(dist) <= resolving._BATCH_CELLS
 
 
+@pytest.mark.parametrize("q,n", desk_instances(1023))
+def test_column_walk_matches_matrix_walk(q, n):
+    # the default budget decides every cell with N <= 1023; a budget of 30
+    # stops most of them mid-walk, which pins the evaluated counts
+    assert_routes_agree(DIM, f"{q}-{n}", "find_min_resolving_for_matrix",
+                        "find_min_resolving_for_matrix on columns", "metric_dimension_search")
+
+
 def test_column_walk_over_budget_matches_matrix_walk():
     g = ComponentGraph(2, 12)
     classes = g.twin_classes()
@@ -533,6 +693,15 @@ def test_column_walk_over_budget_matches_matrix_walk():
         resolving.metric_dimension_search(g, 1000)
     assert (err.value.evaluated, err.value.lower_bound, err.value.upper_bound) == \
         (1000, 12, 4095)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_single_removals_match_definition(q, n):
+    # seeded sets of every size from the dimension up, so that resolving
+    # sets, minimal ones and sets with a redundant member all occur
+    got = assert_routes_agree(SINGLE, f"{q}-{n}", "is_resolving", "resolves_by_definition",
+                              "minimality_by_definition")["is_resolving"]
+    assert {x is None for x, ok in zip(got["redundant"], got["status"]) if ok} == {True, False}
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2)])

@@ -9,6 +9,8 @@ cell) that a cell asks: at least two routes apply, every key comes from
 two or more, and all agree.  `SESSION` computes each answer, and each
 graph, matrix and plain scan it reads, once per session; `agree` computes
 a (question, cell) afresh, for the mutant registry (`test_mutants.py`).
+The pairwise tests of the other files name the routes they compare and
+read them from `SESSION` through `assert_routes_agree`.
 """
 
 import random
@@ -23,16 +25,16 @@ import pytest
 from conftest import (DistanceTable, all_hits_graph, desk_instances, doubled_graph,
                       exchange_by_definition, int64_digits, least_equal_rows_by_dict,
                       mask_table_graph, minimality_by_definition, orbit_by_mixed_radix,
-                      plain_first_hit, random_graph, resolves_by_definition,
+                      orbit_pairs, plain_first_hit, random_graph, resolves_by_definition,
                       resolving_sets_by_scan, status_by_mask_by_scan, status_by_rows,
                       twins_graph, walk_outcome)
-from resolvdim import exchange, intersection, resolving, twins, verify, vectorspace
+from resolvdim import exchange, field, intersection, resolving, twins, verify, vectorspace
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
 from resolvdim.vectorspace import DEFAULT_VERTEX_CAP
 
 DIM, K_SUBSETS, MINIMUM, TABLE = "dim", "k-subsets", "minimum sets", "2^N table"
-MINIMAL, SINGLE, TWINS = "minimal sets", "single sets", "twin pairs"
+MINIMAL, SINGLE, TWINS, ORBIT = "minimal sets", "single sets", "twin pairs", "twin-swap orbit"
 
 
 class Memo(dict):
@@ -156,20 +158,25 @@ _SETS = {
 }
 _CANDIDATES = {c: lambda g, c=c: _twin_candidates(g, *c)
                for c in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (3, 3))}
+# every q >= 3 cell whose orbit, (q-1)^(n 2^(n-1)) sets, has at most 20,000
+# members, and the q = 2 cells up to n = 4
+ORBIT_CELLS = [(q, n) for q in field.SUPPORTED_ORDERS if q >= 3 for n in (1, 2, 3)
+               if (q - 1) ** (n << (n - 1)) <= 20_000] + [(2, 2), (2, 3), (2, 4)]
 
 
 def _component_cell(q, n):
     """The dimension everywhere; the k-subsets and the minimum sets on at most
     48 vertices (the pruned walk lists every hit at k = dim + 1 within a
     second), and at q >= 3 the minimum sets; the 2^N table and the minimal
-    sets on at most 16."""
+    sets on at most 16; the twin-swap orbit on `ORBIT_CELLS`."""
     count, dim = q ** n - 1, resolving.metric_dimension_formula(q, n)
     ks = tuple(k for k in (dim, dim + 1) if k <= count and comb(count, k) <= 200_000)
     asked = ({DIM} | ({K_SUBSETS} if count <= 48 and ks else set())
              | ({MINIMUM} if count <= 48 or q >= 3 else set())
              | ({TABLE, MINIMAL} if count <= 16 else set())
              | ({SINGLE} if (q, n) in _SETS else set())
-             | ({TWINS} if (q, n) in _CANDIDATES else set()))
+             | ({TWINS} if (q, n) in _CANDIDATES else set())
+             | ({ORBIT} if (q, n) in ORBIT_CELLS else set()))
     return Cell(f"{q}-{n}", lambda: ComponentGraph(q, n), frozenset(asked), count, q, n, dim,
                 ks, _SETS.get((q, n), Cell.sets), _CANDIDATES.get((q, n), Cell.candidates))
 
@@ -243,6 +250,11 @@ def _scan_is_cheap(cell, memo):
     return sum(comb(cell.vertices, j) for j in range(top + 1)) <= 250_000
 
 
+def _first_hit_applies(cell, memo):
+    # past the cheap levels, the formula's level alone on at most 48 vertices
+    return _scan_is_cheap(cell, memo) or cell.dim is not None and cell.vertices <= 48
+
+
 def _corollary_cell(cell, memo):
     return cell.q >= 3 and cell.n >= 2 and cell.vertices <= 48
 
@@ -262,7 +274,17 @@ def dim_by_search(memo, cell, graph=_graph):
 
 
 def dim_by_plain_scan(memo, cell):
-    dist, k = memo(_dist, cell), 0
+    """The first hit from k = 0 where the levels up to the dimension are
+    cheap; else the first hit at the formula's k, and k where the level
+    below is at most 20,000 sets and holds no hit (k - 1 if it holds one)."""
+    dist = memo(_dist, cell)
+    if not _scan_is_cheap(cell, memo):
+        k = cell.dim
+        answer = {"witness": plain_first_hit(dist, k)}
+        if comb(cell.vertices, k - 1) <= 20_000:
+            answer["k"] = k if plain_first_hit(dist, k - 1) is None else k - 1
+        return answer
+    k = 0
     while (witness := plain_first_hit(dist, k)) is None:
         k += 1
     return {"k": k, "witness": witness}
@@ -278,11 +300,20 @@ def _family(sets, k):
     return {"sets": sets, "count": len(sets), "size": k}
 
 
+def _mixed_radix(memo, cell):
+    """The mixed-radix orbit's sorted (set, status) pairs."""
+    return orbit_pairs(orbit_by_mixed_radix(memo(_dist, cell), memo(_graph, cell).twin_classes()))
+
+
+def orbit_by_walk(memo, cell):
+    engine = resolving._Engine(memo(_dist, cell))
+    pairs = orbit_pairs(resolving._orbit(engine, memo(_graph, cell).twin_classes()))
+    return {"pairs": pairs, "evaluated": engine.evaluated}
+
+
 def minimum_by_mixed_radix_orbit(memo, cell):
     g = memo(_graph, cell)
-    sets = sorted(tuple(w) for block, hits in orbit_by_mixed_radix(memo(_dist, cell),
-                                                                   g.twin_classes())
-                  for w, hit in zip(block.tolist(), hits.tolist()) if hit)
+    sets = [w for w, hit in memo(_mixed_radix, cell) if hit]
     answer = _family(sets, cell.dim)
     if _corollary_cell(cell, memo):
         answer["spans"] = all(verify.contains_v_basis(g, _ids(g, w)) for w in sets)
@@ -375,6 +406,11 @@ def _twins_by(test_on):
     return answer
 
 
+def _open_neighbourhoods_agree(g):
+    nbrs = [set(x) for x in g.neighbors()]
+    return lambda c: all(nbrs[u] - {v} == nbrs[v] - {u} for u, v in zip(c, c[1:]))
+
+
 def _in_one_class(g):
     cls = {v: i for i, members in enumerate(g.twin_classes()) for v in members}
     return lambda c: len({cls[v] for v in c}) == 1
@@ -386,7 +422,7 @@ ROUTES = [
     (DIM, "find_min_resolving_for_matrix on columns", None,
      lambda m, c: _walk(m(_graph, c).distance_columns(), m(_graph, c).twin_classes())),
     (DIM, "metric_dimension_search", None, dim_by_search),
-    (DIM, "plain_first_hit from k = 0", _scan_is_cheap, dim_by_plain_scan),
+    (DIM, "plain_first_hit", _first_hit_applies, dim_by_plain_scan),
     (DIM, "metric_dimension_formula", lambda c, m: c.q is not None, dim_by_formula),
     (DIM, "metric_dimension_search on the powerset graph", _on_powerset,
      lambda m, c: dim_by_search(m, c, _powerset)),
@@ -401,7 +437,7 @@ ROUTES = [
     # past 48 vertices a set of dim columns is over three packed passes,
     # and `status_by_rows` reads it one row set at a time
     (MINIMUM, "resolving_sets_by_scan at k = dim",
-     lambda c, m: c.vertices <= 48 and comb(c.vertices, c.dim) <= 200_000,
+     lambda c, m: c.vertices <= 48 and comb(c.vertices, c.dim) <= 700_000,
      lambda m, c: _family(m(_scan, c, c.dim), c.dim)),
     (MINIMUM, "orbit_by_mixed_radix hits", _at_the_twin_bound, minimum_by_mixed_radix_orbit),
     (MINIMUM, "twin_core_certificate", _certified,
@@ -423,9 +459,11 @@ ROUTES = [
     (MINIMAL, "enumerate_minimal_resolving_sets and has_exchange_property", None,
      minimal_by_table),
     # 2^15 subsets of Python tuples take about 0.7 s: past 12 vertices the
-    # definition runs only where no certificate is a second route
+    # definition runs on (2,4) and (4,2), and where no certificate is a
+    # second route
     (MINIMAL, "exchange_by_definition",
-     lambda c, m: c.vertices <= 12 or c.vertices <= 15 and not _certified(c, m),
+     lambda c, m: c.vertices <= 12 or c.vertices <= 15 and (
+         (c.n or 0) >= 2 or not _certified(c, m)),
      lambda m, c: exchange_by_definition(m(_graph, c))),
     (MINIMAL, "twin_core_certificate", _certified, minimal_by_certificate),
     (MINIMAL, "has_exchange_property by the certificate",
@@ -448,6 +486,16 @@ ROUTES = [
     (TWINS, "are_twins on consecutive members", None,
      _twins_by(lambda g: lambda c: all(twins.are_twins(g, *_ids(g, p)) for p in zip(c, c[1:])))),
     (TWINS, "one class of twin_classes", None, _twins_by(_in_one_class)),
+    (TWINS, "N(u) - v == N(v) - u on consecutive members", lambda c, m: c.q is None,
+     _twins_by(_open_neighbourhoods_agree)),
+    (ORBIT, "_orbit", None, orbit_by_walk),
+    (ORBIT, "orbit_by_mixed_radix", None,
+     lambda m, c: {"pairs": m(_mixed_radix, c), "evaluated": len(m(_mixed_radix, c))}),
+    (ORBIT, "prod |c| over the twin classes", None,
+     lambda m, c: {"evaluated": prod(map(len, m(_graph, c).twin_classes()))}),
+    # a class of (q-1)^|S| members per nonempty support S
+    (ORBIT, "(q-1)^(n 2^(n-1))", lambda c, m: c.q >= 3,
+     lambda m, c: {"evaluated": (c.q - 1) ** (c.n << (c.n - 1))}),
 ]
 
 
@@ -474,6 +522,22 @@ def disagreements(got):
     return found
 
 
+def assert_routes_agree(question, cell_name, *names):
+    """The named routes of `question` all apply to the cell, and agree on
+    every key that two of them give: one pairwise comparison of the
+    matrix, read from the session's answers."""
+    got = answers(question, cell_name)
+    assert set(names) <= set(got), f"{sorted(set(names) - set(got))} do not apply"
+    picked = {name: got[name] for name in names}
+    shared = [k for k in {k for a in picked.values() for k in a}
+              if sum(k in a for a in picked.values()) >= 2]
+    assert shared, f"{names} give no key in common"
+    for key in shared:
+        values = [(name, a[key]) for name, a in picked.items() if key in a]
+        assert all(v == values[0][1] for _, v in values), f"{key!r} differs: {values}"
+    return got
+
+
 def agree(question, cell_name):
     """Whether the routes of `question` agree on the cell, each computed
     afresh: the check a mutant names."""
@@ -486,23 +550,3 @@ PAIRS = [(question, cell.name) for cell in CELLS for question in sorted(cell.que
 @pytest.mark.parametrize("question, cell_name", PAIRS, ids=[f"{q}@{c}" for q, c in PAIRS])
 def test_routes_agree(question, cell_name):
     assert disagreements(answers(question, cell_name)) == []
-
-
-def test_the_matrix_cells_hold_both_verdicts():
-    # each comparison above meets both outcomes: the sampled sets, the
-    # k-subsets and the tables hold resolving sets and others, and the
-    # removal samples minimal sets and sets with a redundant member
-    path = answers(SINGLE, "path")["status_by_rows"]["status"]
-    assert int64_digits(resolving._Engine(_path_graph().distance_matrix()).base) == 13
-    assert 0 < sum(path[:2000]) < 2000 and 0 < sum(path[2000:]) < 2000
-    for k, sets in answers(K_SUBSETS, "path")["resolving_sets_by_scan"].items():
-        assert 0 < len(sets) < comb(20, k)
-    for n in range(12, 17):
-        masks = answers(TABLE, f"mask-table:{n}")["status_by_mask_by_scan"]["masks"]
-        assert 0 < len(masks) < 1 << n
-    for q, n in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2)):
-        got = answers(SINGLE, f"{q}-{n}")["is_resolving"]
-        assert {x is None for x, ok in zip(got["redundant"], got["status"]) if ok} == {True, False}
-    # the certificate decides the q >= 3 cells and the doubled graphs
-    assert all("twin_core_certificate" in answers(MINIMAL, c.name) for c in CELLS
-               if MINIMAL in c.questions and (c.q or 0) >= 3 or c.name.startswith("doubled"))
