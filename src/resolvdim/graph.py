@@ -33,7 +33,8 @@ from .vectorspace import DEFAULT_VERTEX_CAP
 # Hard guard for O(N^2) dense structures (distance/adjacency matrices).
 MATRIX_CAP = 4096
 
-# Rows per block where a dense product is built a block at a time.
+# Rows per block where a dense product is built a block at a time; a
+# block of distance columns is met ROW_BLOCK^2 cells at a time.
 ROW_BLOCK = 256
 
 
@@ -204,20 +205,16 @@ class SkeletonColumns:
         """int16 distances from every vertex to vertex c + 1 (0-based c);
         for a 1-D index array c, the N x B block of those columns.
 
-        The block is the only N x B array: masks of 16 bits or fewer are
-        ANDed straight into it (a wrapped uint16 meet stays nonzero), and
-        wider ones a ROW_BLOCK slab of rows at a time, so no bit is cut.
-        Comparing with 0 in place leaves 1 where the masks do not meet and
-        0 where they do; one more makes those the distances 2 and 1."""
+        The block is the only N x B array: the masks are met a slab of at
+        most ROW_BLOCK^2 cells at a time, at their own width, and each
+        slab's test for 0 is written into the block, leaving 1 where the
+        masks do not meet and 0 where they do; one more makes those the
+        distances 2 and 1."""
         sk, own = self._skeletons, self._skeletons[c]
         col = np.empty((len(sk),) + own.shape, dtype=np.int16)
-        if sk.itemsize <= col.itemsize:
-            np.bitwise_and.outer(sk, own, out=col, casting="unsafe")
-            np.equal(col, 0, out=col)
-        else:
-            for lo in range(0, len(sk), ROW_BLOCK):
-                np.equal(np.bitwise_and.outer(sk[lo:lo + ROW_BLOCK], own), 0,
-                         out=col[lo:lo + ROW_BLOCK])
+        step = max(1, ROW_BLOCK ** 2 // max(own.size, 1))
+        for lo in range(0, len(sk), step):
+            np.equal(np.bitwise_and.outer(sk[lo:lo + step], own), 0, out=col[lo:lo + step])
         col += 1
         col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col

@@ -11,7 +11,7 @@ import resolvdim
 from resolvdim.errors import BudgetExceeded, DimensionMismatch, EmptySet
 from resolvdim.field import SUPPORTED_ORDERS
 from resolvdim.graph import ComponentGraph
-from resolvdim.intersection import PlainGraph, SetFamily
+from resolvdim.intersection import PlainGraph
 
 # Seconds any one test may run; the slowest takes a few.
 TEST_ALARM_S = 120
@@ -415,7 +415,7 @@ def desk_instances(limit, orders=SUPPORTED_ORDERS):
             if q ** n - 1 <= limit]
 
 
-# seeded graphs and families: each seed string fixes one instance
+# seeded graphs: each seed string fixes one instance
 
 def gnp(rng, n, p):
     """G(n, p) on 0..n-1 drawn from rng, one draw per pair u < v in order."""
@@ -467,54 +467,6 @@ def twins_graph(seed):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     edges += [(u, n + u) for u in range(3)] + [(n + u, w) for u, w in edges if u < 3 and w < n]
     return PlainGraph(n + 3, edges)
-
-
-def seeded_family(kind):
-    """A set family of one kind (see FAMILY_KINDS in test_intersection.py)."""
-    rng = random.Random(f"intersection-graph:{kind}")
-    tokens = [f"t{i}" for i in range(60)]
-    rng.shuffle(tokens)
-    if kind == "no members":
-        return SetFamily([])
-    if kind == "one member":
-        return SetFamily([set(rng.sample(tokens, 3))])
-    if kind == "all disjoint":
-        return SetFamily([{tokens[2 * i], tokens[2 * i + 1]} for i in range(30)])
-    if kind == "one shared token":
-        return SetFamily([{"shared", tokens[i]} for i in range(40)])
-    if kind == "integer tokens":
-        return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
-                          for _ in range(80)])
-    if kind == "tokens over 256 holders":
-        # 300^2 and 200^2 holder pairs pass PAIR_CHUNK: one token per chunk
-        return SetFamily([{"hub"} | ({"rim"} if i % 3 else set())
-                          | set(rng.sample(tokens, rng.randint(0, 2))) for i in range(300)])
-    if kind == "equal holder counts":
-        # 130 tokens of 40 holders: chunks of 40, 40, 40 and 10 tokens
-        members = [{f"own{i}"} for i in range(300)]
-        for j in range(130):
-            for i in rng.sample(range(300), 40):
-                members[i].add(f"s{j}")
-        return SetFamily(members)
-    if kind == "duplicate members":
-        base = [set(rng.sample(tokens, rng.randint(1, 3))) for _ in range(40)]
-        members = [m for m in base for _ in range(rng.randint(1, 3))]
-        rng.shuffle(members)
-        return SetFamily(members)
-    if kind == "one-holder tokens":
-        # a token of its own for every member; a third also share one of 10
-        return SetFamily([{f"own{i}"} | ({f"s{rng.randrange(10)}"} if rng.random() < 0.33
-                                         else set()) for i in range(90)])
-    if kind == "edge tokens":
-        # a realization of G(30, 0.2): every edge token has exactly two holders
-        members = [{f"p{v}"} for v in range(30)]
-        for u in range(30):
-            for v in range(u + 1, 30):
-                if rng.random() < 0.2:
-                    members[u].add(f"e{u}-{v}")
-                    members[v].add(f"e{u}-{v}")
-        return SetFamily(members)
-    return SetFamily([set(rng.sample(tokens, rng.randint(1, 4))) for _ in range(120)])
 
 
 @pytest.fixture(scope="session")

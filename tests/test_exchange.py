@@ -1,38 +1,36 @@
 import pytest
 
 from conftest import random_graph
-from test_routes import MINIMAL, MINIMUM, SINGLE, TWINS, answers, assert_routes_agree
+from test_routes import MINIMAL, MINIMUM, SINGLE, TWINS, answers, folded, qn, seeded
 from resolvdim import exchange, resolving, verify
 from resolvdim.errors import BadParameters, BudgetExceeded
 from resolvdim.graph import ComponentGraph
 from resolvdim.vectorspace import DEFAULT_VERTEX_CAP
 
 
-_TABLE = "enumerate_minimal_resolving_sets and has_exchange_property"
-
-
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
-def test_matches_the_definition_on_component_graphs(q, n):
-    # the verdict, the minimal sets and their sizes, and the witness
-    assert_routes_agree(MINIMAL, f"{q}-{n}", _TABLE, "exchange_by_definition")
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_matches_the_definition_on_random_graphs(seed):
-    # disconnected pairs, twins of both kinds and the empty graph included
-    assert_routes_agree(MINIMAL, f"exchange:{seed}", _TABLE, "exchange_by_definition")
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_single_set_checks_on_random_graphs(seed):
-    # the certificate's premises on a plain graph (ids 0..N-1): the least
-    # colliding pair and least redundant member by the definition on six
-    # seeded sets, and the twin-class test against the twin classes
-    cell = f"exchange:{seed}"
-    assert_routes_agree(SINGLE, cell, "is_resolving", "resolves", "least_equal_rows_by_dict",
-                        "resolves_by_definition", "minimality_by_definition")
-    assert_routes_agree(TWINS, cell, "is_twin_class", "are_twins on consecutive members",
-                        "one class of twin_classes")
+# the pairwise tests that the route matrix folded (see `folded`)
+_BY_DEFINITION = {MINIMAL: ["enumerate_minimal_resolving_sets and has_exchange_property",
+                            "exchange_by_definition"]}
+_CERTIFIED = {MINIMAL: ["enumerate_minimal_resolving_sets and has_exchange_property",
+                        "twin_core_certificate", "has_exchange_property by the certificate"]}
+test_matches_the_definition_on_component_graphs = folded(
+    _BY_DEFINITION, qn((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)))
+test_matches_the_definition_on_random_graphs = folded(
+    _BY_DEFINITION, seeded("exchange:{}", range(20)))
+test_single_set_checks_on_random_graphs = folded(
+    {SINGLE: ["is_resolving", "resolves", "least_equal_rows_by_dict", "resolves_by_definition",
+              "minimality_by_definition"],
+     TWINS: ["is_twin_class", "are_twins on consecutive members", "one class of twin_classes"]},
+    seeded("exchange:{}", range(20)))
+test_certificate_matches_the_table_on_component_graphs = folded(
+    _CERTIFIED, qn((3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (7, 1), (8, 1), (9, 1), (11, 1),
+                   (13, 1), (16, 1)))
+test_certificate_matches_the_table_on_doubled_random_graphs = folded(
+    _CERTIFIED, seeded("doubled:{}", range(20)))
+test_certified_corollary_matches_the_orbit_oracle = folded(
+    {MINIMUM: ["orbit_by_mixed_radix hits", "verify_cell's certified corollary",
+               "prod (q-1)^|S| over the supports S"]},
+    qn((3, 2), (3, 3), (4, 2), (5, 2), (7, 2)))
 
 
 def test_random_graphs_include_both_verdicts():
@@ -93,24 +91,6 @@ def test_certificate_family_over_the_budget_is_refused(g33):
     assert report.minimal_set_sizes == (19,) * 4096
 
 
-_CERTIFIED = [_TABLE, "twin_core_certificate", "has_exchange_property by the certificate"]
-
-
-@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (7, 1), (8, 1),
-                                 (9, 1), (11, 1), (13, 1), (16, 1)])
-def test_certificate_matches_the_table_on_component_graphs(q, n):
-    # the certificate decides, and its family, verdict and sizes are the
-    # 2^N table's, also through the exchange check's own route to it
-    assert_routes_agree(MINIMAL, f"{q}-{n}", *_CERTIFIED)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_certificate_matches_the_table_on_doubled_random_graphs(seed):
-    # with every class of two or more, the core of the true twin classes
-    # always resolves, so the certificate decides every one of these
-    assert_routes_agree(MINIMAL, f"doubled:{seed}", *_CERTIFIED)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_certificate_refuses_at_q2(n):
     # (2,2) has the singleton class {e1+e2}; at n >= 3 every class is one
@@ -129,16 +109,6 @@ def test_random_graphs_include_both_certificate_outcomes():
     outcomes = {"twin_core_certificate" in answers(MINIMAL, f"exchange:{seed}")
                 for seed in range(20)}
     assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
-def test_certified_corollary_matches_the_orbit_oracle(q, n):
-    # one budget unit below the orbit's prod |c| sets the certificate
-    # decides the corollary; the oracle lists the orbit and tests each set
-    got = assert_routes_agree(MINIMUM, f"{q}-{n}", "orbit_by_mixed_radix hits",
-                              "verify_cell's certified corollary",
-                              "prod (q-1)^|S| over the supports S")
-    assert got["orbit_by_mixed_radix hits"]["spans"] is True
 
 
 def test_certified_corollary_keeps_the_refusal_when_the_axes_premise_fails(monkeypatch):

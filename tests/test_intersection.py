@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import intersection_graph_by_pairs, seeded_family
+from conftest import intersection_graph_by_pairs
 from resolvdim import exchange, intersection, resolving
 from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
 from resolvdim.graph import MATRIX_CAP, ComponentGraph
@@ -19,6 +19,53 @@ def test_intersection_graph_examples():
     assert k3.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
+def _seeded_family(kind):
+    rng = random.Random(f"intersection-graph:{kind}")
+    tokens = [f"t{i}" for i in range(60)]
+    rng.shuffle(tokens)
+    if kind == "no members":
+        return SetFamily([])
+    if kind == "one member":
+        return SetFamily([set(rng.sample(tokens, 3))])
+    if kind == "all disjoint":
+        return SetFamily([{tokens[2 * i], tokens[2 * i + 1]} for i in range(30)])
+    if kind == "one shared token":
+        return SetFamily([{"shared", tokens[i]} for i in range(40)])
+    if kind == "integer tokens":
+        return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
+                          for _ in range(80)])
+    if kind == "tokens over 256 holders":
+        # 300^2 and 200^2 holder pairs pass PAIR_CHUNK: one token per chunk
+        return SetFamily([{"hub"} | ({"rim"} if i % 3 else set())
+                          | set(rng.sample(tokens, rng.randint(0, 2))) for i in range(300)])
+    if kind == "equal holder counts":
+        # 130 tokens of 40 holders: chunks of 40, 40, 40 and 10 tokens
+        members = [{f"own{i}"} for i in range(300)]
+        for j in range(130):
+            for i in rng.sample(range(300), 40):
+                members[i].add(f"s{j}")
+        return SetFamily(members)
+    if kind == "duplicate members":
+        base = [set(rng.sample(tokens, rng.randint(1, 3))) for _ in range(40)]
+        members = [m for m in base for _ in range(rng.randint(1, 3))]
+        rng.shuffle(members)
+        return SetFamily(members)
+    if kind == "one-holder tokens":
+        # a token of its own for every member; a third also share one of 10
+        return SetFamily([{f"own{i}"} | ({f"s{rng.randrange(10)}"} if rng.random() < 0.33
+                                         else set()) for i in range(90)])
+    if kind == "edge tokens":
+        # a realization of G(30, 0.2): every edge token has exactly two holders
+        members = [{f"p{v}"} for v in range(30)]
+        for u in range(30):
+            for v in range(u + 1, 30):
+                if rng.random() < 0.2:
+                    members[u].add(f"e{u}-{v}")
+                    members[v].add(f"e{u}-{v}")
+        return SetFamily(members)
+    return SetFamily([set(rng.sample(tokens, rng.randint(1, 4))) for _ in range(120)])
+
+
 FAMILY_KINDS = ["no members", "one member", "all disjoint", "one shared token",
                 "integer tokens", "strings", "tokens over 256 holders",
                 "equal holder counts", "duplicate members", "one-holder tokens",
@@ -27,13 +74,13 @@ FAMILY_KINDS = ["no members", "one member", "all disjoint", "one shared token",
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_intersection_graph_matches_pair_loop(kind):
-    fam = seeded_family(kind)
+    fam = _seeded_family(kind)
     assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_holder_chunks_list_every_token_once_within_the_pair_cap(kind):
-    fam = seeded_family(kind)
+    fam = _seeded_family(kind)
     chunks = list(intersection._holder_chunks(fam))
     for rows in chunks:
         assert len(rows) == 1 or rows.size * rows.shape[1] <= intersection.PAIR_CHUNK
@@ -45,10 +92,10 @@ def test_holder_chunks_list_every_token_once_within_the_pair_cap(kind):
 
 def test_holder_chunk_shapes():
     shapes = [rows.shape for rows in intersection._holder_chunks(
-        seeded_family("tokens over 256 holders"))]
+        _seeded_family("tokens over 256 holders"))]
     assert (1, 300) in shapes and (1, 200) in shapes
     shapes = [rows.shape for rows in intersection._holder_chunks(
-        seeded_family("equal holder counts"))]
+        _seeded_family("equal holder counts"))]
     assert [s for s in shapes if s[1] == 40] == [(40, 40)] * 3 + [(10, 40)]
     assert (300, 1) in shapes
 
@@ -71,7 +118,7 @@ _MUTANTS = [
 
 @pytest.mark.parametrize("name, kind, patch", _MUTANTS, ids=[m[0] for m in _MUTANTS])
 def test_intersection_graph_mutants_fail_the_pair_check(monkeypatch, name, kind, patch):
-    fam = seeded_family(kind)
+    fam = _seeded_family(kind)
     assert intersection.intersection_graph(fam) == intersection_graph_by_pairs(fam)
     patch(monkeypatch)
     if name == "diagonal not cleared":

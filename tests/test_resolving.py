@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations, islice
-from math import comb, prod
+from math import prod
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from conftest import (desk_instances, int64_digits, kernel_status, least_equal_r
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
                       overflowing_digit_matrix, partition_with_a_wide_class, random_partition,
                       representation, resolves_by_definition, status_by_rows, walk_outcome)
-from test_routes import (DIM, K_SUBSETS, MINIMAL, MINIMUM, ORBIT, ORBIT_CELLS, SINGLE, TABLE,
-                         assert_routes_agree)
-from resolvdim import exchange, field, resolving, twins
+from test_routes import (ALL_HITS_CELLS, DIM, K_SUBSETS, MINIMAL, MINIMUM, ORBIT, ORBIT_CELLS,
+                         SINGLE, TABLE, folded, qn, seeded)
+from resolvdim import exchange, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, OutOfRange, UnsupportedOrder)
 from resolvdim.graph import ComponentGraph, bfs_distances
@@ -196,17 +196,53 @@ def test_table_guard_has_its_own_message(g33):
     assert (err.value.evaluated, err.value.budget) == (0, 10 ** 8)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_front_ends_agree_on_powerset_graph(n):
-    # the powerset intersection graph is the (2,n) component graph with
-    # every id lowered by one, so its ids are the component graph's columns
-    cell = f"2-{n}"
-    assert_routes_agree(DIM, cell, "metric_dimension_search",
-                        "metric_dimension_search on the powerset graph")
-    assert_routes_agree(MINIMUM, cell, "minimum_resolving_sets",
-                        "enumerate_minimum_resolving_sets on the powerset graph")
-    assert_routes_agree(MINIMAL, cell, "enumerate_minimal_resolving_sets and has_exchange_property",
-                        "enumerate_minimal_resolving_sets on the powerset graph")
+# the pairwise tests that the route matrix folded (see `folded`)
+_MINIMAL_TABLE = "enumerate_minimal_resolving_sets and has_exchange_property"
+_TABLES = {TABLE: ["resolving_status_by_mask", "status_by_mask_by_scan"]}
+_ALL_HITS = {K_SUBSETS: ["all_resolving_k_subsets", "resolving_sets_by_scan"]}
+test_front_ends_agree_on_powerset_graph = folded(
+    {DIM: ["metric_dimension_search", "metric_dimension_search on the powerset graph"],
+     MINIMUM: ["minimum_resolving_sets", "enumerate_minimum_resolving_sets on the powerset graph"],
+     MINIMAL: [_MINIMAL_TABLE, "enumerate_minimal_resolving_sets on the powerset graph"]},
+    {str(n): [f"2-{n}"] for n in (2, 3, 4)})
+test_mask_table_consistency = folded(
+    {**_TABLES, MINIMAL: [_MINIMAL_TABLE, "exchange_by_definition"]}, ["2-3", "2-4"])
+test_wide_path_matches_definition = folded(_ALL_HITS, ["path"])
+test_walk_matches_plain_scan = folded(
+    {DIM: ["find_min_resolving_for_matrix", "plain_first_hit", "metric_dimension_formula"]},
+    qn((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)))
+test_walk_matches_plain_scan_on_powerset_graph = folded(
+    {DIM: ["metric_dimension_search on the powerset graph", "plain_first_hit",
+           "powerset_intersection_dimension"]}, {str(n): [f"2-{n}"] for n in (3, 4)})
+test_walk_matches_plain_scan_on_random_graphs = folded(
+    {DIM: ["find_min_resolving_for_matrix", "plain_first_hit"]}, seeded("walk:{}", range(40)))
+test_all_hits_walk_matches_plain_scan = folded(
+    _ALL_HITS, {f"{q}-{n}-{k}": [f"{q}-{n}"] for q, n, k in ALL_HITS_CELLS})
+test_all_hits_walk_matches_plain_scan_on_random_graphs = folded(
+    _ALL_HITS, {f"{s}-{t}": [f"all-hits:{s}:{t}"] for t in (True, False) for s in range(6)})
+test_mask_table_matches_plain_scan = folded(_TABLES, qn((2, 3), (3, 2), (2, 4), (4, 2)))
+test_mask_table_matches_plain_scan_on_random_graphs = folded(
+    _TABLES, seeded("mask-table:{}", range(12, 17)))
+test_orbit_matches_plain_scan = folded(
+    {MINIMUM: ["minimum_resolving_sets", "resolving_sets_by_scan at k = dim",
+               "enumerate_minimum_resolving_sets"]},
+    qn((2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)))
+test_orbit_walk_matches_mixed_radix_orbit = folded(
+    {ORBIT: ["_orbit", "orbit_by_mixed_radix", "prod |c| over the twin classes"]},
+    qn(*ORBIT_CELLS))
+test_resolves_matches_is_resolving = folded({SINGLE: ["is_resolving", "resolves"]}, ["2-3"])
+test_kernel_matches_rows_around_one_packed_pass = folded(
+    {SINGLE: ["_collision", "status_by_rows"]}, qn((7, 2), (3, 4)))
+test_kernel_matches_rows_on_the_first_two_group_sets = folded(
+    {SINGLE: ["_collision", "status_by_rows"]}, ["path"])
+test_colliding_pair_matches_rows = folded(
+    {SINGLE: ["is_resolving", "least_equal_rows_by_dict"]}, qn((2, 3), (3, 2)))
+test_column_walk_matches_matrix_walk = folded(
+    {DIM: ["find_min_resolving_for_matrix", "find_min_resolving_for_matrix on columns",
+           "metric_dimension_search"]}, qn(*desk_instances(1023)))
+test_single_removals_match_definition = folded(
+    {SINGLE: ["is_resolving", "resolves_by_definition", "minimality_by_definition"]},
+    qn((2, 3), (2, 4), (3, 2), (3, 3), (4, 2)))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -246,91 +282,9 @@ def test_monotonicity_random_supersets(g32):
         assert resolving.is_resolving(g32, sorted(w)).is_resolving
 
 
-def test_mask_table_consistency():
-    # the full-subset table against the plain scan, and the minimal sets
-    # read from its minimal table against the definition, at N = 7 and
-    # N = 15; at N = 15 a minimal set reaches the views for bits 8 and up
-    for cell in ("2-3", "2-4"):
-        assert_routes_agree(TABLE, cell, "resolving_status_by_mask", "status_by_mask_by_scan")
-        got = assert_routes_agree(MINIMAL, cell,
-                                  "enumerate_minimal_resolving_sets and has_exchange_property",
-                                  "exchange_by_definition")
-    assert max(map(max, got["exchange_by_definition"]["sets"])) >= 8
-
-
-def test_wide_path_matches_definition():
-    # A path on 15 vertices plus 5 isolated ones, which are open twins:
-    # the unreachable distance 21 makes the code base 22, so the oracle
-    # decides sets of 14 or more columns one row set at a time.
-    got = assert_routes_agree(K_SUBSETS, "path", "all_resolving_k_subsets",
-                              "resolving_sets_by_scan")
-    for k, sets in got["resolving_sets_by_scan"].items():
-        assert 0 < len(sets) < comb(20, k)
-
-
 # ---------------------------------------------------------------------------
-# the pruned walk and the product walk against the plain scan
+# the pruned walk and the product walk
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1),
-                                 (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
-def test_walk_matches_plain_scan(q, n):
-    # the witness is the plain scan's first hit at k, and k the formula's;
-    # the scan runs from k = 0 where its levels are cheap, else at k and,
-    # where it is cheap, at k - 1
-    assert_routes_agree(DIM, f"{q}-{n}", "find_min_resolving_for_matrix", "plain_first_hit",
-                        "metric_dimension_formula")
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_walk_matches_plain_scan_on_powerset_graph(n):
-    assert_routes_agree(DIM, f"2-{n}", "metric_dimension_search on the powerset graph",
-                        "plain_first_hit", "powerset_intersection_dimension")
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_walk_matches_plain_scan_on_random_graphs(seed):
-    # small graphs with backtracking, twin classes of both kinds, and
-    # disconnected pairs at the unreachable distance
-    assert_routes_agree(DIM, f"walk:{seed}", "find_min_resolving_for_matrix", "plain_first_hit")
-
-
-# every component graph of at most 48 vertices, at k = dim and at
-# k = dim + 1, where C(N, k) is at most 200,000; above 48 vertices the
-# all-hits walk of a (q,2) cell at k = N - 2 takes seconds to minutes
-ALL_HITS_CELLS = [(q, n, k) for q in field.SUPPORTED_ORDERS for n in range(1, 6)
-                  if q ** n - 1 <= 48
-                  for dim in [resolving.metric_dimension_formula(q, n)]
-                  for k in (dim, dim + 1) if k <= q ** n - 1 and comb(q ** n - 1, k) <= 200_000]
-
-
-@pytest.mark.parametrize("q,n,k", ALL_HITS_CELLS)
-def test_all_hits_walk_matches_plain_scan(q, n, k):
-    got = assert_routes_agree(K_SUBSETS, f"{q}-{n}", "all_resolving_k_subsets",
-                              "resolving_sets_by_scan")
-    assert k in got["resolving_sets_by_scan"]
-
-
-@pytest.mark.parametrize("with_twins", [True, False])
-@pytest.mark.parametrize("seed", range(6))
-def test_all_hits_walk_matches_plain_scan_on_random_graphs(seed, with_twins):
-    # seeded G(n, p) on 8 to 14 vertices, with a twin class of two or more
-    # exactly when `with_twins`, at k = 0, 3 and 5
-    assert_routes_agree(K_SUBSETS, f"all-hits:{seed}:{with_twins}", "all_resolving_k_subsets",
-                        "resolving_sets_by_scan")
-
-
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (4, 2)])
-def test_mask_table_matches_plain_scan(q, n):
-    assert_routes_agree(TABLE, f"{q}-{n}", "resolving_status_by_mask", "status_by_mask_by_scan")
-
-
-@pytest.mark.parametrize("n", range(12, 17))
-def test_mask_table_matches_plain_scan_on_random_graphs(n):
-    got = assert_routes_agree(TABLE, f"mask-table:{n}", "resolving_status_by_mask",
-                              "status_by_mask_by_scan")
-    assert 0 < len(got["status_by_mask_by_scan"]["masks"]) < 1 << n
-
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (3, 4)])
 def test_walk_starts_at_the_dimension(q, n):
@@ -392,6 +346,21 @@ def test_walk_frames_hold_uint16_ranks():
     assert k == 992 and peak < k * len(dist) * 3
 
 
+def test_walk_frames_stop_where_the_budget_does():
+    # (16,3): the walk starts at k = 4088 over N = 4095 rows, 33 MB of
+    # frames for the whole depth; a budget of 10 reaches 11 depths at most
+    g = ComponentGraph(16, 3)
+    source, classes = g.distance_columns(), g.twin_classes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="after 10 subset"):
+            resolving.find_min_resolving_for_matrix(source, classes, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_walk_key_is_int64_for_any_entry():
     # the frame ranks are widened before the refinement key is formed,
     # so an entry past int32 is read exactly; column 1 resolves
@@ -410,27 +379,6 @@ def test_landmark_bound():
     assert resolving._Engine(ComponentGraph(2, 12).distance_matrix()).landmark_bound() == 12
     # a complete graph has the single distance 1: K_4 needs 3
     assert resolving._Engine(ComponentGraph(5, 1).distance_matrix()).landmark_bound() == 3
-
-
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)])
-def test_orbit_matches_plain_scan(q, n):
-    # the orbit's sets are the scan's, prod |c| of them; the enumeration
-    # lists them in the scan's lexicographic order
-    g = ComponentGraph(q, n)
-    got = assert_routes_agree(MINIMUM, f"{q}-{n}", "minimum_resolving_sets",
-                              "resolving_sets_by_scan at k = dim")
-    scan = got["resolving_sets_by_scan at k = dim"]["sets"]
-    assert len(scan) == prod(len(c) for c in g.twin_classes())
-    assert resolving.enumerate_minimum_resolving_sets(g) == \
-        [tuple(c + 1 for c in w) for w in scan]
-
-
-@pytest.mark.parametrize("q,n", ORBIT_CELLS)
-def test_orbit_walk_matches_mixed_radix_orbit(q, n):
-    # the walk's (set, status) pairs are the mixed-radix orbit's, one
-    # budget unit each, and at q >= 3 there are (q-1)^(n 2^(n-1)) of them
-    names = ["_orbit", "orbit_by_mixed_radix", "prod |c| over the twin classes"]
-    assert_routes_agree(ORBIT, f"{q}-{n}", *names, *(["(q-1)^(n 2^(n-1))"] if q >= 3 else []))
 
 
 def _assert_orbit_matches_oracle(dist, classes):
@@ -595,13 +543,6 @@ def test_resolves_on_a_wide_basis_reads_columns_in_place():
     assert peak < 4 * 2 ** 20
 
 
-def test_resolves_matches_is_resolving():
-    # every set of at most four members of the (2,3) graph
-    assert_routes_agree(SINGLE, "2-3", "is_resolving", "resolves")
-    with pytest.raises(BadParameters):
-        resolving.resolves(ComponentGraph(2, 3), (1, 1))
-
-
 # ---------------------------------------------------------------------------
 # the column-group kernel against the detectors it replaced
 # ---------------------------------------------------------------------------
@@ -616,24 +557,6 @@ def test_kernel_matches_rows_on_orbit_batches():
         assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
 
 
-@pytest.mark.parametrize("q,n", [(7, 2), (3, 4)])
-def test_kernel_matches_rows_around_one_packed_pass(q, n):
-    # 64 seeded sets at each size a digit short of one packed pass, at it,
-    # a digit past it and two passes and one
-    assert_routes_agree(SINGLE, f"{q}-{n}", "_collision", "status_by_rows")
-
-
-def test_kernel_matches_rows_on_the_first_two_group_sets():
-    # the path-plus-isolated graph of `test_wide_path_matches_definition`:
-    # code base 22, so 13 columns are one packed pass and 14 need two
-    # groups; 2,000 seeded sets of each size, each size with both verdicts
-    got = assert_routes_agree(SINGLE, "path", "_collision", "status_by_rows")
-    dist = PlainGraph(20, [(i, i + 1) for i in range(14)]).distance_matrix()
-    assert int64_digits(resolving._Engine(dist).base) == 13
-    status = got["status_by_rows"]["status"]
-    assert 0 < sum(status[:2000]) < 2000 and 0 < sum(status[2000:]) < 2000
-
-
 def test_kernel_ranks_before_an_overflowing_digit():
     # a kernel that never re-ranks reads [False] here (see the matrix's
     # docstring and the `kernel-never-re-ranks` mutant)
@@ -643,11 +566,6 @@ def test_kernel_ranks_before_an_overflowing_digit():
     assert engine.base == 2 ** 40 + 1
     assert kernel_status(engine, cols).tolist() == [True]
     assert status_by_rows(dist, cols).tolist() == [True]
-
-
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
-def test_colliding_pair_matches_rows(q, n):
-    assert_routes_agree(SINGLE, f"{q}-{n}", "is_resolving", "least_equal_rows_by_dict")
 
 
 def test_colliding_pair_matches_rows_on_wide_sets():
@@ -675,14 +593,6 @@ def test_kernel_reads_blocks_within_the_batch_cells():
     assert max(reads) * len(dist) <= resolving._BATCH_CELLS
 
 
-@pytest.mark.parametrize("q,n", desk_instances(1023))
-def test_column_walk_matches_matrix_walk(q, n):
-    # the default budget decides every cell with N <= 1023; a budget of 30
-    # stops most of them mid-walk, which pins the evaluated counts
-    assert_routes_agree(DIM, f"{q}-{n}", "find_min_resolving_for_matrix",
-                        "find_min_resolving_for_matrix on columns", "metric_dimension_search")
-
-
 def test_column_walk_over_budget_matches_matrix_walk():
     g = ComponentGraph(2, 12)
     classes = g.twin_classes()
@@ -693,15 +603,6 @@ def test_column_walk_over_budget_matches_matrix_walk():
         resolving.metric_dimension_search(g, 1000)
     assert (err.value.evaluated, err.value.lower_bound, err.value.upper_bound) == \
         (1000, 12, 4095)
-
-
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
-def test_single_removals_match_definition(q, n):
-    # seeded sets of every size from the dimension up, so that resolving
-    # sets, minimal ones and sets with a redundant member all occur
-    got = assert_routes_agree(SINGLE, f"{q}-{n}", "is_resolving", "resolves_by_definition",
-                              "minimality_by_definition")["is_resolving"]
-    assert {x is None for x, ok in zip(got["redundant"], got["status"]) if ok} == {True, False}
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2)])

@@ -9,8 +9,9 @@ cell) that a cell asks: at least two routes apply, every key comes from
 two or more, and all agree.  `SESSION` computes each answer, and each
 graph, matrix and plain scan it reads, once per session; `agree` computes
 a (question, cell) afresh, for the mutant registry (`test_mutants.py`).
-The pairwise tests of the other files name the routes they compare and
-read them from `SESSION` through `assert_routes_agree`.
+The pairwise tests that the matrix folded keep their names and ids in
+their files, each made by `folded` from the routes it compared and its
+cells: a case requires those routes to apply and runs the cells' rows.
 """
 
 import random
@@ -158,6 +159,13 @@ _SETS = {
 }
 _CANDIDATES = {c: lambda g, c=c: _twin_candidates(g, *c)
                for c in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (3, 3))}
+# every component graph of at most 48 vertices, at k = dim and at
+# k = dim + 1, where C(N, k) is at most 200,000; above 48 vertices the
+# all-hits walk of a (q,2) cell at k = N - 2 takes seconds to minutes
+ALL_HITS_CELLS = [(q, n, k) for q in field.SUPPORTED_ORDERS for n in range(1, 6)
+                  if q ** n - 1 <= 48
+                  for dim in [resolving.metric_dimension_formula(q, n)]
+                  for k in (dim, dim + 1) if k <= q ** n - 1 and comb(q ** n - 1, k) <= 200_000]
 # every q >= 3 cell whose orbit, (q-1)^(n 2^(n-1)) sets, has at most 20,000
 # members, and the q = 2 cells up to n = 4
 ORBIT_CELLS = [(q, n) for q in field.SUPPORTED_ORDERS if q >= 3 for n in (1, 2, 3)
@@ -165,13 +173,12 @@ ORBIT_CELLS = [(q, n) for q in field.SUPPORTED_ORDERS if q >= 3 for n in (1, 2, 
 
 
 def _component_cell(q, n):
-    """The dimension everywhere; the k-subsets and the minimum sets on at most
-    48 vertices (the pruned walk lists every hit at k = dim + 1 within a
-    second), and at q >= 3 the minimum sets; the 2^N table and the minimal
-    sets on at most 16; the twin-swap orbit on `ORBIT_CELLS`."""
+    """The dimension everywhere; the k-subsets on `ALL_HITS_CELLS`; the
+    minimum sets on at most 48 vertices and at q >= 3; the 2^N table and
+    the minimal sets on at most 16; the twin-swap orbit on `ORBIT_CELLS`."""
     count, dim = q ** n - 1, resolving.metric_dimension_formula(q, n)
-    ks = tuple(k for k in (dim, dim + 1) if k <= count and comb(count, k) <= 200_000)
-    asked = ({DIM} | ({K_SUBSETS} if count <= 48 and ks else set())
+    ks = tuple(k for q_, n_, k in ALL_HITS_CELLS if (q_, n_) == (q, n))
+    asked = ({DIM} | ({K_SUBSETS} if ks else set())
              | ({MINIMUM} if count <= 48 or q >= 3 else set())
              | ({TABLE, MINIMAL} if count <= 16 else set())
              | ({SINGLE} if (q, n) in _SETS else set())
@@ -439,6 +446,10 @@ ROUTES = [
     (MINIMUM, "resolving_sets_by_scan at k = dim",
      lambda c, m: c.vertices <= 48 and comb(c.vertices, c.dim) <= 700_000,
      lambda m, c: _family(m(_scan, c, c.dim), c.dim)),
+    # in the scan's lexicographic order
+    (MINIMUM, "enumerate_minimum_resolving_sets", lambda c, m: c.vertices <= 48,
+     lambda m, c: _family([_cols(m(_graph, c), w) for w in
+                           resolving.enumerate_minimum_resolving_sets(m(_graph, c))], c.dim)),
     (MINIMUM, "orbit_by_mixed_radix hits", _at_the_twin_bound, minimum_by_mixed_radix_orbit),
     (MINIMUM, "twin_core_certificate", _certified,
      lambda m, c: {"count": m(_certificate, c).family_size, "size": len(m(_certificate, c).core)}),
@@ -522,22 +533,6 @@ def disagreements(got):
     return found
 
 
-def assert_routes_agree(question, cell_name, *names):
-    """The named routes of `question` all apply to the cell, and agree on
-    every key that two of them give: one pairwise comparison of the
-    matrix, read from the session's answers."""
-    got = answers(question, cell_name)
-    assert set(names) <= set(got), f"{sorted(set(names) - set(got))} do not apply"
-    picked = {name: got[name] for name in names}
-    shared = [k for k in {k for a in picked.values() for k in a}
-              if sum(k in a for a in picked.values()) >= 2]
-    assert shared, f"{names} give no key in common"
-    for key in shared:
-        values = [(name, a[key]) for name, a in picked.items() if key in a]
-        assert all(v == values[0][1] for _, v in values), f"{key!r} differs: {values}"
-    return got
-
-
 def agree(question, cell_name):
     """Whether the routes of `question` agree on the cell, each computed
     afresh: the check a mutant names."""
@@ -550,3 +545,60 @@ PAIRS = [(question, cell.name) for cell in CELLS for question in sorted(cell.que
 @pytest.mark.parametrize("question, cell_name", PAIRS, ids=[f"{q}@{c}" for q, c in PAIRS])
 def test_routes_agree(question, cell_name):
     assert disagreements(answers(question, cell_name)) == []
+
+
+def folded(routes, cases):
+    """A pairwise test that the matrix folded, under its old name and ids.
+    `routes` maps each question it asked to the routes it compared, and
+    `cases` each id to its cells (a bare list of cells: a test without
+    ids).  A case requires those routes to apply to its cells and runs
+    the cells' matrix rows, so it compares nothing the matrix does not."""
+    def case(cells):
+        for question, names in routes.items():
+            for cell_name in cells:
+                assert set(names) <= set(answers(question, cell_name)), (question, names)
+                test_routes_agree(question, cell_name)
+    if isinstance(cases, list):
+        return lambda: case(cases)
+    return pytest.mark.parametrize("cells", list(cases.values()), ids=list(cases))(case)
+
+
+def qn(*cells):
+    """The component cells of (q, n) pairs, under the ids "q-n"."""
+    return {f"{q}-{n}": [f"{q}-{n}"] for q, n in cells}
+
+
+def seeded(cell_name, seeds):
+    """The cells `cell_name.format(seed)`, under the ids str(seed)."""
+    return {str(seed): [cell_name.format(seed)] for seed in seeds}
+
+
+def test_the_folded_cells_hold_both_outcomes():
+    # each comparison meets both outcomes: the sampled sets, the k-subsets
+    # and the tables hold resolving sets and others, and the removal
+    # samples minimal sets and sets with a redundant member
+    path = answers(SINGLE, "path")["status_by_rows"]["status"]
+    assert int64_digits(resolving._Engine(_path_graph().distance_matrix()).base) == 13
+    assert 0 < sum(path[:2000]) < 2000 and 0 < sum(path[2000:]) < 2000
+    for k, sets in answers(K_SUBSETS, "path")["resolving_sets_by_scan"].items():
+        assert 0 < len(sets) < comb(20, k)
+    for n in range(12, 17):
+        masks = answers(TABLE, f"mask-table:{n}")["status_by_mask_by_scan"]["masks"]
+        assert 0 < len(masks) < 1 << n
+    for q, n in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2)):
+        got = answers(SINGLE, f"{q}-{n}")["is_resolving"]
+        assert {x is None for x, ok in zip(got["redundant"], got["status"]) if ok} == {True, False}
+    # at N = 15 a minimal set reaches the mask table's views for bits 8 and up
+    assert max(map(max, answers(MINIMAL, "2-4")["exchange_by_definition"]["sets"])) >= 8
+    # at the twin bound every set of the orbit, prod |c| of them, is minimum,
+    # and each spans V where verify's corollary is certified
+    for q, n in ((2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2)):
+        got = answers(MINIMUM, f"{q}-{n}")["orbit_by_mixed_radix hits"]
+        assert got["count"] == prod(map(len, SESSION(_graph, CELL[f"{q}-{n}"]).twin_classes()))
+        assert got.get("spans", True) is True
+    # a plain graph's column source is its distance matrix
+    for seed in range(5):
+        g = SESSION(_graph, CELL[f"plaintwins:{seed}"])
+        source = g.distance_columns()
+        assert np.array_equal(source.column(np.arange(g.vertex_count)), g.distance_matrix())
+        assert source.largest == g.distance_matrix().max()

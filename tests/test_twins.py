@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (desk_instances, mixed_triple_graph, twin_classes_by_union_find,
-                      twins_graph)
-from test_routes import TWINS, assert_routes_agree
+from conftest import desk_instances, mixed_triple_graph, twin_classes_by_union_find
+from test_routes import TWINS, folded, qn, seeded
 from resolvdim import resolving, twins
 from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
 from resolvdim.graph import ComponentGraph
@@ -84,11 +83,15 @@ def test_twin_swap_rejects_degenerate_and_non_members(g32):
         twins.twin_swap(g32, (1, 3, 4, 5, 7), 1, 5)
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (3, 3)])
-def test_are_twins_matches_partition(q, n):
-    # every ordered pair u != v, against the classes of `twin_classes`
-    assert_routes_agree(TWINS, f"{q}-{n}", "are_twins on consecutive members",
-                        "one class of twin_classes")
+# the pairwise tests that the route matrix folded (see `folded`)
+_ARE_TWINS = ["are_twins on consecutive members", "one class of twin_classes"]
+test_are_twins_matches_partition = folded(
+    {TWINS: _ARE_TWINS}, qn((2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (3, 3)))
+test_is_twin_class_matches_consecutive_pairs = folded(
+    {TWINS: ["is_twin_class", *_ARE_TWINS]}, qn((2, 2), (2, 3), (3, 2), (4, 2), (3, 3)))
+test_is_twin_class_on_plain_graphs = folded(
+    {TWINS: ["is_twin_class", "N(u) - v == N(v) - u on consecutive members",
+             "one class of twin_classes"]}, seeded("plaintwins:{}", range(5)))
 
 
 def test_repeated_id_is_refused(g32):
@@ -100,32 +103,6 @@ def test_repeated_id_is_refused(g32):
                 check(w)
     with pytest.raises(BadParameters):
         twins.is_twin_class(g32, (2, 3, 6, 3))
-
-
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
-def test_is_twin_class_matches_consecutive_pairs(q, n):
-    # the one-block class test against `are_twins` on each consecutive
-    # pair: the true classes, every union of two classes and seeded random
-    # sets; at (2,2) the whole vertex set {e1, e2, e1+e2} leaves no row
-    # outside it, and only the distances between members reject it
-    assert_routes_agree(TWINS, f"{q}-{n}", "is_twin_class", "are_twins on consecutive members",
-                        "one class of twin_classes")
-    if (q, n) == (2, 2):
-        assert not twins.is_twin_class(ComponentGraph(2, 2), (1, 2, 3))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_is_twin_class_on_plain_graphs(seed):
-    # a plain graph's column source is its distance matrix; the class test
-    # reads it as it reads a component graph's skeleton columns, against
-    # N(u) - v == N(v) - u on each consecutive pair
-    g = twins_graph(seed)
-    source = g.distance_columns()
-    assert np.array_equal(source.column(np.arange(g.vertex_count)), g.distance_matrix())
-    assert source.largest == g.distance_matrix().max()
-    assert_routes_agree(TWINS, f"plaintwins:{seed}", "is_twin_class",
-                        "N(u) - v == N(v) - u on consecutive members",
-                        "one class of twin_classes")
 
 
 def test_is_twin_class_reads_the_distances_between_members():
