@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Callable
 
 from . import resolving
 from .errors import BadParameters, BudgetExceeded
@@ -42,6 +44,32 @@ class ExchangeViolation:
     w2: tuple[int, ...]
 
 
+class SizeRuns:
+    """Every minimal set's size, ascending, read from (size, count) runs
+    without listing them: the certificate's family may count past 10^14
+    sets.  Its length is read in O(1), and it equals a tuple, a list or
+    runs that hold the same sizes in the same order."""
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        self._runs = runs
+        self._len = sum(count for _, count in runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(repeat(size, count) for size, count in self._runs)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, (tuple, list, SizeRuns)) and len(other) == self._len
+                and all(a == b for a, b in zip(self, other)))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SizeRuns({self._runs!r})"
+
+
 @dataclass(frozen=True)
 class ExchangeReport:
     holds: bool
@@ -52,12 +80,16 @@ class ExchangeReport:
     witness: ExchangeViolation | None = None
 
     @property
-    def minimal_set_sizes(self) -> tuple[int, ...]:
-        """Every minimal set's size, ascending: `size_counts` expanded."""
-        return tuple(s for s, count in self.size_counts for _ in range(count))
+    def minimal_set_sizes(self) -> SizeRuns:
+        """Every minimal set's size, ascending: `size_counts` as a sequence
+        that is never expanded in memory."""
+        return SizeRuns(self.size_counts)
 
 
-def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
+def has_exchange_property(
+    g, budget: int = DEFAULT_BUDGET,
+    certificate: Callable[[], resolving.TwinCore | None] | None = None,
+) -> ExchangeReport:
     """Exchange verdict for a graph with a distance matrix.
 
     Works on component graphs and plain graphs alike.  The minimal sets
@@ -65,16 +97,21 @@ def has_exchange_property(g, budget: int = DEFAULT_BUDGET) -> ExchangeReport:
     quantifier is checked on them.  Where its 2^N table does not fit the
     budget, or N is over the 20-vertex table guard, the twin-core
     certificate decides (`resolving.twin_core_certificate`, charged one
-    unit per set of its family, with its own refusal): the property
-    holds, and every minimal set has the core's size.  Past the matrix
-    cap, or when a premise fails, the table's BudgetExceeded propagates:
-    a verdict is only ever reported for a quantifier or a certificate
-    that was checked.
+    unit per class test and one for the core, with its own refusal): the
+    property holds, and every minimal set has the core's size.
+    `certificate`, when given, returns that certificate as its caller
+    checked it at this budget (`verify` checks it once per cell);
+    otherwise it is checked here.  Past the matrix cap, or when a
+    premise fails, the table's BudgetExceeded propagates: a verdict is
+    only ever reported for a quantifier or a certificate that was
+    checked.
     """
     try:
         sets = resolving.enumerate_minimal_resolving_sets(g, budget)
     except BudgetExceeded:
-        cert = (None if g.vertex_count > MATRIX_CAP
+        if g.vertex_count > MATRIX_CAP:
+            raise
+        cert = (certificate() if certificate is not None
                 else resolving.twin_core_certificate(g, budget))
         if cert is None:
             raise

@@ -29,7 +29,8 @@ the orbit is refused, `twin_core_certificate` checks the premises under
 which the minimal sets are the orbit, with one kernel call and no walk.
 
 Budgets are counted in candidate subsets evaluated, never wall time:
-one unit per node of the pruned walk, one per leaf of a product walk.
+one unit per node of the pruned walk, one per leaf of a product walk,
+and one per set or class the twin-core certificate tests.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -761,6 +762,12 @@ class TwinCore:
         """The orbit's size, prod |c|."""
         return prod(len(c) for c in self.classes)
 
+    @property
+    def charge(self) -> int:
+        """The budget units the certificate evaluates: one `is_twin_class`
+        per class and one `resolves` on the core."""
+        return 1 + len(self.classes)
+
 
 def _paired(classes: Sequence[Sequence[int]]) -> bool:
     """Premise (ii) of the twin-core certificate: every class has two
@@ -768,7 +775,20 @@ def _paired(classes: Sequence[Sequence[int]]) -> bool:
     return all(len(c) > 1 for c in classes)
 
 
-def twin_core_certificate(g, budget: int | None = None) -> TwinCore | None:
+def twin_class_verdicts(g) -> dict[tuple[int, ...], bool]:
+    """Premise (i) of the twin-core certificate, class by class: each
+    class of `g.twin_classes()`, as its ids, mapped to its
+    `twins.is_twin_class` verdict.  Every class of two or more is tested,
+    with no early stop, so one pass serves every reader of a verdict; a
+    class of one is a twin class with no test."""
+    return {ids: len(ids) == 1 or twins_mod.is_twin_class(g, ids)
+            for ids in (_ids(g, c) for c in g.twin_classes())}
+
+
+def twin_core_certificate(
+    g, budget: int = DEFAULT_BUDGET,
+    twin_verdicts: Callable[..., Mapping[tuple[int, ...], bool]] = twin_class_verdicts,
+) -> TwinCore | None:
     """The twin classes of g when its minimal resolving sets are exactly
     the twin-swap orbit; None when a premise fails.
 
@@ -777,7 +797,9 @@ def twin_core_certificate(g, budget: int | None = None) -> TwinCore | None:
     each such class's largest.  The premises, each checked here on
     `g.twin_classes()`:
     (i) the classes partition the columns and each passes
-        `twins.is_twin_class`;
+        `twins.is_twin_class`: `twin_verdicts(g)` holds a true verdict
+        for every class (`twin_class_verdicts`, or a caller's copy of
+        its one pass);
     (ii) every class has two members or more;
     (iii) the core resolves (`resolves`).  Given (i) and (ii) this fails
         only when the classes split a twin class: two non-twins outside
@@ -804,19 +826,22 @@ def twin_core_certificate(g, budget: int | None = None) -> TwinCore | None:
     or 4 members and the exchange property fails.  The exchange step
     above needs a twin s of r too.
 
-    With a budget the family is charged one unit per set, refused
-    (BudgetExceeded, "minimal-set family has P sets, over the budget B")
-    from the class sizes alone once (ii) holds, before any distance is
-    read.
+    The certificate is charged for what it evaluates (`TwinCore.charge`):
+    one unit per `is_twin_class` and one for the core's `resolves`,
+    1 + #classes in all.  Once (ii) holds it is refused (BudgetExceeded,
+    "twin-core certificate needs C evaluations, over the budget B") when
+    that charge exceeds the budget, before any distance is read.  The
+    family it decides, prod |c| sets, is counted, never listed, so it
+    may exceed the budget.
     """
     classes = g.twin_classes()
     if not _paired(classes):
         return None
     cert = TwinCore(classes)
-    if budget is not None:
-        _refuse(cert.family_size, budget, f"minimal-set family has {cert.family_size} sets")
+    _refuse(cert.charge, budget, f"twin-core certificate needs {cert.charge} evaluations")
     if sorted(x for c in classes for x in c) != list(range(g.vertex_count)):
         return None
-    if not all(twins_mod.is_twin_class(g, _ids(g, c)) for c in classes):
+    verdicts = twin_verdicts(g)
+    if not all(verdicts.get(_ids(g, c), False) for c in classes):
         return None
     return cert if resolves(g, _ids(g, cert.core)) else None

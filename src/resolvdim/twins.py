@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlreadyMember, BadParameters, NotMember, NotTwins
+from .graph import ROW_BLOCK
 from .graph import ComponentGraph, twin_classes_from_packed_rows  # re-exported
 
 
@@ -73,9 +74,10 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     """True iff the members are pairwise twins, read from their N x k
     block of `g.distance_columns()`: with d(x0, x1), the distance between
     the first two members, written in place over each member's own zero,
-    every row of the block is constant.  A repeated id is refused first
-    (BadParameters), then ids outside the graph's (OutOfRange), as the
-    single-set checks refuse them.
+    every row of the block is constant.  The rows are compared with their
+    first entry a slab at a time, so no N x k bool block is built.  A
+    repeated id is refused first (BadParameters), then ids outside the
+    graph's (OutOfRange), as the single-set checks refuse them.
 
     In any graph, u and v are twins exactly when they are at equal
     distance from every other vertex: the vertices at distance 1 are
@@ -96,7 +98,15 @@ def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
     block = g.distance_columns().column(rows)
     if len(rows) > 1:
         block[rows, np.arange(len(rows))] = block[rows[0], 1]
-    return bool((block == block[:, :1]).all())
+    # a slab of rows at a time, ROW_BLOCK^2 cells at most, into one bool
+    # buffer; the first slab that holds a non-constant row decides
+    step = max(1, ROW_BLOCK ** 2 // max(block.shape[1], 1))
+    same = np.empty((min(step, len(block)), block.shape[1]), dtype=bool)
+    for lo in range(0, len(block), step):
+        slab = block[lo:lo + step]
+        if not np.equal(slab, slab[:, :1], out=same[:len(slab)]).all():
+            return False
+    return True
 
 
 def twin_swap(g: ComponentGraph, w: Iterable[int], u: int, v: int) -> tuple[int, ...]:

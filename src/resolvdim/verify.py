@@ -2,8 +2,10 @@
 
 Each check yields `Section`s.  `verify_cell` times the checks and turns
 BudgetExceeded and InstanceTooLarge into a skipped section; the cell's
-pass and its text tokens come from the same verdicts.  The `dim` and
-`exchange` subcommands render `dim_section` and `exchange_section`.
+pass and its text tokens come from the same verdicts.  What more than
+one check reads, the per-class twin verdicts and the twin-core
+certificate, is computed at most once per cell (`_Cell`).  The `dim`
+and `exchange` subcommands render `dim_section` and `exchange_section`.
 
 Reports are deterministic: identical configurations produce byte-identical
 output, because `verify` checks its cells one after another in sorted
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -81,10 +84,12 @@ def dim_section(g: graph_mod.ComponentGraph, budget: int) -> Section:
                                           "witness": labels(g, witness), "match": ok})
 
 
-def exchange_section(g: graph_mod.ComponentGraph, budget: int) -> tuple[Section, dict | None]:
+def exchange_section(g: graph_mod.ComponentGraph, budget: int,
+                     certificate=None) -> tuple[Section, dict | None]:
     """The exchange verdict against the paper's, which fails exactly at q=2,
-    n>=3; with the violating triple in labels when the property fails."""
-    report = exchange_mod.has_exchange_property(g, budget=budget)
+    n>=3; with the violating triple in labels when the property fails.
+    `certificate` is passed on to `exchange.has_exchange_property`."""
+    report = exchange_mod.has_exchange_property(g, budget, certificate)
     expected = g.q >= 3 or g.n <= 2
     ok = report.holds == expected
     w = report.witness
@@ -99,8 +104,32 @@ def exchange_section(g: graph_mod.ComponentGraph, budget: int) -> tuple[Section,
     return Section("exchange", "checked", ok, body), witness
 
 
-def _counts(g, budget, done):
+class _Cell:
+    """One cell's graph, budget and sections so far, and the facts that
+    more than one check reads, each computed when first read and then
+    kept: the per-class twin verdicts, which the certificate's premise
+    (i) and swaps (a) read, and the twin-core certificate, which the
+    corollary reads where the orbit is refused and the exchange where
+    the 2^N table is."""
+
+    def __init__(self, g: graph_mod.ComponentGraph, budget: int):
+        self.g, self.budget = g, budget
+        self.done: dict[str, Section] = {}  # by label
+
+    @cached_property
+    def twin_verdicts(self) -> dict[tuple[int, ...], bool]:
+        return resolving_mod.twin_class_verdicts(self.g)
+
+    @cached_property
+    def certificate(self) -> resolving_mod.TwinCore | None:
+        # a refusal is not kept: it reads no distance, and is raised again
+        return resolving_mod.twin_core_certificate(self.g, self.budget,
+                                                   lambda g: self.twin_verdicts)
+
+
+def _counts(cell):
     """Order, size and completeness against the counting formulas."""
+    g = cell.g
     q, n = g.q, g.n
     order = graph_mod.order_formula(q, n)
     enumerated = sum(1 for coeffs in product(range(q), repeat=n) if any(coeffs))
@@ -114,8 +143,8 @@ def _counts(g, budget, done):
     yield Section("complete", None, ok, {"value": complete, "expected": n == 1, "match": ok})
 
 
-def _twins(g, budget, done):
-    coincide = twins_mod.partitions_coincide(g)
+def _twins(cell):
+    coincide = twins_mod.partitions_coincide(cell.g)
     yield Section("twins", "checked", coincide, {"coincide": coincide})
 
 
@@ -133,17 +162,18 @@ def _axes_in_classes(g, classes) -> bool:
     return axes == set(range(g.n))
 
 
-def _corollary(g, budget, done):
+def _corollary(cell):
     """Minimum resolving sets against linear independence.
 
     At q >= 3 `resolving.minimum_resolving_sets` lists the minimum sets
     and each one is tested.  Where it is refused before its first batch,
-    the twin-core certificate decides when its premises hold
+    the cell's twin-core certificate decides when its premises hold
     (`resolving.twin_core_certificate`) and so does premise (iv): the
     minimum sets are then the prod |c| orbit members, each of the core's
     size, which must be the dim search's, and (iv) makes each one span.
     A premise that fails keeps the refusal.
     """
+    g, budget, done = cell.g, cell.budget, cell.done
     q, n = g.q, g.n
     if q == 2 and n != 3:
         yield Section("corollary", "not-applicable", None, {})
@@ -169,7 +199,7 @@ def _corollary(g, budget, done):
                 del block, union  # not held while the next block is built
         except BudgetExceeded:
             # refused before the first batch: the certificate may decide
-            cert = None if masks is not None else resolving_mod.twin_core_certificate(g)
+            cert = None if masks is not None else cell.certificate
             if cert is None or not _axes_in_classes(g, cert.classes):
                 raise
             yield Section("corollary", "verified", len(cert.core) == k,
@@ -189,24 +219,27 @@ def _corollary(g, budget, done):
                       {"witness": labels(g, ids), "ok": ok})
 
 
-def _swaps(g, budget, done):
+def _swaps(cell):
     """Twin swaps in resolving sets, checked exactly rather than sampled.
 
     (a) Each twin class passes `is_twin_class`, which reads skeleton distances,
-    one block per class, not the adjacency rows behind the classes.  Each
-    twin transposition is an automorphism, so every swap keeps every
-    resolving set resolving (Hernando, Mora, Pelayo, Seara and Wood, 2010).
+    one block per class, not the adjacency rows behind the classes; the
+    verdicts are the cell's one pass (`resolving.twin_class_verdicts`), and
+    a class that pass did not test fails.  Each twin transposition is an
+    automorphism, so every swap keeps every resolving set resolving
+    (Hernando, Mora, Pelayo, Seara and Wood, 2010).
     (b) The canonical basis resolves, and so does the set that swaps, in each
     class, its least member in the basis for the least member outside.  A
     resolving set omits at most one member of a class, so a class the basis
     does not cut fails.
     """
+    g = cell.g
     classes = [c for c in twins_mod.partition_by_neighborhood(g).classes if len(c) > 1]
     if not classes:
         yield Section("swaps", "no-twins", None, {})
         return
     pairs = sum(len(c) - 1 for c in classes)
-    twins_ok = all([twins_mod.is_twin_class(g, c) for c in classes])  # no early stop
+    twins_ok = all(cell.twin_verdicts.get(c, False) for c in classes)
     basis = resolving_mod.canonical_metric_basis(g.q, g.n)
     members = set(basis)
     split = [([x for x in c if x in members], [x for x in c if x not in members])
@@ -221,8 +254,9 @@ def _swaps(g, budget, done):
 
 # (--timings window, check); a skipped check's section is named after its window
 _CHECKS = (("counts", _counts), ("twins", _twins),
-           ("dim", lambda g, budget, done: [dim_section(g, budget)]), ("corollary", _corollary),
-           ("exchange", lambda g, budget, done: [exchange_section(g, budget)[0]]),
+           ("dim", lambda cell: [dim_section(cell.g, cell.budget)]), ("corollary", _corollary),
+           ("exchange", lambda cell: [exchange_section(cell.g, cell.budget,
+                                                       lambda: cell.certificate)[0]]),
            ("swaps", _swaps))
 
 
@@ -235,11 +269,12 @@ def verify_cell(q: int, n: int, budget: int, vertex_cap: int,
     except InstanceTooLarge as exc:
         return ({"q": q, "n": n, "status": "skipped", "reason": str(exc), "pass": True},
                 f"q={q} n={n} cell=SKIPPED ({exc})")
-    done: dict[str, Section] = {}  # by label
+    cell = _Cell(g, budget)
+    done = cell.done
     windows = {}
     for window, check in _CHECKS:
         try:
-            sections = list(check(g, budget, done))
+            sections = list(check(cell))
         except (BudgetExceeded, InstanceTooLarge) as exc:
             sections = [Section(window, "skipped", None, {"reason": str(exc)})]
         done.update((s.label, s) for s in sections)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from resolvdim import cli, field, resolving, vectorspace, verify
+from resolvdim import cli, field, resolving, twins, vectorspace, verify
 from resolvdim.cli import main
 from resolvdim.graph import ComponentGraph
 from test_mutants import SWAPS
@@ -524,12 +524,13 @@ def test_verify_text_report_matches_golden_bytes(tmp_path, argv, golden):
 # before the checks moved out of the CLI module; the grid's two were
 # captured again when the twin-core certificate decided the exchange at
 # (3,3), (4,2) and (5,2) and the corollary at (4,3) and (5,3), which it
-# skipped before
+# skipped before, and again when the certificate was charged 1 + #classes
+# instead of prod |c| and so decided the exchange at (4,3) and (5,3) too
 _GRID = ("verify", "--q-range", "2..5", "--n-range", "1..3", "--budget", "20000")
 OUTPUT_SHA256 = {
-    _GRID: (1, "93cb51cdcc517a5a9ba2c8c405ab9bd2b82d65fe53ee8509cfd814f00f5f76a0"),
+    _GRID: (1, "2659377303902b19b2e2180e9faa43d55d99832ceab959038243d557a352780c"),
     _GRID + ("--format", "json"):
-        (1, "648ac76701d4ea8b2c7650a8cc147963135a14c1356fa84f2c70d4c3732ef004"),
+        (1, "9d6ec54b0fbf5463983c541fdbebe107a4e49c53d3f0522a3ad24929378b80e4"),
     ("dim", "2", "3"): (0, "cd7ae10664c3f221e62793a30957d21f7aa430c4a31bd60d97abdf59b08cd718"),
     ("dim", "2", "3", "json"):
         (0, "1f1b2f77331605191e927b0b288681902920f89b3fca55668c0d96e094141f28"),
@@ -697,7 +698,7 @@ def test_verify_swaps_counts_every_twin_pair():
     for q in (2, 3, 4, 5):
         for n in (1, 2, 3):
             g = ComponentGraph(q, n)
-            [section] = verify._swaps(g, None, {})
+            [section] = verify._swaps(verify._Cell(g, None))
             body = section.json()
             sizes = np.unique(g.skeleton_array(), return_counts=True)[1]
             if (q, n) == (2, 2):
@@ -757,8 +758,7 @@ def _run_in(directory, argv, capsys, monkeypatch):
     ["dim", "--q", "3", "--n", "4", "--budget", "20000"],
     ["graph", "--q", "2", "--n", "11", "--out", "g"],
     # the dim search fits the budget, the corollary's orbit of 3^32 sets
-    # and the exchange table do not: the corollary is certified, and the
-    # exchange certificate's family is refused from its count
+    # and the exchange table do not: one twin-core certificate decides both
     pytest.param(["verify", "--q", "4", "--n", "4", "--budget", "1000000", "--format", "json"],
                  id="verify-orbit-refused"),
     # the 2^N table and the single-set checks read distance columns
@@ -800,6 +800,47 @@ def test_verify_builds_the_packed_rows_once_per_cell(argv, capsys, monkeypatch):
     assert built == cells
 
 
+@pytest.mark.parametrize("q, n, budget", [(16, 3, resolving.DEFAULT_BUDGET), (4, 3, 20_000),
+                                          (4, 3, resolving.DEFAULT_BUDGET)])
+def test_verify_checks_one_certificate_per_cell(q, n, budget, monkeypatch):
+    # the corollary (where the orbit is refused) and the exchange (where the
+    # 2^N table is) read one certificate; premise (i) and swaps (a) read one
+    # pass of class tests; dim and swaps (b) keep their own `resolves`
+    certificates, tested, resolved = [], [], []
+    real_certificate, real_is_twin_class = (resolving.twin_core_certificate,
+                                            twins.is_twin_class)
+    real_resolves = resolving.resolves
+
+    def certificate(g, *args):
+        certificates.append((g.q, g.n))
+        return real_certificate(g, *args)
+
+    def is_twin_class(g, members):
+        tested.append(tuple(members))
+        return real_is_twin_class(g, members)
+
+    def resolves(g, w):
+        resolved.append(tuple(sorted(w)))
+        return real_resolves(g, w)
+
+    monkeypatch.setattr(resolving, "twin_core_certificate", certificate)
+    monkeypatch.setattr(twins, "is_twin_class", is_twin_class)
+    monkeypatch.setattr(resolving, "resolves", resolves)
+    record, _ = verify.verify_cell(q, n, budget, vectorspace.DEFAULT_VERTEX_CAP, False)
+    assert record["pass"] and record["exchange"]["method"] == "twin-core-certificate"
+    assert "skipped" not in [body.get("status") for body in record.values()
+                             if isinstance(body, dict)]
+    g = ComponentGraph(q, n)
+    classes = [tuple(x + 1 for x in c) for c in g.twin_classes() if len(c) > 1]
+    assert certificates == [(q, n)]
+    assert sorted(tested) == sorted(classes)
+    # dim's witness, the certificate's core and swaps (b)'s basis are one
+    # set at q >= 3; swaps (b) also checks its swap
+    core = tuple(x + 1 for x in resolving.TwinCore(g.twin_classes()).core)
+    assert core == resolving.canonical_metric_basis(q, n)
+    assert resolved[:3] == [core] * 3 and len(resolved) == 4 and resolved[3] != core
+
+
 def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("a distance was read before the table was admitted")
@@ -813,21 +854,27 @@ def test_exchange_refuses_before_the_matrix(capsys, monkeypatch):
     assert main(["exchange", "--q", "2", "--n", "5", "--budget", "3000000000"]) == 3
     assert capsys.readouterr().err == ("budget exceeded: full subset table needs "
                                        "N <= 20, got N = 31\n")
-    # (3,3)'s certificate family is refused from the class sizes alone
-    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "1000"]) == 3
-    assert capsys.readouterr().err == ("budget exceeded: minimal-set family has "
-                                       "4096 sets, over the budget 1000\n")
+    # (3,3)'s certificate is charged 1 + 7 evaluations, one per class test
+    # and one for the core, and is refused below that from the class count
+    for budget in ("0", "7"):
+        assert main(["exchange", "--q", "3", "--n", "3", "--budget", budget]) == 3
+        assert capsys.readouterr().err == ("budget exceeded: twin-core certificate needs "
+                                           f"8 evaluations, over the budget {budget}\n")
 
 
 def test_exchange_by_the_twin_core_certificate(capsys):
-    # (3,3): the 2^26 table is refused, the certificate's 4,096 sets fit
-    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "20000"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"q": 3, "n": 3, "holds": True, "method": "twin-core-certificate",
-                       "size_counts": {"19": 4096}, "sizes": [19], "witness": None}
-    assert main(["exchange", "--q", "3", "--n", "3", "--budget", "1000"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "minimal-set family has 4096 sets" in captured.err
+    # (3,3): the 2^26 table is refused, and the certificate decides from a
+    # budget of 1 + 7, its 7 class tests and the core, though its family
+    # counts 4,096 sets
+    for budget in ("20000", "8"):
+        assert main(["exchange", "--q", "3", "--n", "3", "--budget", budget]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"q": 3, "n": 3, "holds": True, "method": "twin-core-certificate",
+                           "size_counts": {"19": 4096}, "sizes": [19], "witness": None}
+    for budget in ("0", "7"):
+        assert main(["exchange", "--q", "3", "--n", "3", "--budget", budget]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "twin-core certificate needs 8 evaluations" in captured.err
 
 
 def test_graph_export_peak_memory(tmp_path):

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from conftest import random_graph
@@ -78,14 +80,18 @@ def test_witness_revalidates(g23):
         assert not (rep.is_resolving and rep.is_minimal)
 
 
-def test_certificate_family_over_the_budget_is_refused(g33):
-    # the 2^26 table is refused, and so is the certificate's family of
-    # 4,096 sets at budget 1000, from the class sizes alone
-    with pytest.raises(BudgetExceeded, match="^minimal-set family has 4096 sets, "
-                                             "over the budget 1000$") as err:
-        exchange.has_exchange_property(g33, budget=1000)
-    assert err.value.evaluated == 0
-    report = exchange.has_exchange_property(g33, budget=4096)
+def test_certificate_over_its_charge_is_refused(g33):
+    # the 2^26 table is refused; the certificate is charged for what it
+    # evaluates, 1 + 7 at (3,3): one unit per class test and one for the
+    # core.  Below that it is refused, whatever its family's size
+    for budget in (0, 7):
+        with pytest.raises(BudgetExceeded, match="^twin-core certificate needs 8 evaluations, "
+                                                 f"over the budget {budget}$") as err:
+            exchange.has_exchange_property(g33, budget=budget)
+        assert err.value.evaluated == 0
+        with pytest.raises(BudgetExceeded):
+            resolving.twin_core_certificate(g33, budget)
+    report = exchange.has_exchange_property(g33, budget=8)
     assert report.holds and report.method == "twin-core-certificate"
     assert report.size_counts == ((19, 4096),)
     assert report.minimal_set_sizes == (19,) * 4096
@@ -128,6 +134,14 @@ def test_certified_exchange_counts_its_family_in_the_report():
                             "sizes": [12], "size_counts": {"12": 81},
                             "expected": True, "match": True}
     assert witness is None
+
+
+def test_certified_sizes_are_counted_not_listed():
+    # (5,3): 4^12 minimal sets of 117 members each, read from one run
+    sizes = exchange.has_exchange_property(ComponentGraph(5, 3), 20_000).minimal_set_sizes
+    assert len(sizes) == 4 ** 12 and list(islice(sizes, 2)) == [117, 117]
+    assert sizes != (117,) * 2
+    assert exchange.SizeRuns(((3, 1), (4, 1))) == (3, 4) != exchange.SizeRuns(((3, 2),))
 
 
 def test_distinct_sizes_shortcut(g22, g23, g24, g32):

@@ -11,6 +11,7 @@ its check recomputes their routes, and passes when they agree.
 import dataclasses
 import io
 from contextlib import redirect_stdout
+from unittest import mock
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
@@ -22,7 +23,7 @@ import pytest
 from conftest import mixed_triple_graph, overflowing_digit_matrix
 from test_routes import K_SUBSETS, MINIMAL, MINIMUM, ORBIT, SINGLE, TABLE, agree
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
-from resolvdim.errors import OutOfRange
+from resolvdim.errors import BudgetExceeded, OutOfRange
 from resolvdim.graph import ComponentGraph
 
 
@@ -46,6 +47,14 @@ def _verify_passes(q, n, check):
     with redirect_stdout(out):
         code = cli.main(["verify", "--q", str(q), "--n", str(n)])
     return code == 0 and f" {check}=ok " in out.getvalue()
+
+
+def _verify_tokens(q, n, budget=resolving.DEFAULT_BUDGET):
+    """The tokens of `verify`'s text line at (q, n)."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(["verify", "--q", str(q), "--n", str(n), "--budget", str(budget)])
+    return out.getvalue().splitlines()[1].split()
 
 
 def _dim_checks_its_witness():
@@ -184,8 +193,48 @@ def _twin_classes_accepted():
     return all(twins.is_twin_class(g, c) for g, c in cases if len(c) > 1)
 
 
-def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET):
-    report = _real_exchange(g, budget)
+def _certificate_refused_at_budget_0():
+    """At (3,3) the exchange's certificate, charged 1 + 7 units, is refused
+    at budget 0."""
+    try:
+        exchange.has_exchange_property(ComponentGraph(3, 3), budget=0)
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def _verdicts_without_the_last_class(self):
+    # the cell's one pass of class tests, with one class's verdict dropped
+    return dict(list(resolving.twin_class_verdicts(self.g).items())[:-1])
+
+
+def _verdicts_of_the_class_before(self):
+    # each class reads the verdict of the class before it, the first its own
+    verdicts = resolving.twin_class_verdicts(self.g)
+    return dict(zip(verdicts, [*list(verdicts.values())[:1], *verdicts.values()]))
+
+
+def _shared_verdicts_reach_swaps_or_corollary():
+    """At (4,3), budget 20,000, the orbit and the table are refused, and
+    the cell's certificate decides the corollary: swaps or the corollary
+    (both, unpatched) reads ok."""
+    tokens = _verify_tokens(4, 3, 20_000)
+    return "swaps=ok" in tokens or "corollary=ok" in tokens
+
+
+def _swaps_fails_on_the_last_class():
+    """`verify` at (3,2) passes swaps, and fails it when `is_twin_class`
+    refuses the last twin class alone."""
+    g = ComponentGraph(3, 2)
+    last = max(twins.partition_by_neighborhood(g).classes)
+    refuse_last = lambda g, c: tuple(c) != last and _real_is_twin_class(g, c)
+    with mock.patch.object(twins, "is_twin_class", refuse_last):
+        failed = "swaps=FAIL" in _verify_tokens(3, 2)
+    return _swaps_pass() and failed
+
+
+def _exchange_flipped(g, budget=resolving.DEFAULT_BUDGET, certificate=None):
+    report = _real_exchange(g, budget, certificate)
     return dataclasses.replace(report, holds=not report.holds)
 
 
@@ -279,6 +328,13 @@ MUTANTS = [
     Mutant("twin-core-counts-one-less-per-class", resolving.TwinCore, "family_size",
            property(lambda self: prod(len(c) - 1 for c in self.classes)),
            _certified_count_at_4_3),
+    Mutant("twin-core-charged-zero", resolving.TwinCore, "charge", property(lambda self: 0),
+           _certificate_refused_at_budget_0),
+    # one pass of class tests per cell, read by premise (i) and swaps (a)
+    Mutant("shared-verdicts-drop-one-class", verify._Cell, "twin_verdicts",
+           property(_verdicts_without_the_last_class), _shared_verdicts_reach_swaps_or_corollary),
+    Mutant("swaps-reads-the-verdict-of-the-class-before", verify._Cell, "twin_verdicts",
+           property(_verdicts_of_the_class_before), _swaps_fails_on_the_last_class),
     Mutant("twin-core-skips-the-twin-class-premise", twins, "is_twin_class",
            lambda g, c: True, _cells_agree(MINIMAL, "3-2:merged")),
     Mutant("twin-class-ignores-inside-distances", twins, "is_twin_class",

@@ -115,9 +115,11 @@ def test_is_twin_class_reads_the_distances_between_members():
 
 
 def test_is_twin_class_of_the_largest_16_3_class_is_small():
-    # 3,375 members at N = 4095: the int16 block, 27.6 MB, is tested in
-    # place with one bool block of 13.8 MB beside it.  With an eye mask
-    # and copies of the inside and outside rows the peak was 80.7 MiB
+    # 3,375 members at N = 4095: the int16 block, 26.4 MiB, is tested in
+    # place a slab of rows at a time, with a 64 KiB bool buffer beside it;
+    # measured 26.5 MiB.  With one bool block of the whole block's shape
+    # the peak was 39.6 MiB, and with an eye mask and copies of the
+    # inside and outside rows 80.7 MiB
     g = ComponentGraph(16, 3)
     members = tuple(x + 1 for x in max(g.twin_classes(), key=len))
     tracemalloc.start()
@@ -127,7 +129,7 @@ def test_is_twin_class_of_the_largest_16_3_class_is_small():
     finally:
         tracemalloc.stop()
     assert len(members) == 3375 and ok
-    assert peak <= 45 * 2 ** 20
+    assert peak <= 28 * 2 ** 20
 
 
 def test_no_twin_swap_available_at_q2_n3(g23):
