@@ -178,10 +178,10 @@ def cmd_intersect(args) -> int:
     elif args.realize is not None:
         if args.vertices is None:
             raise BadParameters("--realize needs --vertices N")
-        edges = _parse_edge_file(_read_text(args.realize), args.vertices)
-        fam = intersection_mod.as_intersection_family(
-            intersection_mod.PlainGraph(args.vertices, edges))
-        text = intersection_mod.family_to_text(fam)
+        # the parsed pairs are dropped once the graph holds its matrix
+        pg = intersection_mod.PlainGraph(
+            args.vertices, _parse_edge_file(_read_text(args.realize), args.vertices))
+        text = intersection_mod.family_to_text(intersection_mod.as_intersection_family(pg))
     else:
         raise BadParameters("intersect needs one of --powerset, --family, "
                             "--correspondence, --realize, --dim-powerset")

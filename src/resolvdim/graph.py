@@ -10,19 +10,20 @@ The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
 `bfs_distances`, which the test suite compares against it pair by pair.
 Because of it, every route reads the skeletons directly: the twin
-classes from packed adjacency rows (`_meet_rows`), the subset engine,
-single sets included, and the twin-class check from `SkeletonColumns`,
-the exports from one row generator each.  So the twin classes and the
-check of them share no code.  Only `adjacency_matrix` and
-`distance_matrix` hold an entry per vertex pair, and no route of the
-CLI calls them; `packed_adjacency` holds a bit per pair.
+classes from packed adjacency rows built a block at a time
+(`_packed_adjacency_rows`), the subset engine, single sets included,
+and the twin-class check from `SkeletonColumns`, the exports from one
+row generator each.  So the twin classes and the check of them share
+no code.  Only `adjacency_matrix` and `distance_matrix` hold an entry
+per vertex pair, and no route of the CLI calls them;
+`twin_classes_by_row_digest` holds one block of rows and O(N) digests.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -116,14 +117,20 @@ class ComponentGraph:
         """Read-only int64 skeletons indexed 0..N-1 (vertex id minus 1)."""
         return self._skeletons
 
-    def _meet_rows(self, cols: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, bool block) for each ROW_BLOCK rows: entry (i, j) is true
-        where the skeletons of vertices lo+i+1 and cols[j]+1 meet.  No
-        temporary exceeds ROW_BLOCK x k."""
+    def _packed_adjacency_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The adjacency matrix's rows (0-based index array), packed as by
+        `np.packbits(adjacency_matrix()[rows], axis=1)`: N/8 bytes a row.
+        The masks are met for a slab of at most ROW_BLOCK^2 cells at a
+        time, whose bool rows are packed before the next slab."""
         sk = self._masks
-        right = sk[cols]
-        for lo in range(0, len(sk), ROW_BLOCK):
-            yield lo, (sk[lo:lo + ROW_BLOCK, None] & right) != 0
+        packed = np.empty((len(rows), (len(sk) + 7) // 8), dtype=np.uint8)
+        step = max(1, ROW_BLOCK ** 2 // len(sk))
+        for lo in range(0, len(rows), step):
+            slab = rows[lo:lo + step]
+            meets = (sk[slab, None] & sk) != 0
+            meets[np.arange(len(slab)), slab] = False
+            packed[lo:lo + step] = np.packbits(meets, axis=1)
+        return packed
 
     def _refuse_dense(self) -> None:
         """The matrix cap, shared by every view that grows as N^2."""
@@ -132,26 +139,14 @@ class ComponentGraph:
                 f"dense adjacency needs N <= {MATRIX_CAP}, got {self.vertex_count}"
             )
 
-    def packed_adjacency(self) -> np.ndarray:
-        """uint8 N x ceil(N/8) open adjacency rows, each packed as by
-        `np.packbits(adjacency_matrix(), axis=1)`: N^2/8 bytes (2 MB at
-        N = 4095).  Packed ROW_BLOCK rows at a time from the skeletons,
-        so no N x N array is built.  A fresh array on every call.
-        """
-        self._refuse_dense()
-        n = self.vertex_count
-        rows = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-        for lo, block in self._meet_rows(np.arange(n)):
-            own = np.arange(len(block))
-            block[own, lo + own] = False
-            rows[lo:lo + ROW_BLOCK] = np.packbits(block, axis=1)
-        return rows
-
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        """0-based twin classes, read by `twin_classes_from_packed_rows`
-        from `packed_adjacency`; built on the first call and kept."""
+        """0-based twin classes, read by `twin_classes_by_row_digest`
+        from `_packed_adjacency_rows`; built on the first call and kept.
+        Past the matrix cap they are refused, as the dense views are."""
         if self._twins is None:
-            self._twins = twin_classes_from_packed_rows(self.packed_adjacency())
+            self._refuse_dense()
+            self._twins = twin_classes_by_row_digest(self._packed_adjacency_rows,
+                                                     self.vertex_count)
         return self._twins
 
     def distance_columns(self) -> SkeletonColumns:
@@ -166,13 +161,14 @@ class ComponentGraph:
 
     def distance_matrix(self) -> np.ndarray:
         """int16 distance matrix indexed 0..N-1 (vertex id minus 1), built
-        from `_meet_rows` a row block at a time; a fresh array on every
-        call.  It reads no `SkeletonColumns`, so the tests can hold the
-        columns against it."""
+        from the skeletons ROW_BLOCK rows at a time, so no temporary
+        exceeds ROW_BLOCK x N; a fresh array on every call.  It reads no
+        `SkeletonColumns`, so the tests can hold the columns against it."""
         self._refuse_dense()
-        n = self.vertex_count
-        dist = np.empty((n, n), dtype=np.int16)
-        for lo, meets in self._meet_rows(np.arange(n)):
+        sk = self._masks
+        dist = np.empty((len(sk), len(sk)), dtype=np.int16)
+        for lo in range(0, len(sk), ROW_BLOCK):
+            meets = (sk[lo:lo + ROW_BLOCK, None] & sk) != 0
             dist[lo:lo + ROW_BLOCK] = np.where(meets, np.int16(1), np.int16(2))
         np.fill_diagonal(dist, 0)
         return dist
@@ -239,11 +235,12 @@ class MatrixColumns:
         return self._dist[:, c]
 
 
-def twin_classes_from_packed_rows(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """0-based twin classes from packed open adjacency rows, one row per
-    vertex in the layout of `np.packbits(adj, axis=1)`; ordered by least
-    member, members ascending.  The rows are changed in place: they hold
-    the closed rows on return.
+def twin_classes_by_row_digest(open_rows: Callable[[np.ndarray], np.ndarray],
+                               n: int) -> tuple[tuple[int, ...], ...]:
+    """0-based twin classes of a graph on vertices 0..n-1, whose open
+    adjacency rows `open_rows(v)` gives for an index array v, a fresh
+    array packed as by `np.packbits(adj[v], axis=1)`; ordered by least
+    member, members ascending.
 
     Each vertex is labelled with the least vertex that has the same open
     row or the same closed row, and the classes are the groups of equal
@@ -252,25 +249,107 @@ def twin_classes_from_packed_rows(rows: np.ndarray) -> tuple[tuple[int, ...], ..
     N[w] = N[u] and v is adjacent to u; but u is not in N(u) = N(v).  So
     each class is one group of equal open rows or one group of equal
     closed rows, and the least member of either group labels all of it.
-    The rows are compared packed, N/8 bytes each.
+
+    The rows are read ROW_BLOCK at a time.  Every open row, and the same
+    row with the vertex's own bit set (its closed row), gets a 64-bit
+    digest (`_row_digest`); then `_least_equal_row` labels each pass.
+    Memory is O(n) digests and labels plus one block of rows; no row
+    outlives its block.
     """
-    n = rows.shape[0]
-    label = list(range(n))
+    def closed_rows(v):
+        return _own_bits(open_rows(v), v)
 
-    def least_equal_row() -> None:
-        first: dict[bytes, int] = {}
-        for i, row in enumerate(rows):
-            label[i] = min(label[i], first.setdefault(row.tobytes(), i))
-
-    least_equal_row()
-    v = np.arange(n)  # set each vertex's own bit: the closed rows
-    rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
-    least_equal_row()
+    digests = np.empty((2, n), dtype=np.int64)
+    for lo in range(0, n, ROW_BLOCK):
+        v = np.arange(lo, min(lo + ROW_BLOCK, n))
+        rows = open_rows(v)
+        digests[0, lo:lo + ROW_BLOCK] = _row_digest(rows)
+        digests[1, lo:lo + ROW_BLOCK] = _row_digest(_own_bits(rows, v))
+    label = np.minimum(_least_equal_row(digests[0], open_rows),
+                       _least_equal_row(digests[1], closed_rows))
     # a class's least member carries its own label and comes first
     groups: dict[int, list[int]] = {}
-    for i, least in enumerate(label):
+    for i, least in enumerate(label.tolist()):
         groups.setdefault(least, []).append(i)
     return tuple(map(tuple, groups.values()))
+
+
+def _own_bits(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Packed rows of the vertices v with each one's own bit set, in place:
+    open rows become closed rows."""
+    rows[np.arange(len(v)), v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
+    return rows
+
+
+# splitmix64's two multipliers and a key for the word positions, as the
+# int64 values with the same bits; plain ints, since a uint64 array built
+# at import added about 0.1 MB to the import's peak RSS
+_MUL1, _MUL2, _WORD_KEY = (
+    c - (1 << 64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15))
+
+
+def _row_digest(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit digest of each packed row, as int64: the wrapped sum of
+    its 8-byte words, each XORed with its position's key and mixed by
+    splitmix64's finalizer.  Deterministic across runs, unlike the
+    salted `hash()`.  It is int64 arithmetic throughout, as the subset
+    engine's keys are, so it pages in no numpy loops of its own (each
+    costs resident memory in every run); each right shift is masked to
+    a logical one."""
+    width = -(-rows.shape[1] // 8)
+    words = np.zeros((len(rows), 8 * width), dtype=np.uint8)
+    words[:, :rows.shape[1]] = rows
+    x = words.view("<i8") ^ (np.arange(1, width + 1, dtype=np.int64) * _WORD_KEY)
+    x ^= (x >> 30) & ((1 << 34) - 1)
+    x *= _MUL1
+    x ^= (x >> 27) & ((1 << 37) - 1)
+    x *= _MUL2
+    x ^= (x >> 31) & ((1 << 33) - 1)
+    return x.sum(axis=1)
+
+
+def _least_equal_row(digest: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
+                     ) -> np.ndarray:
+    """For each vertex, the least vertex whose row `rows` equals its own,
+    given every row's digest.
+
+    Each vertex maps to the least vertex with its digest, and
+    `_same_rows` confirms each such match by comparing the two rows.
+    The vertices of a digest that two different rows share are grouped
+    by their exact rows instead, so a collision is never a merge.
+    """
+    least = _first_equal(digest)
+    matched = np.flatnonzero(least != np.arange(len(digest)))
+    shared = set()
+    for lo in range(0, len(matched), ROW_BLOCK):
+        v = matched[lo:lo + ROW_BLOCK]
+        shared.update(digest[v[~_same_rows(rows, v, least[v])]].tolist())
+    for d in shared:
+        members = np.flatnonzero(digest == d)
+        seen: dict[bytes, int] = {}
+        for lo in range(0, len(members), ROW_BLOCK):
+            v = members[lo:lo + ROW_BLOCK]
+            for u, row in zip(v.tolist(), rows(v)):
+                least[u] = seen.setdefault(row.tobytes(), u)
+    return least
+
+
+def _same_rows(rows: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Whether row a[i] equals row b[i], for each i, compared as bytes;
+    the row of each distinct b[i] is read once."""
+    slot: dict[int, int] = {}
+    at = [slot.setdefault(u, len(slot)) for u in b.tolist()]
+    heads = [row.tobytes() for row in rows(np.array(list(slot), dtype=np.intp))]
+    return np.array([row.tobytes() == heads[j] for row, j in zip(rows(a), at)], dtype=bool)
+
+
+def _first_equal(keys: np.ndarray) -> np.ndarray:
+    """For each i, the least j with keys[j] == keys[i]; by a dict, since a
+    stable argsort pages in 128 KB of sort code that most runs never use."""
+    first: dict[int, int] = {}
+    return np.array([first.setdefault(k, i) for i, k in enumerate(keys.tolist())],
+                    dtype=np.intp)
 
 
 def order_formula(q: int, n: int) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from . import resolving
 from .errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
 from .graph import (MATRIX_CAP, ROW_BLOCK, ComponentGraph, MatrixColumns,
-                    twin_classes_from_packed_rows)
+                    twin_classes_by_row_digest)
 from .resolving import DEFAULT_BUDGET
 
 
@@ -75,7 +75,11 @@ class PlainGraph:
                 f"plain graph needs at most {MATRIX_CAP} vertices, got {vertex_count}")
         self._dist: np.ndarray | None = None
         if getattr(edges, "dtype", None) == bool and edges.shape == (vertex_count,) * 2:
-            if edges.diagonal().any() or not np.array_equal(edges, edges.T):
+            # symmetry a block of ROW_BLOCK rows at a time, against the
+            # same columns: no K x K temporary
+            if edges.diagonal().any() or not all(
+                    np.array_equal(edges[lo:lo + ROW_BLOCK], edges[:, lo:lo + ROW_BLOCK].T)
+                    for lo in range(0, vertex_count, ROW_BLOCK)):
                 raise BadParameters("adjacency matrix must be symmetric with a False diagonal")
             self._adj = edges
             return
@@ -105,9 +109,10 @@ class PlainGraph:
         return self._adj
 
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Twin classes by `twin_classes_from_packed_rows` from the
-        adjacency matrix packed with `np.packbits`."""
-        return twin_classes_from_packed_rows(np.packbits(self._adj, axis=1))
+        """Twin classes by `twin_classes_by_row_digest` from the rows of
+        the adjacency matrix, packed with `np.packbits` a block at a time."""
+        return twin_classes_by_row_digest(lambda v: np.packbits(self._adj[v], axis=1),
+                                          self.vertex_count)
 
     def later_neighbors(self) -> Iterator[tuple[int, np.ndarray]]:
         """(u, its neighbours v > u ascending) from the upper part of each row u."""
@@ -239,15 +244,21 @@ def as_intersection_family(pg: PlainGraph) -> SetFamily:
     Member for vertex v: its incident edge tokens plus a private token,
     so two members intersect exactly when the vertices are adjacent.  The
     construction is verified internally before returning.
+
+    Each token is made once, from `later_neighbors`, and each member is
+    frozen once from its token list; the lists are dropped before the
+    round-trip check, so it runs beside the family alone.
     """
-    edges = pg.edges()
-    tokens = [f"e{u}-{v}" for u, v in edges]
-    members = [{f"p{v}"} for v in pg.vertex_ids()]
-    for token, (u, v) in zip(tokens, edges):
-        members[u].add(token)
-        members[v].add(token)
-    ground = tokens + [f"p{v}" for v in pg.vertex_ids()]
-    fam = SetFamily(members, ground=ground)
+    members = [[f"p{v}"] for v in pg.vertex_ids()]
+    tokens = []
+    for u, later in pg.later_neighbors():
+        for v in later.tolist():
+            token = f"e{u}-{v}"
+            tokens.append(token)
+            members[u].append(token)
+            members[v].append(token)
+    fam = SetFamily(map(frozenset, members), ground=tokens + [m[0] for m in members])
+    del members, tokens
     if intersection_graph(fam) != pg:
         raise AssertionError("realization failed to round-trip")
     return fam
@@ -267,7 +278,8 @@ def family_to_text(fam: SetFamily) -> str:
 
 
 def parse_family(text: str) -> SetFamily:
-    """Parse the member-per-line format; `#` starts a comment line."""
+    """Parse the member-per-line format; `#` starts a comment line.  Each
+    member is frozen as it is read, so the family keeps it as it is."""
     members = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -276,5 +288,5 @@ def parse_family(text: str) -> SetFamily:
         tokens = [t.strip() for t in line.split(",")]
         if any(not t for t in tokens):
             raise EmptyMember(f"line {lineno}: empty token")
-        members.append(set(tokens))
+        members.append(frozenset(tokens))
     return SetFamily(members)

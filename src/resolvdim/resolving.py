@@ -46,7 +46,7 @@ from . import field
 from . import twins as twins_mod
 from .errors import BadParameters, BudgetExceeded, NotResolving
 from .graph import (ComponentGraph, MatrixColumns, SkeletonColumns,
-                    twin_classes_from_packed_rows)
+                    twin_classes_by_row_digest)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -623,7 +623,8 @@ def all_resolving_k_subsets(
     out.  That cost is in nodes, not C(N, k): about N^3 / 6 at k = N - 2
     on a (q,2) cell, so it exceeds the default budget at (25,2), k = 622,
     where C(N, k) is 194,376."""
-    classes = twin_classes_from_packed_rows(np.packbits(dist == 1, axis=1))
+    classes = twin_classes_by_row_digest(lambda v: np.packbits(dist[v] == 1, axis=1),
+                                         len(dist))
     return list(_Engine(dist, budget).walk(k, classes))
 
 

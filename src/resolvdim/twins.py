@@ -3,9 +3,9 @@
 Two vertices are twins when N[u] = N[v] or N(u) = N(v).  The package
 computes that partition directly from neighborhoods and, separately, the
 partition by equal skeleton mask; `partitions_coincide` compares the two
-as set families.  On the component graphs the two coincide everywhere
-except q=2, n=2, where the two unit vectors e1, e2 share the open
-neighborhood {e1+e2} but have different skeletons.
+by each vertex's least class member.  On the component graphs the two
+coincide everywhere except q=2, n=2, where the two unit vectors e1, e2
+share the open neighborhood {e1+e2} but have different skeletons.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlreadyMember, BadParameters, NotMember, NotTwins
-from .graph import ROW_BLOCK
-from .graph import ComponentGraph, twin_classes_from_packed_rows  # re-exported
+from .graph import ROW_BLOCK, ComponentGraph
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class TwinPartition:
 
 def partition_by_neighborhood(g: ComponentGraph) -> TwinPartition:
     """Classes of the twin relation N[u]=N[v] or N(u)=N(v), read from
-    `g.twin_classes()`, which comes from the packed adjacency rows and
-    never from the skeleton classes: `partitions_coincide` compares the
+    `g.twin_classes()`, which comes from the adjacency rows and never
+    from the skeleton classes: `partitions_coincide` compares the
     two."""
     sk = g.skeleton_array()
     classes0 = g.twin_classes()
@@ -58,10 +57,20 @@ def partition_by_skeleton(g: ComponentGraph) -> TwinPartition:
 
 
 def partitions_coincide(g: ComponentGraph) -> bool:
-    """True iff the neighborhood and skeleton partitions are identical."""
-    a = {frozenset(c) for c in partition_by_neighborhood(g).classes}
-    b = {frozenset(c) for c in partition_by_skeleton(g).classes}
-    return a == b
+    """True iff the neighborhood and skeleton partitions are identical:
+    each maps every vertex to its class's least member, one list of N
+    ids, and two partitions are equal exactly when those maps are."""
+    return (_least_members(partition_by_neighborhood(g), g.vertex_count)
+            == _least_members(partition_by_skeleton(g), g.vertex_count))
+
+
+def _least_members(part: TwinPartition, count: int) -> list[int]:
+    """Entry v - 1 is the least member of vertex v's class."""
+    least = [0] * count
+    for c in part.classes:
+        for v in c:
+            least[v - 1] = c[0]
+    return least
 
 
 def are_twins(g: ComponentGraph, u: int, v: int) -> bool:

@@ -387,9 +387,9 @@ def twin_classes_by_union_find(adj):
     """0-based twin classes of an adjacency matrix.
 
     Vertices are merged when their open-neighborhood rows match or their
-    closed-neighborhood rows match: the reference for the packed-row
-    `twin_classes_from_packed_rows`, which needs no merging.  Returned in
-    its shape: a tuple of ascending tuples, ordered by least member.
+    closed-neighborhood rows match: the reference for the row-digest
+    `graph.twin_classes_by_row_digest`, which needs no merging.  Returned
+    in its shape: a tuple of ascending tuples, ordered by least member.
     """
     n = adj.shape[0]
     uf = _UnionFind(n)

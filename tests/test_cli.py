@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from resolvdim import cli, field, resolving, twins, vectorspace, verify
+from resolvdim import cli, field, graph, resolving, twins, vectorspace, verify
 from resolvdim.cli import main
 from resolvdim.graph import ComponentGraph
 from test_mutants import SWAPS
@@ -65,6 +65,13 @@ def test_huge_order_is_refused_from_n(argv, shown, capsys):
     assert time.perf_counter() - start < 1.0
     cap = argv[argv.index("--vertex-cap") + 1] if "--vertex-cap" in argv else "65536"
     assert capsys.readouterr() == ("", f"error: q^n-1 = {shown} exceeds the vertex cap {cap}\n")
+
+
+def test_twins_past_the_matrix_cap_is_refused(capsys):
+    # (27,3) is under the vertex cap, and the twin partition would fit in
+    # O(N); it is refused at the matrix cap with the dense views
+    assert main(["twins", "--q", "27", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: dense adjacency needs N <= 4096, got 19682\n")
 
 
 def test_verify_skips_a_huge_order(capsys):
@@ -788,16 +795,16 @@ def test_component_graph_routes_build_no_dense_view(argv, tmp_path, capsys, monk
 def test_verify_builds_the_packed_rows_once_per_cell(argv, capsys, monkeypatch):
     # the twins, dim, corollary and swaps checks all read the one twin
     # partition of the cell's graph; `verify` builds a fresh graph per cell
-    real, built = ComponentGraph.packed_adjacency, []
+    real, built = graph.twin_classes_by_row_digest, []
 
-    def counted(self):
-        built.append((self.q, self.n))
-        return real(self)
+    def counted(rows, n):
+        built.append(n)
+        return real(rows, n)
 
-    monkeypatch.setattr(ComponentGraph, "packed_adjacency", counted)
+    monkeypatch.setattr(graph, "twin_classes_by_row_digest", counted)
     main(argv + ["--format", "json"])
     cells = [(r["q"], r["n"]) for r in json.loads(capsys.readouterr().out)["records"]]
-    assert built == cells
+    assert built == [q ** n - 1 for q, n in cells]
 
 
 @pytest.mark.parametrize("q, n, budget", [(16, 3, resolving.DEFAULT_BUDGET), (4, 3, 20_000),

@@ -191,18 +191,26 @@ def test_distance_block_peak_memory_is_the_block():
 
 @pytest.mark.parametrize("q, n", desk_instances(1023))
 def test_packed_adjacency_matches_packed_matrix(q, n):
+    # the twin partition's row source: any index array of vertices,
+    # repeats and any order, gives those rows of the packed matrix
     g = ComponentGraph(q, n)
-    rows = g.packed_adjacency()
-    assert rows.dtype == np.uint8
-    assert np.array_equal(rows, np.packbits(g.adjacency_matrix(), axis=1))
-    assert g.packed_adjacency() is not rows  # callers may change their copy
+    packed = np.packbits(g.adjacency_matrix(), axis=1)
+    picks = np.array([g.vertex_count - 1, 0, g.vertex_count // 2, 0])
+    for rows in (np.arange(g.vertex_count), picks):
+        block = g._packed_adjacency_rows(rows)
+        assert block.dtype == np.uint8
+        assert np.array_equal(block, packed[rows])
 
 
 def test_packed_adjacency_refuses_what_the_matrix_refuses():
-    g = ComponentGraph(2, 13)
-    for view in (g.packed_adjacency, g.adjacency_matrix):
-        with pytest.raises(InstanceTooLarge, match="dense adjacency needs N <= 4096, got 8191"):
-            view()
+    # the twin partition holds O(N) memory, yet it is refused past the
+    # matrix cap with the dense views: dim's walk frames would not be
+    for q, n, count in ((2, 13, 8191), (27, 3, 19682)):
+        g = ComponentGraph(q, n)
+        for view in (g.twin_classes, g.adjacency_matrix):
+            with pytest.raises(InstanceTooLarge,
+                               match=f"dense adjacency needs N <= 4096, got {count}"):
+                view()
 
 
 @pytest.mark.parametrize("q, n", desk_instances(1023))

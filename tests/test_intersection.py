@@ -321,6 +321,27 @@ def test_plain_graph_rejects_a_matrix_that_is_not_an_adjacency_matrix():
     assert resolving.metric_dimension_search(PlainGraph(3, path)) == (1, (0,))
 
 
+def test_plain_graph_checks_a_large_matrix_a_block_of_rows_at_a_time():
+    # K = 1,500, the structure workload's family size: the symmetry check
+    # allocates under 1 MiB beside the 2.25 MB matrix, where comparing it
+    # with its transpose at once built a K x K temporary
+    k = np.arange(1500)
+    adj = np.add.outer(k, k) % 5 == 0
+    np.fill_diagonal(adj, False)
+    tracemalloc.start()
+    try:
+        pg = PlainGraph(1500, adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pg.adjacency_matrix() is adj
+    assert peak < 2 ** 20, peak / 2 ** 20
+    # an entry without its mirror in the last block of rows is refused
+    adj[1499, 3] = True
+    with pytest.raises(BadParameters, match="^adjacency matrix must be symmetric "):
+        PlainGraph(1500, adj)
+
+
 @pytest.mark.parametrize("pair", [(1, 2, 3), (0,), ("a", 1), (0.5, 1), ()])
 def test_plain_graph_rejects_pairs_that_are_not_two_integers(pair):
     with pytest.raises(BadParameters, match="edges must be pairs of integers"):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from conftest import mixed_triple_graph, overflowing_digit_matrix
+from conftest import mixed_triple_graph, overflowing_digit_matrix, twin_classes_by_union_find
 from test_routes import K_SUBSETS, MINIMAL, MINIMUM, ORBIT, SINGLE, TABLE, agree
 from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
 from resolvdim.errors import BudgetExceeded, OutOfRange
@@ -88,13 +88,12 @@ def _sorted_columns_unchecked(g, w):
     return np.array(sorted(w), dtype=np.intp) - 1
 
 
-def _open_twins_only(rows):
-    # groups equal open rows only: the closed-row pass, which sets each
-    # vertex's own bit and groups again, is left out
-    groups = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(row.tobytes(), []).append(i)
-    return tuple(map(tuple, groups.values()))
+def _classes_survive_a_constant_digest():
+    """With every row's digest the same, the twin classes at (3,2), whose
+    open rows all differ, still equal union-find's."""
+    with mock.patch.object(graph, "_row_digest", lambda rows: np.zeros(len(rows), np.int64)):
+        g = ComponentGraph(3, 2)
+        return g.twin_classes() == twin_classes_by_union_find(g.adjacency_matrix())
 
 
 def _out_of_range_refused():
@@ -307,8 +306,11 @@ MUTANTS = [
            _column_without_its_zero, _cells_agree(MINIMAL, "2-3")),
     Mutant("single-set-ids-skip-the-range-check", resolving, "_sorted_columns",
            _sorted_columns_unchecked, _out_of_range_refused),
-    Mutant("closed-row-pass-without-the-diagonal-bit", graph, "twin_classes_from_packed_rows",
-           _open_twins_only, lambda: _verify_passes(3, 2, "twins")),
+    # the closed-row pass then groups the open rows again
+    Mutant("closed-row-pass-without-the-diagonal-bit", graph, "_own_bits",
+           lambda rows, v: rows, lambda: _verify_passes(3, 2, "twins")),
+    Mutant("digest-match-accepted-without-the-exact-row-compare", graph, "_same_rows",
+           lambda rows, a, b: np.ones(len(a), dtype=bool), _classes_survive_a_constant_digest),
     Mutant("dim-witness-moves-its-last-member", resolving, "find_min_resolving_for_matrix",
            _witness_moved, _dim_checks_its_witness),
     Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",

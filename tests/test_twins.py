@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import desk_instances, mixed_triple_graph, twin_classes_by_union_find
+from conftest import (desk_instances, mixed_triple_graph, twin_classes_by_union_find,
+                      twins_graph)
 from test_routes import TWINS, folded, qn, seeded
-from resolvdim import resolving, twins
+from resolvdim import graph, resolving, twins
 from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
@@ -214,8 +215,8 @@ def test_twin_classes_match_union_find_on_random_graphs():
 
 
 def test_twin_classes_leave_the_adjacency_unchanged(g32):
-    # the packed-row pass sets each vertex's own bit in the rows it is
-    # given; a plain graph hands it a packed copy of its matrix
+    # the closed-row pass sets each vertex's own bit in its packed copy of
+    # the rows; a plain graph hands the routine rows of its matrix
     pg = PlainGraph(g32.vertex_count, [(u - 1, v - 1) for u, v in g32.edges()])
     adj = pg.adjacency_matrix()
     before = adj.copy()
@@ -230,13 +231,46 @@ def test_packed_row_classes_match_adjacency_classes(q, n):
     g = ComponentGraph(q, n)
     adj = g.adjacency_matrix()
     packed = tuple(tuple(v - 1 for v in c) for c in twins.partition_by_neighborhood(g).classes)
-    assert packed == twins.twin_classes_from_packed_rows(np.packbits(adj, axis=1))
+    assert packed == graph.twin_classes_by_row_digest(
+        lambda v: np.packbits(adj[v], axis=1), len(adj))
     assert packed == twin_classes_by_union_find(adj)
 
 
+def _constant_digest(rows):
+    return np.zeros(len(rows), dtype=np.int64)
+
+
+def test_twin_classes_survive_a_constant_digest(monkeypatch):
+    # every row of a pass collides: each match is refused by the exact row
+    # compare, and the digest's vertices are grouped by their exact rows
+    monkeypatch.setattr(graph, "_row_digest", _constant_digest)
+    for q, n in ((2, 2), (2, 3), (3, 2), (4, 2), (3, 3)):
+        g = ComponentGraph(q, n)
+        assert g.twin_classes() == twin_classes_by_union_find(g.adjacency_matrix()), (q, n)
+    for seed in range(5):
+        pg = twins_graph(seed)
+        assert pg.twin_classes() == twin_classes_by_union_find(pg.adjacency_matrix()), seed
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (16, 3)])
+def test_twin_classes_hold_one_block_of_rows(q, n):
+    # N = 4095: O(N) digests and labels and one block of ROW_BLOCK packed
+    # rows, where all N packed rows took N^2/8 = 2 MB and the byte keys
+    # of both passes as much again
+    g = ComponentGraph(q, n)
+    tracemalloc.start()
+    try:
+        classes = g.twin_classes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, classes)) == 4095
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
+
+
 def test_neighborhood_partition_peak_memory():
-    # packed rows are N^2/8 = 2 MB at N = 4095, where the bool adjacency
-    # matrix would take 16 MB
+    # the classes hold one block of rows at N = 4095, where the bool
+    # adjacency matrix would take 16 MB
     g = ComponentGraph(2, 12)
     tracemalloc.start()
     try:
