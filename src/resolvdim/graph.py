@@ -16,7 +16,7 @@ and the twin-class check from `SkeletonColumns`, the exports from one
 row generator each.  So the twin classes and the check of them share
 no code.  Only `adjacency_matrix` and `distance_matrix` hold an entry
 per vertex pair, and no route of the CLI calls them;
-`twin_classes_by_row_digest` holds one block of rows and O(N) digests.
+`twin_classes_by_row_digest` holds one block of rows and O(N) keys.
 """
 
 from __future__ import annotations
@@ -251,22 +251,22 @@ def twin_classes_by_row_digest(open_rows: Callable[[np.ndarray], np.ndarray],
     closed rows, and the least member of either group labels all of it.
 
     The rows are read ROW_BLOCK at a time.  Every open row, and the same
-    row with the vertex's own bit set (its closed row), gets a 64-bit
-    digest (`_row_digest`); then `_least_equal_row` labels each pass.
-    Memory is O(n) digests and labels plus one block of rows; no row
-    outlives its block.
+    row with the vertex's own bit set (its closed row), gets a key
+    (`_row_key`); then `_least_equal_row` labels each pass.  Memory is
+    O(n) keys and labels plus one block of rows; no row outlives its
+    block.
     """
     def closed_rows(v):
         return _own_bits(open_rows(v), v)
 
-    digests = np.empty((2, n), dtype=np.int64)
+    keys = np.empty((2, n), dtype=np.int64)
     for lo in range(0, n, ROW_BLOCK):
         v = np.arange(lo, min(lo + ROW_BLOCK, n))
         rows = open_rows(v)
-        digests[0, lo:lo + ROW_BLOCK] = _row_digest(rows)
-        digests[1, lo:lo + ROW_BLOCK] = _row_digest(_own_bits(rows, v))
-    label = np.minimum(_least_equal_row(digests[0], open_rows),
-                       _least_equal_row(digests[1], closed_rows))
+        keys[0, lo:lo + ROW_BLOCK] = [_row_key(row) for row in rows]
+        keys[1, lo:lo + ROW_BLOCK] = [_row_key(row) for row in _own_bits(rows, v)]
+    label = np.minimum(_least_equal_row(keys[0], open_rows),
+                       _least_equal_row(keys[1], closed_rows))
     # a class's least member carries its own label and comes first
     groups: dict[int, list[int]] = {}
     for i, least in enumerate(label.tolist()):
@@ -281,75 +281,39 @@ def _own_bits(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rows
 
 
-# splitmix64's two multipliers and a key for the word positions, as the
-# int64 values with the same bits; plain ints, since a uint64 array built
-# at import added about 0.1 MB to the import's peak RSS
-_MUL1, _MUL2, _WORD_KEY = (
-    c - (1 << 64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15))
+def _row_key(row: np.ndarray) -> int:
+    """A packed row's key: the built-in hash of its bytes.  Keys only bucket
+    the rows, which `_least_equal_row` then groups exactly, so the hash's
+    per-process salt can change the work done on a collision, never a
+    class."""
+    return hash(row.tobytes())
 
 
-def _row_digest(rows: np.ndarray) -> np.ndarray:
-    """A 64-bit digest of each packed row, as int64: the wrapped sum of
-    its 8-byte words, each XORed with its position's key and mixed by
-    splitmix64's finalizer.  Deterministic across runs, unlike the
-    salted `hash()`.  It is int64 arithmetic throughout, as the subset
-    engine's keys are, so it pages in no numpy loops of its own (each
-    costs resident memory in every run); each right shift is masked to
-    a logical one."""
-    width = -(-rows.shape[1] // 8)
-    words = np.zeros((len(rows), 8 * width), dtype=np.uint8)
-    words[:, :rows.shape[1]] = rows
-    x = words.view("<i8") ^ (np.arange(1, width + 1, dtype=np.int64) * _WORD_KEY)
-    x ^= (x >> 30) & ((1 << 34) - 1)
-    x *= _MUL1
-    x ^= (x >> 27) & ((1 << 37) - 1)
-    x *= _MUL2
-    x ^= (x >> 31) & ((1 << 33) - 1)
-    return x.sum(axis=1)
-
-
-def _least_equal_row(digest: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
+def _least_equal_row(keys: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
                      ) -> np.ndarray:
     """For each vertex, the least vertex whose row `rows` equals its own,
-    given every row's digest.
+    given every row's key.
 
-    Each vertex maps to the least vertex with its digest, and
-    `_same_rows` confirms each such match by comparing the two rows.
-    The vertices of a digest that two different rows share are grouped
-    by their exact rows instead, so a collision is never a merge.
+    Each vertex maps to the first vertex with its key.  The rows of each
+    key held by two or more vertices are read again, a block at a time,
+    key by key and ascending, and grouped by their exact bytes; so a key
+    shared by different rows is never a merge.
     """
-    least = _first_equal(digest)
-    matched = np.flatnonzero(least != np.arange(len(digest)))
-    shared = set()
-    for lo in range(0, len(matched), ROW_BLOCK):
-        v = matched[lo:lo + ROW_BLOCK]
-        shared.update(digest[v[~_same_rows(rows, v, least[v])]].tolist())
-    for d in shared:
-        members = np.flatnonzero(digest == d)
-        seen: dict[bytes, int] = {}
-        for lo in range(0, len(members), ROW_BLOCK):
-            v = members[lo:lo + ROW_BLOCK]
-            for u, row in zip(v.tolist(), rows(v)):
-                least[u] = seen.setdefault(row.tobytes(), u)
-    return least
-
-
-def _same_rows(rows: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """Whether row a[i] equals row b[i], for each i, compared as bytes;
-    the row of each distinct b[i] is read once."""
-    slot: dict[int, int] = {}
-    at = [slot.setdefault(u, len(slot)) for u in b.tolist()]
-    heads = [row.tobytes() for row in rows(np.array(list(slot), dtype=np.intp))]
-    return np.array([row.tobytes() == heads[j] for row, j in zip(rows(a), at)], dtype=bool)
-
-
-def _first_equal(keys: np.ndarray) -> np.ndarray:
-    """For each i, the least j with keys[j] == keys[i]; by a dict, since a
-    stable argsort pages in 128 KB of sort code that most runs never use."""
     first: dict[int, int] = {}
-    return np.array([first.setdefault(k, i) for i, k in enumerate(keys.tolist())],
-                    dtype=np.intp)
+    head = [first.setdefault(k, i) for i, k in enumerate(keys.tolist())]
+    shared: dict[int, list[int]] = {}
+    for i, h in enumerate(head):
+        if h != i:
+            shared.setdefault(h, [h]).append(i)
+    least = np.array(head, dtype=np.intp)
+    order = np.array([u for members in shared.values() for u in members], dtype=np.intp)
+    for lo in range(0, len(order), ROW_BLOCK):
+        v = order[lo:lo + ROW_BLOCK]
+        for u, row in zip(v.tolist(), rows(v)):
+            if head[u] == u:  # each key's vertices start with its first
+                seen: dict[bytes, int] = {}
+            least[u] = seen.setdefault(row.tobytes(), u)
+    return least
 
 
 def order_formula(q: int, n: int) -> int:

@@ -355,6 +355,23 @@ def test_intersect_dim_powerset():
     assert result.stdout == "dim=3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["twins", "--q", "3", "--n", "3"],
+    ["verify", "--q", "3", "--n", "2", "--format", "json"],
+    ["intersect", "--dim-powerset", "4"],
+    ["intersect", "--family", "fam.txt"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    # the twin partition keys its rows by the salted built-in hash, but a
+    # key only buckets rows that are then grouped by their exact bytes
+    (tmp_path / "fam.txt").write_text("1\n2\n1,2\n3\n2,3\n1,3\n")
+    outs = [subprocess.run(CLI + argv, capture_output=True, cwd=tmp_path,
+                           env=dict(child_env(), PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    assert [run.returncode for run in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout != b""
+
+
 @pytest.mark.parametrize("n,members", [(13, 8191), (16, 65535)])
 def test_intersect_dim_powerset_over_the_member_cap_is_usage_error(n, members):
     result = run_cli(["intersect", "--dim-powerset", str(n)])

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import mixed_triple_graph, overflowing_digit_matrix, twin_classes_by_union_find
 from test_routes import K_SUBSETS, MINIMAL, MINIMUM, ORBIT, SINGLE, TABLE, agree
-from resolvdim import cli, exchange, graph, resolving, twins, vectorspace, verify
+from resolvdim import cli, exchange, field, graph, resolving, twins, vectorspace, verify
 from resolvdim.errors import BudgetExceeded, OutOfRange
 from resolvdim.graph import ComponentGraph
 
@@ -88,12 +88,34 @@ def _sorted_columns_unchecked(g, w):
     return np.array(sorted(w), dtype=np.intp) - 1
 
 
-def _classes_survive_a_constant_digest():
-    """With every row's digest the same, the twin classes at (3,2), whose
+def _classes_survive_a_constant_key():
+    """With every row's key the same, the twin classes at (3,2), whose
     open rows all differ, still equal union-find's."""
-    with mock.patch.object(graph, "_row_digest", lambda rows: np.zeros(len(rows), np.int64)):
+    with mock.patch.object(graph, "_row_key", lambda row: 0):
         g = ComponentGraph(3, 2)
         return g.twin_classes() == twin_classes_by_union_find(g.adjacency_matrix())
+
+
+def _first_equal_key(keys, rows):
+    # each vertex labelled with the first vertex of its key, rows unread
+    first = {}
+    return np.array([first.setdefault(k, i) for i, k in enumerate(keys.tolist())],
+                    dtype=np.intp)
+
+
+def _minimal_table_to_bit_8(status):
+    # clears a mask's minimal bit by its removals of bits 0..7 only
+    minimal = status.copy()
+    for b in range(min(8, status.size.bit_length() - 1)):
+        minimal.reshape(-1, 2, 1 << b)[:, 1] &= ~status.reshape(-1, 2, 1 << b)[:, 0]
+    return minimal
+
+
+def _largest_is_the_matrix_maximum_at_n_1():
+    """At each (q,1), the distance columns' `largest` is the distance
+    matrix's largest entry: 0 at (2,1), else 1."""
+    cells = [ComponentGraph(q, 1) for q in field.SUPPORTED_ORDERS]
+    return all(g.distance_columns().largest == g.distance_matrix().max() for g in cells)
 
 
 def _out_of_range_refused():
@@ -243,6 +265,7 @@ _real_product_walk = resolving._ProductWalk.__init__
 _real_runs = resolving._ProductWalk._runs
 _real_single_removals = resolving._single_removals
 _real_column = graph.SkeletonColumns.column
+_real_columns_init = graph.SkeletonColumns.__init__
 _real_partition = twins.partition_by_neighborhood
 _real_is_twin_class = twins.is_twin_class
 _real_basis = resolving.canonical_metric_basis
@@ -304,13 +327,21 @@ MUTANTS = [
            _cells_agree(MINIMAL, "2-3")),
     Mutant("column-keeps-its-own-vertex-nonzero", graph.SkeletonColumns, "column",
            _column_without_its_zero, _cells_agree(MINIMAL, "2-3")),
+    # a minimal set of (2,4) holds a vertex of bit 8 or up
+    Mutant("minimal-table-stops-at-bit-8", resolving, "minimal_status_by_mask",
+           _minimal_table_to_bit_8, _cells_agree(MINIMAL, "2-4")),
+    # at n = 1 dim's walk ends at the twin rule before it reads `largest`,
+    # so only a direct comparison sees it
+    Mutant("skeleton-columns-largest-2-at-n-1", graph.SkeletonColumns, "__init__",
+           lambda self, skeletons, n: _real_columns_init(self, skeletons, max(n, 2)),
+           _largest_is_the_matrix_maximum_at_n_1),
     Mutant("single-set-ids-skip-the-range-check", resolving, "_sorted_columns",
            _sorted_columns_unchecked, _out_of_range_refused),
     # the closed-row pass then groups the open rows again
     Mutant("closed-row-pass-without-the-diagonal-bit", graph, "_own_bits",
            lambda rows, v: rows, lambda: _verify_passes(3, 2, "twins")),
-    Mutant("digest-match-accepted-without-the-exact-row-compare", graph, "_same_rows",
-           lambda rows, a, b: np.ones(len(a), dtype=bool), _classes_survive_a_constant_digest),
+    Mutant("key-match-accepted-without-the-exact-row-compare", graph, "_least_equal_row",
+           _first_equal_key, _classes_survive_a_constant_key),
     Mutant("dim-witness-moves-its-last-member", resolving, "find_min_resolving_for_matrix",
            _witness_moved, _dim_checks_its_witness),
     Mutant("corollary-lists-no-sets", resolving, "minimum_resolving_sets",

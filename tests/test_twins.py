@@ -8,7 +8,7 @@ from conftest import (desk_instances, mixed_triple_graph, twin_classes_by_union_
                       twins_graph)
 from test_routes import TWINS, folded, qn, seeded
 from resolvdim import graph, resolving, twins
-from resolvdim.errors import AlreadyMember, BadParameters, NotMember, NotTwins
+from resolvdim.errors import AlreadyMember, BadParameters, InstanceTooLarge, NotMember, NotTwins
 from resolvdim.graph import ComponentGraph
 from resolvdim.intersection import PlainGraph
 
@@ -236,14 +236,10 @@ def test_packed_row_classes_match_adjacency_classes(q, n):
     assert packed == twin_classes_by_union_find(adj)
 
 
-def _constant_digest(rows):
-    return np.zeros(len(rows), dtype=np.int64)
-
-
 def test_twin_classes_survive_a_constant_digest(monkeypatch):
-    # every row of a pass collides: each match is refused by the exact row
-    # compare, and the digest's vertices are grouped by their exact rows
-    monkeypatch.setattr(graph, "_row_digest", _constant_digest)
+    # every row of a pass shares one key: its vertices are grouped by
+    # their exact rows, so a shared key is never a merge
+    monkeypatch.setattr(graph, "_row_key", lambda row: 0)
     for q, n in ((2, 2), (2, 3), (3, 2), (4, 2), (3, 3)):
         g = ComponentGraph(q, n)
         assert g.twin_classes() == twin_classes_by_union_find(g.adjacency_matrix()), (q, n)
@@ -254,7 +250,7 @@ def test_twin_classes_survive_a_constant_digest(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(2, 12), (16, 3)])
 def test_twin_classes_hold_one_block_of_rows(q, n):
-    # N = 4095: O(N) digests and labels and one block of ROW_BLOCK packed
+    # N = 4095: O(N) keys and labels and one block of ROW_BLOCK packed
     # rows, where all N packed rows took N^2/8 = 2 MB and the byte keys
     # of both passes as much again
     g = ComponentGraph(q, n)
@@ -266,6 +262,24 @@ def test_twin_classes_hold_one_block_of_rows(q, n):
         tracemalloc.stop()
     assert sum(map(len, classes)) == 4095
     assert peak < 3 * 2 ** 20, peak / 2 ** 20
+
+
+def test_row_classes_past_the_matrix_cap():
+    # N = 6,560 at (3,8): `twin_classes()` refuses the cell, but the
+    # routine holds one block of rows and gives the skeleton classes
+    g = ComponentGraph(3, 8)
+    tracemalloc.start()
+    try:
+        classes = graph.twin_classes_by_row_digest(g._packed_adjacency_rows, g.vertex_count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    skeleton = twins.partition_by_skeleton(g).classes
+    assert classes == tuple(tuple(v - 1 for v in c) for c in skeleton)
+    assert len(classes) == 255
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
+    with pytest.raises(InstanceTooLarge, match="dense adjacency needs N <= 4096"):
+        g.twin_classes()
 
 
 def test_neighborhood_partition_peak_memory():
