@@ -4,7 +4,8 @@ Vertices are the nonzero vectors, identified by their base-q ids; two
 vertices are adjacent when their coefficient expansions share a position
 with nonzero coefficient, i.e. when their skeleton masks intersect.  The
 graph is kept implicit: adjacency and distance are computed from one
-read-only int64 skeleton array, never from a materialized edge list.
+read-only skeleton array of unsigned n-bit masks, never from a
+materialized edge list.
 
 The distance closed form (0 for equal vertices, 1 for intersecting
 skeletons, else 2) is backed by the breadth-first-search oracle
@@ -34,9 +35,17 @@ from .vectorspace import DEFAULT_VERTEX_CAP
 # Hard guard for O(N^2) dense structures (distance/adjacency matrices).
 MATRIX_CAP = 4096
 
-# Rows per block where a dense product is built a block at a time; a
-# block of distance columns is met ROW_BLOCK^2 cells at a time.
-ROW_BLOCK = 256
+# Most cells a temporary holds where a loop reads a block at a time
+# (`slabs`): a slab of rows, columns, tokens or sets.
+BLOCK_CELLS = 1 << 16
+
+
+def slabs(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering items 0..count-1 of `width` cells each,
+    max(1, BLOCK_CELLS // width) items a slice: a slab holds at most
+    BLOCK_CELLS cells, or one item."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 class ComponentGraph:
@@ -62,17 +71,16 @@ class ComponentGraph:
         self.q = q
         self.n = n
         self.vertex_count = count
-        # bit i of entry v-1 is set where base-q digit i of vertex v is nonzero
+        # bit i of entry v-1 is set where base-q digit i of vertex v is
+        # nonzero, in the narrowest unsigned type that holds n bits (uint16
+        # up to n = 16): the pair tests run about 3x faster than on int64
+        # at q = 2, n = 12
         rest = np.arange(1, count + 1, dtype=np.int64)
-        self._skeletons = np.zeros(count, dtype=np.int64)
+        self._skeletons = np.zeros(count, dtype=np.min_scalar_type((1 << n) - 1))
         for i in range(n):
             rest, digit = np.divmod(rest, q)
             self._skeletons[digit != 0] |= 1 << i
         self._skeletons.flags.writeable = False
-        # the same masks in the narrowest unsigned type that holds n bits
-        # (uint16 up to n = 16): the pair tests run about 3x faster than
-        # on int64 at q = 2, n = 12
-        self._masks = self._skeletons.astype(np.min_scalar_type((1 << n) - 1))
         self._twins: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries --
@@ -114,22 +122,21 @@ class ComponentGraph:
     # -- dense views (desk scale only) --
 
     def skeleton_array(self) -> np.ndarray:
-        """Read-only int64 skeletons indexed 0..N-1 (vertex id minus 1)."""
+        """Read-only unsigned n-bit skeletons indexed 0..N-1 (vertex id minus 1)."""
         return self._skeletons
 
     def _packed_adjacency_rows(self, rows: np.ndarray) -> np.ndarray:
         """The adjacency matrix's rows (0-based index array), packed as by
         `np.packbits(adjacency_matrix()[rows], axis=1)`: N/8 bytes a row.
-        The masks are met for a slab of at most ROW_BLOCK^2 cells at a
-        time, whose bool rows are packed before the next slab."""
-        sk = self._masks
+        The masks are met a slab of rows at a time (`slabs`), whose bool
+        rows are packed before the next slab."""
+        sk = self._skeletons
         packed = np.empty((len(rows), (len(sk) + 7) // 8), dtype=np.uint8)
-        step = max(1, ROW_BLOCK ** 2 // len(sk))
-        for lo in range(0, len(rows), step):
-            slab = rows[lo:lo + step]
+        for s in slabs(len(rows), len(sk)):
+            slab = rows[s]
             meets = (sk[slab, None] & sk) != 0
             meets[np.arange(len(slab)), slab] = False
-            packed[lo:lo + step] = np.packbits(meets, axis=1)
+            packed[s] = np.packbits(meets, axis=1)
         return packed
 
     def _refuse_dense(self) -> None:
@@ -152,7 +159,7 @@ class ComponentGraph:
     def distance_columns(self) -> SkeletonColumns:
         """The distance matrix as columns computed on demand (see
         `SkeletonColumns`); no N x N array."""
-        return SkeletonColumns(self._masks, self.n)
+        return SkeletonColumns(self._skeletons, self.n)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix indexed 0..N-1 (vertex id minus 1), read
@@ -161,15 +168,14 @@ class ComponentGraph:
 
     def distance_matrix(self) -> np.ndarray:
         """int16 distance matrix indexed 0..N-1 (vertex id minus 1), built
-        from the skeletons ROW_BLOCK rows at a time, so no temporary
-        exceeds ROW_BLOCK x N; a fresh array on every call.  It reads no
-        `SkeletonColumns`, so the tests can hold the columns against it."""
+        from the skeletons a slab of rows at a time (`slabs`); a fresh
+        array on every call.  It reads no `SkeletonColumns`, so the tests
+        can hold the columns against it."""
         self._refuse_dense()
-        sk = self._masks
+        sk = self._skeletons
         dist = np.empty((len(sk), len(sk)), dtype=np.int16)
-        for lo in range(0, len(sk), ROW_BLOCK):
-            meets = (sk[lo:lo + ROW_BLOCK, None] & sk) != 0
-            dist[lo:lo + ROW_BLOCK] = np.where(meets, np.int16(1), np.int16(2))
+        for s in slabs(len(sk), len(sk)):
+            dist[s] = np.where((sk[s, None] & sk) != 0, np.int16(1), np.int16(2))
         np.fill_diagonal(dist, 0)
         return dist
 
@@ -201,16 +207,15 @@ class SkeletonColumns:
         """int16 distances from every vertex to vertex c + 1 (0-based c);
         for a 1-D index array c, the N x B block of those columns.
 
-        The block is the only N x B array: the masks are met a slab of at
-        most ROW_BLOCK^2 cells at a time, at their own width, and each
-        slab's test for 0 is written into the block, leaving 1 where the
-        masks do not meet and 0 where they do; one more makes those the
-        distances 2 and 1."""
+        The block is the only N x B array: the masks are met a slab of
+        rows at a time (`slabs`), at their own width, and each slab's test
+        for 0 is written into the block, leaving 1 where the masks do not
+        meet and 0 where they do; one more makes those the distances 2
+        and 1."""
         sk, own = self._skeletons, self._skeletons[c]
         col = np.empty((len(sk),) + own.shape, dtype=np.int16)
-        step = max(1, ROW_BLOCK ** 2 // max(own.size, 1))
-        for lo in range(0, len(sk), step):
-            np.equal(np.bitwise_and.outer(sk[lo:lo + step], own), 0, out=col[lo:lo + step])
+        for s in slabs(len(sk), own.size):
+            np.equal(np.bitwise_and.outer(sk[s], own), 0, out=col[s])
         col += 1
         col[(c, np.arange(len(c))) if isinstance(c, np.ndarray) else c] = 0
         return col
@@ -250,21 +255,21 @@ def twin_classes_by_row_digest(open_rows: Callable[[np.ndarray], np.ndarray],
     each class is one group of equal open rows or one group of equal
     closed rows, and the least member of either group labels all of it.
 
-    The rows are read ROW_BLOCK at a time.  Every open row, and the same
-    row with the vertex's own bit set (its closed row), gets a key
-    (`_row_key`); then `_least_equal_row` labels each pass.  Memory is
-    O(n) keys and labels plus one block of rows; no row outlives its
-    block.
+    The rows are read a slab at a time (`slabs`, n cells a row).  Every
+    open row, and the same row with the vertex's own bit set (its closed
+    row), gets a key (`_row_key`); then `_least_equal_row` labels each
+    pass.  Memory is O(n) keys and labels plus one slab of rows; no row
+    outlives its slab.
     """
     def closed_rows(v):
         return _own_bits(open_rows(v), v)
 
     keys = np.empty((2, n), dtype=np.int64)
-    for lo in range(0, n, ROW_BLOCK):
-        v = np.arange(lo, min(lo + ROW_BLOCK, n))
+    for s in slabs(n, n):
+        v = np.arange(s.start, s.stop)
         rows = open_rows(v)
-        keys[0, lo:lo + ROW_BLOCK] = [_row_key(row) for row in rows]
-        keys[1, lo:lo + ROW_BLOCK] = [_row_key(row) for row in _own_bits(rows, v)]
+        keys[0, s] = [_row_key(row) for row in rows]
+        keys[1, s] = [_row_key(row) for row in _own_bits(rows, v)]
     label = np.minimum(_least_equal_row(keys[0], open_rows),
                        _least_equal_row(keys[1], closed_rows))
     # a class's least member carries its own label and comes first
@@ -295,7 +300,7 @@ def _least_equal_row(keys: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
     given every row's key.
 
     Each vertex maps to the first vertex with its key.  The rows of each
-    key held by two or more vertices are read again, a block at a time,
+    key held by two or more vertices are read again, a slab at a time,
     key by key and ascending, and grouped by their exact bytes; so a key
     shared by different rows is never a merge.
     """
@@ -307,8 +312,8 @@ def _least_equal_row(keys: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
             shared.setdefault(h, [h]).append(i)
     least = np.array(head, dtype=np.intp)
     order = np.array([u for members in shared.values() for u in members], dtype=np.intp)
-    for lo in range(0, len(order), ROW_BLOCK):
-        v = order[lo:lo + ROW_BLOCK]
+    for s in slabs(len(order), len(keys)):
+        v = order[s]
         for u, row in zip(v.tolist(), rows(v)):
             if head[u] == u:  # each key's vertices start with its first
                 seen: dict[bytes, int] = {}

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import resolving
 from .errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
-from .graph import (MATRIX_CAP, ROW_BLOCK, ComponentGraph, MatrixColumns,
+from .graph import (MATRIX_CAP, ComponentGraph, MatrixColumns, slabs,
                     twin_classes_by_row_digest)
 from .resolving import DEFAULT_BUDGET
 
@@ -75,11 +75,11 @@ class PlainGraph:
                 f"plain graph needs at most {MATRIX_CAP} vertices, got {vertex_count}")
         self._dist: np.ndarray | None = None
         if getattr(edges, "dtype", None) == bool and edges.shape == (vertex_count,) * 2:
-            # symmetry a block of ROW_BLOCK rows at a time, against the
-            # same columns: no K x K temporary
+            # symmetry a slab of rows at a time, against the same columns:
+            # no K x K temporary
             if edges.diagonal().any() or not all(
-                    np.array_equal(edges[lo:lo + ROW_BLOCK], edges[:, lo:lo + ROW_BLOCK].T)
-                    for lo in range(0, vertex_count, ROW_BLOCK)):
+                    np.array_equal(edges[s], edges[:, s].T)
+                    for s in slabs(vertex_count, vertex_count)):
                 raise BadParameters("adjacency matrix must be symmetric with a False diagonal")
             self._adj = edges
             return
@@ -166,21 +166,18 @@ class PlainGraph:
         return f"PlainGraph({self.vertex_count} vertices, {edges} edges)"
 
 
-# Most index pairs one fancy-index assignment in `intersection_graph` sets.
-PAIR_CHUNK = 1 << 16
-
-
 def _holder_chunks(fam: SetFamily) -> Iterator[np.ndarray]:
     """Every token's holders (the members that hold it), from one pass over the
-    members, as (b, h) arrays of b tokens with h holders: b h^2 <= PAIR_CHUNK or b = 1."""
+    members, as (b, h) arrays of b tokens with h holders, a slab of tokens of
+    h^2 index pairs each (`slabs`): b h^2 <= BLOCK_CELLS or b = 1."""
     holders: dict = {}
     for i, m in enumerate(fam.members):
         for t in m:
             holders.setdefault(t, []).append(i)
     for count, same in groupby(sorted(holders.values(), key=len), key=len):
-        group, step = list(same), max(1, PAIR_CHUNK // count ** 2)
-        for lo in range(0, len(group), step):
-            yield np.array(group[lo:lo + step], dtype=np.intp)
+        group = list(same)
+        for s in slabs(len(group), count ** 2):
+            yield np.array(group[s], dtype=np.intp)
 
 
 def intersection_graph(fam: SetFamily) -> PlainGraph:
@@ -221,16 +218,16 @@ def powerset_matches_component_graph(n: int) -> bool:
     (1-based), since both are indexed by the same support mask.  The
     family side comes from the members' tokens alone: two members meet
     when their incidence rows share a token, (M M^T) > 0 off the diagonal.
-    It is compared with the graph's adjacency (distance 1) one block of
-    columns at a time, so no N x N matrix is built.
+    It is compared with the graph's adjacency (distance 1) a slab of
+    columns at a time (`slabs`), so no N x N matrix is built.
     """
     g = ComponentGraph(2, n)
     # float32 takes the BLAS product; counts up to 2^24 are exact
     inc = incidence_matrix(powerset_family(n)).astype(np.float32)
     if len(inc) != g.vertex_count:
         return False
-    for lo in range(0, len(inc), ROW_BLOCK):
-        cols = np.arange(lo, min(lo + ROW_BLOCK, len(inc)))
+    for s in slabs(len(inc), len(inc)):
+        cols = np.arange(s.start, s.stop)
         meets = (inc @ inc[cols].T) > 0
         meets[cols, np.arange(len(cols))] = False
         if not np.array_equal(meets, g.distance_columns().column(cols) == 1):

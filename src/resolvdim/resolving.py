@@ -45,14 +45,12 @@ import numpy as np
 from . import field
 from . import twins as twins_mod
 from .errors import BadParameters, BudgetExceeded, NotResolving
-from .graph import (ComponentGraph, MatrixColumns, SkeletonColumns,
+from .graph import (BLOCK_CELLS, ComponentGraph, MatrixColumns, SkeletonColumns, slabs,
                     twin_classes_by_row_digest)
 
 DEFAULT_BUDGET = 1_000_000
 
 _MASK_TABLE_MAX_N = 20
-# most cells one block of the engine holds: a kernel read, a batch of labels
-_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
     """The least pair u < v of rows that agree on every column of `cols`,
     or None: the column-group kernel.
 
-    Each column, read `engine.batch` at a time, appends one base-`base`
+    Each column, read a slab at a time (`slabs`), appends one base-`base`
     digit to every row's int64 key, so two rows hold equal keys exactly
     when they agree on every column so far.  When the next digit would
     pass 2^62, the keys are first dense-ranked, which keeps equality and
@@ -97,8 +95,8 @@ def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
     """
     keys = np.zeros(engine.n_rows, dtype=np.int64)
     bound = 1  # every key lies below bound
-    for lo in range(0, len(cols), engine.batch):
-        for digit in engine.column(cols[lo:lo + engine.batch]).T:
+    for s in slabs(len(cols), engine.n_rows):
+        for digit in engine.column(cols[s]).T:
             if bound * engine.base >= 1 << 62:
                 _dense_rank(keys[:, None])
                 bound = engine.n_rows
@@ -116,11 +114,11 @@ def _collision(engine: _Engine, cols: np.ndarray) -> tuple[int, int] | None:
 def _single_removals(engine: _Engine, cols: np.ndarray) -> np.ndarray:
     """Whether each column's removal from `cols` still resolves: row i of
     the set's kept table (`_kept_table`) is its partition without cols[i],
-    and the rows are tested `engine.batch` at a time (`_distinct_rows`)."""
+    and the rows are tested a slab at a time (`slabs`, `_distinct_rows`)."""
     table = _kept_table(engine, cols)
     still = np.empty(len(table), dtype=bool)
-    for lo in range(0, len(table), engine.batch):
-        still[lo:lo + engine.batch] = _distinct_rows(table[lo:lo + engine.batch])
+    for s in slabs(len(table), engine.n_rows):
+        still[s] = _distinct_rows(table[s])
     return still
 
 
@@ -240,7 +238,7 @@ class _Engine:
         self.base = max(dist.largest + 1, 2)
         self.budget = budget
         self.evaluated = 0
-        self.batch = max(1, _BATCH_CELLS // max(self.n_rows, 1))
+        self.batch = max(1, BLOCK_CELLS // max(self.n_rows, 1))
 
     @property
     def left(self) -> int:
@@ -465,7 +463,7 @@ class _ProductWalk:
     A node with more leaves than a batch holds is split into runs of
     its children, as many as fit a batch; a run goes down to its leaves
     as a whole and is one batch of the output, so no level holds more
-    than `_BATCH_CELLS` labels, and a run of children reads a slice of
+    than `BLOCK_CELLS` labels, and a run of children reads a slice of
     its level, a view.
     """
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlreadyMember, BadParameters, NotMember, NotTwins
-from .graph import ROW_BLOCK, ComponentGraph
+from .graph import ComponentGraph, slabs
 
 
 @dataclass(frozen=True)
@@ -80,40 +80,35 @@ def are_twins(g: ComponentGraph, u: int, v: int) -> bool:
 
 
 def is_twin_class(g: ComponentGraph, members: Sequence[int]) -> bool:
-    """True iff the members are pairwise twins, read from their N x k
-    block of `g.distance_columns()`: with d(x0, x1), the distance between
-    the first two members, written in place over each member's own zero,
-    every row of the block is constant.  The rows are compared with their
-    first entry a slab at a time, so no N x k bool block is built.  A
-    repeated id is refused first (BadParameters), then ids outside the
-    graph's (OutOfRange), as the single-set checks refuse them.
+    """True iff the members are pairwise twins, read from
+    `g.distance_columns()`: the column of each member agrees with the
+    first member's column everywhere except at the rows of those two
+    members.  The members are compared a slab at a time (`slabs`), so no
+    N x k block is built.  A repeated id is refused first
+    (BadParameters), then ids outside the graph's (OutOfRange), as the
+    single-set checks refuse them.
 
     In any graph, u and v are twins exactly when they are at equal
     distance from every other vertex: the vertices at distance 1 are
-    then the same.  If the members are pairwise twins, every outside row
-    is constant along the block's columns, and d(x, z) = d(y, z) for
-    distinct members x, y, z, so all distances between distinct members
-    are equal.  Conversely the two conditions put any two members at
-    equal distance from every other vertex.  The diagonal rule is those
-    two conditions: an outside row holds no member's zero, and member
-    x's row is constant exactly when d(x, y) equals the written d(x0, x1)
-    for every other member y.
+    then the same.  That is the test of each member x against the first,
+    x0.  It suffices: if x0 is a twin of every other member, then for
+    members x and y other than x0, d(x, z) = d(x0, z) = d(y, z) for
+    every z outside {x, y, x0}, and d(x, x0) = d(y, x) = d(x0, y), so x
+    and y are twins too.
     """
     if len(set(members)) != len(members):
         raise BadParameters("twin class contains duplicate vertices")
     for x in sorted(members):
         g.check_vertex(x)
-    rows = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
-    block = g.distance_columns().column(rows)
-    if len(rows) > 1:
-        block[rows, np.arange(len(rows))] = block[rows[0], 1]
-    # a slab of rows at a time, ROW_BLOCK^2 cells at most, into one bool
-    # buffer; the first slab that holds a non-constant row decides
-    step = max(1, ROW_BLOCK ** 2 // max(block.shape[1], 1))
-    same = np.empty((min(step, len(block)), block.shape[1]), dtype=bool)
-    for lo in range(0, len(block), step):
-        slab = block[lo:lo + step]
-        if not np.equal(slab, slab[:, :1], out=same[:len(slab)]).all():
+    cols = np.asarray(members, dtype=np.intp) - g.vertex_ids().start
+    columns = g.distance_columns()
+    first = columns.column(cols[:1])  # N x 1, or N x 0 for no member
+    for s in slabs(len(cols), len(first)):
+        block = columns.column(cols[s])
+        # the rows of the first member and of each member itself agree
+        block[cols[:1]] = first[cols[:1]]
+        block[cols[s], np.arange(block.shape[1])] = first[cols[s], 0]
+        if not (block == first).all():
             return False
     return True
 

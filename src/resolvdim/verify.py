@@ -29,7 +29,8 @@ from .errors import BudgetExceeded, InstanceTooLarge
 
 SCHEMA_VERSION = 1
 
-# most hyperplane masks the corollary's spanning test gathers at once (64 kB)
+# most hyperplane masks the corollary's spanning test gathers at once (64 kB);
+# `graph.BLOCK_CELLS` masks would make that gather 512 kB on grid-sized cells
 _SPAN_MASKS = 1 << 13
 
 

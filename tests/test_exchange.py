@@ -97,6 +97,21 @@ def test_certificate_over_its_charge_is_refused(g33):
     assert report.minimal_set_sizes == (19,) * 4096
 
 
+def test_certificate_refuses_classes_that_do_not_partition(monkeypatch):
+    # (3,2) with its class (3, 4, 6, 7) left out: the other classes are
+    # paired and pass, and the core is read as resolving, so only premise
+    # (i)'s partition test refuses; the 2^8 table's refusal stands
+    g = ComponentGraph(3, 2)
+    classes = tuple(c for c in g.twin_classes() if c != (3, 4, 6, 7))
+    assert classes == ((0, 1), (2, 5))
+    monkeypatch.setattr(g, "twin_classes", lambda: classes)
+    monkeypatch.setattr(resolving, "resolves", lambda g, w: True)
+    assert resolving.twin_core_certificate(g, 100) is None
+    with pytest.raises(BudgetExceeded, match=r"^full subset table needs 2\^8 evaluations, "
+                                             r"over the budget 100$"):
+        exchange.has_exchange_property(g, 100)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_certificate_refuses_at_q2(n):
     # (2,2) has the singleton class {e1+e2}; at n >= 3 every class is one

@@ -141,7 +141,7 @@ def test_skeleton_array_matches_decoded_vectors(q, n):
     # the reference that the broadcast and distance-block tests build on
     g = ComponentGraph(q, n)
     sk = g.skeleton_array()
-    assert sk.dtype == np.int64
+    assert sk.dtype == np.min_scalar_type((1 << n) - 1)
     assert sk.tolist() == [vs.skeleton(vs.decode(v, q, n)) for v in g.vertex_ids()]
     assert g.skeleton_array() is sk
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from conftest import intersection_graph_by_pairs
 from resolvdim import exchange, intersection, resolving
 from resolvdim.errors import BadParameters, EmptyMember, InstanceTooLarge, OutOfRange
-from resolvdim.graph import MATRIX_CAP, ComponentGraph
+from resolvdim.graph import BLOCK_CELLS, MATRIX_CAP, ComponentGraph
 from resolvdim.intersection import PlainGraph, SetFamily
 
 
@@ -35,7 +35,7 @@ def _seeded_family(kind):
         return SetFamily([set(rng.sample(range(40), rng.randint(1, 5)))
                           for _ in range(80)])
     if kind == "tokens over 256 holders":
-        # 300^2 and 200^2 holder pairs pass PAIR_CHUNK: one token per chunk
+        # 300^2 and 200^2 holder pairs pass BLOCK_CELLS: one token per chunk
         return SetFamily([{"hub"} | ({"rim"} if i % 3 else set())
                           | set(rng.sample(tokens, rng.randint(0, 2))) for i in range(300)])
     if kind == "equal holder counts":
@@ -83,7 +83,7 @@ def test_holder_chunks_list_every_token_once_within_the_pair_cap(kind):
     fam = _seeded_family(kind)
     chunks = list(intersection._holder_chunks(fam))
     for rows in chunks:
-        assert len(rows) == 1 or rows.size * rows.shape[1] <= intersection.PAIR_CHUNK
+        assert len(rows) == 1 or rows.size * rows.shape[1] <= BLOCK_CELLS
     got = sorted(holders for rows in chunks for holders in map(tuple, rows.tolist()))
     want = sorted(tuple(i for i, m in enumerate(fam.members) if t in m)
                   for t in set().union(*fam.members))
@@ -109,7 +109,7 @@ _MUTANTS = [
     ("last partial chunk of a group dropped", "equal holder counts",
      lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
          rows for rows in _REAL_HOLDER_CHUNKS(fam)
-         if len(rows) == max(1, intersection.PAIR_CHUNK // rows.shape[1] ** 2)))),
+         if len(rows) == max(1, BLOCK_CELLS // rows.shape[1] ** 2)))),
     ("two-holder groups skipped", "edge tokens",
      lambda mp: mp.setattr(intersection, "_holder_chunks", lambda fam: (
          rows for rows in _REAL_HOLDER_CHUNKS(fam) if rows.shape[1] != 2))),

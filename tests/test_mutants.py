@@ -198,6 +198,11 @@ def _twin_class_with_its_zero_diagonal(g, members):
     return bool((block == block[:, :1]).all())
 
 
+def _twin_class_without_its_last_member(g, members):
+    # each member compared with the first, except the last
+    return _real_is_twin_class(g, tuple(members)[:-1])
+
+
 def _twin_class_refuses_a_mixed_triple():
     """`is_twin_class` refuses {x, y, z} of the mixed-triple graph, whose
     outside row is constant, and accepts the twins {x, y}."""
@@ -372,6 +377,9 @@ MUTANTS = [
            lambda g, c: True, _cells_agree(MINIMAL, "3-2:merged")),
     Mutant("twin-class-ignores-inside-distances", twins, "is_twin_class",
            _twin_class_outside_only, _twin_class_refuses_a_mixed_triple),
+    # z, the mixed triple's one non-twin, is its last member
+    Mutant("twin-class-pair-tests-skip-the-last-member", twins, "is_twin_class",
+           _twin_class_without_its_last_member, _twin_class_refuses_a_mixed_triple),
     # a member's row holds its own zero beside nonzero distances, so every
     # class of two or more is refused
     Mutant("twin-class-keeps-the-zero-diagonal", twins, "is_twin_class",

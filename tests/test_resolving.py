@@ -9,14 +9,15 @@ import pytest
 
 from conftest import (desk_instances, int64_digits, kernel_status, least_equal_rows_by_dict,
                       minimality_by_definition, orbit_by_mixed_radix, orbit_pairs,
-                      overflowing_digit_matrix, partition_with_a_wide_class, random_partition,
-                      representation, resolves_by_definition, status_by_rows, walk_outcome)
+                      overflowing_digit_matrix, partition_with_a_wide_class, random_graph,
+                      random_partition, representation, resolves_by_definition, status_by_rows,
+                      walk_outcome)
 from test_routes import (ALL_HITS_CELLS, DIM, K_SUBSETS, MINIMAL, MINIMUM, ORBIT, ORBIT_CELLS,
                          SINGLE, TABLE, folded, qn, seeded)
 from resolvdim import exchange, resolving, twins
 from resolvdim.errors import (BadParameters, BudgetExceeded, EmptySet,
                               NotResolving, OutOfRange, UnsupportedOrder)
-from resolvdim.graph import ComponentGraph, bfs_distances
+from resolvdim.graph import BLOCK_CELLS, ComponentGraph, bfs_distances
 from resolvdim.intersection import PlainGraph
 
 
@@ -134,6 +135,16 @@ def test_search_budget_exceeded(g33):
         resolving.metric_dimension_search(g33, budget=10)
     assert err.value.lower_bound == 19
     assert err.value.upper_bound == 26
+
+
+def test_search_budget_spent_after_a_level():
+    # random_graph(0): N = 6 and dim 3, and the walk starts at k = 2.  At
+    # budget 11 the budget runs out as level 2 ends with no hit, so the
+    # refusal names k = 3 as the lower bound
+    g = random_graph(0)
+    with pytest.raises(BudgetExceeded, match="^budget spent after finishing level k=2$") as err:
+        resolving.find_min_resolving_for_matrix(g.distance_matrix(), g.twin_classes(), 11)
+    assert (err.value.evaluated, err.value.lower_bound, err.value.upper_bound) == (11, 3, 6)
 
 
 def test_canonical_basis_examples():
@@ -410,7 +421,7 @@ def test_orbit_walk_matches_on_random_partitions(q, n):
 
 @pytest.mark.parametrize("q,n", [(3, 3), (7, 2), (16, 2)])
 def test_orbit_traced_peak(q, n):
-    # the walk holds one slice of at most `_BATCH_CELLS` labels per level
+    # the walk holds one slice of at most `BLOCK_CELLS` labels per level
     # it visits; the mixed-radix orbit peaked at 2.7 and 3.2 MB here
     g = ComponentGraph(q, n)
     k = resolving.metric_dimension_formula(q, n)
@@ -581,7 +592,7 @@ def test_colliding_pair_matches_rows_on_wide_sets():
 
 def test_kernel_reads_blocks_within_the_batch_cells():
     # (7,3): N = 342, so a batch is 191 columns.  A set of 200 columns is
-    # read 191 columns, then 9, and each read stays within `_BATCH_CELLS`
+    # read 191 columns, then 9, and each read stays within `BLOCK_CELLS`
     dist = ComponentGraph(7, 3).distance_matrix()
     engine = resolving._Engine(dist)
     assert engine.batch == 191
@@ -590,7 +601,7 @@ def test_kernel_reads_blocks_within_the_batch_cells():
     cols = np.array([random.Random("blocks:1").sample(range(len(dist)), 200)])
     assert np.array_equal(kernel_status(engine, cols), status_by_rows(dist, cols))
     assert reads == [191, 9]
-    assert max(reads) * len(dist) <= resolving._BATCH_CELLS
+    assert max(reads) * len(dist) <= BLOCK_CELLS
 
 
 def test_column_walk_over_budget_matches_matrix_walk():

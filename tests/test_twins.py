@@ -116,11 +116,10 @@ def test_is_twin_class_reads_the_distances_between_members():
 
 
 def test_is_twin_class_of_the_largest_16_3_class_is_small():
-    # 3,375 members at N = 4095: the int16 block, 26.4 MiB, is tested in
-    # place a slab of rows at a time, with a 64 KiB bool buffer beside it;
-    # measured 26.5 MiB.  With one bool block of the whole block's shape
-    # the peak was 39.6 MiB, and with an eye mask and copies of the
-    # inside and outside rows 80.7 MiB
+    # 3,375 members at N = 4095, each column compared with the first
+    # member's a slab of 16 columns at a time: measured 0.36 MiB.  The
+    # whole int16 block of the class's columns, tested in place, was
+    # 26.5 MiB
     g = ComponentGraph(16, 3)
     members = tuple(x + 1 for x in max(g.twin_classes(), key=len))
     tracemalloc.start()
@@ -130,7 +129,7 @@ def test_is_twin_class_of_the_largest_16_3_class_is_small():
     finally:
         tracemalloc.stop()
     assert len(members) == 3375 and ok
-    assert peak <= 28 * 2 ** 20
+    assert peak <= 2 * 2 ** 20
 
 
 def test_no_twin_swap_available_at_q2_n3(g23):
@@ -250,9 +249,9 @@ def test_twin_classes_survive_a_constant_digest(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(2, 12), (16, 3)])
 def test_twin_classes_hold_one_block_of_rows(q, n):
-    # N = 4095: O(N) keys and labels and one block of ROW_BLOCK packed
-    # rows, where all N packed rows took N^2/8 = 2 MB and the byte keys
-    # of both passes as much again
+    # N = 4095: O(N) keys and labels and one slab of packed rows, where
+    # all N packed rows took N^2/8 = 2 MB and the byte keys of both
+    # passes as much again
     g = ComponentGraph(q, n)
     tracemalloc.start()
     try:
